@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from functools import cache
 from pathlib import Path
 
 from .symbols import Symbol, SymbolsHandler, aggregate
@@ -23,29 +24,25 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _hour_series(symbol: Symbol, node: str, run: str, selector: dict | None = None) -> dict[str, float]:
-    """Collapse a symbol to {hour: value} for one node and run.
+def _hour_groups(symbol: Symbol, by=("run", "n"), where=None) -> dict[tuple, dict[str, float]]:
+    """Collapse a symbol in one pass to ``{labels along by: {hour: value}}``.
 
-    Dimensions other than ``h``, ``n`` and ``run`` (for example ``tech``)
-    are summed out after filtering by ``selector`` entries, when given.
+    Dimensions outside ``by`` and ``h`` are summed out in record order,
+    starting from 0.0, so each series equals a filtered scan of the records.
+    ``where`` drops the records it returns False for. A dimension in ``by``
+    that the symbol lacks reads as None in the group key.
     """
-    out: dict[str, float] = {}
     dims = symbol.dims
     h_pos = dims.index("h")
-    n_pos = dims.index("n") if "n" in dims else None
-    r_pos = dims.index("run") if "run" in dims else None
-    selector = selector or {}
-    sel_pos = {dims.index(d): set(v) for d, v in selector.items() if d in dims}
+    positions = [dims.index(d) if d in dims else None for d in by]
+    groups: dict[tuple, dict[str, float]] = {}
     for key, value in symbol.records.items():
-        if n_pos is not None and key[n_pos] != node:
+        if where is not None and not where(key):
             continue
-        if r_pos is not None and key[r_pos] != run:
-            continue
-        if any(key[p] not in allowed for p, allowed in sel_pos.items()):
-            continue
+        series = groups.setdefault(tuple(None if p is None else key[p] for p in positions), {})
         hour = key[h_pos]
-        out[hour] = out.get(hour, 0.0) + value
-    return out
+        series[hour] = series.get(hour, 0.0) + value
+    return groups
 
 
 def rldc(
@@ -59,19 +56,24 @@ def rldc(
 
     Residual load is demand minus renewable generation net of curtailment,
     before storage and trade; those enter as companion columns re-ordered by
-    the same descending-residual sort. Ties are broken by ascending hour.
+    the same descending-residual sort. Ties are broken by ascending hour. A
+    symbol without an ``n`` or ``run`` dimension matches any node or run.
     """
-    d = _hour_series(demand, node, run)
-    v = _hour_series(vre_gen, node, run)
+
+    def series(symbol: Symbol) -> dict[str, float]:
+        key = (run if "run" in symbol.dims else None, node if "n" in symbol.dims else None)
+        return _hour_groups(symbol).get(key, {})
+
+    companion_series = {name: series(sym) for name, sym in (companions or {}).items()}
+    return _rldc_rows(series(demand), series(vre_gen), companion_series, node, run)
+
+
+def _rldc_rows(d, v, companion_series, node, run) -> tuple[list[str], list[list]]:
     missing = sorted(set(d) - set(v), key=hour_index)
     if missing:
         raise KeyError(f"renewable generation misses hours {missing[:3]} for {node}/{run}")
     residual = {h: d[h] - v[h] for h in d}
     order = sorted(residual, key=lambda h: (-residual[h], hour_index(h)))
-
-    companion_series = {
-        name: _hour_series(sym, node, run) for name, sym in (companions or {}).items()
-    }
     headers = ["n", "run", "rank", "h", "residual", *companion_series.keys()]
     rows: list[list] = []
     for rank, hour in enumerate(order, start=1):
@@ -102,11 +104,17 @@ def standard_report(handler: SymbolsHandler, out_dir: Path | str) -> dict:
         log.warning("%s", msg)
         manifest["notices"].append(msg)
 
+    @cache  # one lookup per name: each lookup copies the symbol out of every run
     def grab(name: str) -> Symbol | None:
         try:
-            return handler.lookup(name)
+            symbol = handler.lookup(name)
         except KeyError:
             return None
+        if symbol.dims == ("run",) and not len(symbol):
+            # Listed for extraction but absent from every run's model.
+            notice(f"symbol {name} not extracted: not in the model")
+            return None
+        return symbol
 
     capacity = grab("N")
     if capacity is not None:
@@ -206,32 +214,42 @@ def _emit_rldc(handler, out_dir, manifest, notice, grab) -> None:
         notice("rldc.csv skipped: needs symbols d and G")
         return
 
+    sets = {run_id: handler.meta(run_id).get("sets", {}) for run_id in handler.runs()}
+    res = {run_id: set(s.get("res", [])) for run_id, s in sets.items()}
+    run_pos, tech_pos = generation.dims.index("run"), generation.dims.index("tech")
+    d = _hour_groups(demand)
+    g = _hour_groups(generation)
+    g_tech = _hour_groups(generation, ("run", "n", "tech"))
+    vre = _hour_groups(generation, where=lambda key: key[tech_pos] in res[key[run_pos]])
+    storage = {
+        column: _hour_groups(sym)
+        for column, sym in (("sto_in", grab("STO_IN")), ("sto_out", grab("STO_OUT")))
+        if sym is not None
+    }
+    slack = grab("SLACK")
+    sl = _hour_groups(slack) if slack is not None else {}
+
     headers: list[str] | None = None
     all_rows: list[list] = []
-    for run_id in handler.runs():
-        meta = handler.meta(run_id)
-        sets = meta.get("sets", {})
-        res = set(sets.get("res", []))
-        disp = [t for t in sets.get("tech", []) if t not in res]
-        nodes = sets.get("n", [])
-        vre = _select(generation, res)
-        companions: dict[str, Symbol] = {}
-        for tech in disp:
-            companions[f"gen_{tech}"] = _select(generation, {tech})
-        charge = grab("STO_IN")
-        discharge = grab("STO_OUT")
-        if charge is not None:
-            companions["sto_in"] = charge
-        if discharge is not None:
-            companions["sto_out"] = discharge
-        for node in nodes:
-            file_headers, rows = rldc(demand, vre, node, run_id, companions)
-            net_import = _net_import_rows(demand, generation, charge, discharge, grab("SLACK"), node, run_id)
-            file_headers = file_headers + ["net_import"]
+    for run_id, run_sets in sets.items():
+        disp = [t for t in run_sets.get("tech", []) if t not in res[run_id]]
+        for node in run_sets.get("n", []):
+            key = (run_id, node)
+            d_n, g_n, sl_n = d.get(key, {}), g.get(key, {}), sl.get(key, {})
+            # A run without renewables has zero renewable generation.
+            vre_n = vre.get(key, {}) if res[run_id] else dict.fromkeys(d_n, 0.0)
+            companions = {f"gen_{tech}": g_tech.get((*key, tech), {}) for tech in disp}
+            companions.update((column, groups.get(key, {})) for column, groups in storage.items())
+            sto_in, sto_out = companions.get("sto_in", {}), companions.get("sto_out", {})
+            file_headers, rows = _rldc_rows(d_n, vre_n, companions, node, run_id)
             for row in rows:
-                row.append(net_import.get(row[3], 0.0))
+                # Net imports from the balance identity: d - sum G - out + in - slack.
+                h = row[3]
+                row.append(
+                    d_n[h] - g_n.get(h, 0.0) - sto_out.get(h, 0.0) + sto_in.get(h, 0.0) - sl_n.get(h, 0.0)
+                )
             if headers is None:
-                headers = file_headers
+                headers = file_headers + ["net_import"]
             all_rows.extend(rows)
     if headers is not None:
         _write_table(out_dir / "rldc.csv", headers, all_rows)
@@ -239,25 +257,3 @@ def _emit_rldc(handler, out_dir, manifest, notice, grab) -> None:
             {"name": "rldc.csv", "dims": ["n", "run", "rank"], "unit": "MWh/h"}
         )
 
-
-def _select(symbol: Symbol, techs: set[str]) -> Symbol:
-    pos = symbol.dims.index("tech")
-    records = {k: v for k, v in symbol.records.items() if k[pos] in techs}
-    return Symbol(symbol.name, symbol.value_kind, symbol.dims, records, symbol.unit)
-
-
-def _net_import_rows(demand, generation, charge, discharge, slack, node, run) -> dict[str, float]:
-    """Net imports from the balance identity: d - sum G - out + in - slack."""
-    d = _hour_series(demand, node, run)
-    g = _hour_series(generation, node, run)
-    sto_in = _hour_series(charge, node, run) if charge is not None else {}
-    sto_out = _hour_series(discharge, node, run) if discharge is not None else {}
-    sl = _hour_series(slack, node, run) if slack is not None else {}
-    return {
-        h: d.get(h, 0.0)
-        - g.get(h, 0.0)
-        - sto_out.get(h, 0.0)
-        + sto_in.get(h, 0.0)
-        - sl.get(h, 0.0)
-        for h in d
-    }

@@ -14,7 +14,6 @@ import io
 import json
 import logging
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,20 +49,12 @@ def extract_symbols(
 
     ``reporting`` holds (symbol, kind) pairs with kind ``level`` or
     ``marginal``. Symbols named in the list but absent from a solution are
-    stored empty with a warning, never an error. Runs are independent, so
-    extraction may fan out over ``threads`` workers (0 = one per run) with
-    output identical to the sequential order.
+    stored empty with a warning, never an error. Extraction is pure Python
+    and runs in the caller's thread; ``threads`` is accepted for
+    compatibility with the ``gdx_convert_parallel_threads`` setting and does
+    not change the work or its output.
     """
-
-    def one(result) -> SymbolStore:
-        return _extract_one(result, reporting, config_echo)
-
-    results = list(results)
-    workers = threads if threads > 0 else len(results)
-    if workers <= 1 or len(results) <= 1:
-        return [one(r) for r in results]
-    with ThreadPoolExecutor(max_workers=min(workers, len(results))) as pool:
-        return list(pool.map(one, results))
+    return [_extract_one(result, reporting, config_echo) for result in results]
 
 
 def _extract_one(result, reporting, config_echo) -> SymbolStore:

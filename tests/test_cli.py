@@ -1,3 +1,5 @@
+import json
+
 from voltaic.cli import main
 from voltaic.templates import create_project
 
@@ -77,6 +79,18 @@ class TestRun:
         captured = capsys.readouterr()
         assert "infeasible" in captured.out
         assert "without optimal solution" in captured.err
+
+    def test_project_without_renewables_reports(self, tmp_path, capsys):
+        root = create_project("demo", "minimal", tmp_path)
+        static = root / "data_input" / "static_input"
+        for name in ("technologies.csv", "availability.csv"):
+            path = static / name
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(l for l in lines if not l.startswith("solar")) + "\n")
+        assert run_cli("run", str(root)) == 0
+        assert (root / "report" / "rldc.csv").exists()
+        manifest = json.loads((root / "report" / "manifest.json").read_text())
+        assert any("CU" in notice for notice in manifest["notices"])
 
     def test_mode_and_threads_overrides(self, tmp_path):
         root = create_project("demo", "minimal", tmp_path)

@@ -1,12 +1,16 @@
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from conftest import two_node_sweep_system
 from voltaic.reports import rldc, standard_report
-from voltaic.scenarios import parse_iteration_table, run_scenarios
-from voltaic.store import SymbolStore, extract_symbols
+from voltaic.scenarios import RunResult, parse_iteration_table, run_scenarios
+from voltaic.store import SymbolStore, extract_symbols, read_all_stores, write_store
 from voltaic.symbols import Symbol, SymbolsHandler
+from voltaic.system import hour_index
 
 FULL_REPORTING = [
     ("N", "level"),
@@ -145,3 +149,211 @@ class TestStandardReport:
             parts = line.split(",")
             key = (parts[idx["run"]], parts[idx["tech"]], parts[idx["n"]])
             assert parts[idx["generation"]] == f"{annual.records[key]:.6g}"
+
+
+# -- reference: the per-(run, node) scan the grouped report replaced ---------
+# Copied verbatim from the earlier reports module (apart from names), so the
+# grouped report can be held to its exact bytes.
+
+
+def oracle_hour_series(symbol, node, run, selector=None):
+    out = {}
+    dims = symbol.dims
+    h_pos = dims.index("h")
+    n_pos = dims.index("n") if "n" in dims else None
+    r_pos = dims.index("run") if "run" in dims else None
+    selector = selector or {}
+    sel_pos = {dims.index(d): set(v) for d, v in selector.items() if d in dims}
+    for key, value in symbol.records.items():
+        if n_pos is not None and key[n_pos] != node:
+            continue
+        if r_pos is not None and key[r_pos] != run:
+            continue
+        if any(key[p] not in allowed for p, allowed in sel_pos.items()):
+            continue
+        hour = key[h_pos]
+        out[hour] = out.get(hour, 0.0) + value
+    return out
+
+
+def oracle_rldc(demand, vre_gen, node, run, companions=None):
+    d = oracle_hour_series(demand, node, run)
+    v = oracle_hour_series(vre_gen, node, run)
+    missing = sorted(set(d) - set(v), key=hour_index)
+    if missing:
+        raise KeyError(f"renewable generation misses hours {missing[:3]} for {node}/{run}")
+    residual = {h: d[h] - v[h] for h in d}
+    order = sorted(residual, key=lambda h: (-residual[h], hour_index(h)))
+
+    companion_series = {
+        name: oracle_hour_series(sym, node, run) for name, sym in (companions or {}).items()
+    }
+    headers = ["n", "run", "rank", "h", "residual", *companion_series.keys()]
+    rows = []
+    for rank, hour in enumerate(order, start=1):
+        row = [node, run, rank, hour, residual[hour]]
+        row.extend(series.get(hour, 0.0) for series in companion_series.values())
+        rows.append(row)
+    return headers, rows
+
+
+def oracle_select(symbol, techs):
+    pos = symbol.dims.index("tech")
+    records = {k: v for k, v in symbol.records.items() if k[pos] in techs}
+    return Symbol(symbol.name, symbol.value_kind, symbol.dims, records, symbol.unit)
+
+
+def oracle_net_import_rows(demand, generation, charge, discharge, slack, node, run):
+    d = oracle_hour_series(demand, node, run)
+    g = oracle_hour_series(generation, node, run)
+    sto_in = oracle_hour_series(charge, node, run) if charge is not None else {}
+    sto_out = oracle_hour_series(discharge, node, run) if discharge is not None else {}
+    sl = oracle_hour_series(slack, node, run) if slack is not None else {}
+    return {
+        h: d.get(h, 0.0)
+        - g.get(h, 0.0)
+        - sto_out.get(h, 0.0)
+        + sto_in.get(h, 0.0)
+        - sl.get(h, 0.0)
+        for h in d
+    }
+
+
+def oracle_rldc_csv(handler):
+    def grab(name):
+        try:
+            return handler.lookup(name)
+        except KeyError:
+            return None
+
+    demand = grab("d")
+    generation = grab("G")
+    headers = None
+    all_rows = []
+    for run_id in handler.runs():
+        meta = handler.meta(run_id)
+        sets = meta.get("sets", {})
+        res = set(sets.get("res", []))
+        disp = [t for t in sets.get("tech", []) if t not in res]
+        nodes = sets.get("n", [])
+        vre = oracle_select(generation, res)
+        companions = {}
+        for tech in disp:
+            companions[f"gen_{tech}"] = oracle_select(generation, {tech})
+        charge = grab("STO_IN")
+        discharge = grab("STO_OUT")
+        if charge is not None:
+            companions["sto_in"] = charge
+        if discharge is not None:
+            companions["sto_out"] = discharge
+        for node in nodes:
+            file_headers, rows = oracle_rldc(demand, vre, node, run_id, companions)
+            net_import = oracle_net_import_rows(demand, generation, charge, discharge, grab("SLACK"), node, run_id)
+            file_headers = file_headers + ["net_import"]
+            for row in rows:
+                row.append(net_import.get(row[3], 0.0))
+            if headers is None:
+                headers = file_headers
+            all_rows.extend(rows)
+    lines = [",".join(headers)]
+    for row in all_rows:
+        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class CountingHandler(SymbolsHandler):
+    def __init__(self, stores):
+        super().__init__(stores)
+        self.calls = Counter()
+
+    def lookup(self, name):
+        self.calls[name] += 1
+        return super().lookup(name)
+
+
+@pytest.fixture
+def mixed_stores(sweep_toy):
+    """Seven runs from two systems with different ``res`` sets, plus a failed run.
+
+    The one-node system has renewables {solar}, the two-node one {solar,
+    wind}; both run with slack, priced below gas in R01 and R03 so that
+    every net-import term is non-zero somewhere. The
+    runs interleave, so the first run's columns head a file whose rows vary
+    in width, as the report has always written it.
+    """
+    one_data, one_config = sweep_toy
+    two_data, two_config = two_node_sweep_system(hours=48)
+    reporting = FULL_REPORTING + [("SLACK", "level")]
+    one = run_scenarios(
+        one_data,
+        replace(one_config, infeasibility=True),
+        None,
+        parse_iteration_table(
+            "run,\"c_i_sto_e(n,'Li-ion')\",\"c_i_sto_p(n,'Li-ion')\"\n"
+            "S0,20029,15021\nS1,10014,7510\nS2,5007,3755\n"
+        ),
+        mode="single_instance",
+    )
+    two = run_scenarios(
+        two_data,
+        replace(two_config, infeasibility=True, slack_penalty=60.0),
+        None,
+        parse_iteration_table(
+            "run,\"c_var(n,'gas')\"\nR00,50\nR01,80\nR02,35\nR03,65\n"
+        ),
+        mode="single_instance",
+    )
+    failed = RunResult("F0", None, (), error="worker crashed")
+    results = [one[0], two[0], failed, one[1], two[1], two[2], one[2], two[3]]
+    assert all(r.status == "optimal" for r in results if r is not failed)
+    return extract_symbols(results, reporting)
+
+
+class TestGroupedReport:
+    @pytest.mark.parametrize("source", ["memory", "disk"])
+    def test_rldc_matches_per_pair_scan(self, mixed_stores, source, tmp_path):
+        stores = mixed_stores
+        if source == "disk":
+            for store in stores:
+                write_store(store, tmp_path / "results")
+            stores = read_all_stores(tmp_path / "results")
+        handler = SymbolsHandler(stores)
+        assert "sets" not in handler.meta("F0")
+        assert len({tuple(handler.meta(r)["sets"]["res"]) for r in handler.runs() if r != "F0"}) == 2
+        standard_report(handler, tmp_path / "report")
+        assert (tmp_path / "report" / "rldc.csv").read_text() == oracle_rldc_csv(handler)
+
+    def test_lookups_do_not_grow_with_runs(self, mixed_stores, tmp_path):
+        base = [s for s in mixed_stores if s.run_id in ("S0", "R00")]
+        calls = []
+        for copies in (1, 4):  # 2 and 8 stores
+            stores = [
+                SymbolStore(f"{store.run_id}_{i}", store.symbols, store.meta)
+                for i in range(copies)
+                for store in base
+            ]
+            handler = CountingHandler(stores)
+            standard_report(handler, tmp_path / f"report{len(stores)}")
+            assert max(handler.calls.values()) == 1, handler.calls
+            calls.append(sum(handler.calls.values()))
+        assert calls[0] == calls[1]
+
+
+class TestNoRenewables:
+    @pytest.fixture
+    def stores(self, merit_toy):
+        data, config = merit_toy
+        results = run_scenarios(
+            data, config, None, parse_iteration_table("run,\"c_var(n,'peak')\"\nS0,50\n"),
+            mode="single_instance",
+        )
+        return extract_symbols(results, FULL_REPORTING)
+
+    def test_empty_symbol_noted_and_rldc_uses_zero_renewables(self, stores, tmp_path):
+        assert stores[0].symbols["CU"].dims == ()
+        manifest = standard_report(SymbolsHandler(stores), tmp_path)
+        assert any("CU" in notice for notice in manifest["notices"])
+        assert {"capacity.csv", "generation.csv", "rldc.csv"} <= {t["name"] for t in manifest["tables"]}
+        lines = (tmp_path / "rldc.csv").read_text().splitlines()
+        residual = [float(line.split(",")[4]) for line in lines[1:]]
+        assert residual == [30.0, 20.0, 10.0]  # demand, sorted descending
