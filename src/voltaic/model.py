@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,54 @@ SENSE_GE = "G"
 #: Variable families holding capacity decisions; these are the columns fixed
 #: in dispatch-only mode.
 CAPACITY_FAMILIES = ("N", "N_STO_E", "N_STO_P", "NTC")
+
+
+class CostTerm(NamedTuple):
+    """How one variable family's objective coefficient follows from the data."""
+
+    owner: str  # set whose records carry the cost; the family's first dimension
+    params: tuple[tuple[str, str], ...]  # (override name, record attribute), summed in order
+    annualized: bool  # scaled by the horizon share; otherwise charged per hour
+
+
+_OWNER_RECORDS = {"tech": SystemData.technology, "sto": SystemData.storage, "l": SystemData.line}
+
+#: The one cost rule: the base objective and every cost override read it.
+COST_TERMS: dict[str, CostTerm] = {
+    "N_STO_E": CostTerm("sto", (("c_i_sto_e", "c_i_sto_e"),), annualized=True),
+    "N_STO_P": CostTerm("sto", (("c_i_sto_p", "c_i_sto_p"), ("c_fix_sto", "c_fix")), annualized=True),
+    "STO_OUT": CostTerm("sto", (("c_var_sto", "c_var_sto"),), annualized=False),
+    "N": CostTerm("tech", (("c_inv_power", "c_inv_power"), ("c_fix", "c_fix")), annualized=True),
+    "G": CostTerm("tech", (("c_var", "c_var"),), annualized=False),
+    "NTC": CostTerm("l", (("c_inv_ntc", "c_inv_ntc"),), annualized=True),
+}
+
+
+def cost_coefficient(
+    data: SystemData,
+    config: ModelConfig,
+    family: str,
+    element: str,
+    node: str | None = None,
+    overrides: Mapping[tuple[str, tuple[str, ...]], float] | None = None,
+) -> float:
+    """Objective coefficient of ``family``'s columns for one element at one node.
+
+    ``overrides`` maps (parameter, key) to a scenario row's values, keyed
+    by the parameter's domain: ``(node, element)``, or ``(line,)``. The
+    parameters are summed in table order before scaling, so the result is
+    bit-identical to the base build wherever nothing is overridden.
+    """
+    term = COST_TERMS[family]
+    record = _OWNER_RECORDS[term.owner](data, element)
+    key = (element,) if term.owner == "l" else (node, element)
+    total = None
+    for name, attr in term.params:
+        value = getattr(record, attr)
+        if overrides:
+            value = overrides.get((name, key), value)
+        total = value if total is None else total + value
+    return config.horizon_share() * total if term.annualized else total
 
 
 @dataclass(frozen=True)
@@ -589,47 +637,20 @@ def _finalize(b: _Build) -> None:
 
 
 def assemble_objective(lp: LinearProgram, data: SystemData, config: ModelConfig) -> np.ndarray:
-    """Fill the cost vector; annualized cost terms scale with horizon share.
+    """Fill the cost vector from :data:`COST_TERMS`; slack is priced by the config.
 
     Variable costs apply per hour as-is; investment and fixed costs are
     multiplied by end_hour/8760 so that partial horizons still trade off
     building against dispatching consistently.
     """
-    scale = config.horizon_share()
     obj = np.zeros(lp.n_cols)
-
-    fam = lp.var_families.get("G")
-    if fam is not None:
+    for family in COST_TERMS:
+        fam = lp.var_families.get(family)
+        if fam is None:
+            continue
         grid = fam.grid()
-        for t_i, tech_id in enumerate(fam.elements[0]):
-            obj[grid[t_i].ravel()] = data.technology(tech_id).c_var
-    fam = lp.var_families.get("N")
-    if fam is not None:
-        grid = fam.grid()
-        for t_i, tech_id in enumerate(fam.elements[0]):
-            tech = data.technology(tech_id)
-            obj[grid[t_i].ravel()] = scale * (tech.c_inv_power + tech.c_fix)
-    fam = lp.var_families.get("STO_OUT")
-    if fam is not None:
-        grid = fam.grid()
-        for s_i, sto_id in enumerate(fam.elements[0]):
-            obj[grid[s_i].ravel()] = data.storage(sto_id).c_var_sto
-    fam = lp.var_families.get("N_STO_E")
-    if fam is not None:
-        grid = fam.grid()
-        for s_i, sto_id in enumerate(fam.elements[0]):
-            obj[grid[s_i].ravel()] = scale * data.storage(sto_id).c_i_sto_e
-    fam = lp.var_families.get("N_STO_P")
-    if fam is not None:
-        grid = fam.grid()
-        for s_i, sto_id in enumerate(fam.elements[0]):
-            sto = data.storage(sto_id)
-            obj[grid[s_i].ravel()] = scale * (sto.c_i_sto_p + sto.c_fix)
-    fam = lp.var_families.get("NTC")
-    if fam is not None:
-        grid = fam.grid()
-        for l_i, line_id in enumerate(fam.elements[0]):
-            obj[grid[l_i]] = scale * data.line(line_id).c_inv_ntc
+        for i, element in enumerate(fam.elements[0]):
+            obj[grid[i]] = cost_coefficient(data, config, family, element)
     fam = lp.var_families.get("SLACK")
     if fam is not None:
         obj[fam.start : fam.start + fam.size] = config.slack_penalty

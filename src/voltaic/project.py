@@ -81,10 +81,6 @@ CONFIG_KEYS = (
 
 REQUIRED_KEYS = ("base_year", "end_hour", "dispatch_only", "network_transfer", "infeasibility")
 
-# In-process snapshots for skip_input = yes.
-_SNAPSHOTS: dict[str, tuple[SystemData, FeatureMatrix]] = {}
-
-
 @dataclass(frozen=True)
 class ProjectLayout:
     """Resolved paths of one project directory."""
@@ -502,20 +498,16 @@ def load_project(root: Path | str) -> Project:
         iteration_data_dir=config.iteration_data_file,
     )
 
-    cache_key = str(root.resolve())
-    if config.skip_input and cache_key in _SNAPSHOTS:
-        data, features = _SNAPSHOTS[cache_key]
-    else:
-        data = _load_static(layout, issues)
-        series = _load_series_dir(layout.timeseries_input, issues)
-        if not config.skip_iteration_data_file:
-            for name, ts in _load_series_dir(layout.iteration_data, issues).items():
-                if name in series:
-                    issues.append(f"iteration_data: series {name!r} already defined in base data")
-                    continue
-                series[name] = ts
-        data = replace(data, series=series)
-        features = _load_features(layout.settings / FEATURES_FILE, data.node_ids(), issues)
+    data = _load_static(layout, issues)
+    series = _load_series_dir(layout.timeseries_input, issues)
+    if not config.skip_iteration_data_file:
+        for name, ts in _load_series_dir(layout.iteration_data, issues).items():
+            if name in series:
+                issues.append(f"iteration_data: series {name!r} already defined in base data")
+                continue
+            series[name] = ts
+    data = replace(data, series=series)
+    features = _load_features(layout.settings / FEATURES_FILE, data.node_ids(), issues)
 
     reporting = _load_reporting(layout.settings / REPORTING_FILE, issues)
     blocks = _load_constraints(layout.settings / CONSTRAINTS_FILE, issues)
@@ -541,9 +533,6 @@ def load_project(root: Path | str) -> Project:
     issues.extend(validate_system(data, config))
     if issues:
         raise ValidationError(issues)
-
-    if not config.skip_input:
-        _SNAPSHOTS[cache_key] = (data, features)
 
     return Project(
         root=root,

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
-from .model import LinearProgram, apply_dispatch_only, build_model
+from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
 from .solver import Delta, ModelInstance, Solution, compile as compile_instance
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
@@ -46,16 +46,18 @@ COUNTRY_SET = "country_set"
 
 _SUFFIX_KINDS = {"fx": VARIABLE_FIX, "lo": VARIABLE_LO, "up": VARIABLE_UP}
 
-#: Parameter catalog: canonical domain per overridable parameter.
+#: Cost parameter -> the variable family whose objective coefficient it feeds.
+_COST_FAMILY: dict[str, str] = {
+    name: family for family, term in COST_TERMS.items() for name, _ in term.params
+}
+
+#: Parameter catalog: canonical domain per overridable parameter. Cost
+#: parameters come from the cost table; the other two set row bounds.
 PARAMETER_DOMAINS: dict[str, tuple[str, ...]] = {
-    "c_i_sto_e": ("n", "sto"),
-    "c_i_sto_p": ("n", "sto"),
-    "c_fix_sto": ("n", "sto"),
-    "c_var_sto": ("n", "sto"),
-    "c_inv_power": ("n", "tech"),
-    "c_fix": ("n", "tech"),
-    "c_var": ("n", "tech"),
-    "c_inv_ntc": ("l",),
+    **{
+        name: ("l",) if COST_TERMS[family].owner == "l" else ("n", COST_TERMS[family].owner)
+        for name, family in _COST_FAMILY.items()
+    },
     "co2_cap": ("n",),
     "min_renewable_share": ("n",),
 }
@@ -263,17 +265,6 @@ def _match_domain(
     )
 
 
-class _Effective:
-    """Parameter view of the base data with this row's overrides applied."""
-
-    def __init__(self, data: SystemData, overrides: dict[tuple[str, tuple[str, ...]], float]):
-        self.data = data
-        self.overrides = overrides
-
-    def get(self, param: str, key: tuple[str, ...], default: float) -> float:
-        return self.overrides.get((param, key), default)
-
-
 def expand_overrides(
     spec: ScenarioSpec,
     lp: LinearProgram,
@@ -285,11 +276,10 @@ def expand_overrides(
     blocks = CONSTRAINT_BLOCKS if constraint_blocks is None else constraint_blocks
     sets = dict(lp.sets)
     sets["h"] = lp.sets["h"]
-    scale = config.horizon_share()
     deltas: list[Delta] = []
 
     # First pass: collect scalar parameter overrides and series swaps so that
-    # derived quantities (share rhs, combined cost terms) see this row's values.
+    # derived quantities (share rhs, summed cost terms) see this row's values.
     scalar: dict[tuple[str, tuple[str, ...]], float] = {}
     series_swap: dict[tuple[str, tuple[str, ...]], str] = {}
     for ref, value in spec.overrides:
@@ -308,7 +298,6 @@ def expand_overrides(
             for combo in product(*_match_domain(ref, dims, sets)):
                 series_swap[(ref.name, combo)] = str(value)
 
-    eff = _Effective(data, scalar)
     H = config.end_hour
 
     def demand_series(node_id: str) -> tuple[float, ...]:
@@ -316,49 +305,32 @@ def expand_overrides(
         return data.series[name].values[:H]
 
     share_rhs_dirty: set[str] = set()
+    costed: set[tuple[str, tuple[str, ...]]] = set()
 
     for (param, key) in sorted(scalar):
-        value = scalar[(param, key)]
-        if param == "c_i_sto_e":
-            n, s = key
-            deltas.append(Delta("obj", col=lp.col_index("N_STO_E", (s, n)), value=scale * value))
-        elif param == "c_i_sto_p":
-            n, s = key
-            fix = eff.get("c_fix_sto", key, data.storage(s).c_fix)
-            deltas.append(
-                Delta("obj", col=lp.col_index("N_STO_P", (s, n)), value=scale * (value + fix))
-            )
-        elif param == "c_fix_sto":
-            n, s = key
-            inv = eff.get("c_i_sto_p", key, data.storage(s).c_i_sto_p)
-            deltas.append(
-                Delta("obj", col=lp.col_index("N_STO_P", (s, n)), value=scale * (inv + value))
-            )
-        elif param == "c_var_sto":
-            n, s = key
-            fam = lp.var_families["STO_OUT"]
-            for h in sets["h"]:
-                deltas.append(Delta("obj", col=fam.index((s, n, h)), value=value))
-        elif param == "c_inv_power":
-            n, t = key
-            fix = eff.get("c_fix", key, data.technology(t).c_fix)
-            deltas.append(Delta("obj", col=lp.col_index("N", (t, n)), value=scale * (value + fix)))
-        elif param == "c_fix":
-            n, t = key
-            inv = eff.get("c_inv_power", key, data.technology(t).c_inv_power)
-            deltas.append(Delta("obj", col=lp.col_index("N", (t, n)), value=scale * (inv + value)))
-        elif param == "c_var":
-            n, t = key
-            fam = lp.var_families["G"]
-            for h in sets["h"]:
-                deltas.append(Delta("obj", col=fam.index((t, n, h)), value=value))
-        elif param == "c_inv_ntc":
-            (line_id,) = key
-            deltas.append(Delta("obj", col=lp.col_index("NTC", (line_id,)), value=scale * value))
+        family = _COST_FAMILY.get(param)
+        if family is not None:
+            if (family, key) in costed:
+                continue  # the other half of a summed pair already set this column
+            costed.add((family, key))
+            node = key[0] if len(key) == 2 else None
+            value = cost_coefficient(data, config, family, key[-1], node, scalar)
+            fam = lp.var_families[family]
+            head = key[::-1]  # (node, element) override keys, (element, node) columns
+            if "h" in fam.dims:
+                deltas.extend(Delta("obj", col=fam.index((*head, h)), value=value) for h in sets["h"])
+            else:
+                deltas.append(Delta("obj", col=fam.index(head), value=value))
         elif param == "co2_cap":
             (n,) = key
-            deltas.append(Delta("rhs", row=lp.row_index("CO2_CAP", (n,)), value=value))
-        elif param == "min_renewable_share":
+            fam = lp.row_families.get("CO2_CAP")
+            if fam is None or n not in fam.elements[0]:
+                raise ValidationError(
+                    f"override co2_cap({n!r}): the base model has no emission cap row for "
+                    f"this node (base cap is unset)"
+                )
+            deltas.append(Delta("rhs", row=fam.index((n,)), value=scalar[(param, key)]))
+        else:  # min_renewable_share
             share_rhs_dirty.add(key[0])
 
     for (name, key), series_name in sorted(series_swap.items()):
@@ -387,7 +359,7 @@ def expand_overrides(
                 deltas.append(Delta("coef", row=row_fam.index((res, n, h)), col=col, value=-values[i]))
 
     for n in sorted(share_rhs_dirty):
-        share = eff.get("min_renewable_share", (n,), data.node(n).min_renewable_share)
+        share = scalar.get(("min_renewable_share", (n,)), data.node(n).min_renewable_share)
         fam = lp.row_families.get("RES_SHARE")
         if fam is None or n not in fam.elements[0]:
             raise ValidationError(

@@ -1,11 +1,13 @@
 """Solve compiled linear programs and re-solve them after in-place updates.
 
 Two interchangeable backends sit behind the same interface: ``highs`` (the
-default, scipy's HiGHS dual simplex) and ``dense`` (the self-contained
+default, scipy's HiGHS: dual simplex up to 4,000 rows plus columns,
+interior point with crossover above) and ``dense`` (the self-contained
 tableau simplex in :mod:`voltaic.simplex`, used as an independent
-cross-check on small instances). A :class:`ModelInstance` keeps one
-compiled program plus a mutable overlay of bound/cost/rhs/coefficient
-updates so that whole scenario sweeps reuse a single build.
+cross-check on small instances). A :class:`ModelInstance` keeps copies of
+one built program's arrays plus a mutable overlay of bound/cost/rhs/
+coefficient updates, so a scenario sweep reuses a single build; every
+solve still assembles the sparse matrix and starts the solver cold.
 
 Duals follow the sensitivity convention throughout: the marginal of a row
 is the derivative of the optimal objective with respect to that row's

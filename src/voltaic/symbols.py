@@ -229,23 +229,31 @@ class SymbolsHandler:
         return self.stores[run_id].meta
 
     def lookup(self, name: str) -> Symbol:
-        dims: tuple[str, ...] | None = None
-        kind = PARAMETER
-        unit = ""
+        """The symbol across all runs, with a leading ``run`` dimension.
+
+        A run that stores the symbol empty and dimensionless (listed for
+        extraction but not in that run's model) contributes no keys; if
+        every run does, the result is empty with dims ``("run",)``.
+        """
+        first: Symbol | None = None
         records: dict[tuple[str, ...], float] = {}
-        found = False
         for run_id, store in self.stores.items():
             sym = store.symbols.get(name)
-            if sym is None:
+            if sym is None or (first is not None and _absent(sym)):
                 continue
-            if not found:
-                dims, kind, unit, found = sym.dims, sym.value_kind, sym.unit, True
-            elif sym.dims != dims:
+            if first is None or _absent(first):
+                first = sym
+            elif sym.dims != first.dims:
                 raise DimensionMismatch(
-                    f"symbol {name!r} has dims {sym.dims} in run {run_id}, expected {dims}"
+                    f"symbol {name!r} has dims {sym.dims} in run {run_id}, expected {first.dims}"
                 )
             for key, value in sym.records.items():
                 records[(run_id, *key)] = value
-        if not found:
+        if first is None:
             raise KeyError(f"symbol {name!r} not present in any store")
-        return Symbol(name, kind, ("run", *dims), records, unit)
+        return Symbol(name, first.value_kind, ("run", *first.dims), records, first.unit)
+
+
+def _absent(sym: Symbol) -> bool:
+    """Whether ``sym`` is the empty, dimensionless "not in the model" marker."""
+    return not sym.dims and not sym.records

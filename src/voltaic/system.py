@@ -137,7 +137,7 @@ class ModelConfig:
     infeasibility: bool = False
     slack_penalty: float = 10_000.0  # EUR/MWh on slack generation
     scenarios_iteration: bool = True
-    skip_input: bool = False
+    skip_input: bool = False  # accepted for compatibility; every load reads the files
     skip_iteration_data_file: bool = False
     no_crossover: bool = True  # accepted for compatibility; has no effect here
     guss: bool = True

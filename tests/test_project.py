@@ -118,13 +118,17 @@ class TestLoadProject:
         with pytest.raises(ValidationError, match="fixed_capacities"):
             load_project(example1_root)
 
-    def test_skip_input_reuses_snapshot(self, example1_root):
+    def test_skip_input_still_reads_edited_inputs(self, example1_root):
         first = load_project(example1_root)
+        assert first.data.technology("ccgt").c_var == 38.0
+        rewrite_cell(
+            example1_root / "data_input" / "static_input" / "technologies.csv", "38.0", "999.0"
+        )
         rewrite_cell(
             example1_root / "settings" / "project_variables.csv", "skip_input,no", "skip_input,yes"
         )
         second = load_project(example1_root)
-        assert second.data is first.data
+        assert second.data.technology("ccgt").c_var == 999.0
 
     def test_unknown_feature_node_rejected(self, example1_root):
         rewrite_cell(example1_root / "settings" / "features_node_selection.csv", "Module,DE", "Module,XX")

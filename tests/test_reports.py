@@ -7,7 +7,7 @@ import pytest
 
 from conftest import two_node_sweep_system
 from voltaic.reports import rldc, standard_report
-from voltaic.scenarios import RunResult, parse_iteration_table, run_scenarios
+from voltaic.scenarios import RunResult, ScenarioSpec, parse_iteration_table, run_scenarios
 from voltaic.store import SymbolStore, extract_symbols, read_all_stores, write_store
 from voltaic.symbols import Symbol, SymbolsHandler
 from voltaic.system import hour_index
@@ -357,3 +357,33 @@ class TestNoRenewables:
         lines = (tmp_path / "rldc.csv").read_text().splitlines()
         residual = [float(line.split(",")[4]) for line in lines[1:]]
         assert residual == [30.0, 20.0, 10.0]  # demand, sorted descending
+
+
+class TestMixedStores:
+    """One run's model lacks renewables and storage, the other's has both."""
+
+    @pytest.fixture
+    def stores(self, sweep_toy, merit_toy):
+        stores = []
+        for run_id, (data, config) in (("A", sweep_toy), ("B", merit_toy)):
+            results = run_scenarios(data, config, None, [ScenarioSpec(run_id)], mode="single_instance")
+            stores.extend(extract_symbols(results, FULL_REPORTING))
+        return stores
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["marker_last", "marker_first"])
+    def test_absent_symbol_contributes_no_keys(self, stores, step):
+        cu = SymbolsHandler(stores[::step]).lookup("CU")
+        assert stores[1].symbols["CU"].dims == ()
+        assert cu.dims == ("run", "res", "n", "h")
+        assert {key[0] for key in cu.records} == {"A"}
+        assert len(cu) == len(stores[0].symbols["CU"])
+
+    def test_report_covers_both_runs(self, stores, tmp_path):
+        manifest = standard_report(SymbolsHandler(stores), tmp_path)
+        tables = {t["name"] for t in manifest["tables"]}
+        assert {"capacity.csv", "generation.csv", "rldc.csv", "storage.csv"} <= tables
+        assert not any("not extracted" in notice for notice in manifest["notices"])
+        rows = [line.split(",") for line in (tmp_path / "rldc.csv").read_text().splitlines()[1:]]
+        assert {row[1] for row in rows} == {"A", "B"}
+        residual_b = [float(row[4]) for row in rows if row[1] == "B"]
+        assert residual_b == [30.0, 20.0, 10.0]  # no renewables: demand, sorted descending

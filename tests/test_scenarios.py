@@ -1,7 +1,13 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from voltaic.model import build_model
 from voltaic.scenarios import (
+    PARAMETER_DOMAINS,
     ScenarioSpec,
     expand_overrides,
     parse_iteration_table,
@@ -18,6 +24,7 @@ from voltaic.system import (
     TimeSeries,
     ValidationError,
 )
+from voltaic.templates import example1
 
 TABLE3 = """\
 run,"c_i_sto_e(n,'Li-ion')","c_i_sto_p(n,'Li-ion')"
@@ -201,6 +208,16 @@ class TestExpansion:
         with pytest.raises(ValidationError, match="XX"):
             expand_overrides(spec, lp, data, config)
 
+    @pytest.mark.parametrize("capped", [(), ("DE",)], ids=["no_caps", "other_node_capped"])
+    def test_co2_cap_override_without_base_cap_reported(self, battery_system, capped):
+        data, config = battery_system
+        nodes = tuple(replace(n, co2_cap=100.0) if n.id in capped else n for n in data.nodes)
+        data = replace(data, nodes=nodes)
+        lp = build_model(data, config)
+        spec = parse_iteration_table("run,co2_cap('FR')\nS0,10\n")[0]
+        with pytest.raises(ValidationError, match=r"co2_cap\('FR'\)"):
+            expand_overrides(spec, lp, data, config)
+
     def test_constraint_choice_off_relaxes_share(self, battery_system):
         data, config = battery_system
         lp = build_model(data, config)
@@ -299,3 +316,67 @@ class TestRunModes:
         data, config = battery_system
         with pytest.raises(ValidationError, match="unknown mode"):
             run_scenarios(data, config, None, self.specs(), mode="warp")
+
+
+_LINE = "DE-FR"
+
+# parameter, element, SystemData field holding the record, record attribute
+_COST_OVERRIDES = [
+    ("c_i_sto_e", "P2G2P", "storages", "c_i_sto_e"),
+    ("c_i_sto_p", "P2G2P", "storages", "c_i_sto_p"),
+    ("c_fix_sto", "P2G2P", "storages", "c_fix"),
+    ("c_var_sto", "P2G2P", "storages", "c_var_sto"),
+    ("c_inv_power", "ccgt", "technologies", "c_inv_power"),
+    ("c_fix", "ccgt", "technologies", "c_fix"),
+    ("c_var", "ccgt", "technologies", "c_var"),
+    ("c_inv_ntc", _LINE, "lines", "c_inv_ntc"),
+]
+
+
+def _with_attributes(data, field, element, **attrs):
+    records = tuple(replace(r, **attrs) if r.id == element else r for r in getattr(data, field))
+    return replace(data, **{field: records})
+
+
+class TestOverrideEqualsRebuild:
+    """A cost override must give the cost vector of a model built with that cost."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        # P2G2P gets a fixed cost so that both storage power terms are non-zero.
+        data = _with_attributes(example1().data, "storages", "P2G2P", c_fix=1_500.0)
+        return data, ModelConfig(end_hour=24)
+
+    def overridden_obj(self, data, config, table):
+        lp = build_model(data, config)
+        inst = compile_instance(lp)
+        inst.apply(expand_overrides(parse_iteration_table(table)[0], lp, data, config))
+        return inst.lp.obj
+
+    @pytest.mark.parametrize("param,element,field,attr", _COST_OVERRIDES, ids=[c[0] for c in _COST_OVERRIDES])
+    def test_single_parameter(self, system, param, element, field, attr):
+        data, config = system
+        domain = f"'{element}'" if field == "lines" else f"n,'{element}'"
+        value = 12_345.678
+        assert getattr(next(r for r in getattr(data, field) if r.id == element), attr) != value
+        obj = self.overridden_obj(data, config, f'run,"{param}({domain})"\nS0,{value}\n')
+        rebuilt = build_model(_with_attributes(data, field, element, **{attr: value}), config)
+        assert np.array_equal(obj, rebuilt.obj)
+
+    def test_both_halves_of_a_pair(self, system):
+        data, config = system
+        table = "run,\"c_inv_power(n,'ocgt')\",\"c_fix(n,'ocgt')\"\nS0,30000.5,7000.25\n"
+        lp = build_model(data, config)
+        deltas = expand_overrides(parse_iteration_table(table)[0], lp, data, config)
+        assert len(deltas) == len(lp.sets["n"])  # one delta per touched column
+        obj = self.overridden_obj(data, config, table)
+        edited = _with_attributes(data, "technologies", "ocgt", c_inv_power=30000.5, c_fix=7000.25)
+        assert np.array_equal(obj, build_model(edited, config).obj)
+
+
+def test_readme_lists_every_overridable_parameter():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    match = re.search(r"Overridable parameters.*?\n\n", readme, re.S)
+    assert match, "README has no 'Overridable parameters' paragraph"
+    listed = set(re.findall(r"`([^`]+)`", match.group(0)))
+    assert set(PARAMETER_DOMAINS) <= listed, sorted(set(PARAMETER_DOMAINS) - listed)
