@@ -585,7 +585,9 @@ def emit_policy_constraints(b: _Build) -> None:
     """Per-node renewable share floors and emission caps.
 
     The share row counts gross renewable generation (after curtailment)
-    against gross demand; nodes with a zero share get no row at all.
+    against gross demand; nodes with a zero share get no row at all. A
+    system without renewables still gets its share rows, with no entries,
+    so a positive share makes the run infeasible rather than vanish.
     """
     lp = b.lp
     g = lp.var_families["G"].grid()
@@ -593,7 +595,7 @@ def emit_policy_constraints(b: _Build) -> None:
     node_pos = {n.id: i for i, n in enumerate(b.nodes)}
 
     share_nodes = [n for n in b.nodes if n.min_renewable_share > 0.0]
-    if share_nodes and b.res:
+    if share_nodes:
         rhs = np.array(
             [n.min_renewable_share * b.demand[node_pos[n.id]].sum() for n in share_nodes]
         )
@@ -718,5 +720,5 @@ def count_rows(
     """Closed-form row count of :func:`build_model` (see README)."""
     rows = H * n_nodes * (1 + n_disp + n_res + 4 * n_sto)
     rows += 2 * n_lines * H
-    rows += (n_share_nodes if n_res else 0) + n_co2_nodes
+    rows += n_share_nodes + n_co2_nodes
     return rows

@@ -26,12 +26,13 @@ import math
 import os
 import re
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
-from .solver import Delta, ModelInstance, Solution, compile as compile_instance
+from .solver import Delta, ModelInstance, Solution, compile as compile_instance, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
@@ -437,6 +438,7 @@ def _run_on_instance(
     config: ModelConfig,
     blocks: dict[str, tuple[str, ...]] | None,
     delay: float = 0.0,
+    warm: bool = False,
 ) -> RunResult:
     started = time.perf_counter()
     try:
@@ -444,7 +446,8 @@ def _run_on_instance(
         deltas = expand_overrides(spec, inst.lp, data, config, blocks)
         if delay:
             time.sleep(delay)
-        solution = inst.update_and_resolve(deltas)
+        inst.apply(deltas)
+        solution = inst.resolve() if warm else solve(inst.lp, inst.backend)
         return RunResult(
             spec.run_id,
             solution,
@@ -472,7 +475,10 @@ def _run_sequential(
     delays: list[float] | None,
     backend: str,
     fixed_capacities=None,
+    warm_keys: frozenset = frozenset(),
 ) -> list[RunResult]:
+    """Run ``specs`` in order; rows whose country set is in ``warm_keys``
+    re-solve warm from their instance's base basis, all others cold."""
     results: list[RunResult] = []
     instances: dict[tuple[str, ...] | None, ModelInstance] = {}
     for idx, spec in enumerate(specs):
@@ -488,14 +494,15 @@ def _run_sequential(
                     instances[key] = inst
             else:
                 inst = instances[key]
-            results.append(_run_on_instance(inst, spec, data, config, blocks, delay))
+            warm = not rebuild and key in warm_keys
+            results.append(_run_on_instance(inst, spec, data, config, blocks, delay, warm))
         except (ValidationError, KeyError, ValueError) as exc:
             results.append(RunResult(spec.run_id, None, _echo(spec), error=str(exc)))
     return results
 
 
 def _parallel_worker(payload) -> list[tuple[int, RunResult]]:
-    data, config, features, indexed_specs, blocks, delays, backend, fixed = payload
+    data, config, features, indexed_specs, blocks, delays, backend, fixed, warm_keys = payload
     out: list[tuple[int, RunResult]] = []
     results = _run_sequential(
         data,
@@ -507,6 +514,7 @@ def _parallel_worker(payload) -> list[tuple[int, RunResult]]:
         delays=delays,
         backend=backend,
         fixed_capacities=fixed,
+        warm_keys=warm_keys,
     )
     for (idx, _), result in zip(indexed_specs, results):
         out.append((idx, result))
@@ -530,13 +538,21 @@ def run_scenarios(
     ``rebuild`` compiles a fresh model per run; ``single_instance`` compiles
     once per country set and re-solves with per-run deltas applied to the
     restored base; ``parallel`` distributes specs round-robin over worker
-    processes, each owning its own instances. All three modes produce the
+    processes, each owning its own instances. In the two instance modes a
+    country set with two or more rows in ``specs`` is re-solved warm from its
+    instance's base basis (see :meth:`ModelInstance.resolve`); a lone row,
+    and every ``rebuild`` run, is solved cold. All three modes produce the
     same objectives. ``threads`` = 0 uses every available core.
     """
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:
         raise ValidationError(f"run_scenarios: unknown mode {mode!r} (use one of {MODES})")
+    # A warm start pays off only where rows share an instance: counted over
+    # the whole table, so every shard of a parallel sweep makes the same choice.
+    warm_keys = frozenset(
+        key for key, rows in Counter(spec.country_set for spec in specs).items() if rows >= 2
+    )
 
     if mode in ("rebuild", "single_instance"):
         return _run_sequential(
@@ -549,6 +565,7 @@ def run_scenarios(
             delays=_test_delays,
             backend=backend,
             fixed_capacities=fixed_capacities,
+            warm_keys=warm_keys,
         )
 
     workers = threads if threads > 0 else (os.cpu_count() or 1)
@@ -566,6 +583,7 @@ def run_scenarios(
             [_test_delays[i] for i, _ in shard] if _test_delays else None,
             backend,
             fixed_capacities,
+            warm_keys,
         )
         for shard in shards
         if shard

@@ -152,18 +152,20 @@ def write_store(store: SymbolStore, root: Path | str, formats=(CSV_FORMAT,)) -> 
 
 
 def _write_npz(store: SymbolStore, path: Path) -> None:
+    # Label arrays take the width of their longest label: never truncated,
+    # and no wider than the labels need.
     arrays: dict[str, np.ndarray] = {
         "__meta__": np.array(_meta_text(store.meta)),
-        "__symbols__": np.array(sorted(store.symbols), dtype="<U64"),
+        "__symbols__": np.array(sorted(store.symbols), dtype=str),
     }
     for name in sorted(store.symbols):
         sym = store.symbols[name]
         keys = sorted(sym.records)
-        arrays[f"{name}/dims"] = np.array(sym.dims, dtype="<U32")
+        arrays[f"{name}/dims"] = np.array(sym.dims, dtype=str)
         arrays[f"{name}/kind"] = np.array(sym.value_kind)
         arrays[f"{name}/unit"] = np.array(sym.unit)
         if keys:
-            arrays[f"{name}/keys"] = np.array(keys, dtype="<U64")
+            arrays[f"{name}/keys"] = np.array(keys, dtype=str)
         else:
             arrays[f"{name}/keys"] = np.zeros((0, len(sym.dims)), dtype="<U1")
         arrays[f"{name}/values"] = np.array([sym.records[k] for k in keys], dtype=float)

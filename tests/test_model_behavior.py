@@ -122,6 +122,47 @@ def test_unreachable_share_infeasible_without_slack():
     assert solve(lp).status == "infeasible"
 
 
+class TestShareWithoutRenewables:
+    """A positive share on a gas-only node is kept, not silently dropped."""
+
+    @pytest.fixture
+    def gas_only(self):
+        data = SystemData(
+            nodes=(Node("N1", "load", min_renewable_share=0.3),),
+            technologies=(
+                Technology("gas", "dispatchable", c_inv_power=0.0, c_var=10.0, cap_max=100.0),
+            ),
+            series={"load": TimeSeries("load", (10.0, 20.0))},
+        )
+        return data, ModelConfig(end_hour=2, network_transfer=False)
+
+    def test_row_emitted_and_counted(self, gas_only):
+        data, config = gas_only
+        lp = build_model(data, config)
+        assert lp.rhs[lp.row_index("RES_SHARE", ("N1",))] == pytest.approx(9.0)
+        assert lp.n_rows == count_rows(1, 1, 0, 0, 0, 2, n_share_nodes=1, n_co2_nodes=0)
+
+    @pytest.mark.parametrize("backend", ["highs", "dense"])
+    @pytest.mark.parametrize("infeasibility", [False, True])
+    def test_reported_infeasible(self, gas_only, backend, infeasibility):
+        data, _ = gas_only
+        config = ModelConfig(end_hour=2, network_transfer=False, infeasibility=infeasibility)
+        assert solve(build_model(data, config), backend).status == "infeasible"
+
+    def test_relaxed_by_choice_or_override(self, gas_only):
+        from voltaic.scenarios import parse_iteration_table, run_scenarios
+
+        data, config = gas_only
+        specs = parse_iteration_table(
+            "run,renewable_share,min_renewable_share('N1')\n"
+            "base,,\noff,off,\nzero,,0\nkept,,0.3\n"
+        )
+        results = run_scenarios(data, config, None, specs, mode="single_instance")
+        assert [r.status for r in results] == ["infeasible", "optimal", "optimal", "infeasible"]
+        assert results[1].objective == pytest.approx(300.0)
+        assert results[2].objective == pytest.approx(300.0)
+
+
 def test_binding_share_picks_exact_renewable_volume():
     # Cheap gas, dearer wind, 50 % share on 100 MWh total demand:
     # exactly 50 MWh of wind in the optimum.

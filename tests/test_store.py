@@ -107,6 +107,25 @@ class TestSerialization:
                 assert back.symbols[name].value_kind == sym.value_kind
             assert back.meta["objective"] == store.meta["objective"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "npz"])
+    def test_long_labels_round_trip(self, tmp_path, fmt):
+        node = "N" * 70
+        dim = "region_" + "x" * 40
+        sym = Symbol("N", "level", ("tech", dim), {("gas", node): 1.5, ("solar", node): 2.0})
+        store = SymbolStore("S" * 70, {"N": sym}, {"objective": 1.0})
+        back = read_store(write_store(store, tmp_path, formats=("csv", "npz")), fmt)
+        assert back.symbols["N"].dims == ("tech", dim)
+        assert back.symbols["N"].records == sym.records
+
+    def test_npz_labels_take_their_natural_width(self, merit_results, tmp_path):
+        import numpy as np
+
+        _, _, results = merit_results
+        target = write_store(extract_symbols(results, REPORTING)[0], tmp_path, formats=("csv", "npz"))
+        with np.load(target / "store.npz") as data:
+            assert data["G/keys"].dtype == np.dtype("<U4")  # longest label: "peak"
+            assert data["G/dims"].dtype == np.dtype("<U4")
+
     def test_writes_are_byte_identical(self, merit_results, tmp_path):
         _, _, results = merit_results
         stores = extract_symbols(results, REPORTING)
