@@ -36,6 +36,13 @@ from .solver import Delta, ModelInstance, Solution, compile as compile_instance,
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
+# Rows a country set needs before its instance re-solves warm. Every worker
+# holding the set pays one base solve, and one row far from the base costs
+# more warm than cold: example1's three rows at 48 h take 6.8 s of uncapped
+# warm solves against 4.1 s cold, while on the 32-row, 24 h benchmark sweep
+# a warm row saves 0.7-0.8 of its cold solve. Smaller sets solve exactly as
+# ``rebuild`` does.
+_WARM_MIN_ROWS = 8
 
 PARAMETER = "parameter"
 TIMESERIES = "timeseries"
@@ -539,19 +546,21 @@ def run_scenarios(
     once per country set and re-solves with per-run deltas applied to the
     restored base; ``parallel`` distributes specs round-robin over worker
     processes, each owning its own instances. In the two instance modes a
-    country set with two or more rows in ``specs`` is re-solved warm from its
-    instance's base basis (see :meth:`ModelInstance.resolve`); a lone row,
-    and every ``rebuild`` run, is solved cold. All three modes produce the
+    country set with eight or more rows in ``specs`` is re-solved warm from
+    its instance's base basis (see :meth:`ModelInstance.resolve`); smaller
+    sets, and every ``rebuild`` run, are solved cold. All three modes produce the
     same objectives. ``threads`` = 0 uses every available core.
     """
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:
         raise ValidationError(f"run_scenarios: unknown mode {mode!r} (use one of {MODES})")
-    # A warm start pays off only where rows share an instance: counted over
-    # the whole table, so every shard of a parallel sweep makes the same choice.
+    # Counted over the whole table, so every shard of a parallel sweep makes
+    # the same choice and parallel stores equal single_instance ones.
     warm_keys = frozenset(
-        key for key, rows in Counter(spec.country_set for spec in specs).items() if rows >= 2
+        key
+        for key, rows in Counter(spec.country_set for spec in specs).items()
+        if rows >= _WARM_MIN_ROWS
     )
 
     if mode in ("rebuild", "single_instance"):

@@ -258,10 +258,8 @@ class _WarmStart:
         lp = inst.lp
         if lp.n_cols == 0 or lp.n_rows == 0 or not np.isfinite(inst._base_rhs).all():
             return None
-        # Column-major cell ids; duplicate entries of one cell are summed.
-        cells, cell_of = np.unique(
-            lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows, return_inverse=True
-        )
+        # Duplicate entries of one cell are summed into one HiGHS entry.
+        cells, cell_of, _, _ = inst._cell_index()
         cell_row = (cells % lp.n_rows).astype(np.int32)
         cell_col = (cells // lp.n_rows).astype(np.int32)
         base_cells = np.bincount(cell_of, weights=inst._base_vals, minlength=len(cells))
@@ -301,11 +299,11 @@ class _WarmStart:
         # feasible; over a 32-row, 24 h cost sweep it needed 2.9 s against
         # 7.0 s for dual simplex.
         highs.setOptionValue("simplex_strategy", 4)
-        if ipm:
-            # Beyond about a third of the row count in iterations a warm
-            # re-solve costs more than the cold interior point solve it
-            # replaces (measured at 24, 48 and 168 h); stop and solve cold.
-            highs.setOptionValue("simplex_iteration_limit", lp.n_rows // 3)
+        # A guard, not a tuning: no row of the 32-row, 24 h benchmark sweep
+        # needs more than two thirds of the row count in iterations, while
+        # quartering example1's Li-ion cost at 48 h needs 1.6 times it
+        # (6.0 s against 1.4 s cold). Past the limit the row is solved cold.
+        highs.setOptionValue("simplex_iteration_limit", lp.n_rows)
         return cls(core, highs, inst, basis, cell_row, cell_col, cell_of, base_cells)
 
     def _load(self, diff, obj, lo, hi, rhs, cell_values) -> None:
@@ -381,7 +379,7 @@ class ModelInstance:
         self._base_hi = lp.hi.copy()
         self._base_rhs = lp.rhs.copy()
         self._base_vals = lp.a_vals.copy()
-        self._cell_map: dict[tuple[int, int], list[int]] | None = None
+        self._cells: tuple[np.ndarray, ...] | None = None
         self._warm: _WarmStart | None | object = _UNOPENED
 
     def reset(self) -> None:
@@ -392,18 +390,35 @@ class ModelInstance:
         np.copyto(self.lp.rhs, self._base_rhs)
         np.copyto(self.lp.a_vals, self._base_vals)
 
-    def _cells(self) -> dict[tuple[int, int], list[int]]:
-        if self._cell_map is None:
-            cells: dict[tuple[int, int], list[int]] = {}
-            for pos, (r, c) in enumerate(zip(self.lp.a_rows, self.lp.a_cols)):
-                cells.setdefault((int(r), int(c)), []).append(pos)
-            self._cell_map = cells
-        return self._cell_map
+    def _cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix cells: sorted column-major ids (``col * n_rows + row``),
+        each entry's cell, and the entries of cell ``k`` in entry order as
+        ``order[starts[k]:starts[k + 1]]``."""
+        if self._cells is None:
+            lp = self.lp
+            cells, cell_of = np.unique(
+                lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows, return_inverse=True
+            )
+            order = np.argsort(cell_of, kind="stable")
+            starts = np.searchsorted(cell_of[order], np.arange(len(cells) + 1))
+            self._cells = (cells, cell_of, order, starts)
+        return self._cells
+
+    def _cell(self, row, col) -> int | None:
+        """Index of the matrix cell (row, col), None if it has no entry."""
+        lp = self.lp
+        if row is None or col is None or not (0 <= row < lp.n_rows and 0 <= col < lp.n_cols):
+            return None
+        cells = self._cell_index()[0]
+        cell_id = int(col) * lp.n_rows + int(row)
+        k = int(np.searchsorted(cells, cell_id))
+        return k if k < len(cells) and cells[k] == cell_id else None
 
     def apply(self, deltas: Iterable[Delta]) -> None:
         """Apply updates to the overlay, validating every target first."""
         deltas = list(deltas)
         lp = self.lp
+        coef_cells = []
         for d in deltas:
             if d.kind in ("obj", "lo", "up"):
                 if d.col is None or not 0 <= d.col < lp.n_cols:
@@ -412,11 +427,14 @@ class ModelInstance:
                 if d.row is None or not 0 <= d.row < lp.n_rows:
                     raise KeyError(f"delta targets unknown row {d.row}")
             elif d.kind == "coef":
-                if (d.row, d.col) not in self._cells():
+                cell = self._cell(d.row, d.col)
+                if cell is None:
                     raise KeyError(f"delta targets unknown coefficient ({d.row}, {d.col})")
+                coef_cells.append(cell)
             else:
                 raise ValueError(f"unknown delta kind {d.kind!r}")
 
+        coef_cells = iter(coef_cells)
         touched_cols: set[int] = set()
         for d in deltas:
             if d.kind == "obj":
@@ -430,10 +448,11 @@ class ModelInstance:
             elif d.kind == "rhs":
                 lp.rhs[d.row] = d.value
             elif d.kind == "coef":
-                positions = self._cells()[(d.row, d.col)]
-                lp.a_vals[positions[0]] = d.value
-                for pos in positions[1:]:
-                    lp.a_vals[pos] = 0.0
+                _, _, order, starts = self._cell_index()
+                cell = next(coef_cells)
+                entries = order[starts[cell]:starts[cell + 1]]
+                lp.a_vals[entries[0]] = d.value
+                lp.a_vals[entries[1:]] = 0.0
         for col in touched_cols:
             if lp.lo[col] > lp.hi[col]:
                 raise ValueError(
@@ -457,16 +476,24 @@ class ModelInstance:
         overlay into the handle, runs primal simplex from that basis and
         restores the base program. The warm solution is returned only if it
         is optimal and certifies at 1e-6; otherwise (no bundled HiGHS object,
-        the ``dense`` backend, a row with infinite rhs, a warm solve that
-        fails, hits its iteration limit or does not certify) the program is
-        solved cold with :func:`solve`.
+        or one whose members differ from those used here, the ``dense``
+        backend, a row with infinite rhs, a warm solve that fails, hits its
+        iteration limit or does not certify) the program is solved cold with
+        :func:`solve`. A single call on a fresh instance therefore costs a
+        base solve on top of its own; callers that solve once should use
+        :func:`solve`.
         """
-        if self._warm is _UNOPENED:
-            self._warm = _WarmStart.open(self) if self.backend == "highs" else None
-        if self._warm is not None:
-            sol = self._warm.solve(self.lp)
-            if sol is not None and certify(self.lp, sol).ok(1e-6):
-                return sol
+        try:
+            if self._warm is _UNOPENED:
+                self._warm = _WarmStart.open(self) if self.backend == "highs" else None
+            sol = self._warm.solve(self.lp) if self._warm is not None else None
+        except (AttributeError, TypeError, ValueError, RuntimeError):
+            # The handle drives private scipy bindings whose members vary
+            # between releases; one that cannot be built or driven, or whose
+            # state is unknown after a failure, is dropped for good.
+            self._warm, sol = None, None
+        if sol is not None and certify(self.lp, sol).ok(1e-6):
+            return sol
         return solve(self.lp, self.backend)
 
     def update_and_resolve(self, deltas: Iterable[Delta]) -> Solution:

@@ -90,7 +90,7 @@ def test_warm_cold_and_dense_agree(instances, data):
 def sweep():
     data, config = two_node_sweep_system(hours=24)
     config = replace(config, end_hour=24)
-    table = random_sweep_table(6, seed=5).splitlines()
+    table = random_sweep_table(9, seed=5).splitlines()
     # Availability swaps change matrix cells, the remaining path through the handle.
     table[0] += ",\"phi('solar','DE')\""
     table = [table[0]] + [row + (",cf_wind" if i % 2 else ",") for i, row in enumerate(table[1:])]
@@ -123,9 +123,9 @@ class TestDeterminism:
     def test_parallel_equals_single_instance_bitwise(self, sweep):
         data, config, specs = sweep
         single = run_scenarios(data, config, None, specs, mode="single_instance")
-        # Four workers over six rows: two shards hold a single row, which
+        # Five workers over nine rows: one shard holds a single row, which
         # must still run warm because the whole table shares the instance.
-        par = run_scenarios(data, config, None, specs, mode="parallel", threads=4)
+        par = run_scenarios(data, config, None, specs, mode="parallel", threads=5)
         assert all(_same(a.solution, b.solution) for a, b in zip(single, par))
 
 
@@ -166,6 +166,40 @@ class TestFallback:
         assert inst._warm.solve(inst.lp) is None
         assert _same(inst.resolve(), solve(inst.lp))
 
+    def test_missing_highs_member_falls_back_to_cold(self, sweep, monkeypatch):
+        core = pytest.importorskip(_CORE)
+        data, config, specs = sweep
+        monkeypatch.delattr(core._Highs, "clearSolver")
+        inst = compile_instance(build_model(data, config))
+        inst.apply(expand_overrides(specs[1], inst.lp, data, config))
+        assert _same(inst.resolve(), solve(inst.lp))
+        assert inst._warm is None
+
+    def test_handle_that_cannot_be_built_falls_back_to_cold(self, sweep, monkeypatch):
+        data, config, specs = sweep
+
+        def unbuildable(cls, inst):
+            raise AttributeError("module 'scipy.optimize._highspy._core' has no attribute 'HighsLp'")
+
+        monkeypatch.setattr(solver._WarmStart, "open", classmethod(unbuildable))
+        inst = compile_instance(build_model(data, config))
+        inst.apply(expand_overrides(specs[1], inst.lp, data, config))
+        assert _same(inst.resolve(), solve(inst.lp))
+        assert inst._warm is None
+
+    def test_handle_that_cannot_be_driven_falls_back_to_cold(self, sweep, monkeypatch):
+        core = pytest.importorskip(_CORE)
+        data, config, specs = sweep
+        cold = run_scenarios(data, config, None, specs, mode="rebuild")
+
+        class Drifted(core._Highs):
+            def setBasis(self, *args):
+                raise TypeError("setBasis(): incompatible function arguments")
+
+        monkeypatch.setattr(core, "_Highs", Drifted)
+        warmless = run_scenarios(data, config, None, specs, mode="single_instance")
+        assert all(_same(a.solution, b.solution) for a, b in zip(warmless, cold))
+
     def test_dense_backend_and_infinite_rhs_solve_cold(self, one_node):
         inst = compile_instance(build_model(*one_node), backend="dense")
         assert _same(inst.resolve(), solve(inst.lp, "dense"))
@@ -182,7 +216,8 @@ def one_node():
 
 
 class TestWhereWarmRuns:
-    """Warm only where rows share an instance; a lone row and rebuild stay cold."""
+    """Warm only where eight or more rows share an instance; fewer rows and
+    rebuild stay cold."""
 
     @pytest.fixture
     def opened(self, monkeypatch):
@@ -198,7 +233,8 @@ class TestWhereWarmRuns:
 
     @pytest.mark.parametrize(
         "runs, mode, expected",
-        [(1, "single_instance", 0), (2, "single_instance", 1), (3, "rebuild", 0), (3, "parallel", 1)],
+        [(1, "single_instance", 0), (7, "single_instance", 0), (8, "single_instance", 1),
+         (8, "rebuild", 0), (8, "parallel", 1)],
     )
     def test_open_count(self, one_node, opened, runs, mode, expected):
         specs = [ScenarioSpec(f"R{i}") for i in range(runs)]
@@ -209,7 +245,24 @@ class TestWhereWarmRuns:
     def test_lone_country_set_row_stays_cold(self, sweep, opened):
         data, config, specs = sweep
         lone = replace(specs[0], run_id="DE_only", country_set=("DE",))
-        results = run_scenarios(data, config, None, [lone, *specs[1:3]], mode="single_instance")
+        results = run_scenarios(data, config, None, [lone, *specs[1:]], mode="single_instance")
         cold = solve(results[0].lp)
         assert _same(results[0].solution, cold)
         assert len(opened) == 1
+
+
+def test_coef_delta_on_a_split_cell_sets_its_first_entry(one_node):
+    """A cell stored as several entries takes the value once, in its first entry."""
+    lp = build_model(*one_node)
+    first = 0
+    lp.a_rows = np.append(lp.a_rows, lp.a_rows[first])
+    lp.a_cols = np.append(lp.a_cols, lp.a_cols[first])
+    lp.a_vals = np.append(lp.a_vals, 0.5 * lp.a_vals[first])
+    lp.a_vals[first] *= 0.5
+    inst = compile_instance(lp)
+    row, col = int(lp.a_rows[first]), int(lp.a_cols[first])
+    inst.apply([Delta("coef", row=row, col=col, value=7.0)])
+    assert inst.lp.a_vals[first] == 7.0 and inst.lp.a_vals[-1] == 0.0
+    assert np.array_equal(np.delete(inst.lp.a_vals, [first, -1]), np.delete(lp.a_vals, [first, len(lp.a_vals) - 1]))
+    with pytest.raises(KeyError):
+        inst.apply([Delta("coef", row=lp.n_rows, col=col, value=1.0)])
