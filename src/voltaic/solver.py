@@ -1,19 +1,19 @@
 """Solve compiled linear programs and re-solve them after in-place updates.
 
 Two interchangeable backends sit behind the same interface: ``highs`` (the
-default, scipy's HiGHS: dual simplex up to 4,000 rows plus columns,
-interior point with crossover above) and ``dense`` (the self-contained
-tableau simplex in :mod:`voltaic.simplex`, used as an independent
-cross-check on small instances). :func:`solve` always starts cold. A
-:class:`ModelInstance` keeps copies of one built program's arrays plus a
-mutable overlay of bound/cost/rhs/coefficient updates, so a scenario sweep
-reuses a single build. Its :meth:`~ModelInstance.resolve` keeps a
-persistent HiGHS handle on the as-compiled program and re-solves each
-overlay with primal simplex from the base program's optimal basis; a warm
-result that is not optimal or does not certify is replaced by a cold solve.
-Where the program has alternative optima, a warm solve may pick a different
-optimal vertex than a cold one: objectives and prices agree, levels such
-as capacities need not.
+default, the HiGHS bundled with scipy: dual simplex up to 4,000 rows plus
+columns, interior point with crossover above) and ``dense`` (the
+self-contained tableau simplex in :mod:`voltaic.simplex`, used as an
+independent cross-check on small instances).
+
+Every HiGHS solve, cold or warm, passes one model in ``linprog``'s row
+layout to a handle of scipy's HiGHS object, and one reader maps the result
+back to program rows; ``scipy.optimize.linprog`` on the same layout, which
+it matches bit for bit, is only the fallback (see :func:`_solve_highs`).
+A :class:`ModelInstance` keeps copies of one built program plus a mutable
+overlay of bound/cost/rhs/coefficient updates, so a scenario sweep reuses a
+single build; its :meth:`~ModelInstance.resolve` re-solves warm from the
+base program's optimal basis.
 
 Duals follow the sensitivity convention throughout: the marginal of a row
 is the derivative of the optimal objective with respect to that row's
@@ -97,7 +97,6 @@ def _trivial_solution(lp: LpLike) -> Solution | None:
     """Handle programs with no columns without bothering a backend."""
     if lp.n_cols > 0:
         return None
-    lhs = np.zeros(lp.n_rows)
     ok = np.ones(lp.n_rows, dtype=bool)
     ok &= ~((lp.sense == "E") & (lp.rhs != 0.0))
     ok &= ~((lp.sense == "L") & (lp.rhs < 0.0))
@@ -118,6 +117,10 @@ def matrix(lp: LpLike) -> sp.csr_matrix:
 # point with crossover beats the dual simplex by a wide margin; both yield
 # basic optimal solutions with full duals.
 _IPM_THRESHOLD = 4000
+
+# What the private scipy bindings raise when their members differ from the
+# ones used here.
+_BINDING_ERRORS = (AttributeError, TypeError, ValueError, RuntimeError)
 
 
 def classify_rows(lp: LpLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -141,62 +144,123 @@ def classify_rows(lp: LpLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]
     return eq, le, ge, impossible
 
 
-def _solve_highs(lp: LpLike) -> Solution:
-    a = matrix(lp)
+@dataclass
+class _HighsModel:
+    """A program in the row layout ``linprog`` hands to HiGHS, and the HiGHS
+    solver a cold solve of it uses. Model row ``k`` is program row
+    ``rows[k]`` times ``sign[k]``: the ``<=`` rows, then the ``>=`` rows
+    negated (these first ``n_ub`` rows are bounded above only), then the
+    ``=`` rows. Vacuous rows are left out."""
+
+    rows: np.ndarray
+    sign: np.ndarray
+    n_ub: int
+    a: sp.csr_matrix
+    method: str
+
+    def bounds(self, k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of model rows ``k`` at program rhs ``rhs``."""
+        upper = rhs * self.sign[k]
+        return np.where(k < self.n_ub, -np.inf, upper), upper
+
+
+def _highs_model(lp: LpLike) -> _HighsModel | None:
+    """``lp`` in ``linprog``'s row layout; None if a row is unsatisfiable."""
     eq, le, ge, impossible = classify_rows(lp)
     if impossible:
-        return Solution(INFEASIBLE)
-    n_le = int(le.sum())
+        return None
+    rows = np.concatenate([np.flatnonzero(le), np.flatnonzero(ge), np.flatnonzero(eq)])
+    n_le, n_ub = int(le.sum()), int(le.sum() + ge.sum())
+    sign = np.ones(len(rows))
+    sign[n_le:n_ub] = -1.0
+    a = matrix(lp)[rows]
+    a.data *= np.repeat(sign, np.diff(a.indptr))
+    method = "ipm" if lp.n_rows + lp.n_cols > _IPM_THRESHOLD else "simplex"
+    return _HighsModel(rows, sign, n_ub, a, method)
 
-    blocks = []
-    if n_le:
-        blocks.append(a[le])
-    if ge.any():
-        blocks.append(-a[ge])
-    a_ub = sp.vstack(blocks, format="csr") if blocks else None
-    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]]) if blocks else None
-    a_eq = a[eq] if eq.any() else None
-    b_eq = lp.rhs[eq] if eq.any() else None
 
-    method = "highs-ipm" if lp.n_rows + lp.n_cols > _IPM_THRESHOLD else "highs-ds"
-    start = time.perf_counter()
-    res = linprog(
-        lp.obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lp.lo, lp.hi]),
-        method=method,
-    )
-    elapsed = time.perf_counter() - start
-    stats = SolveStats(iterations=int(getattr(res, "nit", 0) or 0), wall_time=elapsed)
+# HiGHS model statuses as linprog reads them; any other is numerical.
+_HIGHS_STATUS = {"kInfeasible": INFEASIBLE, "kModelError": INFEASIBLE, "kUnbounded": UNBOUNDED}
 
-    if res.status == 2:
-        return Solution(INFEASIBLE, stats=stats)
-    if res.status == 3:
-        return Solution(UNBOUNDED, stats=stats)
-    if res.status != 0:
-        return Solution(NUMERICAL, stats=stats)
 
+def _optimal(lp: LpLike, model: _HighsModel, objective, primal, row_dual, lower, upper, stats) -> Solution:
+    """An optimal solution of ``lp`` from one of ``model``: duals un-permuted."""
     dual = np.zeros(lp.n_rows)
-    if eq.any():
-        dual[np.nonzero(eq)[0]] = res.eqlin.marginals
-    if blocks is not None and (n_le or ge.any()):
-        ub_marg = res.ineqlin.marginals
-        if n_le:
-            dual[np.nonzero(le)[0]] = ub_marg[:n_le]
-        if ge.any():
-            dual[np.nonzero(ge)[0]] = -ub_marg[n_le:]
-    return Solution(
-        OPTIMAL,
-        objective=float(res.fun),
-        primal=np.asarray(res.x, dtype=float),
-        dual=dual,
-        lower_duals=np.asarray(res.lower.marginals, dtype=float),
-        upper_duals=np.asarray(res.upper.marginals, dtype=float),
-        stats=stats,
-    )
+    dual[model.rows] = np.asarray(row_dual, dtype=float) * model.sign
+    primal, lower, upper = (np.asarray(x, dtype=float) for x in (primal, lower, upper))
+    return Solution(OPTIMAL, float(objective), primal, dual, lower, upper, stats)
+
+
+def _open_handle(core, lp: LpLike, model: _HighsModel):
+    """A new HiGHS handle holding ``model`` with ``linprog``'s options; None
+    if HiGHS rejects the model."""
+    highs = core._Highs()
+    for option, value in (("output_flag", False), ("presolve", "on"), ("solver", model.method),
+                          ("simplex_strategy", 1)):  # 1: dual simplex
+        highs.setOptionValue(option, value)
+    a, n_rows = model.a.tocsc(), len(model.rows)
+    hlp = core.HighsLp()
+    hlp.num_col_, hlp.num_row_ = lp.n_cols, n_rows
+    hlp.col_cost_, hlp.col_lower_, hlp.col_upper_ = lp.obj, lp.lo, lp.hi
+    hlp.row_lower_, hlp.row_upper_ = model.bounds(np.arange(n_rows), lp.rhs[model.rows])
+    m = hlp.a_matrix_
+    m.format_, m.num_col_, m.num_row_ = core.MatrixFormat.kColwise, lp.n_cols, n_rows
+    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+    return None if highs.passModel(hlp) == core.HighsStatus.kError else highs
+
+
+def _run(core, highs, lp: LpLike, model: _HighsModel) -> Solution:
+    """Run the handle and read its result back in program row order."""
+    start = time.perf_counter()
+    highs.run()
+    elapsed = time.perf_counter() - start
+    info = highs.getInfo()
+    stats = SolveStats(int(info.simplex_iteration_count or info.ipm_iteration_count), elapsed)
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        return Solution(_HIGHS_STATUS.get(status.name, NUMERICAL), stats=stats)
+    result = highs.getSolution()
+    col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
+    col_dual = np.asarray(result.col_dual, dtype=float)
+    lower = np.where(col_status == int(core.HighsBasisStatus.kLower), col_dual, 0.0)
+    upper = np.where(col_status == int(core.HighsBasisStatus.kUpper), col_dual, 0.0)
+    return _optimal(lp, model, info.objective_function_value, result.col_value, result.row_dual, lower, upper, stats)
+
+
+def _solve_linprog(lp: LpLike, model: _HighsModel) -> Solution:
+    """``scipy.optimize.linprog`` on the same layout: the fallback."""
+    _, upper = model.bounds(np.arange(len(model.rows)), lp.rhs[model.rows])
+    ub, eq, blocks = slice(None, model.n_ub), slice(model.n_ub, None), {}
+    if model.n_ub:
+        blocks.update(A_ub=model.a[ub], b_ub=upper[ub])
+    if len(model.rows) > model.n_ub:
+        blocks.update(A_eq=model.a[eq], b_eq=upper[eq])
+    method = {"ipm": "highs-ipm", "simplex": "highs-ds"}[model.method]
+    start = time.perf_counter()
+    res = linprog(lp.obj, bounds=np.column_stack([lp.lo, lp.hi]), method=method, **blocks)
+    stats = SolveStats(int(getattr(res, "nit", 0) or 0), time.perf_counter() - start)
+    if res.status != 0:
+        return Solution({2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, NUMERICAL), stats=stats)
+    row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+    return _optimal(lp, model, res.fun, res.x, row_dual, res.lower.marginals, res.upper.marginals, stats)
+
+
+def _solve_highs(lp: LpLike) -> Solution:
+    """A cold solve on a fresh HiGHS handle, bit for bit what ``linprog``
+    returns; ``linprog`` runs instead for scipy before 1.15, which bundles
+    no HiGHS object, or when the private bindings raise. (``linprog``'s row
+    order is the faster one: 9.1–9.3 s against 10.4 s in natural order on
+    the 168 h benchmark investment LP.)"""
+    model = _highs_model(lp)
+    if model is None:
+        return Solution(INFEASIBLE)
+    try:
+        import scipy.optimize._highspy._core as core
+
+        highs = _open_handle(core, lp, model)
+        return _run(core, highs, lp, model) if highs is not None else Solution(INFEASIBLE)
+    except (ImportError, *_BINDING_ERRORS):
+        return _solve_linprog(lp, model)
 
 
 def _solve_dense(lp: LpLike) -> Solution:
@@ -222,13 +286,6 @@ def solve(lp: LpLike, backend: str = "highs") -> Solution:
 _UNOPENED = object()
 
 
-def _row_bounds(sense: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """HiGHS row bounds ``lower <= a x <= upper`` of sense/rhs rows."""
-    lower = np.where(sense == "L", -np.inf, rhs)
-    upper = np.where(sense == "G", np.inf, rhs)
-    return lower, upper
-
-
 class _WarmStart:
     """A persistent HiGHS handle on a base program and its optimal basis.
 
@@ -238,58 +295,23 @@ class _WarmStart:
     same handle state whatever ran before it.
     """
 
-    def __init__(self, core, highs, inst: "ModelInstance", basis, cell_row, cell_col, cell_of, base_cells):
-        self.core = core
-        self.highs = highs
-        self.inst = inst
-        self.basis = basis
-        self.cell_row = cell_row
-        self.cell_col = cell_col
-        self.cell_of = cell_of  # entry position -> cell
-        self.base_cells = base_cells
+    def __init__(self, core, highs, base, model: _HighsModel, basis):
+        self.core, self.highs, self.base, self.model, self.basis = core, highs, base, model, basis
+        self.position = np.empty(len(model.rows), dtype=np.int64)  # program row -> model row
+        self.position[model.rows] = np.arange(len(model.rows))
 
     @classmethod
     def open(cls, inst: "ModelInstance") -> "_WarmStart | None":
-        """Solve the as-compiled program cold on a new handle; None if unusable."""
-        try:
-            import scipy.optimize._highspy._core as core
-        except ImportError:  # scipy < 1.15 bundles no HiGHS object
-            return None
-        lp = inst.lp
-        if lp.n_cols == 0 or lp.n_rows == 0 or not np.isfinite(inst._base_rhs).all():
-            return None
-        # Duplicate entries of one cell are summed into one HiGHS entry.
-        cells, cell_of, _, _ = inst._cell_index()
-        cell_row = (cells % lp.n_rows).astype(np.int32)
-        cell_col = (cells // lp.n_rows).astype(np.int32)
-        base_cells = np.bincount(cell_of, weights=inst._base_vals, minlength=len(cells))
-        model = core.HighsLp()
-        model.num_col_ = lp.n_cols
-        model.num_row_ = lp.n_rows
-        model.col_cost_ = inst._base_obj
-        model.col_lower_ = inst._base_lo
-        model.col_upper_ = inst._base_hi
-        model.row_lower_, model.row_upper_ = _row_bounds(lp.sense, inst._base_rhs)
-        matrix_ = model.a_matrix_
-        matrix_.format_ = core.MatrixFormat.kColwise
-        matrix_.num_col_ = lp.n_cols
-        matrix_.num_row_ = lp.n_rows
-        matrix_.start_ = np.searchsorted(cell_col, np.arange(lp.n_cols + 1)).astype(np.int32)
-        matrix_.index_ = cell_row
-        matrix_.value_ = base_cells
+        """Solve the as-compiled program cold and keep the handle and its
+        optimal basis; None if unusable."""
+        import scipy.optimize._highspy._core as core
 
-        highs = core._Highs()
-        highs.setOptionValue("output_flag", False)
-        ipm = lp.n_rows + lp.n_cols > _IPM_THRESHOLD
-        if ipm:
-            highs.setOptionValue("solver", "ipm")
-        else:
-            highs.setOptionValue("solver", "simplex")
-            highs.setOptionValue("simplex_strategy", 1)  # dual, as highs-ds
-        if highs.passModel(model) == core.HighsStatus.kError:
+        base = inst._base
+        if base.n_cols == 0 or base.n_rows == 0 or not np.isfinite(base.rhs).all():
             return None
-        highs.run()
-        if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        model = _highs_model(base)  # every row is in it: all rhs are finite
+        highs = _open_handle(core, base, model)
+        if highs is None or not _run(core, highs, base, model).is_optimal:
             return None
         basis = highs.getBasis()
         if not basis.valid:
@@ -303,122 +325,91 @@ class _WarmStart:
         # needs more than two thirds of the row count in iterations, while
         # quartering example1's Li-ion cost at 48 h needs 1.6 times it
         # (6.0 s against 1.4 s cold). Past the limit the row is solved cold.
-        highs.setOptionValue("simplex_iteration_limit", lp.n_rows)
-        return cls(core, highs, inst, basis, cell_row, cell_col, cell_of, base_cells)
+        highs.setOptionValue("simplex_iteration_limit", base.n_rows)
+        return cls(core, highs, base, model, basis)
 
-    def _load(self, diff, obj, lo, hi, rhs, cell_values) -> None:
-        cols, bounded, rows, cells = diff
+    def _load(self, diff, lp, coefficients) -> None:
+        """Push ``lp``'s values at the ``diff`` positions into the handle."""
+        cols, bounded, rows, entries = diff
         highs = self.highs
         if cols.size:
-            highs.changeColsCost(cols.size, cols, obj[cols])
+            highs.changeColsCost(cols.size, cols, lp.obj[cols])
         if bounded.size:
-            highs.changeColsBounds(bounded.size, bounded, lo[bounded], hi[bounded])
-        if rows.size:
-            lower, upper = _row_bounds(self.inst.lp.sense[rows], rhs[rows])
-            for r, lw, up in zip(rows.tolist(), lower.tolist(), upper.tolist()):
-                highs.changeRowBounds(r, lw, up)
-        for c in cells.tolist():
-            highs.changeCoeff(int(self.cell_row[c]), int(self.cell_col[c]), float(cell_values[c]))
+            highs.changeColsBounds(bounded.size, bounded, lp.lo[bounded], lp.hi[bounded])
+        k = self.position[rows]
+        lower, upper = self.model.bounds(k, lp.rhs[rows])
+        for r, lw, up in zip(k.tolist(), lower.tolist(), upper.tolist()):
+            highs.changeRowBounds(r, lw, up)
+        a = self.model.a
+        entry_rows = np.searchsorted(a.indptr, entries, side="right") - 1
+        for row, p in zip(entry_rows.tolist(), entries.tolist()):
+            highs.changeCoeff(row, int(a.indices[p]), float(coefficients[p]))
 
     def solve(self, lp) -> Solution | None:
         """Warm-solve ``lp`` (the instance's program); None unless optimal."""
         if not np.isfinite(lp.rhs).all():
             return None
-        inst = self.inst
+        base, model = self.base, self.model
+        # A changed entry rebuilds the model matrix, so a cell stored as
+        # several entries takes exactly the sum a cold solve passes.
+        coefficients = _highs_model(lp).a.data if (lp.a_vals != base.a_vals).any() else model.a.data
         diff = (
-            np.flatnonzero(lp.obj != inst._base_obj).astype(np.int32),
-            np.flatnonzero((lp.lo != inst._base_lo) | (lp.hi != inst._base_hi)).astype(np.int32),
-            np.flatnonzero(lp.rhs != inst._base_rhs),
-            np.unique(self.cell_of[lp.a_vals != inst._base_vals]),
+            np.flatnonzero(lp.obj != base.obj).astype(np.int32),
+            np.flatnonzero((lp.lo != base.lo) | (lp.hi != base.hi)).astype(np.int32),
+            np.flatnonzero(lp.rhs != base.rhs),
+            np.flatnonzero(coefficients != model.a.data),
         )
-        cell_values = (
-            np.bincount(self.cell_of, weights=lp.a_vals, minlength=len(self.base_cells))
-            if diff[3].size
-            else self.base_cells
-        )
-        core, highs = self.core, self.highs
+        highs = self.highs
         try:
-            self._load(diff, lp.obj, lp.lo, lp.hi, lp.rhs, cell_values)
+            self._load(diff, lp, coefficients)
             highs.clearSolver()
             highs.setBasis(self.basis)
-            start = time.perf_counter()
-            highs.run()
-            elapsed = time.perf_counter() - start
-            if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
-                return None
-            result = highs.getSolution()
-            status = np.array(highs.getBasis().col_status, dtype=np.int8)
-            info = highs.getInfo()
+            sol = _run(self.core, highs, lp, model)
         finally:
-            self._load(diff, inst._base_obj, inst._base_lo, inst._base_hi, inst._base_rhs, self.base_cells)
-        col_dual = np.asarray(result.col_dual, dtype=float)
-        return Solution(
-            OPTIMAL,
-            objective=float(info.objective_function_value),
-            primal=np.asarray(result.col_value, dtype=float),
-            dual=np.asarray(result.row_dual, dtype=float),
-            lower_duals=np.where(status == int(core.HighsBasisStatus.kLower), col_dual, 0.0),
-            upper_duals=np.where(status == int(core.HighsBasisStatus.kUpper), col_dual, 0.0),
-            stats=SolveStats(iterations=int(info.simplex_iteration_count), wall_time=elapsed),
-        )
+            self._load(diff, base, model.a.data)
+        return sol if sol.is_optimal else None
 
 
 class ModelInstance:
     """One compiled program plus a resettable overlay of pending updates.
 
-    The instance owns private copies of the mutable arrays; the base values
-    are retained so :meth:`reset` restores the exact as-compiled program
-    without recompiling.
+    The instance owns two private copies of the program: ``lp``, which
+    carries the overlay, and the as-compiled base, which :meth:`reset`
+    restores without recompiling.
     """
 
     def __init__(self, lp, backend: str = "highs"):
         self.lp = lp.copy()
         self.backend = backend
-        self._base_obj = lp.obj.copy()
-        self._base_lo = lp.lo.copy()
-        self._base_hi = lp.hi.copy()
-        self._base_rhs = lp.rhs.copy()
-        self._base_vals = lp.a_vals.copy()
+        self._base = lp.copy()
         self._cells: tuple[np.ndarray, ...] | None = None
         self._warm: _WarmStart | None | object = _UNOPENED
 
     def reset(self) -> None:
         """Drop the overlay: restore the program exactly as compiled."""
-        np.copyto(self.lp.obj, self._base_obj)
-        np.copyto(self.lp.lo, self._base_lo)
-        np.copyto(self.lp.hi, self._base_hi)
-        np.copyto(self.lp.rhs, self._base_rhs)
-        np.copyto(self.lp.a_vals, self._base_vals)
+        for name in ("obj", "lo", "hi", "rhs", "a_vals"):
+            np.copyto(getattr(self.lp, name), getattr(self._base, name))
 
-    def _cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The matrix cells: sorted column-major ids (``col * n_rows + row``),
-        each entry's cell, and the entries of cell ``k`` in entry order as
-        ``order[starts[k]:starts[k + 1]]``."""
-        if self._cells is None:
-            lp = self.lp
-            cells, cell_of = np.unique(
-                lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows, return_inverse=True
-            )
-            order = np.argsort(cell_of, kind="stable")
-            starts = np.searchsorted(cell_of[order], np.arange(len(cells) + 1))
-            self._cells = (cells, cell_of, order, starts)
-        return self._cells
-
-    def _cell(self, row, col) -> int | None:
-        """Index of the matrix cell (row, col), None if it has no entry."""
+    def _entries(self, row, col) -> np.ndarray | None:
+        """The entries of matrix cell (row, col) in entry order, None if it
+        has none."""
         lp = self.lp
         if row is None or col is None or not (0 <= row < lp.n_rows and 0 <= col < lp.n_cols):
             return None
-        cells = self._cell_index()[0]
+        if self._cells is None:  # entries sorted by column-major cell id
+            ids = lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows
+            order = np.argsort(ids, kind="stable")
+            self._cells = (ids[order], order)
+        ids, order = self._cells
         cell_id = int(col) * lp.n_rows + int(row)
-        k = int(np.searchsorted(cells, cell_id))
-        return k if k < len(cells) and cells[k] == cell_id else None
+        first, end = np.searchsorted(ids, cell_id), np.searchsorted(ids, cell_id, side="right")
+        return order[first:end] if end > first else None
 
     def apply(self, deltas: Iterable[Delta]) -> None:
         """Apply updates to the overlay, validating every target first."""
         deltas = list(deltas)
         lp = self.lp
-        coef_cells = []
+        coef_entries = []
         for d in deltas:
             if d.kind in ("obj", "lo", "up"):
                 if d.col is None or not 0 <= d.col < lp.n_cols:
@@ -427,14 +418,14 @@ class ModelInstance:
                 if d.row is None or not 0 <= d.row < lp.n_rows:
                     raise KeyError(f"delta targets unknown row {d.row}")
             elif d.kind == "coef":
-                cell = self._cell(d.row, d.col)
-                if cell is None:
+                entries = self._entries(d.row, d.col)
+                if entries is None:
                     raise KeyError(f"delta targets unknown coefficient ({d.row}, {d.col})")
-                coef_cells.append(cell)
+                coef_entries.append(entries)
             else:
                 raise ValueError(f"unknown delta kind {d.kind!r}")
 
-        coef_cells = iter(coef_cells)
+        coef_entries = iter(coef_entries)
         touched_cols: set[int] = set()
         for d in deltas:
             if d.kind == "obj":
@@ -448,9 +439,7 @@ class ModelInstance:
             elif d.kind == "rhs":
                 lp.rhs[d.row] = d.value
             elif d.kind == "coef":
-                _, _, order, starts = self._cell_index()
-                cell = next(coef_cells)
-                entries = order[starts[cell]:starts[cell + 1]]
+                entries = next(coef_entries)
                 lp.a_vals[entries[0]] = d.value
                 lp.a_vals[entries[1:]] = 0.0
         for col in touched_cols:
@@ -471,26 +460,27 @@ class ModelInstance:
     def resolve(self) -> Solution:
         """Solve the current program warm from the base basis, else cold.
 
-        The first call solves the as-compiled program cold on a persistent
-        HiGHS handle and keeps its optimal basis. Each call pushes the
-        overlay into the handle, runs primal simplex from that basis and
-        restores the base program. The warm solution is returned only if it
-        is optimal and certifies at 1e-6; otherwise (no bundled HiGHS object,
-        or one whose members differ from those used here, the ``dense``
-        backend, a row with infinite rhs, a warm solve that fails, hits its
-        iteration limit or does not certify) the program is solved cold with
-        :func:`solve`. A single call on a fresh instance therefore costs a
-        base solve on top of its own; callers that solve once should use
-        :func:`solve`.
+        The first call makes the cold solve of the as-compiled program that
+        :func:`solve` makes and keeps its HiGHS handle and optimal basis.
+        Each call pushes the overlay into the handle, runs primal simplex
+        from that basis and restores the base program. The warm solution is
+        returned only if it is optimal and certifies at 1e-6; otherwise (no
+        bundled HiGHS object, or one whose members differ from those used
+        here, the ``dense`` backend, a row with infinite rhs, a warm solve
+        that fails, hits its iteration limit or does not certify) the
+        program is solved cold with :func:`solve`. A single call on a fresh
+        instance therefore costs a base solve on top of its own; callers
+        that solve once should use :func:`solve`.
         """
         try:
             if self._warm is _UNOPENED:
                 self._warm = _WarmStart.open(self) if self.backend == "highs" else None
             sol = self._warm.solve(self.lp) if self._warm is not None else None
-        except (AttributeError, TypeError, ValueError, RuntimeError):
-            # The handle drives private scipy bindings whose members vary
-            # between releases; one that cannot be built or driven, or whose
-            # state is unknown after a failure, is dropped for good.
+        except (ImportError, *_BINDING_ERRORS):
+            # scipy < 1.15 bundles no HiGHS object, and the private bindings'
+            # members vary between releases; a handle that cannot be built or
+            # driven, or whose state is unknown after a failure, is dropped
+            # for good.
             self._warm, sol = None, None
         if sol is not None and certify(self.lp, sol).ok(1e-6):
             return sol

@@ -312,6 +312,23 @@ class TestRunModes:
         assert results[0].lp.row_families["BAL"].size == 8
         assert results[1].lp.row_families["BAL"].size == 4
 
+    @pytest.mark.parametrize("mode", ["rebuild", "single_instance"])
+    def test_uncertified_cold_solution_is_numerical(self, battery_system, monkeypatch, mode):
+        """A cold solve that claims optimality with a wrong primal is not
+        reported as optimal."""
+        from voltaic import scenarios
+
+        def corrupted(lp, backend="highs"):
+            sol = solve(lp, backend)
+            sol.primal = sol.primal + 1.0
+            return sol
+
+        monkeypatch.setattr(scenarios, "solve", corrupted)
+        data, config = battery_system
+        results = run_scenarios(data, config, None, self.specs(), mode=mode)
+        assert [r.status for r in results] == ["numerical"] * 3
+        assert all(r.objective is None for r in results)
+
     def test_bad_mode_rejected(self, battery_system):
         data, config = battery_system
         with pytest.raises(ValidationError, match="unknown mode"):

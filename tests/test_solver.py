@@ -1,8 +1,14 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import two_node_sweep_system
+from voltaic import solver
 from voltaic.model import build_model
 from voltaic.solver import (
+    _IPM_THRESHOLD,
     Delta,
     certify,
     compile as compile_instance,
@@ -268,3 +274,104 @@ def test_determinism_bitwise(merit_toy):
     assert a.status == b.status
     assert a.objective == b.objective
     assert np.array_equal(a.primal, b.primal)
+
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _split_first_entry(lp):
+    """``lp`` with its first matrix cell stored as two half entries."""
+    lp.a_rows = np.append(lp.a_rows, lp.a_rows[0])
+    lp.a_cols = np.append(lp.a_cols, lp.a_cols[0])
+    lp.a_vals = np.append(lp.a_vals, 0.5 * lp.a_vals[0])
+    lp.a_vals[0] *= 0.5
+    return lp
+
+
+def _mixed_rows():
+    """``<=``, ``>=`` and ``=`` rows with a bounded column; optimum (1.5, 1.5)."""
+    return RawLp(
+        obj=[1.0, 2.0],
+        lo=[0.0, 0.0],
+        hi=[np.inf, 5.0],
+        rows=[([1.0, 1.0], "G", 3.0), ([1.0, -1.0], "L", 1.0), ([0.0, 1.0], "E", 1.5)],
+    )
+
+
+_RAW_PROGRAMS = {
+    "ge_rows": (_mixed_rows, "optimal"),
+    "vacuous_row": (
+        lambda: RawLp([1.0], [0.0], [np.inf], [([1.0], "L", np.inf), ([1.0], "G", 2.0)]),
+        "optimal",
+    ),
+    "impossible_row": (lambda: RawLp([1.0], [0.0], [np.inf], [([1.0], "E", np.inf)]), "infeasible"),
+    "infeasible": (
+        lambda: RawLp([1.0], [0.0], [np.inf], [([1.0], "L", 1.0), ([1.0], "G", 2.0)]),
+        "infeasible",
+    ),
+    "unbounded": (lambda: RawLp([-1.0], [0.0], [np.inf], [([1.0], "G", 1.0)]), "unbounded"),
+    "split_cell": (lambda: _split_first_entry(_mixed_rows()), "optimal"),
+}
+
+
+def _two_node_week():
+    data, config = two_node_sweep_system(hours=144)
+    return build_model(data, replace(config, end_hour=144))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _handle_and_fallback(lp, monkeypatch):
+    """Solve ``lp`` on the HiGHS handle, then through the ``linprog`` fallback."""
+    pytest.importorskip(_CORE)
+
+    def no_linprog(*args, **kwargs):
+        raise AssertionError("the handle path called linprog")
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "linprog", no_linprog)
+        handle = solve(lp)
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, _CORE, None)
+        fallback = solve(lp)
+    return handle, fallback
+
+
+def _assert_bitwise(a, b):
+    assert a.status == b.status
+    assert a.stats.iterations == b.stats.iterations
+    if a.is_optimal:
+        assert _bits(a.objective) == _bits(b.objective)
+        for field in ("primal", "dual", "lower_duals", "upper_duals"):
+            assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field
+
+
+class TestHandleMatchesLinprogFallback:
+    """The HiGHS handle and the ``linprog`` fallback solve the same layout and
+    must agree bit for bit, whichever one a scipy release provides."""
+
+    @pytest.mark.parametrize("toy", ["merit_toy", "storage_toy", "two_node_toy", "sweep_toy"])
+    def test_toys(self, request, monkeypatch, toy):
+        lp = build_model(*request.getfixturevalue(toy))
+        handle, fallback = _handle_and_fallback(lp, monkeypatch)
+        assert handle.is_optimal
+        _assert_bitwise(handle, fallback)
+
+    def test_interior_point_size(self, monkeypatch):
+        lp = _two_node_week()
+        assert lp.n_rows + lp.n_cols > _IPM_THRESHOLD
+        handle, fallback = _handle_and_fallback(lp, monkeypatch)
+        assert handle.is_optimal and certify(lp, handle).ok(1e-6)
+        _assert_bitwise(handle, fallback)
+
+    @pytest.mark.parametrize("name", sorted(_RAW_PROGRAMS))
+    def test_raw_programs(self, monkeypatch, name):
+        make, status = _RAW_PROGRAMS[name]
+        lp = make()
+        handle, fallback = _handle_and_fallback(lp, monkeypatch)
+        assert handle.status == status
+        if handle.is_optimal:
+            assert certify(lp, handle).ok(1e-9)
+        _assert_bitwise(handle, fallback)

@@ -54,13 +54,13 @@ def deltas_for(draw, inst):
     out = []
     for col in draw(st.lists(st.integers(0, lp.n_cols - 1), max_size=6, unique=True)):
         factor = draw(st.floats(0.1, 3.0))  # costs stay non-negative: no unbounded programs
-        out.append(Delta("obj", col=col, value=float(inst._base_obj[col] * factor + draw(st.floats(0, 5)))))
+        out.append(Delta("obj", col=col, value=float(inst._base.obj[col] * factor + draw(st.floats(0, 5)))))
     for row in draw(st.lists(st.integers(0, lp.n_rows - 1), max_size=4, unique=True)):
-        base = inst._base_rhs[row]
+        base = inst._base.rhs[row]
         out.append(Delta("rhs", row=row, value=float(base * draw(st.floats(0.5, 1.5)) + draw(st.floats(-2, 2)))))
     for col in draw(st.lists(st.integers(0, lp.n_cols - 1), max_size=4, unique=True)):
-        lo = inst._base_lo[col] if np.isfinite(inst._base_lo[col]) else -500.0
-        top = inst._base_hi[col] if np.isfinite(inst._base_hi[col]) else lo + 1000.0
+        lo = inst._base.lo[col] if np.isfinite(inst._base.lo[col]) else -500.0
+        top = inst._base.hi[col] if np.isfinite(inst._base.hi[col]) else lo + 1000.0
         out.append(Delta("up", col=col, value=float(lo + (top - lo) * draw(st.floats(0.0, 1.0)))))
     return out
 
