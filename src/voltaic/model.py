@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .symbols import Layout
 from .system import (
     FeatureMatrix,
     Line,
@@ -109,14 +113,23 @@ class Family:
     start: int
     sense: str | None = None  # rows only
     _lookup: tuple[dict[str, int], ...] = field(repr=False, default=())
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(e) for e in self.elements)
+    def __post_init__(self):
+        shape = tuple(len(e) for e in self.elements)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "size", math.prod(shape))
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.elements else 1
+    # Shape and size are derived: a pickled program does not carry them.
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("shape", "size")}
+
+    def __setstate__(self, state):
+        # Keys interned as pickle's default does, so a re-pickled program
+        # shares them and keeps its size.
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self.__post_init__()
 
     def grid(self) -> np.ndarray:
         """All indices of the family as an array of its natural shape."""
@@ -143,9 +156,25 @@ class Family:
         return tuple(reversed(key))
 
     def keys(self) -> Iterable[tuple[str, ...]]:
-        size = self.size
-        for flat in range(self.start, self.start + size):
-            yield self.key_of(flat)
+        """Every key in index order; ``()`` alone for a dimensionless family."""
+        return product(*self.elements)
+
+    def layout(self) -> Layout:
+        """The family's keys in index order as label tables and codes.
+
+        Built on first use and shared by every family over the same
+        elements in the process, so each run's symbols reuse it; it is never
+        part of a pickled program.
+        """
+        return _label_layout(self.elements)
+
+
+@lru_cache(maxsize=256)
+def _label_layout(elements: tuple[tuple[str, ...], ...]) -> Layout:
+    per_dim = [Layout.encode([labels], len(labels)) for labels in elements]
+    grids = np.meshgrid(*(d.codes[:, 0] for d in per_dim), indexing="ij")  # last dimension fastest
+    codes = np.stack([g.reshape(-1) for g in grids], axis=1) if grids else np.zeros((1, 0), dtype=np.int64)
+    return Layout([d.labels[0] for d in per_dim], codes)
 
 
 def _make_family(name, dims, elements, start, sense=None) -> Family:

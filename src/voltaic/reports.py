@@ -14,6 +14,8 @@ import logging
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 from .symbols import Symbol, SymbolsHandler, aggregate
 from .system import hour_index
 
@@ -29,20 +31,31 @@ def _hour_groups(symbol: Symbol, by=("run", "n"), where=None) -> dict[tuple, dic
 
     Dimensions outside ``by`` and ``h`` are summed out in record order,
     starting from 0.0, so each series equals a filtered scan of the records.
-    ``where`` drops the records it returns False for. A dimension in ``by``
-    that the symbol lacks reads as None in the group key.
+    ``where`` is a boolean mask over the records; records it is False for
+    are dropped. A dimension in ``by`` that the symbol lacks reads as None
+    in the group key. Groups come in order of their first record, hours in
+    label order.
     """
-    dims = symbol.dims
+    dims, layout = symbol.dims, symbol.layout
     h_pos = dims.index("h")
     positions = [dims.index(d) if d in dims else None for d in by]
-    groups: dict[tuple, dict[str, float]] = {}
-    for key, value in symbol.records.items():
-        if where is not None and not where(key):
-            continue
-        series = groups.setdefault(tuple(None if p is None else key[p] for p in positions), {})
-        hour = key[h_pos]
-        series[hour] = series.get(hour, 0.0) + value
-    return groups
+    groups, group = layout.group_by([p for p in positions if p is not None], where)
+    codes, values = layout.codes, symbol.values
+    if where is not None:
+        codes, values = codes[where], values[where]
+    n_hours = len(layout.labels[h_pos])
+    cells, cell = np.unique(group * n_hours + codes[:, h_pos], return_inverse=True)
+    # bincount adds each cell's records in record order, starting from 0.0.
+    sums = np.bincount(cell.reshape(-1), weights=values, minlength=len(cells)).tolist()
+    hour_names = layout.labels[h_pos].tolist()
+    hours = list(map(hour_names.__getitem__, (cells % n_hours).tolist()))
+    n_groups = len(groups.codes)
+    ends = np.searchsorted(cells // n_hours, np.arange(1, n_groups + 1)).tolist()
+    columns = iter(groups.columns())
+    keys = zip(*(next(columns) if p is not None else [None] * n_groups for p in positions))
+    return {
+        key: dict(zip(hours[a:b], sums[a:b])) for key, a, b in zip(keys, [0, *ends], ends)
+    }
 
 
 def rldc(
@@ -217,10 +230,15 @@ def _emit_rldc(handler, out_dir, manifest, notice, grab) -> None:
     sets = {run_id: handler.meta(run_id).get("sets", {}) for run_id in handler.runs()}
     res = {run_id: set(s.get("res", [])) for run_id, s in sets.items()}
     run_pos, tech_pos = generation.dims.index("run"), generation.dims.index("tech")
+    # Whether each (run, tech) label pair of G is renewable in that run.
+    runs, techs = (generation.layout.labels[p].tolist() for p in (run_pos, tech_pos))
+    renewable = np.array([[tech in res[run] for tech in techs] for run in runs], dtype=bool)
+    renewable = renewable.reshape(len(runs), len(techs))
+    codes = generation.layout.codes
     d = _hour_groups(demand)
     g = _hour_groups(generation)
     g_tech = _hour_groups(generation, ("run", "n", "tech"))
-    vre = _hour_groups(generation, where=lambda key: key[tech_pos] in res[key[run_pos]])
+    vre = _hour_groups(generation, where=renewable[codes[:, run_pos], codes[:, tech_pos]])
     storage = {
         column: _hour_groups(sym)
         for column, sym in (("sto_in", grab("STO_IN")), ("sto_out", grab("STO_OUT")))

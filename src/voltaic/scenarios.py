@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
-from .solver import NUMERICAL, Delta, ModelInstance, Solution, certify, compile as compile_instance, solve
+from .solver import Delta, ModelInstance, Solution, certified, compile as compile_instance, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
@@ -454,10 +454,8 @@ def _run_on_instance(
         if delay:
             time.sleep(delay)
         inst.apply(deltas)
-        solution = inst.resolve() if warm else solve(inst.lp, inst.backend)
-        # resolve certifies a warm result itself; a cold one is checked here.
-        if not warm and solution.is_optimal and not certify(inst.lp, solution).ok(1e-6):
-            solution = Solution(NUMERICAL, stats=solution.stats)
+        # resolve certifies whatever it returns; a cold solve is checked here.
+        solution = inst.resolve() if warm else certified(inst.lp, solve(inst.lp, inst.backend))
         return RunResult(
             spec.run_id,
             solution,

@@ -468,7 +468,9 @@ class ModelInstance:
         bundled HiGHS object, or one whose members differ from those used
         here, the ``dense`` backend, a row with infinite rhs, a warm solve
         that fails, hits its iteration limit or does not certify) the
-        program is solved cold with :func:`solve`. A single call on a fresh
+        program is solved cold with :func:`solve`; a cold optimum that does
+        not certify at 1e-6 either comes back ``numerical``, so every
+        optimal result of this method is certified. A single call on a fresh
         instance therefore costs a base solve on top of its own; callers
         that solve once should use :func:`solve`.
         """
@@ -484,11 +486,18 @@ class ModelInstance:
             self._warm, sol = None, None
         if sol is not None and certify(self.lp, sol).ok(1e-6):
             return sol
-        return solve(self.lp, self.backend)
+        return certified(self.lp, solve(self.lp, self.backend))
 
     def update_and_resolve(self, deltas: Iterable[Delta]) -> Solution:
         self.apply(deltas)
         return self.resolve()
+
+
+def certified(lp, sol: Solution) -> Solution:
+    """``sol``, or ``numerical`` if it is optimal but fails :func:`certify` at 1e-6."""
+    if sol.is_optimal and not certify(lp, sol).ok(1e-6):
+        return Solution(NUMERICAL, stats=sol.stats)
+    return sol
 
 
 def compile(lp, backend: str = "highs") -> ModelInstance:  # noqa: A001 - domain verb

@@ -6,6 +6,12 @@ optionally a single self-describing binary file ``store.npz`` with the same
 content. Both formats round-trip losslessly and are byte-identical across
 repeated runs and extraction thread counts; nothing time- or host-dependent
 is ever written.
+
+Every step works on a symbol's columns (:class:`~voltaic.symbols.Layout`
+plus values): extraction takes a family's label layout, built once per
+family and shared by every run, and copies one slice of the solution; the
+writers emit the layout's cached sorted views with the values in that
+order; the readers fill the columns directly.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import operator
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import CAPACITY_FAMILIES
-from .symbols import LEVEL, MARGINAL, PARAMETER, Symbol
+from .symbols import LEVEL, MARGINAL, PARAMETER, Layout, Symbol
 
 log = logging.getLogger(__name__)
 
@@ -49,10 +56,11 @@ def extract_symbols(
 
     ``reporting`` holds (symbol, kind) pairs with kind ``level`` or
     ``marginal``. Symbols named in the list but absent from a solution are
-    stored empty with a warning, never an error. Extraction is pure Python
-    and runs in the caller's thread; ``threads`` is accepted for
-    compatibility with the ``gdx_convert_parallel_threads`` setting and does
-    not change the work or its output.
+    stored empty with a warning, never an error. Each symbol is its family's
+    label layout plus one slice copy of the solution, made in the caller's
+    thread; ``threads`` is accepted for compatibility with the
+    ``gdx_convert_parallel_threads`` setting and does not change the work or
+    its output.
     """
     return [_extract_one(result, reporting, config_echo) for result in results]
 
@@ -94,17 +102,16 @@ def _extract_one(result, reporting, config_echo) -> SymbolStore:
             log.warning("run %s: symbol %r (%s) not in the model; stored empty", result.run_id, name, kind)
             store.symbols[name] = Symbol(name, kind, (), {})
             continue
-        values = source[fam.start : fam.start + fam.size]
-        records = {key: float(v) for key, v in zip(fam.keys(), values)}
-        store.symbols[name] = Symbol(name, kind, fam.dims, records)
+        values = source[fam.start : fam.start + fam.size].copy()
+        store.symbols[name] = Symbol.from_columns(name, kind, fam.dims, fam.layout(), values)
     return store
 
 
 def _demand_symbol(lp) -> Symbol:
     """Demand as seen by the model: the balance rows' right-hand sides."""
     fam = lp.row_families["BAL"]
-    values = lp.rhs[fam.start : fam.start + fam.size]
-    return Symbol("d", PARAMETER, fam.dims, {k: float(v) for k, v in zip(fam.keys(), values)})
+    values = lp.rhs[fam.start : fam.start + fam.size].copy()
+    return Symbol.from_columns("d", PARAMETER, fam.dims, fam.layout(), values)
 
 
 def _objective_split(lp, solution) -> tuple[float, float]:
@@ -124,12 +131,35 @@ def _meta_text(meta: dict) -> str:
     return json.dumps(meta, sort_keys=True, indent=2) + "\n"
 
 
+def _csv_prefixes(layout: Layout) -> list[str]:
+    """For each record in sorted-key order, a line break and its labels,
+    each followed by a comma: the CSV line up to its value."""
+    ordered = layout.codes[layout.order]
+    prefixes = ["\n"] * len(ordered)
+    for d, table in enumerate(layout.labels):
+        cells = [label + "," for label in table.tolist()]
+        prefixes = list(map(operator.add, prefixes, map(cells.__getitem__, ordered[:, d].tolist())))
+    return prefixes
+
+
+def _npz_keys(layout: Layout) -> np.ndarray:
+    """The keys in sorted-key order as a (records, dims) array of labels, as
+    wide as the longest label: never truncated, and no wider than needed."""
+    size, arity = layout.codes.shape
+    width = max((len(label) for table in layout.labels for label in table.tolist()), default=1)
+    keys = np.empty((size, arity), dtype=f"<U{max(width, 1)}")
+    ordered = layout.codes[layout.order]
+    for d, table in enumerate(layout.labels):
+        keys[:, d] = table[ordered[:, d]]
+    keys.flags.writeable = False  # shared by every run over the layout
+    return keys
+
+
 def _symbol_csv(symbol: Symbol) -> str:
-    out = io.StringIO()
-    out.write(",".join([*symbol.dims, "value"]) + "\n")
-    for key in sorted(symbol.records):
-        out.write(",".join([*key, repr(symbol.records[key])]) + "\n")
-    return out.getvalue()
+    """Header, then one ``labels,value`` line per record in sorted-key order."""
+    layout = symbol.layout
+    lines = map(operator.add, layout.view(_csv_prefixes), map(repr, symbol.values[layout.order].tolist()))
+    return ",".join([*symbol.dims, "value"]) + "".join(lines) + "\n"
 
 
 def write_store(store: SymbolStore, root: Path | str, formats=(CSV_FORMAT,)) -> Path:
@@ -152,23 +182,17 @@ def write_store(store: SymbolStore, root: Path | str, formats=(CSV_FORMAT,)) -> 
 
 
 def _write_npz(store: SymbolStore, path: Path) -> None:
-    # Label arrays take the width of their longest label: never truncated,
-    # and no wider than the labels need.
     arrays: dict[str, np.ndarray] = {
         "__meta__": np.array(_meta_text(store.meta)),
         "__symbols__": np.array(sorted(store.symbols), dtype=str),
     }
     for name in sorted(store.symbols):
         sym = store.symbols[name]
-        keys = sorted(sym.records)
         arrays[f"{name}/dims"] = np.array(sym.dims, dtype=str)
         arrays[f"{name}/kind"] = np.array(sym.value_kind)
         arrays[f"{name}/unit"] = np.array(sym.unit)
-        if keys:
-            arrays[f"{name}/keys"] = np.array(keys, dtype=str)
-        else:
-            arrays[f"{name}/keys"] = np.zeros((0, len(sym.dims)), dtype="<U1")
-        arrays[f"{name}/values"] = np.array([sym.records[k] for k in keys], dtype=float)
+        arrays[f"{name}/keys"] = sym.layout.view(_npz_keys)
+        arrays[f"{name}/values"] = sym.values[sym.layout.order]
     # Fixed zip timestamps keep repeated runs byte-identical.
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for key in sorted(arrays):
@@ -191,15 +215,16 @@ def read_store(run_dir: Path | str, fmt: str = CSV_FORMAT) -> SymbolStore:
     store = SymbolStore(meta.get("run_id", run_dir.name), meta=meta)
     for csv_path in sorted(run_dir.glob("*.csv")):
         name = csv_path.stem
-        lines = csv_path.read_text().splitlines()
-        header = lines[0].split(",")
-        dims = tuple(header[:-1])
-        records: dict[tuple[str, ...], float] = {}
-        for line in lines[1:]:
-            parts = line.split(",")
-            records[tuple(parts[:-1])] = float(parts[-1])
+        header, *lines = csv_path.read_text().splitlines()
+        dims = tuple(header.split(",")[:-1])
+        if set(map(operator.methodcaller("count", ","), lines)) - {len(dims)}:
+            raise ValueError(f"{csv_path}: a line does not have {len(dims) + 1} fields")
+        fields = ",".join(lines).split(",") if lines else []
+        step = len(dims) + 1
+        columns = [fields[d::step] for d in range(len(dims))]
+        values = np.fromiter(map(float, fields[len(dims) :: step]), float, count=len(lines))
         kind = kinds.get(name, PARAMETER if name == "d" else LEVEL)
-        store.symbols[name] = Symbol(name, kind, dims, records, unit=units.get(name, ""))
+        store.symbols[name] = _read_symbol(name, kind, dims, columns, values, units.get(name, ""))
     return store
 
 
@@ -210,14 +235,21 @@ def _read_npz(path: Path, fallback_run_id: str) -> SymbolStore:
         for name in data["__symbols__"].tolist():
             dims = tuple(data[f"{name}/dims"].tolist())
             keys = data[f"{name}/keys"]
-            values = data[f"{name}/values"]
-            records = {
-                tuple(str(k) for k in key): float(v) for key, v in zip(keys, values)
-            }
-            store.symbols[name] = Symbol(
-                name, str(data[f"{name}/kind"]), dims, records, unit=str(data[f"{name}/unit"])
+            columns = [keys[:, d].tolist() for d in range(len(dims))]
+            store.symbols[name] = _read_symbol(
+                name, str(data[f"{name}/kind"]), dims, columns, data[f"{name}/values"],
+                str(data[f"{name}/unit"]),
             )
     return store
+
+
+def _read_symbol(name, kind, dims, columns, values, unit) -> Symbol:
+    layout = Layout.encode(columns, len(values))
+    repeated = layout.first_duplicate()
+    if repeated is not None:
+        key = tuple(column[repeated] for column in columns)
+        raise ValueError(f"symbol {name}: key {key} stored twice")
+    return Symbol.from_columns(name, kind, dims, layout, values, unit)
 
 
 def read_all_stores(results_dir: Path | str, fmt: str = CSV_FORMAT) -> list[SymbolStore]:

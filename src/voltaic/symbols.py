@@ -1,9 +1,16 @@
 """Dimension-labeled result arrays and arithmetic between them.
 
 A :class:`Symbol` is a named sparse array over labeled dimensions (for
-example ``G`` over ``(tech, n, h, run)``). Binary operations broadcast the
-operand with fewer dimensions over the richer one and take care of key
-alignment:
+example ``G`` over ``(tech, n, h, run)``). It is held as columns: a
+:class:`Layout` (one sorted label table per dimension and an integer code
+array of shape (records, dims)) and a ``float64`` value array, in record
+order. ``Symbol.records`` is a read-only dict view of the same data, built
+on first access; extraction, the store writers and readers,
+:meth:`SymbolsHandler.lookup`, :func:`aggregate` and the report's hourly
+grouping work on the columns and never build it.
+
+Binary operations broadcast the operand with fewer dimensions over the
+richer one and take care of key alignment:
 
 * ``+`` and ``-`` keep keys present in only one operand (union semantics,
   signed for ``-``), so totals are preserved;
@@ -16,10 +23,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 LEVEL = "level"
 MARGINAL = "marginal"
@@ -37,39 +48,219 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class Layout:
+    """The keys of a symbol's records as label tables and integer codes.
+
+    ``labels[d]`` holds the distinct labels used along dimension ``d``, in
+    sorted order; ``codes[i, d]`` is the position of record ``i``'s label in
+    it. The sorted-key order and the derived views the store writers ask
+    for (:meth:`view`) are computed on first use and kept, so every symbol
+    sharing a layout (each run's copy of one model family) shares that work.
+    Treated as immutable.
+    """
+
+    __slots__ = ("labels", "codes", "_order", "_views")
+
+    def __init__(self, labels: Sequence[np.ndarray], codes: np.ndarray):
+        self.labels = tuple(labels)
+        self.codes = _frozen(codes)
+        self._order: np.ndarray | None = None
+        self._views: dict = {}
+
+    @classmethod
+    def encode(cls, columns: Sequence[Sequence[str]], size: int) -> "Layout":
+        """The layout of ``size`` records whose labels along each dimension
+        are given as one column per dimension."""
+        labels, codes = [], np.empty((size, len(columns)), dtype=np.int64)
+        for d, column in enumerate(columns):
+            table = sorted(set(column))
+            position = {label: i for i, label in enumerate(table)}
+            codes[:, d] = np.fromiter(map(position.__getitem__, column), np.int64, count=size)
+            labels.append(_frozen(np.array(table, dtype=str)))
+        return cls(labels, codes)
+
+    def first_duplicate(self) -> int | None:
+        """The record index of a repeated key, None if all keys differ."""
+        order = self.order
+        if len(order) < 2:
+            return None
+        ordered = self.codes[order]
+        same = (ordered[1:] == ordered[:-1]).all(axis=1)
+        return int(order[1:][same][0]) if same.any() else None
+
+    @property
+    def order(self) -> np.ndarray:
+        """Record indices in sorted-key order."""
+        if self._order is None:
+            codes = self.codes
+            if codes.shape[1] == 0:
+                order = np.arange(len(codes))
+            else:
+                order = np.lexsort(codes.T[::-1])
+            self._order = _frozen(order)
+        return self._order
+
+    def group_by(self, dims: Sequence[int], rows: np.ndarray | None = None) -> tuple["Layout", np.ndarray]:
+        """Group the records (those ``rows`` selects, if given) by their
+        labels along ``dims``: the layout of the distinct label combinations
+        in order of first appearance, and the group of every record. The
+        label tables are this layout's, whole, even where ``rows`` leaves
+        some labels unused."""
+        codes = self.codes[:, list(dims)] if rows is None else self.codes[rows][:, list(dims)]
+        labels = [self.labels[d] for d in dims]
+        if not len(codes):
+            return Layout(labels, codes), np.zeros(0, dtype=np.intp)
+        distinct, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+        rank = np.argsort(first)
+        group = np.empty_like(rank)
+        group[rank] = np.arange(len(rank))
+        return Layout(labels, distinct[rank]), group[inverse.reshape(-1)]
+
+    def columns(self, rows: np.ndarray | None = None) -> list[list[str]]:
+        """The label of every record (of ``rows``, if given) along each
+        dimension, as one list per dimension."""
+        codes = self.codes if rows is None else self.codes[rows]
+        return [
+            list(map(table.tolist().__getitem__, codes[:, d].tolist()))
+            for d, table in enumerate(self.labels)
+        ]
+
+    def view(self, build: Callable[["Layout"], T]) -> T:
+        """``build(self)``, computed on first use and kept with the layout."""
+        if build not in self._views:
+            self._views[build] = build(self)
+        return self._views[build]
+
+
 class Symbol:
-    """A named, dimension-labeled map of records. Treated as immutable."""
+    """A named, dimension-labeled map of records. Immutable.
 
-    name: str
-    value_kind: str
-    dims: tuple[str, ...]
-    records: dict[tuple[str, ...], float]
-    unit: str = ""
-    warning_count: int = 0
+    ``Symbol(name, kind, dims, records)`` builds the columns from a dict of
+    ``{key tuple: value}``; :meth:`from_columns` takes a layout and values
+    directly. Either way, key arity and value finiteness are checked once,
+    at construction.
+    """
 
-    def __post_init__(self):
-        for key, value in self.records.items():
-            if len(key) != len(self.dims):
-                raise ValueError(
-                    f"symbol {self.name}: key {key} has arity {len(key)}, dims are {self.dims}"
-                )
-            if not math.isfinite(value):
-                raise ValueError(f"symbol {self.name}: non-finite value at {key}")
+    __slots__ = ("name", "value_kind", "dims", "unit", "warning_count", "layout", "values", "_records")
+
+    def __init__(
+        self,
+        name: str,
+        value_kind: str,
+        dims: Iterable[str],
+        records: Mapping[tuple[str, ...], float],
+        unit: str = "",
+        warning_count: int = 0,
+    ):
+        dims = tuple(dims)
+        keys = list(records)
+        arities = set(map(len, keys))
+        if arities - {len(dims)}:
+            key = next(k for k in keys if len(k) != len(dims))
+            raise ValueError(f"symbol {name}: key {key} has arity {len(key)}, dims are {dims}")
+        columns = list(zip(*keys)) if dims and keys else [()] * len(dims)
+        layout = Layout.encode(columns, len(keys))
+        values = np.fromiter(records.values(), float, count=len(keys))
+        self._init(name, value_kind, dims, layout, values, unit, warning_count)
+        self._check()
+
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        value_kind: str,
+        dims: Iterable[str],
+        layout: Layout,
+        values: np.ndarray,
+        unit: str = "",
+        warning_count: int = 0,
+    ) -> "Symbol":
+        """A symbol over ``layout``'s keys; ``values`` is taken, not copied."""
+        sym = cls._make(name, value_kind, tuple(dims), layout, values, unit, warning_count)
+        sym._check()
+        return sym
+
+    @classmethod
+    def _make(cls, name, value_kind, dims, layout, values, unit="", warning_count=0) -> "Symbol":
+        sym = object.__new__(cls)
+        sym._init(name, value_kind, dims, layout, values, unit, warning_count)
+        return sym
+
+    def _init(self, name, value_kind, dims, layout, values, unit, warning_count) -> None:
+        for attr, value in (
+            ("name", name),
+            ("value_kind", value_kind),
+            ("dims", dims),
+            ("unit", unit),
+            ("warning_count", warning_count),
+            ("layout", layout),
+            ("values", _frozen(np.asarray(values, dtype=float))),
+            ("_records", None),
+        ):
+            object.__setattr__(self, attr, value)
+
+    def _check(self) -> None:
+        codes, values = self.layout.codes, self.values
+        if codes.shape != (len(values), len(self.dims)):
+            raise ValueError(
+                f"symbol {self.name}: keys of arity {codes.shape[1]} for {len(values)} values, "
+                f"dims are {self.dims}"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            key = tuple(column[0] for column in self.layout.columns(np.array([bad])))
+            raise ValueError(f"symbol {self.name}: non-finite value at {key}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"symbol {self.name} is immutable")
+
+    @property
+    def records(self) -> Mapping[tuple[str, ...], float]:
+        """Read-only ``{key: value}`` view in record order, built once."""
+        if self._records is None:
+            keys = zip(*self.layout.columns()) if self.dims else [()] * len(self.values)
+            object.__setattr__(self, "_records", MappingProxyType(dict(zip(keys, self.values.tolist()))))
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Symbol):
+            return NotImplemented
+        return (self.name, self.value_kind, self.dims, self.unit, self.warning_count) == (
+            other.name,
+            other.value_kind,
+            other.dims,
+            other.unit,
+            other.warning_count,
+        ) and self.records == other.records
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Symbol(name={self.name!r}, value_kind={self.value_kind!r}, dims={self.dims!r}, "
+            f"records={len(self)}, unit={self.unit!r})"
+        )
 
     def value(self, *key: str) -> float:
         return self.records[tuple(key)]
 
     def elements(self, dim: str) -> list[str]:
         """Sorted distinct labels appearing along one dimension."""
-        pos = self.dims.index(dim)
-        return sorted({key[pos] for key in self.records})
+        return self.layout.labels[self.dims.index(dim)].tolist()
 
     def rename(self, name: str) -> "Symbol":
-        return replace(self, name=name)
+        return Symbol._make(
+            name, self.value_kind, self.dims, self.layout, self.values, self.unit, self.warning_count
+        )
 
     # Arithmetic sugar; scalars are wrapped as dimensionless symbols.
     def __add__(self, other):
@@ -180,28 +371,35 @@ def _lift(key: tuple[str, ...], positions: list[int], arity: int) -> tuple[str, 
 
 
 def aggregate(symbol: Symbol, over: str, how: str = "sum") -> Symbol:
-    """Fold one dimension away with sum, mean or max."""
+    """Fold one dimension away with sum, mean or max.
+
+    Groups come in order of their first record; sums are exact
+    (``math.fsum``) and ``max`` returns the group's first maximal value.
+    """
     if over not in symbol.dims:
         raise KeyError(f"symbol {symbol.name} has no dimension {over!r} (dims: {symbol.dims})")
     if how not in ("sum", "mean", "max"):
         raise ValueError(f"unknown aggregation {how!r}")
     pos = symbol.dims.index(over)
-    groups: dict[tuple[str, ...], list[float]] = {}
-    for key, value in symbol.records.items():
-        slim = key[:pos] + key[pos + 1 :]
-        groups.setdefault(slim, []).append(value)
+    keep = [d for d in range(len(symbol.dims)) if d != pos]
+    groups, group = symbol.layout.group_by(keep)
+    members = np.argsort(group, kind="stable")  # each group's records in record order
+    ends = np.cumsum(np.bincount(group, minlength=len(groups.codes))).tolist()
+    values = symbol.values[members].tolist()
+    spans = [values[a:b] for a, b in zip([0, *ends], ends)]
     if how == "sum":
-        records = {k: math.fsum(v) for k, v in groups.items()}
+        folded = list(map(math.fsum, spans))
     elif how == "mean":
-        records = {k: math.fsum(v) / len(v) for k, v in groups.items()}
+        folded = [math.fsum(v) / len(v) for v in spans]
     else:
-        records = {k: max(v) for k, v in groups.items()}
-    return Symbol(
-        name=f"{how}({symbol.name},{over})",
-        value_kind=symbol.value_kind,
-        dims=symbol.dims[:pos] + symbol.dims[pos + 1 :],
-        records=records,
-        unit=symbol.unit,
+        folded = list(map(max, spans))
+    return Symbol._make(
+        f"{how}({symbol.name},{over})",
+        symbol.value_kind,
+        symbol.dims[:pos] + symbol.dims[pos + 1 :],
+        groups,
+        np.array(folded, dtype=float),
+        symbol.unit,
     )
 
 
@@ -231,12 +429,13 @@ class SymbolsHandler:
     def lookup(self, name: str) -> Symbol:
         """The symbol across all runs, with a leading ``run`` dimension.
 
-        A run that stores the symbol empty and dimensionless (listed for
-        extraction but not in that run's model) contributes no keys; if
-        every run does, the result is empty with dims ``("run",)``.
+        Records come run by run in handler order, each run's in its own
+        record order. A run that stores the symbol empty and dimensionless
+        (listed for extraction but not in that run's model) contributes no
+        keys; if every run does, the result is empty with dims ``("run",)``.
         """
         first: Symbol | None = None
-        records: dict[tuple[str, ...], float] = {}
+        parts: list[tuple[str, Symbol]] = []
         for run_id, store in self.stores.items():
             sym = store.symbols.get(name)
             if sym is None or (first is not None and _absent(sym)):
@@ -247,13 +446,38 @@ class SymbolsHandler:
                 raise DimensionMismatch(
                     f"symbol {name!r} has dims {sym.dims} in run {run_id}, expected {first.dims}"
                 )
-            for key, value in sym.records.items():
-                records[(run_id, *key)] = value
+            if len(sym):
+                parts.append((run_id, sym))
         if first is None:
             raise KeyError(f"symbol {name!r} not present in any store")
-        return Symbol(name, first.value_kind, ("run", *first.dims), records, first.unit)
+        layout = _stack(parts, len(first.dims))
+        return Symbol._make(name, first.value_kind, ("run", *first.dims), layout, _values(parts), first.unit)
+
+
+def _stack(parts: list[tuple[str, Symbol]], arity: int) -> Layout:
+    """The layout of the runs' records one after another, keyed by run first."""
+    runs = {run_id: i for i, run_id in enumerate(sorted(run_id for run_id, _ in parts))}
+    labels = [np.array(list(runs), dtype=str)]
+    codes = np.empty((sum(len(sym) for _, sym in parts), arity + 1), dtype=np.int64)
+    tables = [
+        np.array(sorted(set().union(*(sym.layout.labels[d].tolist() for _, sym in parts))), dtype=str)
+        for d in range(arity)
+    ]
+    labels.extend(tables)
+    at = 0
+    for run_id, sym in parts:
+        rows = slice(at, at + len(sym))
+        codes[rows, 0] = runs[run_id]
+        for d, table in enumerate(tables):
+            codes[rows, d + 1] = np.searchsorted(table, sym.layout.labels[d])[sym.layout.codes[:, d]]
+        at += len(sym)
+    return Layout(labels, codes)
+
+
+def _values(parts: list[tuple[str, Symbol]]) -> np.ndarray:
+    return np.concatenate([sym.values for _, sym in parts]) if parts else np.zeros(0)
 
 
 def _absent(sym: Symbol) -> bool:
     """Whether ``sym`` is the empty, dimensionless "not in the model" marker."""
-    return not sym.dims and not sym.records
+    return not sym.dims and not len(sym)

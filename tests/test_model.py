@@ -259,3 +259,33 @@ def test_dimension_formula_small(H):
     assert lp.n_cols == count_columns(3, 2, 1, 1, 2, H)
     assert lp.n_rows == count_rows(3, 1, 1, 1, 2, H, n_share_nodes=3, n_co2_nodes=0)
     lp.validate()
+
+
+class TestFamilyKeys:
+    @pytest.fixture(scope="class")
+    def example1_lp(self):
+        from voltaic.templates import example1
+
+        return build_model(example1().data, ModelConfig(end_hour=24))
+
+    def test_keys_follow_index_order(self, example1_lp):
+        families = [*example1_lp.var_families.values(), *example1_lp.row_families.values()]
+        assert {"G", "N", "BAL", "STO_CYCLE"} <= {fam.name for fam in families}
+        for fam in families:
+            assert list(fam.keys()) == [fam.key_of(i) for i in range(fam.start, fam.start + fam.size)]
+
+    def test_layout_codes_match_keys(self, example1_lp):
+        for fam in [*example1_lp.var_families.values(), *example1_lp.row_families.values()]:
+            layout = fam.layout()
+            assert [
+                tuple(table[c] for table, c in zip(layout.labels, row)) for row in layout.codes.tolist()
+            ] == list(fam.keys())
+            assert fam.layout() is layout  # built once, then shared
+
+    def test_dimensionless_family(self):
+        from voltaic.model import _make_family
+
+        fam = _make_family("OBJ", (), (), 7)
+        assert (fam.shape, fam.size) == ((), 1)
+        assert list(fam.keys()) == [()] == [fam.key_of(7)]
+        assert fam.layout().codes.shape == (1, 0)

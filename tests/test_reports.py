@@ -3,10 +3,11 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import two_node_sweep_system
-from voltaic.reports import rldc, standard_report
+from voltaic.reports import _hour_groups, rldc, standard_report
 from voltaic.scenarios import RunResult, ScenarioSpec, parse_iteration_table, run_scenarios
 from voltaic.store import SymbolStore, extract_symbols, read_all_stores, write_store
 from voltaic.symbols import Symbol, SymbolsHandler
@@ -337,6 +338,42 @@ class TestGroupedReport:
             assert max(handler.calls.values()) == 1, handler.calls
             calls.append(sum(handler.calls.values()))
         assert calls[0] == calls[1]
+
+
+def oracle_hour_groups(symbol, by=("run", "n"), where=None):
+    """The record loop the columnar grouping replaced; ``where`` takes a key."""
+    dims = symbol.dims
+    h_pos = dims.index("h")
+    positions = [dims.index(d) if d in dims else None for d in by]
+    groups = {}
+    for key, value in symbol.records.items():
+        if where is not None and not where(key):
+            continue
+        series = groups.setdefault(tuple(None if p is None else key[p] for p in positions), {})
+        hour = key[h_pos]
+        series[hour] = series.get(hour, 0.0) + value
+    return groups
+
+
+class TestHourGroups:
+    @pytest.mark.parametrize("by", [("run", "n"), ("run", "n", "tech"), ("run", "sto"), ("n",)])
+    def test_matches_record_loop_bitwise(self, mixed_stores, by):
+        handler = SymbolsHandler(mixed_stores)
+        for name in ("G", "d", "STO_IN", "SLACK"):
+            symbol = handler.lookup(name)
+            new, old = _hour_groups(symbol, by), oracle_hour_groups(symbol, by)
+            assert list(new) == list(old)  # groups in order of first record
+            for key in old:
+                assert {h: v.hex() for h, v in new[key].items()} == {h: v.hex() for h, v in old[key].items()}
+
+    def test_mask_matches_key_filter(self, mixed_stores):
+        generation = SymbolsHandler(mixed_stores).lookup("G")
+        keep = {("S0", "solar"), ("R01", "wind"), ("R02", "gas")}
+        mask = np.array([(key[0], key[1]) in keep for key in generation.records])
+        new = _hour_groups(generation, where=mask)
+        old = oracle_hour_groups(generation, where=lambda key: (key[0], key[1]) in keep)
+        assert new.keys() == old.keys() and all(new[k] == old[k] for k in old)
+        assert _hour_groups(generation, where=np.zeros(len(generation), dtype=bool)) == {}
 
 
 class TestNoRenewables:

@@ -1,12 +1,15 @@
+import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_binop
-from voltaic.store import SymbolStore
-from voltaic.symbols import DimensionMismatch, Symbol, SymbolsHandler, aggregate, binop
+from voltaic.scenarios import ScenarioSpec, run_scenarios
+from voltaic.store import SymbolStore, extract_symbols
+from voltaic.symbols import DimensionMismatch, Symbol, SymbolsHandler, _absent, aggregate, binop
 
 DIM_POOL = ("i", "j", "k")
 LABELS = {"i": ("a", "b"), "j": ("x", "y", "z"), "k": ("p", "q")}
@@ -165,3 +168,156 @@ class TestHandler:
         handler = SymbolsHandler(self.make_stores())
         with pytest.raises(KeyError):
             handler.lookup("Z")
+
+
+# -- oracles: the record-dict implementations the columnar code replaced ----
+
+
+def oracle_aggregate(symbol: Symbol, over: str, how: str = "sum") -> Symbol:
+    """Fold one dimension away with sum, mean or max."""
+    if over not in symbol.dims:
+        raise KeyError(f"symbol {symbol.name} has no dimension {over!r} (dims: {symbol.dims})")
+    if how not in ("sum", "mean", "max"):
+        raise ValueError(f"unknown aggregation {how!r}")
+    pos = symbol.dims.index(over)
+    groups: dict[tuple[str, ...], list[float]] = {}
+    for key, value in symbol.records.items():
+        slim = key[:pos] + key[pos + 1 :]
+        groups.setdefault(slim, []).append(value)
+    if how == "sum":
+        records = {k: math.fsum(v) for k, v in groups.items()}
+    elif how == "mean":
+        records = {k: math.fsum(v) / len(v) for k, v in groups.items()}
+    else:
+        records = {k: max(v) for k, v in groups.items()}
+    return Symbol(
+        name=f"{how}({symbol.name},{over})",
+        value_kind=symbol.value_kind,
+        dims=symbol.dims[:pos] + symbol.dims[pos + 1 :],
+        records=records,
+        unit=symbol.unit,
+    )
+
+
+class OracleHandler(SymbolsHandler):
+    def lookup(self, name: str) -> Symbol:
+        """The symbol across all runs, with a leading ``run`` dimension.
+
+        A run that stores the symbol empty and dimensionless (listed for
+        extraction but not in that run's model) contributes no keys; if
+        every run does, the result is empty with dims ``("run",)``.
+        """
+        first: Symbol | None = None
+        records: dict[tuple[str, ...], float] = {}
+        for run_id, store in self.stores.items():
+            sym = store.symbols.get(name)
+            if sym is None or (first is not None and _absent(sym)):
+                continue
+            if first is None or _absent(first):
+                first = sym
+            elif sym.dims != first.dims:
+                raise DimensionMismatch(
+                    f"symbol {name!r} has dims {sym.dims} in run {run_id}, expected {first.dims}"
+                )
+            for key, value in sym.records.items():
+                records[(run_id, *key)] = value
+        if first is None:
+            raise KeyError(f"symbol {name!r} not present in any store")
+        return Symbol(name, first.value_kind, ("run", *first.dims), records, first.unit)
+
+
+REPORTED = [
+    ("N", "level"), ("G", "level"), ("CU", "level"), ("STO_IN", "level"), ("BAL", "marginal"),
+    ("d", "level"), ("SLACK", "level"),
+]
+
+
+@pytest.fixture
+def toy_stores(merit_toy, storage_toy, sweep_toy):
+    stores = []
+    for run_id, (data, config) in (("B", merit_toy), ("A", storage_toy), ("C", sweep_toy)):
+        results = run_scenarios(data, config, None, [ScenarioSpec(run_id)], mode="single_instance")
+        stores.extend(extract_symbols(results, REPORTED))
+    long_label = "x" * 70
+    stores += [
+        SymbolStore("S" * 70, {
+            "G": sym("G", ("tech", "n", "h"), {("wind", long_label, "h2"): 2.5, ("gas", "N1", "h1"): -0.0,
+                                               ("gas", long_label, "h1"): 0.1 + 0.2, ("gas", "N1", "h2"): 1e-300}),
+            "N": sym("N", ("tech", "n"), {}),
+        }, {}),
+        SymbolStore("D", {"scalar": sym("scalar", (), {(): 3.5}), "CU": sym("CU", (), {})}, {}),
+        SymbolStore("E", {"scalar": sym("scalar", (), {(): -1.25})}, {}),
+    ]
+    return stores
+
+
+def same_records(a: Symbol, b: Symbol) -> bool:
+    """Equal metadata and the same records in the same order, bit for bit."""
+    return (a.name, a.value_kind, a.dims, a.unit) == (b.name, b.value_kind, b.dims, b.unit) and [
+        (k, math.copysign(1.0, v), v) for k, v in a.records.items()
+    ] == [(k, math.copysign(1.0, v), v) for k, v in b.records.items()]
+
+
+class TestAgainstRecordOracles:
+    NAMES = ["N", "G", "CU", "STO_IN", "BAL", "d", "SLACK", "scalar"]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_lookup(self, toy_stores, order):
+        stores = toy_stores[::order]
+        new, old = SymbolsHandler(stores), OracleHandler(stores)
+        assert not len(new.lookup("SLACK")) and new.lookup("SLACK").dims == ("run",)
+        for name in self.NAMES:
+            assert same_records(new.lookup(name), old.lookup(name)), name
+        for handler in (new, old):
+            with pytest.raises(KeyError):
+                handler.lookup("Z")
+
+    @pytest.mark.parametrize("how", ["sum", "mean", "max"])
+    def test_aggregate(self, toy_stores, how):
+        handler = SymbolsHandler(toy_stores)
+        checked = 0
+        for name in self.NAMES:
+            looked_up = handler.lookup(name)
+            symbols = [looked_up] + [s.symbols[name] for s in toy_stores if name in s.symbols]
+            for symbol in symbols:
+                for dim in symbol.dims:
+                    assert same_records(aggregate(symbol, dim, how), oracle_aggregate(symbol, dim, how))
+                    checked += 1
+        assert checked > 50
+        with pytest.raises(KeyError):
+            aggregate(handler.lookup("N"), "h", how)
+
+    def test_aggregate_signed_zero_and_ties(self):
+        g = sym("G", ("i", "j"), {("a", "x"): 0.0, ("a", "y"): -0.0, ("b", "x"): -0.0, ("b", "y"): 0.0})
+        for how in ("sum", "mean", "max"):
+            assert same_records(aggregate(g, "j", how), oracle_aggregate(g, "j", how))
+
+
+class TestColumns:
+    def test_records_is_a_read_only_cached_view(self):
+        g = sym("G", ("i", "j"), {("b", "x"): 1.0, ("a", "y"): 2.0})
+        assert g.records is g.records
+        assert list(g.records) == [("b", "x"), ("a", "y")]  # record order kept
+        with pytest.raises(TypeError):
+            g.records[("c", "z")] = 3.0
+        with pytest.raises(AttributeError):
+            g.name = "H"
+        with pytest.raises(ValueError):
+            g.values[0] = 5.0
+
+    def test_layout_columns(self):
+        g = sym("G", ("i", "j"), {("b", "x"): 1.0, ("a", "y"): 2.0, ("b", "y"): 3.0})
+        assert [t.tolist() for t in g.layout.labels] == [["a", "b"], ["x", "y"]]
+        assert g.layout.codes.tolist() == [[1, 0], [0, 1], [1, 1]]
+        assert g.values.tolist() == [1.0, 2.0, 3.0]
+        assert g.layout.order.tolist() == [1, 0, 2]
+        assert g.elements("j") == ["x", "y"]
+        assert g == sym("G", ("i", "j"), {("a", "y"): 2.0, ("b", "y"): 3.0, ("b", "x"): 1.0})
+        assert g != g.rename("H")
+
+    def test_from_columns_checks_arity_and_finiteness(self):
+        layout = sym("G", ("i",), {("a",): 1.0}).layout
+        with pytest.raises(ValueError, match="arity"):
+            Symbol.from_columns("bad", "level", ("i", "j"), layout, np.array([1.0]))
+        with pytest.raises(ValueError, match=r"non-finite value at \('a',\)"):
+            Symbol.from_columns("bad", "level", ("i",), layout, np.array([np.nan]))

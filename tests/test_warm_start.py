@@ -166,6 +166,24 @@ class TestFallback:
         assert inst._warm.solve(inst.lp) is None
         assert _same(inst.resolve(), solve(inst.lp))
 
+    def test_uncertified_cold_fallback_is_numerical(self, sweep, monkeypatch):
+        pytest.importorskip(_CORE)
+        data, config, specs = sweep
+        inst = compile_instance(build_model(data, config))
+        inst.resolve()  # opens the handle on the base program
+        inst._warm.highs.setOptionValue("simplex_iteration_limit", 1)  # every warm attempt fails
+        original = solver.solve
+
+        def corrupted(lp, backend="highs"):
+            sol = original(lp, backend)
+            sol.primal = sol.primal + 1.0
+            return sol
+
+        monkeypatch.setattr(solver, "solve", corrupted)
+        inst.apply(expand_overrides(specs[1], inst.lp, data, config))
+        assert inst._warm.solve(inst.lp) is None
+        assert inst.resolve().status == solver.NUMERICAL
+
     def test_missing_highs_member_falls_back_to_cold(self, sweep, monkeypatch):
         core = pytest.importorskip(_CORE)
         data, config, specs = sweep
