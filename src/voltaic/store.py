@@ -22,6 +22,7 @@ import logging
 import operator
 import zipfile
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +218,7 @@ def read_store(run_dir: Path | str, fmt: str = CSV_FORMAT) -> SymbolStore:
         name = csv_path.stem
         header, *lines = csv_path.read_text().splitlines()
         dims = tuple(header.split(",")[:-1])
-        if set(map(operator.methodcaller("count", ","), lines)) - {len(dims)}:
+        if set(map(str.count, lines, repeat(","))) - {len(dims)}:
             raise ValueError(f"{csv_path}: a line does not have {len(dims) + 1} fields")
         fields = ",".join(lines).split(",") if lines else []
         step = len(dims) + 1
