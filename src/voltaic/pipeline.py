@@ -8,7 +8,7 @@ from pathlib import Path
 from .project import Project, load_project
 from .reports import standard_report
 from .scenarios import RunResult, run_scenarios
-from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_all_stores, write_store
+from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_all_stores, read_store, write_store
 from .symbols import SymbolsHandler
 from .system import ValidationError
 
@@ -44,7 +44,8 @@ def run_project(
 
     ``mode`` and ``threads`` override the project settings when given.
     Existing stores for the same run ids are overwritten; results land under
-    ``<root>/results/<run_id>/``.
+    ``<root>/results/<run_id>/``. The report covers the runs of this call
+    only, in run-id order.
     """
     project = load_project(root)
     config = project.config
@@ -69,12 +70,13 @@ def run_project(
     store_dirs = [write_store(store, project.layout.results, formats) for store in stores]
     summary = RunSummary(results, store_dirs)
     if config.report_data and summary.all_optimal:
-        report_project(root)
+        stores = [read_store(d) for d in sorted(store_dirs)]
+        standard_report(SymbolsHandler(stores), project.layout.report)
     return summary
 
 
 def report_project(root: Path | str) -> dict:
-    """Build the standard report from the stores under ``<root>/results``."""
+    """Build the standard report from every store under ``<root>/results``."""
     root = Path(root)
     results_dir = root / "results"
     if not results_dir.is_dir() or not any(results_dir.iterdir()):

@@ -15,6 +15,13 @@ A project is a plain directory tree::
         project_variables.csv features_node_selection.csv
         reporting_symbols.csv constraints_list.csv
 
+The four record tables of ``static_input`` share one schema,
+:data:`STATIC_TABLES`: a file's columns are the fields of its record
+dataclass in :mod:`voltaic.system`, in field order (``demand`` is headed
+``demand_series``; technology availability has its own file), and an empty
+cell reads as the field's default, or 0.0 where the field has none. The
+loader reads and :func:`voltaic.templates.write_project` writes through it.
+
 Every validation failure is reported with its file and location; loading
 aggregates all of them into one :class:`ValidationError` instead of dying
 on the first.
@@ -25,8 +32,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .scenarios import CONSTRAINT_BLOCKS, ScenarioSpec, parse_iteration_table
 from .symbols import LEVEL, MARGINAL
@@ -217,6 +225,11 @@ def parse_project_variables(text: str, issues: list[str]) -> tuple[ModelConfig, 
     except ValueError:
         issues.append(f"project_variables:base_year: expected integer, got {raw['base_year']!r}")
         base_year = 2030
+    try:
+        slack_penalty = float(raw.get("slack_penalty", 10_000.0))
+    except ValueError:
+        issues.append(f"project_variables:slack_penalty: expected a number, got {raw['slack_penalty']!r}")
+        slack_penalty = 10_000.0
 
     config = ModelConfig(
         base_year=base_year,
@@ -224,7 +237,7 @@ def parse_project_variables(text: str, issues: list[str]) -> tuple[ModelConfig, 
         dispatch_only=flag("dispatch_only", False),
         network_transfer=flag("network_transfer", True),
         infeasibility=flag("infeasibility", False),
-        slack_penalty=float(raw.get("slack_penalty", 10_000.0)),
+        slack_penalty=slack_penalty,
         scenarios_iteration=flag("scenarios_iteration", True),
         skip_input=flag("skip_input", False),
         skip_iteration_data_file=flag("skip_iteration_data_file", False),
@@ -258,25 +271,77 @@ def _num(row: dict, key: str, where: str, issues: list[str], default: float | No
         return default
 
 
+class Column(NamedTuple):
+    """One column of a static table: a field of the table's record."""
+
+    field: str
+    name: str  # the CSV header
+    text: bool  # read and written as is, stripped on reading
+    empty: float | None  # what an empty numeric cell reads as
+
+    def parse(self, row: dict, where: str, issues: list[str]):
+        if self.text:
+            return (row.get(self.name) or "").strip()
+        return _num(row, self.name, where, issues, default=self.empty)
+
+    def format(self, value) -> str:
+        """The cell text. A value is left empty only where an empty cell
+        reads it back: None, or an infinite default."""
+        if self.text:
+            return value
+        if value is None or (value == self.empty and math.isinf(value)):
+            return ""
+        return repr(value)
+
+
+#: Record fields whose column has another name, and fields kept in a file of
+#: their own (technology availability lives in availability.csv).
+_RENAMED = {"demand": "demand_series"}
+_OWN_FILE = ("availability",)
+
+
+class StaticTable(NamedTuple):
+    """One static input file: a row per record, a column per record field."""
+
+    file: str
+    attr: str  # the SystemData attribute holding the records
+    record: type
+    required: bool
+    columns: tuple[Column, ...]
+
+    def parse_row(self, row: dict, where: str, issues: list[str]) -> dict:
+        return {col.field: col.parse(row, where, issues) for col in self.columns}
+
+    def format_row(self, record) -> list[str]:
+        return [col.format(getattr(record, col.field)) for col in self.columns]
+
+
+def _static_table(file: str, attr: str, record: type, required: bool = False) -> StaticTable:
+    columns = tuple(
+        Column(
+            f.name,
+            _RENAMED.get(f.name, f.name),
+            f.type in (str, "str"),
+            0.0 if f.default is MISSING else f.default,
+        )
+        for f in fields(record)
+        if f.name not in _OWN_FILE
+    )
+    return StaticTable(file, attr, record, required, columns)
+
+
+#: The static input tables. Their columns are the record's fields in order;
+#: an empty cell reads as the field's default, or 0.0 where it has none.
+STATIC_TABLES = (
+    _static_table("nodes.csv", "nodes", Node, required=True),
+    _static_table("technologies.csv", "technologies", Technology),
+    _static_table("storage.csv", "storages", StorageTech),
+    _static_table("lines.csv", "lines", Line),
+)
+
+
 def _load_static(layout: ProjectLayout, issues: list[str]) -> SystemData:
     static = layout.static_input
-
-    nodes: list[Node] = []
-    path = static / "nodes.csv"
-    if not path.exists():
-        issues.append(f"{path}: missing file")
-    else:
-        for i, row in enumerate(_read_rows(path), start=2):
-            where = f"nodes.csv:{i}"
-            cap = _num(row, "co2_cap", where, issues, default=None)
-            nodes.append(
-                Node(
-                    id=(row.get("id") or "").strip(),
-                    demand=(row.get("demand_series") or "").strip(),
-                    min_renewable_share=_num(row, "min_renewable_share", where, issues),
-                    co2_cap=cap,
-                )
-            )
 
     availability: dict[str, dict[str, str]] = {}
     path = static / "availability.csv"
@@ -290,70 +355,20 @@ def _load_static(layout: ProjectLayout, issues: list[str]) -> SystemData:
                 continue
             availability.setdefault(tech, {})[node] = series
 
-    technologies: list[Technology] = []
-    path = static / "technologies.csv"
-    if path.exists():
-        for i, row in enumerate(_read_rows(path), start=2):
-            where = f"technologies.csv:{i}"
-            tech_id = (row.get("id") or "").strip()
-            technologies.append(
-                Technology(
-                    id=tech_id,
-                    kind=(row.get("kind") or "").strip(),
-                    c_inv_power=_num(row, "c_inv_power", where, issues),
-                    c_fix=_num(row, "c_fix", where, issues),
-                    c_var=_num(row, "c_var", where, issues),
-                    co2_intensity=_num(row, "co2_intensity", where, issues),
-                    cap_min=_num(row, "cap_min", where, issues),
-                    cap_max=_num(row, "cap_max", where, issues, default=math.inf),
-                    availability=availability.get(tech_id),
-                )
-            )
-
-    storages: list[StorageTech] = []
-    path = static / "storage.csv"
-    if path.exists():
-        for i, row in enumerate(_read_rows(path), start=2):
-            where = f"storage.csv:{i}"
-            storages.append(
-                StorageTech(
-                    id=(row.get("id") or "").strip(),
-                    c_i_sto_e=_num(row, "c_i_sto_e", where, issues),
-                    c_i_sto_p=_num(row, "c_i_sto_p", where, issues),
-                    c_fix=_num(row, "c_fix", where, issues),
-                    eta_in=_num(row, "eta_in", where, issues, default=1.0),
-                    eta_out=_num(row, "eta_out", where, issues, default=1.0),
-                    e_min=_num(row, "e_min", where, issues),
-                    e_max=_num(row, "e_max", where, issues, default=math.inf),
-                    p_min=_num(row, "p_min", where, issues),
-                    p_max=_num(row, "p_max", where, issues, default=math.inf),
-                    c_var_sto=_num(row, "c_var_sto", where, issues),
-                )
-            )
-
-    lines: list[Line] = []
-    path = static / "lines.csv"
-    if path.exists():
-        for i, row in enumerate(_read_rows(path), start=2):
-            where = f"lines.csv:{i}"
-            lines.append(
-                Line(
-                    from_node=(row.get("from_node") or "").strip(),
-                    to_node=(row.get("to_node") or "").strip(),
-                    ntc_existing=_num(row, "ntc_existing", where, issues),
-                    ntc_max=_num(row, "ntc_max", where, issues),
-                    c_inv_ntc=_num(row, "c_inv_ntc", where, issues),
-                    loss_factor=_num(row, "loss_factor", where, issues),
-                )
-            )
-
-    return SystemData(
-        nodes=tuple(nodes),
-        technologies=tuple(technologies),
-        storages=tuple(storages),
-        lines=tuple(lines),
-        series={},
-    )
+    tables: dict[str, tuple] = {}
+    for table in STATIC_TABLES:
+        path = static / table.file
+        records = []
+        if path.exists():
+            for i, row in enumerate(_read_rows(path), start=2):
+                values = table.parse_row(row, f"{table.file}:{i}", issues)
+                if table.record is Technology:
+                    values["availability"] = availability.get(values["id"])
+                records.append(table.record(**values))
+        elif table.required:
+            issues.append(f"{path}: missing file")
+        tables[table.attr] = tuple(records)
+    return SystemData(**tables, series={})
 
 
 def _load_series_dir(directory: Path, issues: list[str]) -> dict[str, TimeSeries]:

@@ -59,7 +59,8 @@ def extract_symbols(
     ``marginal``. Symbols named in the list but absent from a solution are
     stored empty with a warning, never an error. Each symbol is its family's
     label layout plus one slice copy of the solution, made in the caller's
-    thread; ``threads`` is accepted for compatibility with the
+    thread; the copy stores negative zeros as zero, so no store reads
+    ``-0.0``. ``threads`` is accepted for compatibility with the
     ``gdx_convert_parallel_threads`` setting and does not change the work or
     its output.
     """
@@ -103,7 +104,7 @@ def _extract_one(result, reporting, config_echo) -> SymbolStore:
             log.warning("run %s: symbol %r (%s) not in the model; stored empty", result.run_id, name, kind)
             store.symbols[name] = Symbol(name, kind, (), {})
             continue
-        values = source[fam.start : fam.start + fam.size].copy()
+        values = source[fam.start : fam.start + fam.size] + 0.0
         store.symbols[name] = Symbol.from_columns(name, kind, fam.dims, fam.layout(), values)
     return store
 
@@ -111,7 +112,7 @@ def _extract_one(result, reporting, config_echo) -> SymbolStore:
 def _demand_symbol(lp) -> Symbol:
     """Demand as seen by the model: the balance rows' right-hand sides."""
     fam = lp.row_families["BAL"]
-    values = lp.rhs[fam.start : fam.start + fam.size].copy()
+    values = lp.rhs[fam.start : fam.start + fam.size] + 0.0
     return Symbol.from_columns("d", PARAMETER, fam.dims, fam.layout(), values)
 
 

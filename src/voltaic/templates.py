@@ -8,7 +8,11 @@
                50-60-70-80 %, FR 40-50-60-70 %).
 
 All profiles are deterministic closed-form shapes so projects materialize
-byte-identically on every machine.
+byte-identically on every machine. :func:`write_project` writes the static
+record tables through the loader's schema, :data:`voltaic.project.STATIC_TABLES`
+(text as is, numbers as ``repr``, an empty cell for an unset value or for
+the infinite value an empty cell reads as), and ``constraints_list.csv``
+from :data:`voltaic.scenarios.CONSTRAINT_BLOCKS`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .project import STATIC_TABLES
+from .scenarios import CONSTRAINT_BLOCKS
 from .system import (
     FEATURE_MODULES,
     Line,
@@ -303,75 +309,22 @@ def write_project(template: Template, root: Path) -> Path:
     _write_csv(settings / "reporting_symbols.csv", [["symbol", "kind"], *map(list, template.reporting)])
     _write_csv(
         settings / "constraints_list.csv",
-        [["constraint", "choices"], ["renewable_share", "on", "off"], ["co2_cap", "on", "off"]],
+        [["constraint", "choices"], *[[name, *choices] for name, choices in CONSTRAINT_BLOCKS.items()]],
     )
 
-    _write_csv(
-        static / "nodes.csv",
-        [
-            ["id", "demand_series", "min_renewable_share", "co2_cap"],
-            *[
-                [n.id, n.demand, repr(n.min_renewable_share), "" if n.co2_cap is None else repr(n.co2_cap)]
-                for n in template.data.nodes
+    for table in STATIC_TABLES:
+        _write_csv(
+            static / table.file,
+            [
+                [col.name for col in table.columns],
+                *[table.format_row(record) for record in getattr(template.data, table.attr)],
             ],
-        ],
-    )
-    _write_csv(
-        static / "technologies.csv",
-        [
-            ["id", "kind", "c_inv_power", "c_fix", "c_var", "co2_intensity", "cap_min", "cap_max"],
-            *[
-                [
-                    t.id,
-                    t.kind,
-                    repr(t.c_inv_power),
-                    repr(t.c_fix),
-                    repr(t.c_var),
-                    repr(t.co2_intensity),
-                    repr(t.cap_min),
-                    "" if math.isinf(t.cap_max) else repr(t.cap_max),
-                ]
-                for t in template.data.technologies
-            ],
-        ],
-    )
+        )
     availability_rows = [["tech", "node", "series"]]
     for t in template.data.technologies:
         for node_id, series_name in sorted((t.availability or {}).items()):
             availability_rows.append([t.id, node_id, series_name])
     _write_csv(static / "availability.csv", availability_rows)
-    _write_csv(
-        static / "storage.csv",
-        [
-            ["id", "c_i_sto_e", "c_i_sto_p", "c_fix", "eta_in", "eta_out", "e_min", "e_max", "p_min", "p_max", "c_var_sto"],
-            *[
-                [
-                    s.id,
-                    repr(s.c_i_sto_e),
-                    repr(s.c_i_sto_p),
-                    repr(s.c_fix),
-                    repr(s.eta_in),
-                    repr(s.eta_out),
-                    repr(s.e_min),
-                    "" if math.isinf(s.e_max) else repr(s.e_max),
-                    repr(s.p_min),
-                    "" if math.isinf(s.p_max) else repr(s.p_max),
-                    repr(s.c_var_sto),
-                ]
-                for s in template.data.storages
-            ],
-        ],
-    )
-    _write_csv(
-        static / "lines.csv",
-        [
-            ["from_node", "to_node", "ntc_existing", "ntc_max", "c_inv_ntc", "loss_factor"],
-            *[
-                [l.from_node, l.to_node, repr(l.ntc_existing), repr(l.ntc_max), repr(l.c_inv_ntc), repr(l.loss_factor)]
-                for l in template.data.lines
-            ],
-        ],
-    )
 
     _write_csv(ts_dir / "series.csv", _series_table(template.data.series))
     _write_csv(iteration / "iteration_table.csv", [template.iteration_header, *template.iteration_rows])

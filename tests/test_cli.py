@@ -1,4 +1,5 @@
 import json
+import re
 
 from voltaic.cli import main
 from voltaic.templates import create_project
@@ -111,6 +112,31 @@ class TestRun:
             roots.append(root)
         assert tree(roots[0] / "results") == tree(roots[1] / "results")
 
+    def test_report_covers_only_this_run(self, tmp_path, capsys):
+        root = create_project("demo", "minimal", tmp_path)
+        assert run_cli("run", str(root)) == 0
+        rewrite = root / "settings" / "project_variables.csv"
+        rewrite.write_text(rewrite.read_text().replace("scenarios_iteration,no", "scenarios_iteration,yes"))
+        (root / "iterationfiles" / "iteration_table.csv").write_text("run\nX0\n")
+        capsys.readouterr()
+        assert run_cli("run", str(root)) == 0
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["X0"]
+        assert sorted(p.name for p in (root / "results").iterdir()) == ["X0", "base"]
+        summary = (root / "report" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["X0"]
+        assert run_cli("report", str(root)) == 0
+        summary = (root / "report" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["X0", "base"]
+
+    def test_stores_and_report_hold_no_negative_zero(self, tmp_path):
+        root = create_project("demo", "example1", tmp_path)
+        assert run_cli("run", str(root)) == 0
+        negative_zero = re.compile(r"(^|,)-0(\.0*)?(,|$)", re.M)
+        paths = sorted((root / "results").rglob("*.csv")) + sorted((root / "report").glob("*.csv"))
+        assert len(paths) > 30
+        offending = [str(p.relative_to(root)) for p in paths if negative_zero.search(p.read_text())]
+        assert offending == []
+
     def test_threads_default_from_environment(self, tmp_path, monkeypatch):
         from voltaic import cli
 
@@ -142,6 +168,13 @@ class TestValidate:
         assert run_cli("validate", str(root)) == 0
         out = capsys.readouterr().out
         assert "2 nodes" in out and "4 runs" in out
+
+    def test_non_numeric_slack_penalty(self, tmp_path, capsys):
+        root = create_project("demo", "minimal", tmp_path)
+        settings = root / "settings" / "project_variables.csv"
+        settings.write_text(settings.read_text() + "slack_penalty,abc\n")
+        assert run_cli("validate", str(root)) == 1
+        assert "project_variables:slack_penalty: expected a number, got 'abc'" in capsys.readouterr().err
 
     def test_not_a_project(self, tmp_path, capsys):
         assert run_cli("validate", str(tmp_path)) == 1

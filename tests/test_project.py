@@ -1,11 +1,22 @@
 import csv
+import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from voltaic.project import load_project, parse_project_variables
-from voltaic.system import FEATURE_MODULES, ValidationError
-from voltaic.templates import TWELVE_NODES, create_project
+from voltaic.project import STATIC_TABLES, load_project, parse_project_variables
+from voltaic.system import FEATURE_MODULES, Line, Node, StorageTech, SystemData, Technology, ValidationError
+from voltaic.templates import (
+    TEMPLATES,
+    TWELVE_NODES,
+    build_template,
+    create_project,
+    demand_profile,
+    solar_profile,
+    write_project,
+)
 
 
 @pytest.fixture
@@ -70,6 +81,16 @@ class TestProjectVariables:
             issues,
         )
         assert config.write_npz is True
+
+    def test_non_numeric_slack_penalty_is_an_issue(self):
+        issues = []
+        config, _ = parse_project_variables(
+            "Variable,Value\nbase_year,2030\nend_hour,h24\ndispatch_only,no\n"
+            "network_transfer,yes\ninfeasibility,no\nslack_penalty,abc\n",
+            issues,
+        )
+        assert issues == ["project_variables:slack_penalty: expected a number, got 'abc'"]
+        assert config.slack_penalty == 10_000.0
 
 
 class TestLoadProject:
@@ -185,3 +206,82 @@ def test_availability_outside_unit_interval(example1_root):
     series.write_text("\n".join(",".join(r) for r in rows) + "\n")
     with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
         load_project(example1_root)
+
+
+def _round_trip(template, root):
+    project = load_project(write_project(template, root))
+    data = template.data
+    assert project.data.nodes == data.nodes
+    assert project.data.technologies == data.technologies
+    assert project.data.storages == data.storages
+    assert project.data.lines == data.lines
+    assert project.data.series == {**data.series, **template.iteration_data_series}
+    return project
+
+
+class TestStaticTables:
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_template_round_trips(self, tmp_path, name):
+        _round_trip(build_template(name), tmp_path / name)
+
+    def test_defaults_and_unbounded_values_round_trip(self, tmp_path):
+        hours = 24
+        series = {
+            s.name: s
+            for s in (
+                demand_profile("load_DE", hours, 50.0, 12.0),
+                demand_profile("load_FR", hours, 40.0, 9.0),
+                solar_profile("cf_solar_DE", hours),
+                solar_profile("cf_solar_FR", hours, peak=0.7),
+            )
+        }
+        data = SystemData(
+            nodes=(Node("DE", "load_DE", min_renewable_share=0.2, co2_cap=900.0), Node("FR", "load_FR")),
+            technologies=(
+                Technology("gas", "dispatchable", c_inv_power=42_000.0, c_var=70.0, co2_intensity=0.35),
+                Technology("solar", "variable_renewable", c_inv_power=37_000.0, cap_min=1.5,
+                           cap_max=2_000.0, availability={"DE": "cf_solar_DE", "FR": "cf_solar_FR"}),
+            ),
+            storages=(StorageTech("Li-ion", c_i_sto_e=20_029.0, c_i_sto_p=15_021.0, eta_in=0.9),),
+            lines=(Line("DE", "FR", ntc_existing=100.0, ntc_max=math.inf, c_inv_ntc=2_500.0,
+                        loss_factor=0.02),),
+            series=series,
+        )
+        assert data.nodes[1].co2_cap is None
+        assert math.isinf(data.technologies[0].cap_max)
+        assert math.isinf(data.storages[0].e_max) and math.isinf(data.storages[0].p_max)
+        root = tmp_path / "schema"
+        _round_trip(replace(build_template("minimal"), data=data), root)
+
+        static = root / "data_input" / "static_input"
+        assert (static / "nodes.csv").read_text().splitlines()[2] == "FR,load_FR,0.0,"
+        assert (static / "lines.csv").read_text().splitlines()[1] == "DE,FR,100.0,inf,2500.0,0.02"
+
+    def test_empty_cells_read_as_field_defaults(self, tmp_path):
+        root = create_project("mini", "minimal", tmp_path)
+        storage = root / "data_input" / "static_input" / "storage.csv"
+        header = storage.read_text().splitlines()[0]
+        storage.write_text(header + "\nLi-ion," + "," * (header.count(",") - 1) + "\n")
+        sto = load_project(root).data.storages[0]
+        assert sto == StorageTech("Li-ion", c_i_sto_e=0.0, c_i_sto_p=0.0)
+
+    def test_columns_are_record_fields(self):
+        headers = {t.file: [c.name for c in t.columns] for t in STATIC_TABLES}
+        assert headers == {
+            "nodes.csv": ["id", "demand_series", "min_renewable_share", "co2_cap"],
+            "technologies.csv": ["id", "kind", "c_inv_power", "c_fix", "c_var", "co2_intensity",
+                                 "cap_min", "cap_max"],
+            "storage.csv": ["id", "c_i_sto_e", "c_i_sto_p", "c_fix", "eta_in", "eta_out", "e_min",
+                            "e_max", "p_min", "p_max", "c_var_sto"],
+            "lines.csv": ["from_node", "to_node", "ntc_existing", "ntc_max", "c_inv_ntc", "loss_factor"],
+        }
+
+    def test_readme_lists_every_static_column(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"Static input tables.*?\n\n", readme, re.S)
+        assert match, "README has no 'Static input tables' paragraph"
+        listed = set(re.findall(r"`([^`]+)`", match.group(0)))
+        named = {"availability.csv", "tech", "node", "series"}
+        for table in STATIC_TABLES:
+            named |= {table.file, *(c.name for c in table.columns)}
+        assert named <= listed, sorted(named - listed)
