@@ -31,8 +31,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+import scipy.sparse as sp
+
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
-from .solver import Delta, ModelInstance, Solution, certified, compile as compile_instance, solve
+from .solver import Delta, ModelInstance, Solution, certified, compile as compile_instance, matrix, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
@@ -215,14 +218,28 @@ def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
                 overrides.append((ref, cell))
             else:
                 try:
-                    overrides.append((ref, float(cell)))
+                    value = float(cell)
                 except ValueError:
                     raise ValidationError(
                         f"iteration_table: run {run_id}: non-numeric value {cell!r} "
                         f"for column {ref.render()!r}"
                     ) from None
+                _check_finite(run_id, ref, value)
+                overrides.append((ref, value))
         specs.append(ScenarioSpec(run_id, tuple(overrides), country, choices))
     return specs
+
+
+def _check_finite(run_id: str, ref: SymbolRef, value: float) -> None:
+    """Reject a ``nan`` override, and an infinite one except ``+inf`` for a
+    ``.up`` bound or ``co2_cap`` (no bound, no cap)."""
+    unbounded = ref.target_kind == VARIABLE_UP or (ref.target_kind == PARAMETER and ref.name == "co2_cap")
+    if math.isfinite(value) or (value == math.inf and unbounded):
+        return
+    raise ValidationError(
+        f"iteration_table: run {run_id}: value {value!r} for column {ref.render()!r} "
+        f"must be finite (only a .up bound or co2_cap may be inf)"
+    )
 
 
 def _match_domain(
@@ -291,6 +308,8 @@ def expand_overrides(
     scalar: dict[tuple[str, tuple[str, ...]], float] = {}
     series_swap: dict[tuple[str, tuple[str, ...]], str] = {}
     for ref, value in spec.overrides:
+        if ref.target_kind != TIMESERIES:
+            _check_finite(spec.run_id, ref, float(value))
         if ref.target_kind == PARAMETER:
             if ref.name not in PARAMETER_DOMAINS:
                 raise ValidationError(f"override {ref.render()!r}: unknown parameter {ref.name!r}")
@@ -446,7 +465,10 @@ def _run_on_instance(
     blocks: dict[str, tuple[str, ...]] | None,
     delay: float = 0.0,
     warm: bool = False,
-) -> RunResult:
+    start=None,
+) -> tuple[RunResult, object]:
+    """Run one row on ``inst``: its result, and the optimal basis it was
+    solved warm from ``start`` to (None if it was not solved warm)."""
     started = time.perf_counter()
     try:
         inst.reset()
@@ -455,78 +477,190 @@ def _run_on_instance(
             time.sleep(delay)
         inst.apply(deltas)
         # resolve certifies whatever it returns; a cold solve is checked here.
-        solution = inst.resolve() if warm else certified(inst.lp, solve(inst.lp, inst.backend))
-        return RunResult(
+        solution = inst.resolve(start) if warm else certified(inst.lp, solve(inst.lp, inst.backend))
+        result = RunResult(
             spec.run_id,
             solution,
             _echo(spec),
             lp=inst.snapshot(),
             wall_time=time.perf_counter() - started,
         )
+        return result, inst.basis if warm else None
     except (ValidationError, KeyError, ValueError) as exc:
-        return RunResult(
+        result = RunResult(
             spec.run_id,
             None,
             _echo(spec),
             error=str(exc),
             wall_time=time.perf_counter() - started,
         )
+        return result, None
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What every row of one sweep shares."""
+
+    data: SystemData
+    config: ModelConfig
+    features: FeatureMatrix | None
+    blocks: dict[str, tuple[str, ...]] | None
+    backend: str
+    fixed_capacities: object
+    warm_keys: frozenset
+
+    def build(self, key: tuple[str, ...] | None) -> LinearProgram:
+        lp = build_model(self.data, self.config, self.features, list(key) if key else None)
+        return apply_dispatch_only(lp, self.fixed_capacities) if self.fixed_capacities else lp
+
+
+# Planning coordinate of each delta kind.
+_FIELDS = {"obj": 0, "lo": 1, "up": 2, "rhs": 3, "coef": 4}
+# A value moved to or from infinity has no finite relative change. It counts
+# as this far along its coordinate, so such rows join each other and stay
+# away from every finite row.
+_FAR = 1e6
+
+
+def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[int | None]]:
+    """Plan the warm starts of one instance's rows from their deltas alone.
+
+    A row is the vector of its relative changes ``(v - base) / max(1,
+    |base|)`` at every position (cost, bound, rhs or matrix cell) any row
+    changes. The rows form a Prim minimum spanning tree under the L2
+    distance, rooted at the base (the zero vector); ties go to the lower
+    row index, and the base wins a tie for parent. Returns the rows in
+    depth-first order, each node's children by distance and then index,
+    and each row's parent (None for the base).
+    """
+    changes = [
+        {(_FIELDS[d.kind], -1 if d.row is None else d.row, -1 if d.col is None else d.col): d.value
+         for d in deltas}
+        for deltas in rows
+    ]
+    positions = sorted(set().union(*changes))
+    field_, row, col = np.array(positions, dtype=np.int64).reshape(-1, 3).T
+    base = np.zeros(len(positions))
+    for k, values in enumerate((lp.obj, lp.lo, lp.hi)):
+        base[field_ == k] = values[col[field_ == k]]
+    base[field_ == 3] = lp.rhs[row[field_ == 3]]
+    cells = field_ == 4
+    if cells.any():
+        base[cells] = np.asarray(matrix(lp)[row[cells], col[cells]]).ravel()
+
+    column = {p: k for k, p in enumerate(positions)}
+    n = len(rows)
+    at = np.repeat(np.arange(n), [len(c) for c in changes])
+    k = np.fromiter((column[p] for c in changes for p in c), np.int64, len(at))
+    v = np.fromiter((x for c in changes for x in c.values()), float, len(at))
+    b = base[k]
+    with np.errstate(invalid="ignore"):
+        rel = (v - b) / np.maximum(1.0, np.abs(b))
+        rel = np.where(v == b, 0.0, np.where(np.isfinite(rel), rel, np.copysign(_FAR, v - b)))
+    d = sp.csr_matrix((rel, (at, k)), shape=(n, len(positions)))
+    # Squared distances order as the distances do: |a - b|^2 = |a|^2 +
+    # |b|^2 - 2 a.b, with a.b taken one tree row at a time, so memory stays
+    # linear in the rows. Both sums run over a row's entries in one order,
+    # so identical rows are exactly zero apart.
+    near = np.asarray(d.multiply(d).sum(axis=1)).ravel()
+    parent, dist, free = np.full(n, -1), near.copy(), np.ones(n, dtype=bool)
+    for _ in range(n):
+        u = int(np.argmin(np.where(free, dist, np.inf)))  # the lowest index among ties
+        free[u] = False
+        to_u = np.maximum(near + near[u] - 2.0 * (d @ d[u].toarray().ravel()), 0.0)
+        closer = free & ((to_u < dist) | ((to_u == dist) & (u < parent)))
+        dist[closer], parent[closer] = to_u[closer], u
+
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # the base's last
+    for j in sorted(range(n), key=lambda j: (dist[j], j)):
+        children[parent[j]].append(j)
+    order, stack = [], children[-1][::-1]
+    while stack:
+        j = stack.pop()
+        order.append(j)
+        stack.extend(reversed(children[j]))
+    return order, [None if p < 0 else int(p) for p in parent]
+
+
+def _plan(sweep: _Sweep, specs: list[ScenarioSpec]) -> tuple[list[int], list[int | None]]:
+    """The order to run ``specs`` in and each row's parent (an index into
+    ``specs``; None starts from the base basis). Country sets follow their
+    first row; a warm set runs as its :func:`_tree`, any other in table
+    order. A row whose overrides do not expand plans as the base."""
+    groups: dict[tuple[str, ...] | None, list[int]] = {}
+    for idx, spec in enumerate(specs):
+        groups.setdefault(spec.country_set, []).append(idx)
+    order: list[int] = []
+    parents: list[int | None] = [None] * len(specs)
+    for key, members in groups.items():
+        try:
+            lp = sweep.build(key) if key in sweep.warm_keys else None
+        except (ValidationError, KeyError, ValueError):
+            lp = None  # every row of the set reports the error
+        if lp is None:
+            order.extend(members)
+            continue
+        rows = []
+        for idx in members:
+            try:
+                rows.append(expand_overrides(specs[idx], lp, sweep.data, sweep.config, sweep.blocks))
+            except (ValidationError, KeyError, ValueError):
+                rows.append([])
+        tree_order, tree_parents = _tree(lp, rows)
+        order.extend(members[j] for j in tree_order)
+        for j, p in enumerate(tree_parents):
+            parents[members[j]] = None if p is None else members[p]
+    return order, parents
 
 
 def _run_sequential(
-    data: SystemData,
-    config: ModelConfig,
-    features: FeatureMatrix | None,
+    sweep: _Sweep,
     specs: list[ScenarioSpec],
-    rebuild: bool,
-    blocks: dict[str, tuple[str, ...]] | None,
+    run: list[int],
+    parents: list[int | None],
     delays: list[float] | None,
-    backend: str,
-    fixed_capacities=None,
-    warm_keys: frozenset = frozenset(),
-) -> list[RunResult]:
-    """Run ``specs`` in order; rows whose country set is in ``warm_keys``
-    re-solve warm from their instance's base basis, all others cold."""
-    results: list[RunResult] = []
+    rebuild: bool = False,
+) -> list[tuple[int, RunResult]]:
+    """Run ``specs[i]`` for each ``i`` of ``run``, in that order. A row whose
+    country set is in ``sweep.warm_keys`` re-solves warm, from the basis of
+    its parent row if that row was solved warm here, else from its
+    instance's base basis; all others are solved cold."""
     instances: dict[tuple[str, ...] | None, ModelInstance] = {}
-    for idx, spec in enumerate(specs):
-        delay = delays[idx] if delays else 0.0
+    waiting = Counter(parents[i] for i in run)  # children still to run, per row
+    bases: dict[int, object] = {}
+    out: list[tuple[int, RunResult]] = []
+    for idx in run:
+        spec, parent = specs[idx], parents[idx]
+        start = bases.get(parent)
+        waiting[parent] -= 1
+        if not waiting[parent]:
+            bases.pop(parent, None)
         try:
             key = spec.country_set
             if rebuild or key not in instances:
-                lp = build_model(data, config, features, list(key) if key else None)
-                if fixed_capacities:
-                    lp = apply_dispatch_only(lp, fixed_capacities)
-                inst = compile_instance(lp, backend)
+                inst = compile_instance(sweep.build(key), sweep.backend)
                 if not rebuild:
                     instances[key] = inst
             else:
                 inst = instances[key]
-            warm = not rebuild and key in warm_keys
-            results.append(_run_on_instance(inst, spec, data, config, blocks, delay, warm))
+            warm = not rebuild and key in sweep.warm_keys
+            delay = delays[idx] if delays else 0.0
+            result, basis = _run_on_instance(
+                inst, spec, sweep.data, sweep.config, sweep.blocks, delay, warm, start
+            )
         except (ValidationError, KeyError, ValueError) as exc:
-            results.append(RunResult(spec.run_id, None, _echo(spec), error=str(exc)))
-    return results
+            result, basis = RunResult(spec.run_id, None, _echo(spec), error=str(exc)), None
+        if basis is not None and waiting[idx]:
+            bases[idx] = basis
+        out.append((idx, result))
+    return out
 
 
 def _parallel_worker(payload) -> list[tuple[int, RunResult]]:
-    data, config, features, indexed_specs, blocks, delays, backend, fixed, warm_keys = payload
-    out: list[tuple[int, RunResult]] = []
-    results = _run_sequential(
-        data,
-        config,
-        features,
-        [spec for _, spec in indexed_specs],
-        rebuild=False,
-        blocks=blocks,
-        delays=delays,
-        backend=backend,
-        fixed_capacities=fixed,
-        warm_keys=warm_keys,
-    )
-    for (idx, _), result in zip(indexed_specs, results):
-        out.append((idx, result))
-    return out
+    """Run one segment, after replaying the ancestors it needs (whose
+    results are dropped)."""
+    sweep, specs, run, parents, delays, replays = payload
+    return _run_sequential(sweep, specs, run, parents, delays)[replays:]
 
 
 def run_scenarios(
@@ -543,14 +677,24 @@ def run_scenarios(
 ) -> list[RunResult]:
     """Execute all scenario rows and return results in spec order.
 
-    ``rebuild`` compiles a fresh model per run; ``single_instance`` compiles
-    once per country set and re-solves with per-run deltas applied to the
-    restored base; ``parallel`` distributes specs round-robin over worker
-    processes, each owning its own instances. In the two instance modes a
-    country set with eight or more rows in ``specs`` is re-solved warm from
-    its instance's base basis (see :meth:`ModelInstance.resolve`); smaller
-    sets, and every ``rebuild`` run, are solved cold. All three modes produce the
-    same objectives. ``threads`` = 0 uses every available core.
+    ``rebuild`` compiles a fresh model per run and solves it cold;
+    ``single_instance`` compiles once per country set and re-solves with
+    per-run deltas applied to the restored base; ``parallel`` does the same
+    in worker processes, each owning its own instances. ``threads`` = 0
+    uses every available core.
+
+    In the two instance modes a country set with eight or more rows in
+    ``specs`` is re-solved warm (see :meth:`ModelInstance.resolve`); smaller
+    sets are solved cold. Before any solve, the rows of each warm set are
+    planned as a tree (:func:`_tree`): each row starts from the optimal
+    basis of its tree parent, the nearest row by relative change, if that
+    row was solved warm, and from the base basis otherwise. Rows run in the
+    tree's depth-first order; ``parallel`` cuts that order into one
+    contiguous segment per worker, and a worker first re-solves the
+    ancestors of its segment that lie outside it. A row's start therefore
+    depends on the table alone, and ``parallel`` returns bitwise what
+    ``single_instance`` does, whatever ``threads`` is. All three modes
+    produce the same objectives (to the 1e-6 certification).
     """
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
@@ -563,48 +707,35 @@ def run_scenarios(
         for key, rows in Counter(spec.country_set for spec in specs).items()
         if rows >= _WARM_MIN_ROWS
     )
+    sweep = _Sweep(data, config, features, constraint_blocks, backend, fixed_capacities, warm_keys)
 
-    if mode in ("rebuild", "single_instance"):
-        return _run_sequential(
-            data,
-            config,
-            features,
-            specs,
-            rebuild=(mode == "rebuild"),
-            blocks=constraint_blocks,
-            delays=_test_delays,
-            backend=backend,
-            fixed_capacities=fixed_capacities,
-            warm_keys=warm_keys,
-        )
-
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(specs)))
-    shards: list[list[tuple[int, ScenarioSpec]]] = [[] for _ in range(workers)]
-    for idx, spec in enumerate(specs):
-        shards[idx % workers].append((idx, spec))
-    payloads = [
-        (
-            data,
-            config,
-            features,
-            shard,
-            constraint_blocks,
-            [_test_delays[i] for i, _ in shard] if _test_delays else None,
-            backend,
-            fixed_capacities,
-            warm_keys,
-        )
-        for shard in shards
-        if shard
-    ]
-    ordered: list[RunResult | None] = [None] * len(specs)
-    if workers == 1:
-        chunks = [_parallel_worker(p) for p in payloads]
+    if mode == "rebuild":
+        indexed = _run_sequential(sweep, specs, list(range(len(specs))), [None] * len(specs),
+                                  _test_delays, rebuild=True)
+        return [result for _, result in indexed]
+    order, parents = _plan(sweep, specs)
+    if mode == "single_instance":
+        indexed = _run_sequential(sweep, specs, order, parents, _test_delays)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_parallel_worker, payloads))
-    for chunk in chunks:
-        for idx, result in chunk:
-            ordered[idx] = result
-    return [r for r in ordered if r is not None]
+        workers = threads if threads > 0 else (os.cpu_count() or 1)
+        workers = max(1, min(workers, len(specs)))
+        payloads, end = [], 0
+        for w in range(workers):
+            begin, end = end, end + len(specs) // workers + (w < len(specs) % workers)
+            segment = order[begin:end]
+            rows = set(segment)
+            for idx in segment:
+                p = parents[idx]
+                while p is not None and p not in rows:
+                    rows.add(p)
+                    p = parents[p]
+            run = [idx for idx in order[:end] if idx in rows]
+            payloads.append((sweep, specs, run, parents, _test_delays, len(run) - len(segment)))
+        if workers == 1:
+            chunks = [_parallel_worker(p) for p in payloads]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunks = list(pool.map(_parallel_worker, payloads))
+        indexed = [pair for chunk in chunks for pair in chunk]
+    by_index = dict(indexed)
+    return [by_index[i] for i in range(len(specs))]

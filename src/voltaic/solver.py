@@ -13,7 +13,7 @@ it matches bit for bit, is only the fallback (see :func:`_solve_highs`).
 A :class:`ModelInstance` keeps copies of one built program plus a mutable
 overlay of bound/cost/rhs/coefficient updates, so a scenario sweep reuses a
 single build; its :meth:`~ModelInstance.resolve` re-solves warm from the
-base program's optimal basis.
+base program's optimal basis, or from the basis of an earlier warm solve.
 
 Duals follow the sensitivity convention throughout: the marginal of a row
 is the derivative of the optimal objective with respect to that row's
@@ -290,13 +290,14 @@ class _WarmStart:
     """A persistent HiGHS handle on a base program and its optimal basis.
 
     Each warm solve pushes the difference between the current program and
-    the base into the handle, re-solves from the base basis with primal
-    simplex and restores the base program, so every run starts from the
-    same handle state whatever ran before it.
+    the base into the handle, re-solves with primal simplex from the base
+    basis or a given start basis, and restores the base program, so a run's
+    result depends only on its program and its start, whatever ran before.
     """
 
     def __init__(self, core, highs, base, model: _HighsModel, basis):
         self.core, self.highs, self.base, self.model, self.basis = core, highs, base, model, basis
+        self.solved = None  # the basis of the last optimal warm solve
         self.position = np.empty(len(model.rows), dtype=np.int64)  # program row -> model row
         self.position[model.rows] = np.arange(len(model.rows))
 
@@ -321,9 +322,11 @@ class _WarmStart:
         # feasible; over a 32-row, 24 h cost sweep it needed 2.9 s against
         # 7.0 s for dual simplex.
         highs.setOptionValue("simplex_strategy", 4)
-        # A guard, not a tuning: no row of the 32-row, 24 h benchmark sweep
-        # needs more than two thirds of the row count in iterations, while
-        # quartering example1's Li-ion cost at 48 h needs 1.6 times it
+        # A guard, not a tuning. Started from their tree parents' bases, the
+        # rows of the 32-row, 24 h benchmark sweep (5,484 rows) need at most
+        # 0.25 (seed 1) and 0.77 (seed 2) of the row count in iterations;
+        # from the base basis they needed up to 0.60 and 0.78. Quartering
+        # example1's Li-ion cost at 48 h needs 1.6 times it from the base
         # (6.0 s against 1.4 s cold). Past the limit the row is solved cold.
         highs.setOptionValue("simplex_iteration_limit", base.n_rows)
         return cls(core, highs, base, model, basis)
@@ -345,8 +348,10 @@ class _WarmStart:
         for row, p in zip(entry_rows.tolist(), entries.tolist()):
             highs.changeCoeff(row, int(a.indices[p]), float(coefficients[p]))
 
-    def solve(self, lp) -> Solution | None:
-        """Warm-solve ``lp`` (the instance's program); None unless optimal."""
+    def solve(self, lp, start=None) -> Solution | None:
+        """Warm-solve ``lp`` (the instance's program) from ``start``, a basis
+        of this handle, or the base basis; None unless optimal. An optimal
+        solve leaves its basis in :attr:`solved`."""
         if not np.isfinite(lp.rhs).all():
             return None
         base, model = self.base, self.model
@@ -363,8 +368,10 @@ class _WarmStart:
         try:
             self._load(diff, lp, coefficients)
             highs.clearSolver()
-            highs.setBasis(self.basis)
+            highs.setBasis(self.basis if start is None else start)
             sol = _run(self.core, highs, lp, model)
+            if sol.is_optimal:
+                self.solved = highs.getBasis()
         finally:
             self._load(diff, base, model.a.data)
         return sol if sol.is_optimal else None
@@ -384,6 +391,7 @@ class ModelInstance:
         self._base = lp.copy()
         self._cells: tuple[np.ndarray, ...] | None = None
         self._warm: _WarmStart | None | object = _UNOPENED
+        self.basis = None  # the optimal basis of the last resolve, if it was warm
 
     def reset(self) -> None:
         """Drop the overlay: restore the program exactly as compiled."""
@@ -457,13 +465,16 @@ class ModelInstance:
         """
         return self.lp.copy()
 
-    def resolve(self) -> Solution:
+    def resolve(self, start=None) -> Solution:
         """Solve the current program warm from the base basis, else cold.
 
         The first call makes the cold solve of the as-compiled program that
         :func:`solve` makes and keeps its HiGHS handle and optimal basis.
         Each call pushes the overlay into the handle, runs primal simplex
-        from that basis and restores the base program. The warm solution is
+        from that basis, or from ``start`` (the :attr:`basis` left by an
+        earlier call on this instance), and restores the base program.
+        :attr:`basis` then holds the optimal basis of the returned solution
+        if it was solved warm, and None if not. The warm solution is
         returned only if it is optimal and certifies at 1e-6; otherwise (no
         bundled HiGHS object, or one whose members differ from those used
         here, the ``dense`` backend, a row with infinite rhs, a warm solve
@@ -474,10 +485,11 @@ class ModelInstance:
         instance therefore costs a base solve on top of its own; callers
         that solve once should use :func:`solve`.
         """
+        self.basis = None
         try:
             if self._warm is _UNOPENED:
                 self._warm = _WarmStart.open(self) if self.backend == "highs" else None
-            sol = self._warm.solve(self.lp) if self._warm is not None else None
+            sol = self._warm.solve(self.lp, start) if self._warm is not None else None
         except (ImportError, *_BINDING_ERRORS):
             # scipy < 1.15 bundles no HiGHS object, and the private bindings'
             # members vary between releases; a handle that cannot be built or
@@ -485,6 +497,7 @@ class ModelInstance:
             # for good.
             self._warm, sol = None, None
         if sol is not None and certify(self.lp, sol).ok(1e-6):
+            self.basis = self._warm.solved
             return sol
         return certified(self.lp, solve(self.lp, self.backend))
 

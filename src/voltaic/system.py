@@ -224,11 +224,18 @@ class SystemData:
         return replace(self, series=new)
 
 
+def _check_nonnegative(issues: list[str], owner: str, record, fields: tuple[str, ...]) -> None:
+    for name in fields:
+        value = getattr(record, name)
+        if not 0.0 <= value < math.inf:
+            issues.append(f"{owner}: {name} must be finite and >= 0, got {value}")
+
+
 def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
     """Check every declared field invariant; returns issues, empty if clean.
 
     Each message names the object and field so a failing load can be traced
-    back to its input cell.
+    back to its input cell. Every check is written so that ``nan`` fails it.
     """
     issues: list[str] = []
     h = config.end_hour
@@ -245,7 +252,7 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
             issues.append(
                 f"node {node.id}: min_renewable_share must be in [0, 1], got {node.min_renewable_share}"
             )
-        if node.co2_cap is not None and node.co2_cap < 0:
+        if node.co2_cap is not None and not node.co2_cap >= 0:
             issues.append(f"node {node.id}: co2_cap must be >= 0, got {node.co2_cap}")
         series = data.series.get(node.demand)
         if series is None:
@@ -263,10 +270,9 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
         seen_techs.add(tech.id)
         if tech.kind not in TECH_KINDS:
             issues.append(f"technology {tech.id}: kind must be one of {TECH_KINDS}, got {tech.kind!r}")
-        if tech.c_inv_power < 0:
-            issues.append(f"technology {tech.id}: c_inv_power must be >= 0, got {tech.c_inv_power}")
-        if tech.c_var < 0:
-            issues.append(f"technology {tech.id}: c_var must be >= 0, got {tech.c_var}")
+        _check_nonnegative(
+            issues, f"technology {tech.id}", tech, ("c_inv_power", "c_fix", "c_var", "co2_intensity")
+        )
         if not 0 <= tech.cap_min <= tech.cap_max:
             issues.append(
                 f"technology {tech.id}: need 0 <= cap_min <= cap_max, got [{tech.cap_min}, {tech.cap_max}]"
@@ -314,8 +320,7 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
             issues.append(f"storage {sto.id}: need e_min <= e_max, got [{sto.e_min}, {sto.e_max}]")
         if not sto.p_min <= sto.p_max:
             issues.append(f"storage {sto.id}: need p_min <= p_max, got [{sto.p_min}, {sto.p_max}]")
-        if sto.c_i_sto_e < 0 or sto.c_i_sto_p < 0:
-            issues.append(f"storage {sto.id}: investment costs must be >= 0")
+        _check_nonnegative(issues, f"storage {sto.id}", sto, ("c_i_sto_e", "c_i_sto_p", "c_fix", "c_var_sto"))
 
     seen_pairs: set[frozenset[str]] = set()
     for line in data.lines:
@@ -335,6 +340,7 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
             )
         if not 0.0 <= line.loss_factor < 1.0:
             issues.append(f"line {line.id}: loss_factor must be in [0, 1), got {line.loss_factor}")
+        _check_nonnegative(issues, f"line {line.id}", line, ("c_inv_ntc",))
 
     for name, ts in data.series.items():
         if name != ts.name:
@@ -344,7 +350,7 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
 
     if config.infeasibility:
         worst = max((t.c_var for t in data.technologies), default=0.0)
-        if config.slack_penalty <= worst:
+        if not config.slack_penalty > worst:
             issues.append(
                 f"config: slack_penalty ({config.slack_penalty}) must exceed every "
                 f"c_var (max {worst}) when infeasibility is on"

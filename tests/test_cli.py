@@ -176,6 +176,20 @@ class TestValidate:
         assert run_cli("validate", str(root)) == 1
         assert "project_variables:slack_penalty: expected a number, got 'abc'" in capsys.readouterr().err
 
+    def test_nan_static_cell_names_object_and_field(self, tmp_path, capsys):
+        root = create_project("demo", "minimal", tmp_path)
+        techs = root / "data_input" / "static_input" / "technologies.csv"
+        techs.write_text(techs.read_text().replace("gas,dispatchable,42000.0,12000.0,70.0,", "gas,dispatchable,42000.0,12000.0,nan,"))
+        assert run_cli("validate", str(root)) == 1
+        assert "technology gas: c_var must be finite and >= 0, got nan" in capsys.readouterr().err
+
+    def test_nan_override_names_run_and_column(self, tmp_path, capsys):
+        root = create_project("demo", "example1", tmp_path)
+        table = root / "iterationfiles" / "iteration_table.csv"
+        table.write_text(table.read_text().replace("S1,10014,", "S1,nan,"))
+        assert run_cli("validate", str(root)) == 1
+        assert "run S1: value nan for column \"c_i_sto_e(n,'Li-ion')\"" in capsys.readouterr().err
+
     def test_not_a_project(self, tmp_path, capsys):
         assert run_cli("validate", str(tmp_path)) == 1
         assert "missing file" in capsys.readouterr().err

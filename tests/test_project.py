@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 
 from voltaic.project import STATIC_TABLES, load_project, parse_project_variables
-from voltaic.system import FEATURE_MODULES, Line, Node, StorageTech, SystemData, Technology, ValidationError
+from voltaic.system import (
+    FEATURE_MODULES,
+    Line,
+    ModelConfig,
+    Node,
+    StorageTech,
+    SystemData,
+    Technology,
+    TimeSeries,
+    ValidationError,
+    validate_system,
+)
 from voltaic.templates import (
     TEMPLATES,
     TWELVE_NODES,
@@ -206,6 +217,55 @@ def test_availability_outside_unit_interval(example1_root):
     series.write_text("\n".join(",".join(r) for r in rows) + "\n")
     with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
         load_project(example1_root)
+
+
+class TestNumericFieldChecks:
+    """Every numeric field check rejects nan, and costs are finite and
+    non-negative; each message names the object and the field."""
+
+    @staticmethod
+    def issues(family, field, value):
+        records = {
+            "nodes": (Node("N1", "load"), Node("N2", "load")),
+            "technologies": (Technology("gas", "dispatchable", c_inv_power=1.0),),
+            "storages": (StorageTech("Li-ion", c_i_sto_e=1.0, c_i_sto_p=1.0),),
+            "lines": (Line("N1", "N2", ntc_max=10.0),),
+        }
+        if family is not None:
+            records[family] = (replace(records[family][0], **{field: value}), *records[family][1:])
+        data = SystemData(**records, series={"load": TimeSeries("load", (1.0, 2.0))})
+        return validate_system(data, ModelConfig(end_hour=2))
+
+    def test_clean_system(self):
+        assert self.issues(None, None, None) == []
+
+    @pytest.mark.parametrize("field", ["min_renewable_share", "co2_cap"])
+    def test_node_fields(self, field):
+        assert any(i.startswith("node N1:") and field in i for i in self.issues("nodes", field, math.nan))
+        if field == "co2_cap":
+            assert self.issues("nodes", field, -1.0)
+
+    @pytest.mark.parametrize("field", ["c_inv_power", "c_fix", "c_var", "co2_intensity", "cap_min", "cap_max"])
+    def test_technology_fields(self, field):
+        assert any(i.startswith("technology gas:") and field in i for i in self.issues("technologies", field, math.nan))
+        if not field.startswith("cap_"):
+            for bad in (-1.0, math.inf):
+                assert self.issues("technologies", field, bad) == [
+                    f"technology gas: {field} must be finite and >= 0, got {bad}"
+                ]
+
+    @pytest.mark.parametrize(
+        "field",
+        ["c_i_sto_e", "c_i_sto_p", "c_fix", "c_var_sto", "eta_in", "eta_out", "e_min", "e_max", "p_min", "p_max"],
+    )
+    def test_storage_fields(self, field):
+        assert any(i.startswith("storage Li-ion:") and field in i for i in self.issues("storages", field, math.nan))
+        if field.startswith("c_"):
+            assert self.issues("storages", field, -1.0) == [f"storage Li-ion: {field} must be finite and >= 0, got -1.0"]
+
+    @pytest.mark.parametrize("field", ["ntc_existing", "ntc_max", "c_inv_ntc", "loss_factor"])
+    def test_line_fields(self, field):
+        assert any(i.startswith("line N1-N2:") and field in i for i in self.issues("lines", field, math.nan))
 
 
 def _round_trip(template, root):

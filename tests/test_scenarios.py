@@ -90,6 +90,29 @@ class TestParsing:
         with pytest.raises(ValidationError, match="non-numeric"):
             parse_iteration_table("run,co2_cap('DE')\nS0,often\n")
 
+    @pytest.mark.parametrize(
+        "header, cell",
+        [
+            ("c_i_sto_e(n,'Li-ion')", "nan"),
+            ("c_i_sto_e(n,'Li-ion')", "inf"),
+            ("c_var('DE','gas')", "-inf"),
+            ("min_renewable_share('DE')", "inf"),
+            ("co2_cap('DE')", "nan"),
+            ("co2_cap('DE')", "-inf"),
+            ("N.up('gas','DE')", "NaN"),
+            ("N.lo('gas','DE')", "inf"),
+            ("N.fx('gas','DE')", "inf"),
+        ],
+    )
+    def test_non_finite_cell_rejected(self, header, cell):
+        with pytest.raises(ValidationError, match=rf"run S0: value .* for column {re.escape(repr(header))}"):
+            parse_iteration_table(f'run,"{header}"\nS0,{cell}\n')
+
+    @pytest.mark.parametrize("header", ["N.up('gas','DE')", "co2_cap('DE')"])
+    def test_infinite_upper_bound_and_co2_cap_accepted(self, header):
+        (spec,) = parse_iteration_table(f'run,"{header}"\nS0,inf\n')
+        assert spec.overrides[0][1] == float("inf")
+
     def test_country_set_cell(self):
         specs = parse_iteration_table('run,country_set\nS0,"DE,FR"\nS1,\n')
         assert specs[0].country_set == ("DE", "FR")
@@ -192,6 +215,13 @@ class TestExpansion:
         lp = build_model(data, config)
         spec = parse_iteration_table("run,mystery(n)\nS0,1\n")[0]
         with pytest.raises(ValidationError, match="mystery"):
+            expand_overrides(spec, lp, data, config)
+
+    def test_non_finite_value_rejected(self, battery_system):
+        data, config = battery_system
+        lp = build_model(data, config)
+        spec = ScenarioSpec("S9", ((parse_symbol_ref("c_i_sto_e(n,'Li-ion')"), float("nan")),))
+        with pytest.raises(ValidationError, match=r"run S9: value nan for column \"c_i_sto_e\(n,'Li-ion'\)\""):
             expand_overrides(spec, lp, data, config)
 
     def test_unknown_series_reported(self, battery_system):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sweep_table, two_node_sweep_system
-from voltaic import solver
+from voltaic import scenarios, solver
 from voltaic.model import build_model
 from voltaic.scenarios import ScenarioSpec, expand_overrides, parse_iteration_table, run_scenarios
 from voltaic.solver import Delta, certify, compile as compile_instance, solve
@@ -144,9 +144,9 @@ class TestFallback:
         original = solver._WarmStart.solve
         calls = []
 
-        def corrupted(self, lp):
+        def corrupted(self, lp, start=None):
             calls.append(lp)
-            sol = original(self, lp)
+            sol = original(self, lp, start)
             sol.primal = sol.primal + 1.0
             return sol
 
@@ -284,3 +284,251 @@ def test_coef_delta_on_a_split_cell_sets_its_first_entry(one_node):
     assert np.array_equal(np.delete(inst.lp.a_vals, [first, -1]), np.delete(lp.a_vals, [first, len(lp.a_vals) - 1]))
     with pytest.raises(KeyError):
         inst.apply([Delta("coef", row=lp.n_rows, col=col, value=1.0)])
+
+
+# --- Warm starts planned as a tree over the rows ----------------------------
+
+
+class _InProcess:
+    """A stand-in for the process pool that runs each worker in this process."""
+
+    def __init__(self, max_workers):
+        self.payloads = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        self.payloads.extend(payloads)
+        return [fn(p) for p in payloads]
+
+
+def _bitwise(a, b):
+    return (
+        a.status == b.status
+        and a.objective == b.objective
+        and all(np.array_equal(getattr(a, name), getattr(b, name))
+                for name in ("primal", "dual", "lower_duals", "upper_duals"))
+        and a.stats.iterations == b.stats.iterations
+    )
+
+
+def _far_table():
+    """Eight Li-ion cost rows at 20-30 % of the base cost, close to each
+    other: at 12 h each takes about twenty simplex iterations from the base
+    basis and none from its neighbour's."""
+    rows = ["run,\"c_i_sto_e(n,'Li-ion')\",\"c_i_sto_p(n,'Li-ion')\""]
+    rows += [f"F{i},{4000 + 150 * i},{3000 + 100 * (i % 3)}" for i in range(8)]
+    return parse_iteration_table("\n".join(rows) + "\n")
+
+
+@pytest.fixture(scope="module")
+def far():
+    data, config = two_node_sweep_system(hours=12)
+    return data, replace(config, end_hour=12), _far_table()
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """Runs in this process, recording for each row the row whose basis it
+    started from (None for the base basis), once per solve of the row."""
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InProcess)
+    made, seen = {}, []
+    original = scenarios._run_on_instance
+
+    def recording(inst, spec, data, config, blocks, delay=0.0, warm=False, start=None):
+        seen.append((spec.run_id, None if start is None else made[id(start)]))
+        result, basis = original(inst, spec, data, config, blocks, delay, warm, start)
+        if basis is not None:
+            made[id(basis)] = spec.run_id
+        return result, basis
+
+    monkeypatch.setattr(scenarios, "_run_on_instance", recording)
+    return seen
+
+
+def _plan_of(data, config, specs):
+    sweep = scenarios._Sweep(data, config, None, None, "highs", None, frozenset([None]))
+    order, parents = scenarios._plan(sweep, specs)
+    names = [s.run_id for s in specs]
+    return [names[i] for i in order], {names[i]: None if p is None else names[p] for i, p in enumerate(parents)}
+
+
+class TestTreePlan:
+    def test_far_rows_chain_through_their_neighbours(self, far):
+        data, config, specs = far
+        order, parents = _plan_of(data, config, specs)
+        assert order == [f"F{i}" for i in range(7, -1, -1)]
+        assert parents == {f"F{i}": f"F{i + 1}" if i < 7 else None for i in range(8)}
+
+    def test_identical_rows_are_zero_apart(self, far):
+        data, config, specs = far
+        copies = [replace(specs[3], run_id=f"F3{c}") for c in "bc"]
+        _, parents = _plan_of(data, config, [*specs, *copies])
+        # F3b ties with F3 and F3c with both at distance zero: the lower index wins.
+        assert parents["F3b"] == parents["F3c"] == "F3"
+
+    @pytest.mark.parametrize("first", ["A", "B"])
+    def test_ties_go_to_the_lower_row_index(self, one_node, first):
+        lp = build_model(*one_node)
+        c1, c2 = np.flatnonzero(lp.obj >= 1.0)[:2]
+        moved = {"A": [Delta("obj", col=c1, value=0.5 * lp.obj[c1])],
+                 "B": [Delta("obj", col=c2, value=0.5 * lp.obj[c2])]}
+        moved["C"] = moved["A"] + moved["B"]  # as far from A as from B
+        names = [first, "AB".replace(first, ""), "C", "C2", "C3"]
+        rows = [moved[name[0]] for name in names]
+        order, parents = scenarios._tree(lp, rows)
+        # Rows 0 and 1 tie for the base and for C's parent; C2 and C3 tie
+        # with C at distance zero.
+        assert parents == [None, None, 0, 2, 2]
+        assert order == [0, 2, 3, 4, 1]
+
+    def test_a_tied_parent_is_the_lower_row_index_not_the_earlier_added(self, one_node):
+        lp = build_model(*one_node)
+        cols = np.flatnonzero(lp.obj >= 1.0)[:4]
+
+        def halved(*which):
+            return [Delta("obj", col=cols[k], value=0.5 * lp.obj[cols[k]]) for k in which]
+
+        # Q joins the tree first, then P; C is as far from P as from Q.
+        rows = [halved(0, 1, 2), halved(0), halved(0, 2, 3)]  # P, Q, C
+        order, parents = scenarios._tree(lp, rows)
+        assert parents == [1, None, 0]
+        assert order == [1, 0, 2]
+
+    def test_rows_that_do_not_expand_plan_as_the_base(self, far):
+        data, config, specs = far
+        bad = ScenarioSpec("bad", ((specs[0].overrides[0][0], float("nan")),))
+        _, parents = _plan_of(data, config, [bad, *specs])
+        assert parents["bad"] is None
+        assert "bad" not in parents.values()
+
+
+class TestTreeStarts:
+    @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 1), ("parallel", 2),
+                                               ("parallel", 3), ("parallel", 5)])
+    def test_each_row_starts_from_its_planned_parent(self, far, starts, mode, threads):
+        data, config, specs = far
+        results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+        assert all(r.status == "optimal" for r in results)
+        _, parents = _plan_of(data, config, specs)
+        assert dict(starts) == parents
+        replays = len(starts) - len(specs)
+        # F0..F7 form one chain: every segment but the first replays its
+        # ancestors, and only those.
+        assert replays == {0: 0, 1: 0, 2: 4, 3: 3 + 6, 5: 2 + 4 + 6 + 7}[threads]
+
+    @pytest.mark.parametrize("threads", [2, 3, 5])
+    def test_segments_are_contiguous_in_depth_first_order(self, far, monkeypatch, threads):
+        data, config, specs = far
+        pool = _InProcess(threads)
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", lambda max_workers: pool)
+        run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
+        order, parents = scenarios._plan(
+            scenarios._Sweep(data, config, None, None, "highs", None, frozenset([None])), specs)
+        segments = []
+        for _, _, run, _, _, replays in pool.payloads:
+            segments.append(run[replays:])
+            ancestors = set()
+            for idx in run[replays:]:
+                while parents[idx] is not None and parents[idx] not in run[replays:]:
+                    idx = parents[idx]
+                    ancestors.add(idx)
+            assert run[:replays] == [i for i in order if i in ancestors]
+        assert [i for segment in segments for i in segment] == order
+        sizes = [len(segment) for segment in segments]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_parallel_equals_single_instance_bitwise(self, far):
+        data, config, specs = far
+        single = run_scenarios(data, config, None, specs, mode="single_instance")
+        for threads in (1, 2, 3, 5):
+            par = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
+            assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par)), threads
+
+    def test_tree_needs_fewer_iterations_than_the_base_start(self, far):
+        data, config, specs = far
+        tree = run_scenarios(data, config, None, specs, mode="single_instance")
+        inst = compile_instance(build_model(data, config))
+        from_base = []
+        for spec in specs:
+            inst.reset()
+            from_base.append(inst.update_and_resolve(expand_overrides(spec, inst.lp, data, config)))
+        assert inst.basis is not None  # the last row was solved warm
+        for a, b in zip(tree, from_base):
+            assert a.objective == pytest.approx(b.objective, rel=1e-9)
+        assert sum(r.solution.stats.iterations for r in tree) < sum(s.stats.iterations for s in from_base) / 2
+
+    def test_children_of_a_failed_row_start_from_the_base(self, far, starts):
+        data, config, _ = far
+        # E fails (lo > hi) when applied; C lies nearer to E than to the
+        # base, and the base is nearer to E than to C.
+        table = ["run,\"c_i_sto_e(n,'Li-ion')\",\"c_i_sto_p(n,'Li-ion')\",\"N.lo('gas','DE')\",\"N.up('gas','DE')\""]
+        table += [f"F{i},{4000 + 150 * i},{3000 + 100 * (i % 3)},," for i in range(8)]
+        specs = parse_iteration_table("\n".join([*table, "E,,,60,50", "C,4000,,60,"]) + "\n")
+        _, planned = _plan_of(data, config, specs)
+        assert planned["C"] == "E"
+        results = {r.run_id: r for r in run_scenarios(data, config, None, specs, mode="parallel", threads=3)}
+        assert results["E"].status == "error" and results["C"].status == "optimal"
+        assert dict(starts)["C"] is None
+        inst = compile_instance(build_model(data, config))
+        fresh = inst.update_and_resolve(expand_overrides(specs[-1], inst.lp, data, config))
+        assert _bitwise(results["C"].solution, fresh)
+
+    def test_rows_with_infinite_rhs_solve_cold_and_start_their_children_from_the_base(self, starts):
+        data, config = two_node_sweep_system(hours=12)
+        data = replace(
+            data,
+            nodes=tuple(replace(n, co2_cap=2_000.0) for n in data.nodes),
+            technologies=tuple(replace(t, co2_intensity=0.4) if t.id == "gas" else t for t in data.technologies),
+        )
+        config = replace(config, end_hour=12)
+        rows = ["run,\"c_i_sto_e(n,'Li-ion')\",\"c_i_sto_p(n,'Li-ion')\",co2_cap"]
+        rows += [f"F{i},{4000 + 150 * i},{3000 + 100 * (i % 3)}," for i in range(6)]
+        rows += ["X1,10000,9000,off", "X2,10500,9000,off"]
+        specs = parse_iteration_table("\n".join(rows) + "\n")
+        _, planned = _plan_of(data, config, specs)
+        assert planned["X2"] == "X1"
+        single = run_scenarios(data, config, None, specs, mode="single_instance")
+        assert dict(starts)["X2"] is None
+        for threads in (2, 3):
+            par = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
+            assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par))
+        for result in single[-2:]:
+            assert _bitwise(result.solution, solve(result.lp))
+
+
+@st.composite
+def tables_for(draw, inst):
+    return [draw(deltas_for(inst)) for _ in range(draw(st.integers(2, 5)))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tree_warm_cold_and_dense_agree(instances, data):
+    """Every row of a planned table, each warm from its parent's basis."""
+    name = data.draw(st.sampled_from(sorted(instances)))
+    inst = instances[name]
+    rows = data.draw(tables_for(inst))
+    order, parents = scenarios._tree(inst._base, rows)
+    bases = {}
+    for j in order:
+        inst.reset()
+        inst.apply(rows[j])
+        start = bases.get(parents[j])
+        warm = inst._warm.solve(inst.lp, start) if inst._warm not in (None, solver._UNOPENED) else None
+        got = inst.resolve(start)
+        if inst.basis is not None:
+            bases[j] = inst.basis
+        cold, dense = solve(inst.lp), solve(inst.lp, "dense")
+        assert got.status == cold.status == dense.status
+        if cold.is_optimal:
+            assert got.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-6)
+            assert dense.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-6)
+            assert certify(inst.lp, got).ok(1e-6)
+        if warm is not None:
+            assert warm.is_optimal and certify(inst.lp, warm).ok(1e-6)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-6)
