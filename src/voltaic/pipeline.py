@@ -8,7 +8,7 @@ from pathlib import Path
 from .project import Project, load_project
 from .reports import standard_report
 from .scenarios import RunResult, run_scenarios
-from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_all_stores, read_store, write_store
+from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_all_stores, write_store
 from .symbols import SymbolsHandler
 from .system import ValidationError
 
@@ -45,7 +45,8 @@ def run_project(
     ``mode`` and ``threads`` override the project settings when given.
     Existing stores for the same run ids are overwritten; results land under
     ``<root>/results/<run_id>/``. The report covers the runs of this call
-    only, in run-id order.
+    only, in run-id order, and is made from the stores in memory: it equals
+    what :func:`report_project` makes from them on disk.
     """
     project = load_project(root)
     config = project.config
@@ -70,7 +71,7 @@ def run_project(
     store_dirs = [write_store(store, project.layout.results, formats) for store in stores]
     summary = RunSummary(results, store_dirs)
     if config.report_data and summary.all_optimal:
-        stores = [read_store(d) for d in sorted(store_dirs)]
+        stores = sorted(stores, key=lambda store: store.run_id)
         standard_report(SymbolsHandler(stores), project.layout.report)
     return summary
 

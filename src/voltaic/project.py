@@ -209,10 +209,12 @@ def parse_project_variables(text: str, issues: list[str]) -> tuple[ModelConfig, 
         if key not in raw:
             return default
         try:
-            return int(raw[key])
+            if int(raw[key]) >= 0:
+                return int(raw[key])
         except ValueError:
-            issues.append(f"project_variables:{key}: expected integer, got {raw[key]!r}")
-            return default
+            pass
+        issues.append(f"project_variables:{key}: expected an integer >= 0 (0 = all cores), got {raw[key]!r}")
+        return default
 
     end_hour_text = raw["end_hour"].strip()
     try:

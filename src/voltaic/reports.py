@@ -29,20 +29,20 @@ def _fmt(value: float) -> str:
 def _hour_groups(symbol: Symbol, by=("run", "n"), where=None) -> dict[tuple, dict[str, float]]:
     """Collapse a symbol in one pass to ``{labels along by: {hour: value}}``.
 
-    Dimensions outside ``by`` and ``h`` are summed out in record order,
-    starting from 0.0, so each series equals a filtered scan of the records.
+    Dimensions outside ``by`` and ``h`` are summed out in sorted-key order,
+    starting from 0.0, so each series equals a filtered scan of the records
+    as a store lists them on disk, whatever order they are held in.
     ``where`` is a boolean mask over the records; records it is False for
     are dropped. A dimension in ``by`` that the symbol lacks reads as None
-    in the group key. Groups come in order of their first record, hours in
-    label order.
+    in the group key. Groups come in order of their first record in
+    sorted-key order, hours in label order.
     """
     dims, layout = symbol.dims, symbol.layout
     h_pos = dims.index("h")
     positions = [dims.index(d) if d in dims else None for d in by]
-    groups, group = layout.group_by([p for p in positions if p is not None], where)
-    codes, values = layout.codes, symbol.values
-    if where is not None:
-        codes, values = codes[where], values[where]
+    rows = layout.order if where is None else layout.order[where[layout.order]]
+    groups, group = layout.group_by([p for p in positions if p is not None], rows)
+    codes, values = layout.codes[rows], symbol.values[rows]
     n_hours = len(layout.labels[h_pos])
     cells, cell = np.unique(group * n_hours + codes[:, h_pos], return_inverse=True)
     # bincount adds each cell's records in record order, starting from 0.0.

@@ -193,6 +193,9 @@ def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
         return []
     header = rows[0]
     refs = [parse_symbol_ref(cell) for cell in header[1:]]
+    repeated = [name for name, n in Counter(ref.render() for ref in refs).items() if n > 1]
+    if repeated:
+        raise ValidationError(f"iteration_table: column {repeated[0]!r} appears more than once")
 
     specs: list[ScenarioSpec] = []
     seen: set[str] = set()
@@ -203,6 +206,10 @@ def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
         if run_id in seen:
             raise ValidationError(f"iteration_table: duplicate run id {run_id!r}")
         seen.add(run_id)
+        beyond = next((k for k in range(len(header), len(row)) if row[k].strip()), None)
+        if beyond is not None:
+            raise ValidationError(f"iteration_table: run {run_id}: value {row[beyond].strip()!r} in column "
+                                  f"{beyond + 1}, beyond the {len(header)} columns of the header")
         overrides: list[tuple[SymbolRef, object]] = []
         country: tuple[str, ...] | None = None
         choices: dict[str, str] = {}
@@ -460,58 +467,44 @@ def _echo(spec: ScenarioSpec) -> tuple[tuple[str, str], ...]:
 def _run_on_instance(
     inst: ModelInstance,
     spec: ScenarioSpec,
-    data: SystemData,
-    config: ModelConfig,
-    blocks: dict[str, tuple[str, ...]] | None,
+    deltas: list[Delta],
     delay: float = 0.0,
     warm: bool = False,
     start=None,
 ) -> tuple[RunResult, object]:
-    """Run one row on ``inst``: its result, and the optimal basis it was
-    solved warm from ``start`` to (None if it was not solved warm)."""
+    """Run one row's planned ``deltas`` on ``inst``: its result, and the
+    optimal basis it was solved warm from ``start`` to (None if it was not
+    solved warm)."""
     started = time.perf_counter()
     try:
         inst.reset()
-        deltas = expand_overrides(spec, inst.lp, data, config, blocks)
         if delay:
             time.sleep(delay)
         inst.apply(deltas)
         # resolve certifies whatever it returns; a cold solve is checked here.
         solution = inst.resolve(start) if warm else certified(inst.lp, solve(inst.lp, inst.backend))
-        result = RunResult(
-            spec.run_id,
-            solution,
-            _echo(spec),
-            lp=inst.snapshot(),
-            wall_time=time.perf_counter() - started,
-        )
-        return result, inst.basis if warm else None
     except (ValidationError, KeyError, ValueError) as exc:
-        result = RunResult(
-            spec.run_id,
-            None,
-            _echo(spec),
-            error=str(exc),
-            wall_time=time.perf_counter() - started,
-        )
+        result = RunResult(spec.run_id, None, _echo(spec), error=str(exc),
+                           wall_time=time.perf_counter() - started)
         return result, None
+    result = RunResult(spec.run_id, solution, _echo(spec), lp=inst.snapshot(),
+                       wall_time=time.perf_counter() - started)
+    return result, inst.basis if warm else None
 
 
 @dataclass(frozen=True)
 class _Sweep:
-    """What every row of one sweep shares."""
+    """A planned sweep: each country set's one build, each row's deltas
+    against it (or the message its build or expansion failed with), the
+    order to run the rows in and each row's parent (None for the base)."""
 
-    data: SystemData
-    config: ModelConfig
-    features: FeatureMatrix | None
-    blocks: dict[str, tuple[str, ...]] | None
-    backend: str
-    fixed_capacities: object
+    specs: list[ScenarioSpec]
+    builds: dict[tuple[str, ...] | None, LinearProgram]
+    deltas: list[list[Delta] | str]
+    order: list[int]
+    parents: list[int | None]
     warm_keys: frozenset
-
-    def build(self, key: tuple[str, ...] | None) -> LinearProgram:
-        lp = build_model(self.data, self.config, self.features, list(key) if key else None)
-        return apply_dispatch_only(lp, self.fixed_capacities) if self.fixed_capacities else lp
+    backend: str = "highs"
 
 
 # Planning coordinate of each delta kind.
@@ -582,74 +575,83 @@ def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[i
     return order, [None if p < 0 else int(p) for p in parent]
 
 
-def _plan(sweep: _Sweep, specs: list[ScenarioSpec]) -> tuple[list[int], list[int | None]]:
-    """The order to run ``specs`` in and each row's parent (an index into
-    ``specs``; None starts from the base basis). Country sets follow their
-    first row; a warm set runs as its :func:`_tree`, any other in table
-    order. A row whose overrides do not expand plans as the base."""
+def _plan(
+    specs: list[ScenarioSpec],
+    data: SystemData,
+    config: ModelConfig,
+    features: FeatureMatrix | None = None,
+    blocks: dict[str, tuple[str, ...]] | None = None,
+    fixed_capacities=None,
+    warm: bool = True,
+    backend: str = "highs",
+) -> _Sweep:
+    """Build each country set once and expand each row once against it.
+    Country sets follow their first row; with ``warm``, a set of
+    ``_WARM_MIN_ROWS`` or more rows runs as its :func:`_tree`, any other in
+    table order. A row whose set does not build, or whose overrides do not
+    expand, keeps the message and plans as the base."""
     groups: dict[tuple[str, ...] | None, list[int]] = {}
     for idx, spec in enumerate(specs):
         groups.setdefault(spec.country_set, []).append(idx)
+    builds: dict[tuple[str, ...] | None, LinearProgram] = {}
+    deltas: list[list[Delta] | str] = [[] for _ in specs]
     order: list[int] = []
     parents: list[int | None] = [None] * len(specs)
+    warm_keys = set()
     for key, members in groups.items():
         try:
-            lp = sweep.build(key) if key in sweep.warm_keys else None
-        except (ValidationError, KeyError, ValueError):
-            lp = None  # every row of the set reports the error
-        if lp is None:
+            lp = build_model(data, config, features, list(key) if key else None)
+            builds[key] = lp = apply_dispatch_only(lp, fixed_capacities) if fixed_capacities else lp
+        except (ValidationError, KeyError, ValueError) as exc:
+            for idx in members:
+                deltas[idx] = str(exc)
             order.extend(members)
             continue
-        rows = []
         for idx in members:
             try:
-                rows.append(expand_overrides(specs[idx], lp, sweep.data, sweep.config, sweep.blocks))
-            except (ValidationError, KeyError, ValueError):
-                rows.append([])
+                deltas[idx] = expand_overrides(specs[idx], lp, data, config, blocks)
+            except (ValidationError, KeyError, ValueError) as exc:
+                deltas[idx] = str(exc)
+        if not warm or len(members) < _WARM_MIN_ROWS:
+            order.extend(members)
+            continue
+        warm_keys.add(key)
+        rows = [deltas[idx] if isinstance(deltas[idx], list) else [] for idx in members]
         tree_order, tree_parents = _tree(lp, rows)
         order.extend(members[j] for j in tree_order)
         for j, p in enumerate(tree_parents):
             parents[members[j]] = None if p is None else members[p]
-    return order, parents
+    return _Sweep(specs, builds, deltas, order, parents, frozenset(warm_keys), backend)
 
 
 def _run_sequential(
-    sweep: _Sweep,
-    specs: list[ScenarioSpec],
-    run: list[int],
-    parents: list[int | None],
-    delays: list[float] | None,
-    rebuild: bool = False,
+    sweep: _Sweep, run: list[int], delays: list[float] | None, rebuild: bool = False
 ) -> list[tuple[int, RunResult]]:
-    """Run ``specs[i]`` for each ``i`` of ``run``, in that order. A row whose
-    country set is in ``sweep.warm_keys`` re-solves warm, from the basis of
-    its parent row if that row was solved warm here, else from its
-    instance's base basis; all others are solved cold."""
+    """Run ``sweep.specs[i]`` for each ``i`` of ``run``, in that order, on an
+    instance compiled from its country set's build: one per set, or with
+    ``rebuild`` a fresh one per row. A row whose country set is in
+    ``sweep.warm_keys`` re-solves warm, from the basis of its parent row if
+    that row was solved warm here, else from its instance's base basis; all
+    others are solved cold."""
     instances: dict[tuple[str, ...] | None, ModelInstance] = {}
-    waiting = Counter(parents[i] for i in run)  # children still to run, per row
+    waiting = Counter(sweep.parents[i] for i in run)  # children still to run, per row
     bases: dict[int, object] = {}
     out: list[tuple[int, RunResult]] = []
     for idx in run:
-        spec, parent = specs[idx], parents[idx]
+        spec, parent, deltas = sweep.specs[idx], sweep.parents[idx], sweep.deltas[idx]
         start = bases.get(parent)
         waiting[parent] -= 1
         if not waiting[parent]:
             bases.pop(parent, None)
-        try:
+        if isinstance(deltas, str):
+            result, basis = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
+        else:
             key = spec.country_set
-            if rebuild or key not in instances:
-                inst = compile_instance(sweep.build(key), sweep.backend)
-                if not rebuild:
-                    instances[key] = inst
-            else:
-                inst = instances[key]
-            warm = not rebuild and key in sweep.warm_keys
+            inst = instances.get(key) or compile_instance(sweep.builds[key], sweep.backend)
+            if not rebuild:
+                instances[key] = inst
             delay = delays[idx] if delays else 0.0
-            result, basis = _run_on_instance(
-                inst, spec, sweep.data, sweep.config, sweep.blocks, delay, warm, start
-            )
-        except (ValidationError, KeyError, ValueError) as exc:
-            result, basis = RunResult(spec.run_id, None, _echo(spec), error=str(exc)), None
+            result, basis = _run_on_instance(inst, spec, deltas, delay, key in sweep.warm_keys, start)
         if basis is not None and waiting[idx]:
             bases[idx] = basis
         out.append((idx, result))
@@ -659,8 +661,8 @@ def _run_sequential(
 def _parallel_worker(payload) -> list[tuple[int, RunResult]]:
     """Run one segment, after replaying the ancestors it needs (whose
     results are dropped)."""
-    sweep, specs, run, parents, delays, replays = payload
-    return _run_sequential(sweep, specs, run, parents, delays)[replays:]
+    sweep, run, delays, replays = payload
+    return _run_sequential(sweep, run, delays)[replays:]
 
 
 def run_scenarios(
@@ -677,16 +679,18 @@ def run_scenarios(
 ) -> list[RunResult]:
     """Execute all scenario rows and return results in spec order.
 
-    ``rebuild`` compiles a fresh model per run and solves it cold;
+    This process first builds the model once per country set and expands
+    each row once against it (:func:`_plan`). ``rebuild`` then compiles a
+    fresh instance from the build per run and solves it cold;
     ``single_instance`` compiles once per country set and re-solves with
     per-run deltas applied to the restored base; ``parallel`` does the same
-    in worker processes, each owning its own instances. ``threads`` = 0
-    uses every available core.
+    in worker processes, which only compile, apply and solve. ``threads`` =
+    0 uses every available core.
 
     In the two instance modes a country set with eight or more rows in
     ``specs`` is re-solved warm (see :meth:`ModelInstance.resolve`); smaller
-    sets are solved cold. Before any solve, the rows of each warm set are
-    planned as a tree (:func:`_tree`): each row starts from the optimal
+    sets are solved cold. The rows of each warm set are planned as a tree
+    (:func:`_tree`) from their deltas: each row starts from the optimal
     basis of its tree parent, the nearest row by relative change, if that
     row was solved warm, and from the base basis otherwise. Rows run in the
     tree's depth-first order; ``parallel`` cuts that order into one
@@ -700,37 +704,25 @@ def run_scenarios(
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:
         raise ValidationError(f"run_scenarios: unknown mode {mode!r} (use one of {MODES})")
-    # Counted over the whole table, so every shard of a parallel sweep makes
-    # the same choice and parallel stores equal single_instance ones.
-    warm_keys = frozenset(
-        key
-        for key, rows in Counter(spec.country_set for spec in specs).items()
-        if rows >= _WARM_MIN_ROWS
-    )
-    sweep = _Sweep(data, config, features, constraint_blocks, backend, fixed_capacities, warm_keys)
-
-    if mode == "rebuild":
-        indexed = _run_sequential(sweep, specs, list(range(len(specs))), [None] * len(specs),
-                                  _test_delays, rebuild=True)
-        return [result for _, result in indexed]
-    order, parents = _plan(sweep, specs)
-    if mode == "single_instance":
-        indexed = _run_sequential(sweep, specs, order, parents, _test_delays)
+    if threads < 0:
+        raise ValidationError(f"run_scenarios: threads must be 0 (all cores) or more, got {threads}")
+    sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild", backend)
+    if mode != "parallel":
+        indexed = _run_sequential(sweep, sweep.order, _test_delays, rebuild=mode == "rebuild")
     else:
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        workers = max(1, min(workers, len(specs)))
+        workers = min(threads or os.cpu_count() or 1, len(specs))
         payloads, end = [], 0
         for w in range(workers):
             begin, end = end, end + len(specs) // workers + (w < len(specs) % workers)
-            segment = order[begin:end]
+            segment = sweep.order[begin:end]
             rows = set(segment)
             for idx in segment:
-                p = parents[idx]
+                p = sweep.parents[idx]
                 while p is not None and p not in rows:
                     rows.add(p)
-                    p = parents[p]
-            run = [idx for idx in order[:end] if idx in rows]
-            payloads.append((sweep, specs, run, parents, _test_delays, len(run) - len(segment)))
+                    p = sweep.parents[p]
+            run = [idx for idx in sweep.order[:end] if idx in rows]
+            payloads.append((sweep, run, _test_delays, len(run) - len(segment)))
         if workers == 1:
             chunks = [_parallel_worker(p) for p in payloads]
         else:

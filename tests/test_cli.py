@@ -147,6 +147,16 @@ class TestRun:
         monkeypatch.setenv("VOLTAIC_THREADS", "many")
         assert cli._default_threads() is None
 
+    def test_negative_threads_rejected(self, tmp_path, monkeypatch, capsys):
+        root = create_project("demo", "minimal", tmp_path)
+        assert run_cli("run", str(root), "--threads", "-1") == 1
+        assert "threads must be 0 (all cores) or more, got -1" in capsys.readouterr().err
+        monkeypatch.setenv("VOLTAIC_THREADS", "-1")
+        assert run_cli("run", str(root)) == 1
+        assert "got -1" in capsys.readouterr().err
+        assert not (root / "results").exists()
+        assert run_cli("run", str(root), "--threads", "0") == 0
+
 
 class TestReport:
     def test_report_before_run_fails(self, tmp_path, capsys):

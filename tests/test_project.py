@@ -57,6 +57,23 @@ class TestProjectVariables:
         assert config.dispatch_only is False
         assert config.guss_parallel_threads == 0
 
+    @pytest.mark.parametrize("key", ["GUSS_parallel_threads", "gdx_convert_parallel_threads"])
+    def test_negative_thread_count_is_an_issue(self, key):
+        issues = []
+        config, _ = parse_project_variables(
+            "Variable,Value\nbase_year,2030\nend_hour,h24\ndispatch_only,no\n"
+            f"network_transfer,yes\ninfeasibility,no\n{key},-1\n",
+            issues,
+        )
+        assert issues == [f"project_variables:{key}: expected an integer >= 0 (0 = all cores), got '-1'"]
+        assert config.guss_parallel_threads == config.gdx_convert_parallel_threads == 0
+
+    def test_negative_thread_count_fails_the_load(self, example1_root):
+        rewrite_cell(example1_root / "settings" / "project_variables.csv",
+                     "GUSS_parallel_threads,0", "GUSS_parallel_threads,-1")
+        with pytest.raises(ValidationError, match="GUSS_parallel_threads: expected an integer >= 0 .* got '-1'"):
+            load_project(example1_root)
+
     def test_missing_required_key(self):
         issues = []
         parse_project_variables("Variable,Value\nbase_year,2030\n", issues)

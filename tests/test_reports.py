@@ -9,7 +9,7 @@ import pytest
 from conftest import two_node_sweep_system
 from voltaic.reports import _hour_groups, rldc, standard_report
 from voltaic.scenarios import RunResult, ScenarioSpec, parse_iteration_table, run_scenarios
-from voltaic.store import SymbolStore, extract_symbols, read_all_stores, write_store
+from voltaic.store import SymbolStore, extract_symbols, read_all_stores, read_store, write_store
 from voltaic.symbols import Symbol, SymbolsHandler
 from voltaic.system import hour_index
 
@@ -341,12 +341,13 @@ class TestGroupedReport:
 
 
 def oracle_hour_groups(symbol, by=("run", "n"), where=None):
-    """The record loop the columnar grouping replaced; ``where`` takes a key."""
+    """The record loop the columnar grouping replaced, over the records in
+    sorted-key order (as a store lists them on disk); ``where`` takes a key."""
     dims = symbol.dims
     h_pos = dims.index("h")
     positions = [dims.index(d) if d in dims else None for d in by]
     groups = {}
-    for key, value in symbol.records.items():
+    for key, value in sorted(symbol.records.items()):
         if where is not None and not where(key):
             continue
         series = groups.setdefault(tuple(None if p is None else key[p] for p in positions), {})
@@ -362,9 +363,17 @@ class TestHourGroups:
         for name in ("G", "d", "STO_IN", "SLACK"):
             symbol = handler.lookup(name)
             new, old = _hour_groups(symbol, by), oracle_hour_groups(symbol, by)
-            assert list(new) == list(old)  # groups in order of first record
+            assert list(new) == list(old)  # groups in order of first record, sorted-key order
             for key in old:
                 assert {h: v.hex() for h, v in new[key].items()} == {h: v.hex() for h, v in old[key].items()}
+
+    def test_sums_in_sorted_key_order_whatever_the_record_order(self, tmp_path):
+        # Summed as a, b, c the 1.0 is lost; summed as c, b, a it is kept.
+        records = {("c", "N1", "h1"): -1e16, ("b", "N1", "h1"): 1e16, ("a", "N1", "h1"): 1.0}
+        memory = SymbolStore("S0", {"G": Symbol("G", "level", ("tech", "n", "h"), records)})
+        disk = read_store(write_store(memory, tmp_path))
+        sums = [_hour_groups(SymbolsHandler([s]).lookup("G")) for s in (memory, disk)]
+        assert sums[0] == sums[1] == {("S0", "N1"): {"h1": 0.0}}
 
     def test_mask_matches_key_filter(self, mixed_stores):
         generation = SymbolsHandler(mixed_stores).lookup("G")
@@ -424,3 +433,32 @@ class TestMixedStores:
         assert {row[1] for row in rows} == {"A", "B"}
         residual_b = [float(row[4]) for row in rows if row[1] == "B"]
         assert residual_b == [30.0, 20.0, 10.0]  # no renewables: demand, sorted descending
+
+
+def test_run_report_from_memory_equals_report_from_disk(tmp_path, monkeypatch):
+    """``run_project`` reports from the stores it holds, without reading them
+    back, and writes what ``report_project`` writes from the stores on disk,
+    also when the model lists technologies, and the table its runs, out of
+    label order."""
+    from voltaic import pipeline, store
+    from voltaic.templates import create_project
+
+    root = create_project("demo", "example2", tmp_path)
+    for path in (root / "data_input" / "static_input" / "technologies.csv",
+                 root / "iterationfiles" / "iteration_table.csv"):
+        header, *rows = path.read_text().splitlines()
+        assert rows[::-1] != sorted(rows)
+        path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("run_project read a store back")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(store, "read_store", no_read)
+        patched.setattr(pipeline, "read_all_stores", no_read)
+        assert pipeline.run_project(root).all_optimal
+    from_memory = {p.name: p.read_bytes() for p in sorted((root / "report").iterdir())}
+    pipeline.report_project(root)
+    from_disk = {p.name: p.read_bytes() for p in sorted((root / "report").iterdir())}
+    assert len(from_memory) == 6
+    assert from_memory == from_disk

@@ -113,6 +113,23 @@ class TestParsing:
         (spec,) = parse_iteration_table(f'run,"{header}"\nS0,inf\n')
         assert spec.overrides[0][1] == float("inf")
 
+    def test_cell_beyond_header_rejected(self):
+        with pytest.raises(ValidationError, match=r"run r1: value '99' in column 3, beyond the 2 columns"):
+            parse_iteration_table("run,\"c_var(n,'gas')\"\nr1,10,99\n")
+
+    def test_empty_cells_beyond_header_accepted(self):
+        (spec,) = parse_iteration_table("run,\"c_var(n,'gas')\"\nr1,10,, \n")
+        assert [value for _, value in spec.overrides] == [10.0]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("c_var(n,'gas')", "c_var(n,'gas')"), ("c_var(n,'gas')", "c_var( n , 'gas' )"),
+         ("country_set", "country_set"), ("co2_cap", "co2_cap")],
+    )
+    def test_repeated_column_heading_rejected(self, first, second):
+        with pytest.raises(ValidationError, match=re.escape(f"column {parse_symbol_ref(first).render()!r} appears more")):
+            parse_iteration_table(f'run,"{first}","{second}"\nr1,10,20\n')
+
     def test_country_set_cell(self):
         specs = parse_iteration_table('run,country_set\nS0,"DE,FR"\nS1,\n')
         assert specs[0].country_set == ("DE", "FR")

@@ -1,6 +1,7 @@
 """Warm re-solves on a persistent HiGHS handle: agreement, determinism, fallback."""
 
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -339,9 +340,9 @@ def starts(monkeypatch):
     made, seen = {}, []
     original = scenarios._run_on_instance
 
-    def recording(inst, spec, data, config, blocks, delay=0.0, warm=False, start=None):
+    def recording(inst, spec, deltas, delay=0.0, warm=False, start=None):
         seen.append((spec.run_id, None if start is None else made[id(start)]))
-        result, basis = original(inst, spec, data, config, blocks, delay, warm, start)
+        result, basis = original(inst, spec, deltas, delay, warm, start)
         if basis is not None:
             made[id(basis)] = spec.run_id
         return result, basis
@@ -351,10 +352,10 @@ def starts(monkeypatch):
 
 
 def _plan_of(data, config, specs):
-    sweep = scenarios._Sweep(data, config, None, None, "highs", None, frozenset([None]))
-    order, parents = scenarios._plan(sweep, specs)
+    sweep = scenarios._plan(specs, data, config)
     names = [s.run_id for s in specs]
-    return [names[i] for i in order], {names[i]: None if p is None else names[p] for i, p in enumerate(parents)}
+    return ([names[i] for i in sweep.order],
+            {names[i]: None if p is None else names[p] for i, p in enumerate(sweep.parents)})
 
 
 class TestTreePlan:
@@ -427,10 +428,10 @@ class TestTreeStarts:
         pool = _InProcess(threads)
         monkeypatch.setattr(scenarios, "ProcessPoolExecutor", lambda max_workers: pool)
         run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
-        order, parents = scenarios._plan(
-            scenarios._Sweep(data, config, None, None, "highs", None, frozenset([None])), specs)
+        sweep = scenarios._plan(specs, data, config)
+        order, parents = sweep.order, sweep.parents
         segments = []
-        for _, _, run, _, _, replays in pool.payloads:
+        for _, run, _, replays in pool.payloads:
             segments.append(run[replays:])
             ancestors = set()
             for idx in run[replays:]:
@@ -499,6 +500,43 @@ class TestTreeStarts:
             assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par))
         for result in single[-2:]:
             assert _bitwise(result.solution, solve(result.lp))
+
+
+class TestPlannedOnce:
+    """The parent builds each country set once and expands each row once;
+    workers, replays included, only compile, apply and solve."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("build_model", "expand_overrides"):
+            def counting(*args, _name=name, _original=getattr(scenarios, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scenarios, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("mode, threads", [("rebuild", 0), ("single_instance", 0), ("parallel", 1),
+                                               ("parallel", 2), ("parallel", 3)])
+    def test_one_build_per_country_set_and_one_expansion_per_row(self, far, starts, calls, mode, threads):
+        data, config, specs = far
+        # The eight far rows share the warm, unrestricted set; two more rows
+        # form a cold DE-only set.
+        specs = [*specs, *(replace(spec, run_id=f"DE{i}", country_set=("DE",)) for i, spec in enumerate(specs[:2]))]
+        results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+        assert all(r.status == "optimal" for r in results)
+        assert calls == {"build_model": 2, "expand_overrides": len(specs)}
+        replays = len(starts) - len(specs)
+        assert replays == {0: 0, 1: 0, 2: 5, 3: 4 + 7}[threads]
+
+    def test_a_set_that_does_not_build_is_built_once_and_not_expanded(self, far, calls):
+        data, config, specs = far
+        specs = [*specs, *(replace(spec, run_id=f"XX{i}", country_set=("XX",)) for i, spec in enumerate(specs[:2]))]
+        results = run_scenarios(data, config, None, specs, mode="rebuild")
+        assert [r.status for r in results[-2:]] == ["error", "error"]
+        assert results[-1].error == results[-2].error and "XX" in results[-1].error
+        assert calls == {"build_model": 2, "expand_overrides": len(specs) - 2}
 
 
 @st.composite
