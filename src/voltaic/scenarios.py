@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
-from .solver import Delta, ModelInstance, Solution, certified, compile as compile_instance, matrix, solve
+from .solver import Delta, ModelInstance, Solution, certified, compile as compile_instance, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
@@ -538,8 +537,12 @@ def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[i
         base[field_ == k] = values[col[field_ == k]]
     base[field_ == 3] = lp.rhs[row[field_ == 3]]
     cells = field_ == 4
-    if cells.any():
-        base[cells] = np.asarray(matrix(lp)[row[cells], col[cells]]).ravel()
+    if cells.any():  # a cell's value is the sum of its entries, in entry order
+        cell_ids = row[cells] * lp.n_cols + col[cells]  # ascending, as positions are
+        entry_ids = lp.a_rows.astype(np.int64) * lp.n_cols + lp.a_cols
+        at_cell = np.minimum(np.searchsorted(cell_ids, entry_ids), len(cell_ids) - 1)
+        hit = cell_ids[at_cell] == entry_ids
+        base[cells] = np.bincount(at_cell[hit], weights=lp.a_vals[hit], minlength=len(cell_ids))
 
     column = {p: k for k, p in enumerate(positions)}
     n = len(rows)
@@ -550,17 +553,28 @@ def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[i
     with np.errstate(invalid="ignore"):
         rel = (v - b) / np.maximum(1.0, np.abs(b))
         rel = np.where(v == b, 0.0, np.where(np.isfinite(rel), rel, np.copysign(_FAR, v - b)))
-    d = sp.csr_matrix((rel, (at, k)), shape=(n, len(positions)))
+    # Each row's entries by position.
+    by_row = np.argsort(at * len(positions) + k, kind="stable")
+    at, k, rel = at[by_row], k[by_row], rel[by_row]
     # Squared distances order as the distances do: |a - b|^2 = |a|^2 +
     # |b|^2 - 2 a.b, with a.b taken one tree row at a time, so memory stays
-    # linear in the rows. Both sums run over a row's entries in one order,
-    # so identical rows are exactly zero apart.
-    near = np.asarray(d.multiply(d).sum(axis=1)).ravel()
+    # linear in the rows. |a|^2 sums a row's nonzero squares as
+    # ``np.add.reduceat`` does, and a.b sums its products from zero in
+    # position order, as scipy's sparse sum and product do.
+    square = rel * rel
+    nonzero = square != 0.0
+    near = np.zeros(n)
+    rows_with = np.flatnonzero(np.bincount(at[nonzero], minlength=n))
+    if rows_with.size:
+        near[rows_with] = np.add.reduceat(square[nonzero], np.searchsorted(at[nonzero], rows_with))
+    ends = np.searchsorted(at, np.arange(n + 1))
     parent, dist, free = np.full(n, -1), near.copy(), np.ones(n, dtype=bool)
     for _ in range(n):
         u = int(np.argmin(np.where(free, dist, np.inf)))  # the lowest index among ties
         free[u] = False
-        to_u = np.maximum(near + near[u] - 2.0 * (d @ d[u].toarray().ravel()), 0.0)
+        w, entries = np.zeros(len(positions)), slice(ends[u], ends[u + 1])
+        w[k[entries]] = rel[entries]
+        to_u = np.maximum(near + near[u] - 2.0 * np.bincount(at, weights=rel * w[k], minlength=n), 0.0)
         closer = free & ((to_u < dist) | ((to_u == dist) & (u < parent)))
         dist[closer], parent[closer] = to_u[closer], u
 

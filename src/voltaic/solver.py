@@ -7,9 +7,13 @@ self-contained tableau simplex in :mod:`voltaic.simplex`, used as an
 independent cross-check on small instances).
 
 Every HiGHS solve, cold or warm, passes one model in ``linprog``'s row
-layout to a handle of scipy's HiGHS object, and one reader maps the result
-back to program rows; ``scipy.optimize.linprog`` on the same layout, which
-it matches bit for bit, is only the fallback (see :func:`_solve_highs`).
+layout, its matrix built column-wise in numpy, to a handle of scipy's HiGHS
+object, and one reader maps the result back to program rows. The binding is
+loaded from its extension file (:func:`_highs_core`), so neither
+``scipy.optimize`` nor ``scipy.sparse`` is imported on this path;
+``scipy.optimize.linprog`` on the same layout, which it matches bit for
+bit, is only the fallback (see :func:`_solve_highs`), and :func:`matrix`,
+which returns a scipy sparse matrix, is a helper for callers outside it.
 A :class:`ModelInstance` keeps copies of one built program plus a mutable
 overlay of bound/cost/rhs/coefficient updates, so a scenario sweep reuses a
 single build; its :meth:`~ModelInstance.resolve` re-solves warm from the
@@ -23,13 +27,16 @@ price.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
+from importlib import import_module
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import Iterable, Protocol
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -68,8 +75,15 @@ class Delta:
 
 @dataclass
 class SolveStats:
+    """Work of one solve. ``iterations`` counts simplex iterations if any
+    were made, else interior-point ones; the per-method counts are read
+    from HiGHS on a handle and stay 0 on the ``linprog`` fallback."""
+
     iterations: int = 0
     wall_time: float = 0.0
+    ipm_iterations: int = 0
+    crossover_iterations: int = 0
+    simplex_iterations: int = 0
 
 
 @dataclass
@@ -106,8 +120,11 @@ def _trivial_solution(lp: LpLike) -> Solution | None:
     return Solution(OPTIMAL, 0.0, np.zeros(0), np.zeros(lp.n_rows), np.zeros(0), np.zeros(0))
 
 
-def matrix(lp: LpLike) -> sp.csr_matrix:
-    """Assemble the sparse constraint matrix (duplicate cells are summed)."""
+def matrix(lp: LpLike):
+    """Assemble the sparse constraint matrix as a scipy CSR matrix
+    (duplicate cells are summed)."""
+    import scipy.sparse as sp
+
     return sp.coo_matrix(
         (lp.a_vals, (lp.a_rows, lp.a_cols)), shape=(lp.n_rows, lp.n_cols)
     ).tocsr()
@@ -121,6 +138,39 @@ _IPM_THRESHOLD = 4000
 # What the private scipy bindings raise when their members differ from the
 # ones used here.
 _BINDING_ERRORS = (AttributeError, TypeError, ValueError, RuntimeError)
+
+# scipy's HiGHS binding (scipy >= 1.15). Its package ``__init__`` is empty
+# and the extension needs only numpy, but importing it by name runs all of
+# ``scipy.optimize/__init__`` first: 0.43 s and 321 scipy modules after
+# numpy on a 2-vCPU Xeon VM, against 8 ms to load the file alone.
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS binding, loaded from its extension file without
+    importing ``scipy.optimize``.
+
+    An entry already in ``sys.modules`` is used as it is (a None entry
+    raises ImportError). Where the file is missing (scipy < 1.15) or fails
+    to load, any entry it left is removed and the module is imported by
+    name, parents first, which raises ImportError where no binding exists."""
+    if _CORE not in sys.modules:
+        package = find_spec("scipy")
+        folders = package.submodule_search_locations if package is not None else None
+        files = [Path(folder, "optimize", "_highspy", "_core" + suffix)
+                 for folder in folders or () for suffix in EXTENSION_SUFFIXES]
+        path = next((f for f in files if f.is_file()), None)
+        if path is not None:
+            try:
+                spec = spec_from_file_location(_CORE, path)
+                module = module_from_spec(spec)
+                sys.modules[_CORE] = module
+                spec.loader.exec_module(module)
+                return module
+            except (ImportError, OSError, *_BINDING_ERRORS):
+                for name in [n for n in sys.modules if n == _CORE or n.startswith(_CORE + ".")]:
+                    del sys.modules[name]
+    return import_module(_CORE)
 
 
 def classify_rows(lp: LpLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -150,12 +200,16 @@ class _HighsModel:
     solver a cold solve of it uses. Model row ``k`` is program row
     ``rows[k]`` times ``sign[k]``: the ``<=`` rows, then the ``>=`` rows
     negated (these first ``n_ub`` rows are bounded above only), then the
-    ``=`` rows. Vacuous rows are left out."""
+    ``=`` rows. Vacuous rows are left out. The matrix is held column-wise:
+    column ``j``'s entries are ``start[j]:start[j + 1]`` of ``index`` (model
+    rows, ascending) and ``value``, one entry per stored cell, zeros kept."""
 
     rows: np.ndarray
     sign: np.ndarray
     n_ub: int
-    a: sp.csr_matrix
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
     method: str
 
     def bounds(self, k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,10 +227,24 @@ def _highs_model(lp: LpLike) -> _HighsModel | None:
     n_le, n_ub = int(le.sum()), int(le.sum() + ge.sum())
     sign = np.ones(len(rows))
     sign[n_le:n_ub] = -1.0
-    a = matrix(lp)[rows]
-    a.data *= np.repeat(sign, np.diff(a.indptr))
+    position = np.full(lp.n_rows, -1, dtype=np.int64)
+    position[rows] = np.arange(len(rows))
+    k = position[lp.a_rows]
+    kept = np.flatnonzero(k >= 0)
+    cell = lp.a_cols[kept].astype(np.int64) * len(rows) + k[kept]
+    order = np.argsort(cell, kind="stable")  # by column, then model row, then entry
+    cell, values = cell[order], lp.a_vals[kept[order]]
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    value = values[first]
+    count = np.diff(np.r_[first, len(cell)])
+    for j in range(1, int(count.max(initial=1))):  # a cell's further entries, in entry order
+        more = count > j
+        value[more] += values[first[more] + j]
+    col, index = np.divmod(cell[first], len(rows))
+    value *= sign[index]
+    start = np.r_[0, np.cumsum(np.bincount(col, minlength=lp.n_cols))].astype(np.int32)
     method = "ipm" if lp.n_rows + lp.n_cols > _IPM_THRESHOLD else "simplex"
-    return _HighsModel(rows, sign, n_ub, a, method)
+    return _HighsModel(rows, sign, n_ub, start, index.astype(np.int32), value, method)
 
 
 # HiGHS model statuses as linprog reads them; any other is numerical.
@@ -198,14 +266,14 @@ def _open_handle(core, lp: LpLike, model: _HighsModel):
     for option, value in (("output_flag", False), ("presolve", "on"), ("solver", model.method),
                           ("simplex_strategy", 1)):  # 1: dual simplex
         highs.setOptionValue(option, value)
-    a, n_rows = model.a.tocsc(), len(model.rows)
+    n_rows = len(model.rows)
     hlp = core.HighsLp()
     hlp.num_col_, hlp.num_row_ = lp.n_cols, n_rows
     hlp.col_cost_, hlp.col_lower_, hlp.col_upper_ = lp.obj, lp.lo, lp.hi
     hlp.row_lower_, hlp.row_upper_ = model.bounds(np.arange(n_rows), lp.rhs[model.rows])
     m = hlp.a_matrix_
     m.format_, m.num_col_, m.num_row_ = core.MatrixFormat.kColwise, lp.n_cols, n_rows
-    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+    m.start_, m.index_, m.value_ = model.start, model.index, model.value
     return None if highs.passModel(hlp) == core.HighsStatus.kError else highs
 
 
@@ -215,7 +283,9 @@ def _run(core, highs, lp: LpLike, model: _HighsModel) -> Solution:
     highs.run()
     elapsed = time.perf_counter() - start
     info = highs.getInfo()
-    stats = SolveStats(int(info.simplex_iteration_count or info.ipm_iteration_count), elapsed)
+    ipm, crossover, simplex = (int(n) for n in (
+        info.ipm_iteration_count, info.crossover_iteration_count, info.simplex_iteration_count))
+    stats = SolveStats(simplex or ipm, elapsed, ipm, crossover, simplex)
     status = highs.getModelStatus()
     if status != core.HighsModelStatus.kOptimal:
         return Solution(_HIGHS_STATUS.get(status.name, NUMERICAL), stats=stats)
@@ -229,12 +299,17 @@ def _run(core, highs, lp: LpLike, model: _HighsModel) -> Solution:
 
 def _solve_linprog(lp: LpLike, model: _HighsModel) -> Solution:
     """``scipy.optimize.linprog`` on the same layout: the fallback."""
-    _, upper = model.bounds(np.arange(len(model.rows)), lp.rhs[model.rows])
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    n_rows = len(model.rows)
+    _, upper = model.bounds(np.arange(n_rows), lp.rhs[model.rows])
+    a = sp.csc_matrix((model.value, model.index, model.start), shape=(n_rows, lp.n_cols))
     ub, eq, blocks = slice(None, model.n_ub), slice(model.n_ub, None), {}
     if model.n_ub:
-        blocks.update(A_ub=model.a[ub], b_ub=upper[ub])
-    if len(model.rows) > model.n_ub:
-        blocks.update(A_eq=model.a[eq], b_eq=upper[eq])
+        blocks.update(A_ub=a[ub], b_ub=upper[ub])
+    if n_rows > model.n_ub:
+        blocks.update(A_eq=a[eq], b_eq=upper[eq])
     method = {"ipm": "highs-ipm", "simplex": "highs-ds"}[model.method]
     start = time.perf_counter()
     res = linprog(lp.obj, bounds=np.column_stack([lp.lo, lp.hi]), method=method, **blocks)
@@ -255,8 +330,7 @@ def _solve_highs(lp: LpLike) -> Solution:
     if model is None:
         return Solution(INFEASIBLE)
     try:
-        import scipy.optimize._highspy._core as core
-
+        core = _highs_core()
         highs = _open_handle(core, lp, model)
         return _run(core, highs, lp, model) if highs is not None else Solution(INFEASIBLE)
     except (ImportError, *_BINDING_ERRORS):
@@ -305,8 +379,7 @@ class _WarmStart:
     def open(cls, inst: "ModelInstance") -> "_WarmStart | None":
         """Solve the as-compiled program cold and keep the handle and its
         optimal basis; None if unusable."""
-        import scipy.optimize._highspy._core as core
-
+        core = _highs_core()
         base = inst._base
         if base.n_cols == 0 or base.n_rows == 0 or not np.isfinite(base.rhs).all():
             return None
@@ -343,10 +416,10 @@ class _WarmStart:
         lower, upper = self.model.bounds(k, lp.rhs[rows])
         for r, lw, up in zip(k.tolist(), lower.tolist(), upper.tolist()):
             highs.changeRowBounds(r, lw, up)
-        a = self.model.a
-        entry_rows = np.searchsorted(a.indptr, entries, side="right") - 1
-        for row, p in zip(entry_rows.tolist(), entries.tolist()):
-            highs.changeCoeff(row, int(a.indices[p]), float(coefficients[p]))
+        model = self.model
+        entry_cols = np.searchsorted(model.start, entries, side="right") - 1
+        for col, p in zip(entry_cols.tolist(), entries.tolist()):
+            highs.changeCoeff(int(model.index[p]), col, float(coefficients[p]))
 
     def solve(self, lp, start=None) -> Solution | None:
         """Warm-solve ``lp`` (the instance's program) from ``start``, a basis
@@ -357,12 +430,12 @@ class _WarmStart:
         base, model = self.base, self.model
         # A changed entry rebuilds the model matrix, so a cell stored as
         # several entries takes exactly the sum a cold solve passes.
-        coefficients = _highs_model(lp).a.data if (lp.a_vals != base.a_vals).any() else model.a.data
+        coefficients = _highs_model(lp).value if (lp.a_vals != base.a_vals).any() else model.value
         diff = (
             np.flatnonzero(lp.obj != base.obj).astype(np.int32),
             np.flatnonzero((lp.lo != base.lo) | (lp.hi != base.hi)).astype(np.int32),
             np.flatnonzero(lp.rhs != base.rhs),
-            np.flatnonzero(coefficients != model.a.data),
+            np.flatnonzero(coefficients != model.value),
         )
         highs = self.highs
         try:
@@ -373,7 +446,7 @@ class _WarmStart:
             if sol.is_optimal:
                 self.solved = highs.getBasis()
         finally:
-            self._load(diff, base, model.a.data)
+            self._load(diff, base, model.value)
         return sol if sol.is_optimal else None
 
 
@@ -545,7 +618,7 @@ def certify(lp: LpLike, sol: Solution) -> Certificate:
     if not sol.is_optimal:
         raise ValueError(f"cannot certify a solution with status {sol.status!r}")
     x = sol.primal
-    ax = matrix(lp) @ x if lp.n_cols else np.zeros(lp.n_rows)
+    ax = np.bincount(lp.a_rows, weights=lp.a_vals * x[lp.a_cols], minlength=lp.n_rows)
     scale_r = np.maximum(1.0, np.abs(lp.rhs))
     viol = np.zeros(lp.n_rows)
     eq = lp.sense == "E"

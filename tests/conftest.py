@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import voltaic
 from voltaic.symbols import DimensionMismatch
 from voltaic.system import (
     Line,
@@ -14,6 +19,17 @@ from voltaic.system import (
     Technology,
     TimeSeries,
 )
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this voltaic; its
+    stdout split into words."""
+    src = str(Path(voltaic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def series(name, values):

@@ -1,6 +1,9 @@
 import json
 import re
 
+import pytest
+
+from conftest import run_python
 from voltaic.cli import main
 from voltaic.templates import create_project
 
@@ -203,3 +206,43 @@ class TestValidate:
     def test_not_a_project(self, tmp_path, capsys):
         assert run_cli("validate", str(tmp_path)) == 1
         assert "missing file" in capsys.readouterr().err
+
+
+# A whole CLI session in one fresh interpreter: validate, run an example1
+# project at 6 h in one process and on two workers, and report it.
+_SESSION = """
+import json, shutil, sys
+from pathlib import Path
+
+import voltaic
+import voltaic.cli
+from voltaic.cli import main
+from voltaic.templates import create_project
+
+root = create_project("demo", "example1", sys.argv[1])
+settings = root / "settings" / "project_variables.csv"
+text = settings.read_text()
+assert "end_hour,h48" in text
+settings.write_text(text.replace("end_hour,h48", "end_hour,h6"))
+parallel = shutil.copytree(root, Path(sys.argv[1]) / "demo_parallel")
+codes = [
+    main(["validate", str(root)]),
+    main(["run", str(root), "--mode", "single_instance"]),
+    main(["run", str(parallel), "--mode", "parallel", "--threads", "2"]),
+    main(["report", str(root)]),
+]
+# The HiGHS binding is registered under its own name, inside scipy.optimize.
+core = "scipy.optimize._highspy._core"
+binding = sorted(n for n in sys.modules if n == core or n.startswith(core + "."))
+loaded = sorted(n for n in sys.modules if n.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])
+                and n not in binding)
+print(json.dumps({"codes": codes, "binding": core in binding, "loaded": loaded}, separators=(",", ":")))
+"""
+
+
+class TestImportFootprint:
+    def test_cli_session_loads_neither_scipy_optimize_nor_sparse(self, tmp_path):
+        # Without the bundled HiGHS object every solve imports linprog.
+        pytest.importorskip("scipy.optimize._highspy._core")
+        result = json.loads(run_python(_SESSION, str(tmp_path))[-1])
+        assert result == {"codes": [0, 0, 0, 0], "binding": True, "loaded": []}

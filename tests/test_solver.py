@@ -4,17 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import two_node_sweep_system
+from conftest import run_python, two_node_sweep_system
 from voltaic import solver
-from voltaic.model import build_model
+from voltaic.model import CAPACITY_FAMILIES, apply_dispatch_only, build_model
+from voltaic.project import load_project
 from voltaic.solver import (
     _IPM_THRESHOLD,
     Delta,
+    _highs_model,
     certify,
     compile as compile_instance,
+    matrix,
     solve,
     update_and_resolve,
 )
+from voltaic.templates import TEMPLATES, create_project
 from voltaic.system import ModelConfig, Node, SystemData, Technology, TimeSeries
 
 BACKENDS = ["highs", "dense"]
@@ -326,12 +330,13 @@ def _bits(x):
 def _handle_and_fallback(lp, monkeypatch):
     """Solve ``lp`` on the HiGHS handle, then through the ``linprog`` fallback."""
     pytest.importorskip(_CORE)
+    optimize = pytest.importorskip("scipy.optimize")  # where the fallback imports linprog from
 
     def no_linprog(*args, **kwargs):
         raise AssertionError("the handle path called linprog")
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "linprog", no_linprog)
+        m.setattr(optimize, "linprog", no_linprog)
         handle = solve(lp)
     with monkeypatch.context() as m:
         m.setitem(sys.modules, _CORE, None)
@@ -375,3 +380,211 @@ class TestHandleMatchesLinprogFallback:
         if handle.is_optimal:
             assert certify(lp, handle).ok(1e-9)
         _assert_bitwise(handle, fallback)
+
+
+# -- the HiGHS matrix, built in numpy ------------------------------------------
+
+
+def _with_vacuous_rows(lp):
+    """``lp`` with every third ``<=`` row against +inf and ``>=`` row against -inf."""
+    for sense, inf in (("L", np.inf), ("G", -np.inf)):
+        lp.rhs[np.flatnonzero(lp.sense == sense)[::3]] = inf
+    return lp
+
+
+def _with_explicit_zeros(lp):
+    """``lp`` with every fifth entry zero and its first cell split into a
+    value and a zero entry, as a coefficient delta leaves a split cell."""
+    lp = _split_first_entry(lp)
+    lp.a_vals[0] *= 2.0
+    lp.a_vals[-1] = 0.0
+    lp.a_vals[1::5] = 0.0
+    return lp
+
+
+def _three_entry_cell():
+    """A cell stored as three entries, out of order among the others."""
+    lp = _mixed_rows()
+    lp.a_rows = np.concatenate([[2, 0], lp.a_rows, [0]])
+    lp.a_cols = np.concatenate([[0, 1], lp.a_cols, [1]])
+    lp.a_vals = np.concatenate([[0.0, 0.25], lp.a_vals, [0.5]])
+    return lp
+
+
+@pytest.fixture(scope="module")
+def programs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("templates")
+    out = {}
+    for name in sorted(TEMPLATES):
+        project = load_project(create_project(name, name, root))
+        out[name] = build_model(project.data, project.config, project.features)
+    lp = out["example1"]
+    capacities = {(family, key): 10.0 for family in CAPACITY_FAMILIES if family in lp.var_families
+                  for key in lp.var_families[family].keys()}
+    out["dispatch_only"] = apply_dispatch_only(lp, capacities)
+    out["vacuous_rows"] = _with_vacuous_rows(lp.copy())
+    out["split_entry"] = _split_first_entry(lp.copy())
+    out["explicit_zeros"] = _with_explicit_zeros(lp.copy())
+    out["three_entry_cell"] = _three_entry_cell()
+    out["raw_vacuous_row"] = _RAW_PROGRAMS["vacuous_row"][0]()
+    return out
+
+
+_PROGRAMS = [*sorted(TEMPLATES), "dispatch_only", "vacuous_rows", "split_entry", "explicit_zeros",
+             "three_entry_cell", "raw_vacuous_row"]
+
+
+def _scipy_highs_matrix(lp, model):
+    """The model matrix as scipy built it: program rows in model order, signed, column-wise."""
+    a = matrix(lp)[model.rows]
+    a.data *= np.repeat(model.sign, np.diff(a.indptr))
+    return a.tocsc()
+
+
+class TestHighsMatrix:
+    @pytest.mark.parametrize("name", _PROGRAMS)
+    def test_equals_the_scipy_matrix(self, programs, name):
+        lp = programs[name]
+        model = _highs_model(lp)
+        reference = _scipy_highs_matrix(lp, model)
+        assert np.array_equal(model.start, reference.indptr)
+        assert np.array_equal(model.index, reference.indices)
+        assert np.array_equal(model.value, reference.data)
+
+    def test_explicit_zeros_are_kept(self, programs):
+        model = _highs_model(programs["explicit_zeros"])
+        assert (model.value == 0.0).sum() > 1
+
+    def test_vacuous_rows_are_left_out(self, programs):
+        lp = programs["vacuous_rows"]
+        model = _highs_model(lp)
+        assert len(model.rows) < lp.n_rows and np.isfinite(lp.rhs[model.rows]).all()
+
+    def test_a_three_entry_cell_is_one_entry(self):
+        model = _highs_model(_three_entry_cell())
+        # Model rows: the <= row 1, the >= row 0 negated, the = row 2.
+        # Column 1 holds 1 + 0.25 + 0.5 in row 0.
+        assert model.value[model.start[1]:model.start[2]].tolist() == [-1.0, -1.75, 1.0]
+        assert model.index[model.start[1]:model.start[2]].tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["minimal", "split_entry", "explicit_zeros", "vacuous_rows"])
+    def test_certify_matches_the_scipy_product(self, programs, name):
+        lp = programs[name]
+        sol = solve(lp)
+        assert sol.is_optimal
+        sol.primal = sol.primal * (1.0 + 1e-4 * np.random.default_rng(3).standard_normal(lp.n_cols))
+        got = certify(lp, sol)
+        ax = matrix(lp) @ sol.primal
+        scale = np.maximum(1.0, np.abs(lp.rhs))
+        with np.errstate(invalid="ignore"):
+            violation = np.select(
+                [lp.sense == "E", lp.sense == "L"],
+                [np.abs(ax - lp.rhs), np.maximum(0.0, ax - lp.rhs)],
+                np.maximum(0.0, lp.rhs - ax),
+            )
+        ineq = (lp.sense != "E") & np.isfinite(lp.rhs)
+        slackness = np.abs(sol.dual[ineq]) * np.abs(ax[ineq] - lp.rhs[ineq]) / scale[ineq]
+        assert got.primal_residual > 1e-9
+        assert got.primal_residual == pytest.approx(float((violation / scale).max()), rel=0, abs=1e-12)
+        assert got.complementarity >= slackness.max() - 1e-12
+        unperturbed_bounds = certify(lp, replace(sol, dual=np.zeros(lp.n_rows)))
+        expected = max(float(slackness.max()), unperturbed_bounds.complementarity)
+        assert got.complementarity == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+# -- loading scipy's HiGHS binding ---------------------------------------------
+
+class TestHighsCore:
+    def test_loads_the_extension_without_scipy_optimize(self):
+        pytest.importorskip(_CORE)
+        out = run_python(
+            "import sys\n"
+            "from voltaic import solver\n"
+            "core = solver._highs_core()\n"
+            "print(core is sys.modules[solver._CORE], hasattr(core, '_Highs'), 'scipy.optimize' in sys.modules)\n"
+        )
+        assert out == ["True", "True", "False"]
+
+    def test_a_missing_file_falls_back_to_the_import_statement(self):
+        pytest.importorskip(_CORE)
+        out = run_python(
+            "import sys\n"
+            "from voltaic import solver\n"
+            "solver.EXTENSION_SUFFIXES = ['.missing']\n"
+            "core = solver._highs_core()\n"
+            "print(core is sys.modules[solver._CORE], hasattr(core, '_Highs'), 'scipy.optimize' in sys.modules)\n"
+        )
+        assert out == ["True", "True", "True"]
+
+    def test_a_failed_load_leaves_no_entry(self):
+        pytest.importorskip(_CORE)
+        out = run_python(
+            "import sys\n"
+            "from voltaic import solver\n"
+            "real = solver.spec_from_file_location\n"
+            "class Broken:\n"
+            "    def create_module(self, spec):\n"
+            "        return None\n"
+            "    def exec_module(self, module):\n"
+            "        sys.modules[solver._CORE + '.cb'] = module\n"
+            "        raise ImportError('broken extension')\n"
+            "def broken(name, path):\n"
+            "    spec = real(name, path)\n"
+            "    spec.loader = Broken()\n"
+            "    return spec\n"
+            "solver.spec_from_file_location = broken\n"
+            "sys.modules['scipy.optimize'] = None  # the import statement fails too, as before scipy 1.15\n"
+            "try:\n"
+            "    solver._highs_core()\n"
+            "except ImportError:\n"
+            "    print('ImportError')\n"
+            "print(sorted(n for n in sys.modules if n.startswith(solver._CORE)))\n"
+            "del sys.modules['scipy.optimize']\n"
+            "core = solver._highs_core()  # the statement now imports the real module\n"
+            "print(hasattr(core, '_Highs'), core is sys.modules[solver._CORE])\n"
+        )
+        assert out == ["ImportError", "[]", "True", "True"]
+
+    def test_an_existing_entry_is_used(self, monkeypatch):
+        sentinel = object()
+        monkeypatch.setitem(sys.modules, _CORE, sentinel)
+        assert solver._highs_core() is sentinel
+
+    def test_a_none_entry_gives_the_linprog_fallback(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        calls, real = [], optimize.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "linprog", counted)
+        monkeypatch.setitem(sys.modules, _CORE, None)
+        with pytest.raises(ImportError):
+            solver._highs_core()
+        sol = solve(_mixed_rows())
+        assert sol.is_optimal and sol.objective == pytest.approx(4.5)
+        assert calls == ["highs-ds"]
+
+
+class TestIterationCounts:
+    def test_simplex_size(self):
+        data, config = two_node_sweep_system(hours=24)
+        lp = build_model(data, replace(config, end_hour=24))
+        assert lp.n_rows + lp.n_cols <= _IPM_THRESHOLD
+        stats = self._handle_stats(lp)
+        assert stats.simplex_iterations > 0
+        assert stats.ipm_iterations == stats.crossover_iterations == 0
+        assert stats.iterations == stats.simplex_iterations
+
+    def test_interior_point_size(self):
+        stats = self._handle_stats(_two_node_week())
+        assert stats.ipm_iterations > 0
+        assert stats.iterations == (stats.simplex_iterations or stats.ipm_iterations)
+
+    @staticmethod
+    def _handle_stats(lp):
+        pytest.importorskip(_CORE)
+        sol = solve(lp)
+        assert sol.is_optimal
+        return sol.stats

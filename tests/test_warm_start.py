@@ -570,3 +570,109 @@ def test_tree_warm_cold_and_dense_agree(instances, data):
         if warm is not None:
             assert warm.is_optimal and certify(inst.lp, warm).ok(1e-6)
             assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-6)
+
+
+def _scipy_tree(lp, rows):
+    """``scenarios._tree`` as it was written on ``scipy.sparse``: the reference."""
+    import scipy.sparse as sp
+
+    from voltaic.solver import matrix
+
+    fields, far = scenarios._FIELDS, scenarios._FAR
+    changes = [
+        {(fields[d.kind], -1 if d.row is None else d.row, -1 if d.col is None else d.col): d.value
+         for d in deltas}
+        for deltas in rows
+    ]
+    positions = sorted(set().union(*changes))
+    field_, row, col = np.array(positions, dtype=np.int64).reshape(-1, 3).T
+    base = np.zeros(len(positions))
+    for k, values in enumerate((lp.obj, lp.lo, lp.hi)):
+        base[field_ == k] = values[col[field_ == k]]
+    base[field_ == 3] = lp.rhs[row[field_ == 3]]
+    cells = field_ == 4
+    if cells.any():
+        base[cells] = np.asarray(matrix(lp)[row[cells], col[cells]]).ravel()
+
+    column = {p: k for k, p in enumerate(positions)}
+    n = len(rows)
+    at = np.repeat(np.arange(n), [len(c) for c in changes])
+    k = np.fromiter((column[p] for c in changes for p in c), np.int64, len(at))
+    v = np.fromiter((x for c in changes for x in c.values()), float, len(at))
+    b = base[k]
+    with np.errstate(invalid="ignore"):
+        rel = (v - b) / np.maximum(1.0, np.abs(b))
+        rel = np.where(v == b, 0.0, np.where(np.isfinite(rel), rel, np.copysign(far, v - b)))
+    d = sp.csr_matrix((rel, (at, k)), shape=(n, len(positions)))
+    near = np.asarray(d.multiply(d).sum(axis=1)).ravel()
+    parent, dist, free = np.full(n, -1), near.copy(), np.ones(n, dtype=bool)
+    for _ in range(n):
+        u = int(np.argmin(np.where(free, dist, np.inf)))
+        free[u] = False
+        to_u = np.maximum(near + near[u] - 2.0 * (d @ d[u].toarray().ravel()), 0.0)
+        closer = free & ((to_u < dist) | ((to_u == dist) & (u < parent)))
+        dist[closer], parent[closer] = to_u[closer], u
+
+    children = [[] for _ in range(n + 1)]
+    for j in sorted(range(n), key=lambda j: (dist[j], j)):
+        children[parent[j]].append(j)
+    order, stack = [], children[-1][::-1]
+    while stack:
+        j = stack.pop()
+        order.append(j)
+        stack.extend(reversed(children[j]))
+    return order, [None if p < 0 else int(p) for p in parent]
+
+
+def _split_cells(lp):
+    """``lp`` with every seventh matrix cell stored as two entries."""
+    lp = lp.copy()
+    split = np.arange(0, len(lp.a_vals), 7)
+    lp.a_rows = np.concatenate([lp.a_rows, lp.a_rows[split]])
+    lp.a_cols = np.concatenate([lp.a_cols, lp.a_cols[split]])
+    lp.a_vals = np.concatenate([lp.a_vals, 0.375 * lp.a_vals[split]])
+    lp.a_vals[split] *= 0.625
+    return lp
+
+
+@st.composite
+def _planning_delta(draw, lp):
+    """A delta at any kind of position, often at the base value, at a value
+    shared with other deltas, or at an infinity (a ``_FAR`` move)."""
+    kind = draw(st.sampled_from(sorted(scenarios._FIELDS)))
+    row = col = None
+    if kind == "coef":
+        entry = draw(st.integers(0, len(lp.a_vals) - 1))
+        row, col = int(lp.a_rows[entry]), int(lp.a_cols[entry])
+        base = float(lp.a_vals[(lp.a_rows == row) & (lp.a_cols == col)].sum())
+    elif kind == "rhs":
+        row = draw(st.integers(0, lp.n_rows - 1))
+        base = float(lp.rhs[row])
+    else:
+        col = draw(st.integers(0, lp.n_cols - 1))
+        base = float({"obj": lp.obj, "lo": lp.lo, "up": lp.hi}[kind][col])
+    value = draw(st.one_of(
+        st.sampled_from([0.0, 1.0, -2.5, 1e3, np.inf, -np.inf]),
+        st.sampled_from([0.5, 1.0, 1.5, 3.0]).map(lambda f: base * f if np.isfinite(base) else f),
+        st.floats(-1e4, 1e4),
+    ))
+    return Delta(kind, col=col, row=row, value=float(value))
+
+
+@st.composite
+def planning_tables(draw, lp):
+    pool = draw(st.lists(_planning_delta(lp), min_size=1, max_size=10))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), max_size=5), min_size=1, max_size=12))
+    copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))  # identical rows
+    return rows + [list(rows[j]) for j in copies]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tree_equals_the_scipy_reference(instances, data):
+    name = data.draw(st.sampled_from(sorted(instances)))
+    lp = instances[name]._base
+    if data.draw(st.booleans()):
+        lp = _split_cells(lp)
+    rows = data.draw(planning_tables(lp))
+    assert scenarios._tree(lp, rows) == _scipy_tree(lp, rows)
