@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,41 +22,79 @@ from .system import hour_index
 
 log = logging.getLogger(__name__)
 
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
+_TABLES = ("capacity.csv", "generation.csv", "storage.csv", "rldc.csv", "summary.csv")
 
 
-def _hour_groups(symbol: Symbol, by=("run", "n"), where=None) -> dict[tuple, dict[str, float]]:
-    """Collapse a symbol in one pass to ``{labels along by: {hour: value}}``.
+def _hourly(symbol: Symbol, hours: np.ndarray, by=("run", "n"), where=None) -> dict[tuple, tuple]:
+    """Sum a symbol in one pass per group along ``by`` and hour, on the hour
+    axis ``hours`` (sorted hour labels): ``{group key: (sums, present)}``,
+    the group's sum at every hour of the axis, 0.0 where it has no record,
+    and whether it has one.
 
     Dimensions outside ``by`` and ``h`` are summed out in sorted-key order,
-    starting from 0.0, so each series equals a filtered scan of the records
-    as a store lists them on disk, whatever order they are held in.
-    ``where`` is a boolean mask over the records; records it is False for
-    are dropped. A dimension in ``by`` that the symbol lacks reads as None
-    in the group key. Groups come in order of their first record in
-    sorted-key order, hours in label order.
+    starting from 0.0, so each sum equals a filtered scan of the records as
+    a store lists them on disk, whatever order they are held in. ``where``
+    is a boolean mask over the records; records it is False for are
+    dropped, and so are records at hours off the axis. A dimension in
+    ``by`` that the symbol lacks reads as None in the group key. Groups
+    come in order of their first record in sorted-key order.
     """
     dims, layout = symbol.dims, symbol.layout
     h_pos = dims.index("h")
     positions = [dims.index(d) if d in dims else None for d in by]
     rows = layout.order if where is None else layout.order[where[layout.order]]
     groups, group = layout.group_by([p for p in positions if p is not None], rows)
-    codes, values = layout.codes[rows], symbol.values[rows]
-    n_hours = len(layout.labels[h_pos])
-    cells, cell = np.unique(group * n_hours + codes[:, h_pos], return_inverse=True)
-    # bincount adds each cell's records in record order, starting from 0.0.
-    sums = np.bincount(cell.reshape(-1), weights=values, minlength=len(cells)).tolist()
-    hour_names = layout.labels[h_pos].tolist()
-    hours = list(map(hour_names.__getitem__, (cells % n_hours).tolist()))
+    labels = layout.labels[h_pos]
+    at = np.searchsorted(hours, labels)  # each hour label's place on the axis
+    on_axis = at < len(hours)
+    on_axis[on_axis] = hours[at[on_axis]] == labels[on_axis]
+    hour = layout.codes[rows, h_pos]
+    keep = on_axis[hour]
+    cells = (group[keep], at[hour[keep]])
     n_groups = len(groups.codes)
-    ends = np.searchsorted(cells // n_hours, np.arange(1, n_groups + 1)).tolist()
+    table = np.zeros((n_groups, len(hours)))
+    # add.at adds each cell's records in record order, starting from 0.0.
+    np.add.at(table, cells, symbol.values[rows][keep])
+    present = np.zeros(table.shape, dtype=bool)
+    present[cells] = True
     columns = iter(groups.columns())
     keys = zip(*(next(columns) if p is not None else [None] * n_groups for p in positions))
-    return {
-        key: dict(zip(hours[a:b], sums[a:b])) for key, a, b in zip(keys, [0, *ends], ends)
-    }
+    return dict(zip(keys, zip(table, present)))
+
+
+def _axis(demand: Symbol) -> tuple[np.ndarray, np.ndarray]:
+    """The hour axis of residual load curves: demand's hour labels, and
+    their hour numbers."""
+    hours = demand.layout.labels[demand.dims.index("h")]
+    return hours, np.array([hour_index(h) for h in hours.tolist()], dtype=np.int64)
+
+
+def _curve(node, run, axis, demand, vre, columns):
+    """One residual load duration curve: the hours ``demand`` (``(sums,
+    present)`` on ``axis``) has a record for, ranked by descending residual
+    load, demand minus ``vre``, ties by ascending hour. ``vre`` None reads
+    as no renewable generation; otherwise it must cover those hours.
+    ``columns`` are further hourly arrays on the axis, re-ordered alike.
+    Returns the rows as tuples ``(node, run, rank, hour, residual,
+    *columns)``."""
+    hours, numbers = axis
+    d, present = demand
+    at = np.flatnonzero(present)
+    if vre is None:
+        v = np.zeros(len(at))
+    else:
+        lacking = at[~vre[1][at]]
+        if len(lacking):
+            missing = sorted(hours[lacking].tolist(), key=hour_index)
+            raise KeyError(f"renewable generation misses hours {missing[:3]} for {node}/{run}")
+        v = vre[0][at]
+    residual = d[at] - v
+    rank = np.lexsort((numbers[at], -residual))
+    ranked = at[rank]
+    return zip(
+        repeat(node), repeat(run), range(1, len(at) + 1), hours[ranked].tolist(), residual[rank].tolist(),
+        *(column[ranked].tolist() for column in columns),
+    )
 
 
 def rldc(
@@ -72,34 +111,31 @@ def rldc(
     the same descending-residual sort. Ties are broken by ascending hour. A
     symbol without an ``n`` or ``run`` dimension matches any node or run.
     """
+    axis = _axis(demand)
+    blank = (np.zeros(len(axis[0])), np.zeros(len(axis[0]), dtype=bool))
 
-    def series(symbol: Symbol) -> dict[str, float]:
+    def series(symbol: Symbol) -> tuple[np.ndarray, np.ndarray]:
         key = (run if "run" in symbol.dims else None, node if "n" in symbol.dims else None)
-        return _hour_groups(symbol).get(key, {})
+        return _hourly(symbol, axis[0]).get(key, blank)
 
-    companion_series = {name: series(sym) for name, sym in (companions or {}).items()}
-    return _rldc_rows(series(demand), series(vre_gen), companion_series, node, run)
-
-
-def _rldc_rows(d, v, companion_series, node, run) -> tuple[list[str], list[list]]:
-    missing = sorted(set(d) - set(v), key=hour_index)
-    if missing:
-        raise KeyError(f"renewable generation misses hours {missing[:3]} for {node}/{run}")
-    residual = {h: d[h] - v[h] for h in d}
-    order = sorted(residual, key=lambda h: (-residual[h], hour_index(h)))
-    headers = ["n", "run", "rank", "h", "residual", *companion_series.keys()]
-    rows: list[list] = []
-    for rank, hour in enumerate(order, start=1):
-        row = [node, run, rank, hour, residual[hour]]
-        row.extend(series.get(hour, 0.0) for series in companion_series.values())
-        rows.append(row)
-    return headers, rows
+    companions = companions or {}
+    columns = [series(sym)[0] for sym in companions.values()]
+    rows = _curve(node, run, axis, series(demand), series(vre_gen), columns)
+    return ["n", "run", "rank", "h", "residual", *companions], list(map(list, rows))
 
 
-def _write_table(path: Path, headers: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, headers: list[str], rows) -> None:
+    """One CSV line per row: floats to six significant digits (``%.6g``
+    reads as ``format(value, ".6g")``), anything else as ``str``. Each row
+    is formatted by one template, made once per pattern of cell types."""
+    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    for row in map(tuple, rows):
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join("%.6g" if issubclass(k, float) else "%s" for k in kinds)
+        lines.append(template % row)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -107,7 +143,8 @@ def standard_report(handler: SymbolsHandler, out_dir: Path | str) -> dict:
     """Write the standard result tables; returns the manifest.
 
     Sections whose input symbols are missing are skipped with a notice in
-    the manifest rather than failing the report.
+    the manifest rather than failing the report, and a table of a skipped
+    section left in ``out_dir`` by an earlier report is removed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,6 +253,10 @@ def standard_report(handler: SymbolsHandler, out_dir: Path | str) -> dict:
     )
     manifest["tables"].append({"name": "summary.csv", "dims": ["run"], "unit": "EUR"})
 
+    written = {table["name"] for table in manifest["tables"]}
+    for name in _TABLES:
+        if name not in written:  # left by an earlier report, it would read as this one's
+            (out_dir / name).unlink(missing_ok=True)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
@@ -235,43 +276,41 @@ def _emit_rldc(handler, out_dir, manifest, notice, grab) -> None:
     renewable = np.array([[tech in res[run] for tech in techs] for run in runs], dtype=bool)
     renewable = renewable.reshape(len(runs), len(techs))
     codes = generation.layout.codes
-    d = _hour_groups(demand)
-    g = _hour_groups(generation)
-    g_tech = _hour_groups(generation, ("run", "n", "tech"))
-    vre = _hour_groups(generation, where=renewable[codes[:, run_pos], codes[:, tech_pos]])
+    axis = _axis(demand)
+    blank = (np.zeros(len(axis[0])), np.zeros(len(axis[0]), dtype=bool))
+    d = _hourly(demand, axis[0])
+    g = _hourly(generation, axis[0])
+    g_tech = _hourly(generation, axis[0], ("run", "n", "tech"))
+    vre = _hourly(generation, axis[0], where=renewable[codes[:, run_pos], codes[:, tech_pos]])
     storage = {
-        column: _hour_groups(sym)
+        column: _hourly(sym, axis[0])
         for column, sym in (("sto_in", grab("STO_IN")), ("sto_out", grab("STO_OUT")))
         if sym is not None
     }
     slack = grab("SLACK")
-    sl = _hour_groups(slack) if slack is not None else {}
+    sl = _hourly(slack, axis[0]) if slack is not None else {}
 
     headers: list[str] | None = None
-    all_rows: list[list] = []
+    curves = []
     for run_id, run_sets in sets.items():
         disp = [t for t in run_sets.get("tech", []) if t not in res[run_id]]
         for node in run_sets.get("n", []):
             key = (run_id, node)
-            d_n, g_n, sl_n = d.get(key, {}), g.get(key, {}), sl.get(key, {})
+            d_n = d.get(key, blank)
+            flows = {column: groups.get(key, blank)[0] for column, groups in storage.items()}
+            columns = [g_tech.get((*key, tech), blank)[0] for tech in disp]
+            columns.extend(flows.values())
+            # Net imports from the balance identity: d - sum G - out + in - slack.
+            columns.append(
+                d_n[0] - g.get(key, blank)[0] - flows.get("sto_out", blank[0]) + flows.get("sto_in", blank[0])
+                - sl.get(key, blank)[0]
+            )
             # A run without renewables has zero renewable generation.
-            vre_n = vre.get(key, {}) if res[run_id] else dict.fromkeys(d_n, 0.0)
-            companions = {f"gen_{tech}": g_tech.get((*key, tech), {}) for tech in disp}
-            companions.update((column, groups.get(key, {})) for column, groups in storage.items())
-            sto_in, sto_out = companions.get("sto_in", {}), companions.get("sto_out", {})
-            file_headers, rows = _rldc_rows(d_n, vre_n, companions, node, run_id)
-            for row in rows:
-                # Net imports from the balance identity: d - sum G - out + in - slack.
-                h = row[3]
-                row.append(
-                    d_n[h] - g_n.get(h, 0.0) - sto_out.get(h, 0.0) + sto_in.get(h, 0.0) - sl_n.get(h, 0.0)
-                )
+            curves.append(_curve(node, run_id, axis, d_n, vre.get(key, blank) if res[run_id] else None, columns))
             if headers is None:
-                headers = file_headers + ["net_import"]
-            all_rows.extend(rows)
+                headers = ["n", "run", "rank", "h", "residual", *(f"gen_{t}" for t in disp), *storage, "net_import"]
     if headers is not None:
-        _write_table(out_dir / "rldc.csv", headers, all_rows)
+        _write_table(out_dir / "rldc.csv", headers, chain.from_iterable(curves))
         manifest["tables"].append(
             {"name": "rldc.csv", "dims": ["n", "run", "rank"], "unit": "MWh/h"}
         )
-

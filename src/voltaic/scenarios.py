@@ -28,7 +28,7 @@ import re
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -639,19 +639,29 @@ def _plan(
 
 
 def _run_sequential(
-    sweep: _Sweep, run: list[int], delays: list[float] | None, rebuild: bool = False
-) -> list[tuple[int, RunResult]]:
+    sweep: _Sweep,
+    run: list[int],
+    delays: list[float] | None,
+    rebuild: bool = False,
+    replays: int = 0,
+    finish=None,
+) -> list[tuple[int, RunResult, object]]:
     """Run ``sweep.specs[i]`` for each ``i`` of ``run``, in that order, on an
     instance compiled from its country set's build: one per set, or with
     ``rebuild`` a fresh one per row. A row whose country set is in
     ``sweep.warm_keys`` re-solves warm, from the basis of its parent row if
     that row was solved warm here, else from its instance's base basis; all
-    others are solved cold."""
+    others are solved cold.
+
+    The first ``replays`` rows of ``run`` are only solved, for the bases
+    they leave, and dropped. Every other row is returned with what
+    ``finish`` (if given) made of its result, called as soon as the row is
+    solved."""
     instances: dict[tuple[str, ...] | None, ModelInstance] = {}
     waiting = Counter(sweep.parents[i] for i in run)  # children still to run, per row
     bases: dict[int, object] = {}
-    out: list[tuple[int, RunResult]] = []
-    for idx in run:
+    out: list[tuple[int, RunResult, object]] = []
+    for pos, idx in enumerate(run):
         spec, parent, deltas = sweep.specs[idx], sweep.parents[idx], sweep.deltas[idx]
         start = bases.get(parent)
         waiting[parent] -= 1
@@ -668,15 +678,36 @@ def _run_sequential(
             result, basis = _run_on_instance(inst, spec, deltas, delay, key in sweep.warm_keys, start)
         if basis is not None and waiting[idx]:
             bases[idx] = basis
-        out.append((idx, result))
+        if pos >= replays:
+            out.append((idx, result, None if finish is None else finish(result)))
     return out
 
 
-def _parallel_worker(payload) -> list[tuple[int, RunResult]]:
-    """Run one segment, after replaying the ancestors it needs (whose
-    results are dropped)."""
-    sweep, run, delays, replays = payload
-    return _run_sequential(sweep, run, delays)[replays:]
+def _parallel_worker(payload) -> list[tuple[int, RunResult, object]]:
+    """Run one segment, after replaying the ancestors it needs. Its rows
+    come back finished and without their programs, which the parent
+    re-attaches from its own plan (:func:`_attach_programs`)."""
+    sweep, run, delays, replays, finish = payload
+    return [
+        (idx, replace(result, lp=None), done)
+        for idx, result, done in _run_sequential(sweep, run, delays, replays=replays, finish=finish)
+    ]
+
+
+def _attach_programs(sweep: _Sweep, indexed: list[tuple[int, RunResult, object]]) -> None:
+    """Give each row that ran its program: its country set's build with its
+    deltas applied, as the worker's instance held it when it solved it."""
+    instances: dict[tuple[str, ...] | None, ModelInstance] = {}
+    for idx, result, _ in indexed:
+        if result.error is not None:
+            continue
+        key = sweep.specs[idx].country_set
+        inst = instances.get(key)
+        if inst is None:
+            inst = instances[key] = compile_instance(sweep.builds[key], sweep.backend)
+        inst.reset()
+        inst.apply(sweep.deltas[idx])
+        result.lp = inst.snapshot()
 
 
 def run_scenarios(
@@ -698,8 +729,10 @@ def run_scenarios(
     fresh instance from the build per run and solves it cold;
     ``single_instance`` compiles once per country set and re-solves with
     per-run deltas applied to the restored base; ``parallel`` does the same
-    in worker processes, which only compile, apply and solve. ``threads`` =
-    0 uses every available core.
+    in worker processes, which only compile, apply and solve. A worker
+    ships each result back without its program; this process re-attaches
+    it from the plan, so every optimal result carries ``lp`` in every mode.
+    ``threads`` = 0 uses every available core.
 
     In the two instance modes a country set with eight or more rows in
     ``specs`` is re-solved warm (see :meth:`ModelInstance.resolve`); smaller
@@ -714,6 +747,33 @@ def run_scenarios(
     ``single_instance`` does, whatever ``threads`` is. All three modes
     produce the same objectives (to the 1e-6 certification).
     """
+    return [
+        result
+        for result, _ in _run_and_finish(
+            data, config, features, specs, mode, threads, constraint_blocks, backend, fixed_capacities,
+            delays=_test_delays,
+        )
+    ]
+
+
+def _run_and_finish(
+    data: SystemData,
+    config: ModelConfig,
+    features: FeatureMatrix | None,
+    specs: list[ScenarioSpec],
+    mode: str,
+    threads: int,
+    constraint_blocks: dict[str, tuple[str, ...]] | None = None,
+    backend: str = "highs",
+    fixed_capacities=None,
+    finish=None,
+    delays: list[float] | None = None,
+) -> list[tuple[RunResult, object]]:
+    """:func:`run_scenarios`, with each row's result paired with what
+    ``finish(result)`` returned. ``finish`` runs once per row, in the
+    process that solved the row and right after it: in a worker in
+    ``parallel`` mode (so it and what it returns must pickle), in this
+    process otherwise, and never on a worker's replayed ancestors."""
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:
@@ -722,7 +782,7 @@ def run_scenarios(
         raise ValidationError(f"run_scenarios: threads must be 0 (all cores) or more, got {threads}")
     sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild", backend)
     if mode != "parallel":
-        indexed = _run_sequential(sweep, sweep.order, _test_delays, rebuild=mode == "rebuild")
+        indexed = _run_sequential(sweep, sweep.order, delays, rebuild=mode == "rebuild", finish=finish)
     else:
         workers = min(threads or os.cpu_count() or 1, len(specs))
         payloads, end = [], 0
@@ -736,12 +796,13 @@ def run_scenarios(
                     rows.add(p)
                     p = sweep.parents[p]
             run = [idx for idx in sweep.order[:end] if idx in rows]
-            payloads.append((sweep, run, _test_delays, len(run) - len(segment)))
+            payloads.append((sweep, run, delays, len(run) - len(segment), finish))
         if workers == 1:
             chunks = [_parallel_worker(p) for p in payloads]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_parallel_worker, payloads))
-        indexed = [pair for chunk in chunks for pair in chunk]
-    by_index = dict(indexed)
+        indexed = [row for chunk in chunks for row in chunk]
+        _attach_programs(sweep, indexed)
+    by_index = {idx: (result, done) for idx, result, done in indexed}
     return [by_index[i] for i in range(len(specs))]

@@ -199,8 +199,11 @@ def solve_dense(lp: LpLike) -> Solution:
         for i in art_rows:
             cost_row -= tab[i]
         cost_row = run_phase(cost_row, allowed=art_base)
-        infeas = sum(tab[i, -1] for i in range(m_all) if basis[i] >= art_base)
-        if infeas > _FEAS_TOL * max(1.0, np.abs(b_full).max(initial=1.0)):
+        # Each artificial still basic must be zero to the scale of its own
+        # row: a large right-hand side elsewhere excuses no small row.
+        at = np.flatnonzero(basis >= art_base)
+        own = art_rows[basis[at] - art_base]
+        if (tab[at, -1] > _FEAS_TOL * np.maximum(1.0, np.abs(b_full[own]))).any():
             stats.iterations = iterations
             stats.wall_time = time.perf_counter() - start
             return Solution(INFEASIBLE, stats=stats)

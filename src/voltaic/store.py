@@ -168,10 +168,17 @@ def write_store(store: SymbolStore, root: Path | str, formats=(CSV_FORMAT,)) -> 
     """Write one run's store under ``root/<run_id>/``; returns the directory.
 
     The CSV format is always produced; add ``"npz"`` to also pack the whole
-    run into one binary columnar file.
+    run into one binary columnar file. Store files this call does not write
+    (a symbol's CSV, or ``store.npz``, left by an earlier run) are removed,
+    so the directory reads back as exactly this store; other files stay.
     """
     target = Path(root) / store.run_id
     target.mkdir(parents=True, exist_ok=True)
+    for path in target.iterdir():
+        if path.suffix == ".csv" and path.stem not in store.symbols or (
+            path.name == _NPZ_NAME and NPZ_FORMAT not in formats
+        ):
+            path.unlink()
     meta = dict(store.meta)
     meta["symbol_kinds"] = {n: s.value_kind for n, s in sorted(store.symbols.items())}
     meta["symbol_units"] = {n: s.unit for n, s in sorted(store.symbols.items())}

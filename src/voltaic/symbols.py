@@ -67,10 +67,14 @@ class Layout:
     __slots__ = ("labels", "codes", "_order", "_views")
 
     def __init__(self, labels: Sequence[np.ndarray], codes: np.ndarray):
-        self.labels = tuple(labels)
+        self.labels = tuple(map(_frozen, labels))
         self.codes = _frozen(codes)
         self._order: np.ndarray | None = None
         self._views: dict = {}
+
+    def __reduce__(self):
+        # The order and the views are caches, rebuilt on first use.
+        return Layout, (self.labels, self.codes)
 
     @classmethod
     def encode(cls, columns: Sequence[Sequence[str]], size: int) -> "Layout":
@@ -115,11 +119,18 @@ class Layout:
         labels = [self.labels[d] for d in dims]
         if not len(codes):
             return Layout(labels, codes), np.zeros(0, dtype=np.intp)
-        distinct, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+        if math.prod(map(len, labels)) < 2**63:
+            # One integer per combination, ordered as the combinations are.
+            key = np.zeros(len(codes), dtype=np.int64)
+            for d, table in enumerate(labels):
+                key = key * len(table) + codes[:, d]
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        else:
+            _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
         rank = np.argsort(first)
         group = np.empty_like(rank)
         group[rank] = np.arange(len(rank))
-        return Layout(labels, distinct[rank]), group[inverse.reshape(-1)]
+        return Layout(labels, codes[first[rank]]), group[inverse.reshape(-1)]
 
     def columns(self, rows: np.ndarray | None = None) -> list[list[str]]:
         """The label of every record (of ``rows``, if given) along each
@@ -219,6 +230,11 @@ class Symbol:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"symbol {self.name} is immutable")
+
+    def __reduce__(self):
+        return Symbol._make, (
+            self.name, self.value_kind, self.dims, self.layout, self.values, self.unit, self.warning_count
+        )
 
     @property
     def records(self) -> Mapping[tuple[str, ...], float]:

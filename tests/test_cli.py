@@ -115,6 +115,44 @@ class TestRun:
             roots.append(root)
         assert tree(roots[0] / "results") == tree(roots[1] / "results")
 
+    def test_single_instance_and_parallel_write_the_same_trees(self, tmp_path):
+        """Nine rows re-solve warm along their tree; in ``parallel`` each
+        worker writes the stores of its rows, and nothing may differ."""
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        table = "run,min_renewable_share('DE'),min_renewable_share('FR')\n" + "".join(
+            f"s{i},{0.50 + 0.02 * i:.2f},{0.40 + 0.01 * i:.2f}\n" for i in range(9)
+        )
+        trees = []
+        for mode, threads in (("single_instance", "0"), ("parallel", "2"), ("parallel", "3")):
+            root = create_project(f"{mode}{threads}", "example2", tmp_path)
+            variables = root / "settings" / "project_variables.csv"
+            variables.write_text(variables.read_text().replace("end_hour,h168", "end_hour,h12"))
+            (root / "iterationfiles" / "iteration_table.csv").write_text(table)
+            assert run_cli("run", str(root), "--mode", mode, "--threads", threads) == 0
+            trees.append({part: tree(root / part) for part in ("results", "report")})
+        assert len({path.split("/")[0] for path in trees[0]["results"]}) == 9 and len(trees[0]["report"]) == 6
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_rerun_leaves_no_stale_store_or_table(self, tmp_path):
+        root = create_project("demo", "example2", tmp_path)
+        variables = root / "settings" / "project_variables.csv"
+        variables.write_text(variables.read_text().replace("end_hour,h168", "end_hour,h12"))
+        assert run_cli("run", str(root)) == 0
+        assert (root / "results" / "share50" / "G.csv").exists() and (root / "report" / "rldc.csv").exists()
+        reporting = root / "settings" / "reporting_symbols.csv"
+        reporting.write_text("".join(line + "\n" for line in reporting.read_text().splitlines() if line != "G,level"))
+        variables.write_text(variables.read_text().replace("gdx_convert_to_pickle,yes", "gdx_convert_to_pickle,no"))
+        assert run_cli("run", str(root)) == 0
+        symbols = sorted(f"{line.split(',')[0]}.csv" for line in reporting.read_text().splitlines()[1:])
+        for run_dir in (root / "results").iterdir():
+            assert sorted(p.name for p in run_dir.iterdir()) == sorted([*symbols, "run.meta"])
+        run_report = {p.name: p.read_bytes() for p in (root / "report").iterdir()}
+        assert "generation.csv" not in run_report and "rldc.csv" not in run_report
+        assert run_cli("report", str(root)) == 0
+        assert {p.name: p.read_bytes() for p in (root / "report").iterdir()} == run_report
+
     def test_report_covers_only_this_run(self, tmp_path, capsys):
         root = create_project("demo", "minimal", tmp_path)
         assert run_cli("run", str(root)) == 0

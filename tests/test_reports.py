@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import two_node_sweep_system
-from voltaic.reports import _hour_groups, rldc, standard_report
+from voltaic.reports import _hourly, _write_table, rldc, standard_report
 from voltaic.scenarios import RunResult, ScenarioSpec, parse_iteration_table, run_scenarios
 from voltaic.store import SymbolStore, extract_symbols, read_all_stores, read_store, write_store
 from voltaic.symbols import Symbol, SymbolsHandler
@@ -356,6 +356,16 @@ def oracle_hour_groups(symbol, by=("run", "n"), where=None):
     return groups
 
 
+def _hour_groups(symbol, by=("run", "n"), where=None):
+    """``_hourly`` on the symbol's own hours, as ``{group: {hour: sum}}``
+    over the hours each group has records at."""
+    hours = symbol.layout.labels[symbol.dims.index("h")]
+    return {
+        key: {h: v for h, v, p in zip(hours.tolist(), sums.tolist(), present.tolist()) if p}
+        for key, (sums, present) in _hourly(symbol, hours, by, where).items()
+    }
+
+
 class TestHourGroups:
     @pytest.mark.parametrize("by", [("run", "n"), ("run", "n", "tech"), ("run", "sto"), ("n",)])
     def test_matches_record_loop_bitwise(self, mixed_stores, by):
@@ -383,6 +393,46 @@ class TestHourGroups:
         old = oracle_hour_groups(generation, where=lambda key: (key[0], key[1]) in keep)
         assert new.keys() == old.keys() and all(new[k] == old[k] for k in old)
         assert _hour_groups(generation, where=np.zeros(len(generation), dtype=bool)) == {}
+
+
+class TestHourly:
+    @pytest.mark.parametrize("by", [("run", "n"), ("run", "n", "tech"), ("run", "sto"), ("n",)])
+    def test_matches_record_loop_bitwise_on_the_axis(self, mixed_stores, by):
+        handler = SymbolsHandler(mixed_stores)
+        # An axis that misses some of the symbols' hours and has one they lack.
+        axis = np.array(sorted([f"h{i}" for i in range(3, 40)] + ["h99"]))
+        for name in ("G", "d", "STO_IN", "SLACK"):
+            symbol = handler.lookup(name)
+            new, old = _hourly(symbol, axis, by), oracle_hour_groups(symbol, by)
+            assert list(new) == list(old)
+            for key, series in old.items():
+                sums, present = new[key]
+                assert present.tolist() == [h in series for h in axis.tolist()]
+                assert [v.hex() for v in sums.tolist()] == [series.get(h, 0.0).hex() for h in axis.tolist()]
+
+
+def oracle_write_table(path, headers, rows):
+    """The report's writer before it formatted by row templates."""
+    lines = [",".join(headers)]
+    for row in rows:
+        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_write_table_equals_per_cell_formatting(tmp_path):
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-320, 123456.5, 1234567.0, -2.5e-7, 1 / 3]
+    rows = [
+        ["N1", "S0", 1, "h1", *specials[:3]],
+        ("N1", "S0", 2, "h2", *specials[3:6]),
+        ["N1", "S0", 3, "h3", *specials[6:9]],
+        [np.float64(-0.0), np.float64(2.25), np.int64(7), True, None, "a%sb", specials[9]],
+        [],
+        ["x", 5, 1.5],
+    ]
+    headers = ["n", "run", "rank", "h", "a", "b", "c"]
+    _write_table(tmp_path / "new.csv", headers, rows)
+    oracle_write_table(tmp_path / "old.csv", headers, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestNoRenewables:

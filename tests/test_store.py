@@ -99,6 +99,15 @@ class TestSerialization:
         assert len(lines) == 5
         assert lines[1] == "a,N1,2.0"  # lexicographic order
 
+    def test_rewrite_removes_store_files_it_does_not_write(self, tmp_path):
+        n = Symbol("N", "level", ("tech",), {("a",): 1.0})
+        g = Symbol("G", "level", ("tech",), {("a",): 2.0})
+        target = write_store(SymbolStore("S0", {"N": n, "G": g}), tmp_path, ("csv", "npz"))
+        (target / "notes.txt").write_text("kept")
+        write_store(SymbolStore("S0", {"N": n}), tmp_path)
+        assert sorted(p.name for p in target.iterdir()) == ["N.csv", "notes.txt", "run.meta"]
+        assert sorted(read_store(target).symbols) == ["N"]
+
     @pytest.mark.parametrize("fmt", ["csv", "npz"])
     def test_round_trip_identity(self, merit_results, tmp_path, fmt):
         _, _, results = merit_results

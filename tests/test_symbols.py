@@ -321,3 +321,31 @@ class TestColumns:
             Symbol.from_columns("bad", "level", ("i", "j"), layout, np.array([1.0]))
         with pytest.raises(ValueError, match=r"non-finite value at \('a',\)"):
             Symbol.from_columns("bad", "level", ("i",), layout, np.array([np.nan]))
+
+    @pytest.mark.parametrize("copy_of", ["pickle", "deepcopy"])
+    def test_round_trip_keeps_columns_and_drops_caches(self, copy_of):
+        import copy
+        import pickle
+
+        from voltaic.store import _csv_prefixes
+
+        g = Symbol("G", "level", ("tech", "n"), {("gas", "DE"): 1.0, ("coal", "FR"): -0.1, ("coal", "DE"): 3e-17},
+                   unit="MWh")
+        g.layout.order, g.records, g.layout.view(_csv_prefixes)  # fill every cache
+        back = pickle.loads(pickle.dumps(g)) if copy_of == "pickle" else copy.deepcopy(g)
+        assert (back.name, back.value_kind, back.dims, back.unit) == ("G", "level", ("tech", "n"), "MWh")
+        assert back.layout.codes.tolist() == g.layout.codes.tolist()
+        assert [t.tolist() for t in back.layout.labels] == [t.tolist() for t in g.layout.labels]
+        assert back.values.tobytes() == g.values.tobytes()
+        assert back.layout._order is None and back.layout._views == {} and back._records is None
+        assert not back.values.flags.writeable and not back.layout.codes.flags.writeable
+        assert not any(t.flags.writeable for t in back.layout.labels)
+        assert back == g
+
+    def test_symbols_sharing_a_layout_pickle_it_once(self):
+        import pickle
+
+        g = sym("G", ("i", "j"), {("a", "x"): 1.0, ("b", "y"): 2.0})
+        h = Symbol.from_columns("H", "level", g.dims, g.layout, np.array([3.0, 4.0]))
+        g2, h2 = pickle.loads(pickle.dumps([g, h]))
+        assert g2.layout is h2.layout
