@@ -7,10 +7,9 @@ from functools import partial
 from pathlib import Path
 
 from .project import Project, load_project
-from .reports import standard_report
+from .reports import PartialReport, clear_report, merge_report, partial_report
 from .scenarios import RunResult, _run_and_finish
-from .store import CSV_FORMAT, NPZ_FORMAT, SymbolStore, extract_symbols, read_all_stores, write_store
-from .symbols import SymbolsHandler
+from .store import _NPZ_NAME, CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_store, write_store
 from .system import ValidationError
 
 
@@ -45,11 +44,14 @@ def run_project(
 
     ``mode`` and ``threads`` override the project settings when given.
     Existing stores for the same run ids are overwritten; results land under
-    ``<root>/results/<run_id>/``. Each row's store is extracted and written
-    by the process that solved the row (a worker in ``parallel`` mode),
-    which hands the store back with the result. The report covers the runs
-    of this call only, in run-id order, and is made from those stores in
-    memory: it equals what :func:`report_project` makes from them on disk.
+    ``<root>/results/<run_id>/``. Each row's store is extracted and written,
+    and the row's share of the report made from it, by the process that
+    solved the row (a worker in ``parallel`` mode), which hands back that
+    share with the result and drops the store. This process only merges the
+    shares: the report covers the runs of this call only, in run-id order,
+    and equals what :func:`report_project` makes from their stores on disk.
+    If a run is not optimal there is no report, and the tables and manifest
+    an earlier call left in ``<root>/report`` are removed.
     """
     project = load_project(root)
     config = project.config
@@ -60,6 +62,7 @@ def run_project(
         config_echo=project.config_echo,
         results_dir=project.layout.results,
         formats=(CSV_FORMAT, NPZ_FORMAT) if config.write_npz else (CSV_FORMAT,),
+        report=config.report_data,
     )
     rows = _run_and_finish(
         project.data,
@@ -73,29 +76,38 @@ def run_project(
         fixed_capacities=project.fixed_capacities if config.dispatch_only else None,
         finish=finish,
     )
-    stores = [store for _, store in rows]
-    summary = RunSummary([result for result, _ in rows], [project.layout.results / s.run_id for s in stores])
+    results = [result for result, _ in rows]
+    summary = RunSummary(results, [project.layout.results / r.run_id for r in results])
     if config.report_data and summary.all_optimal:
-        stores = sorted(stores, key=lambda store: store.run_id)
-        standard_report(SymbolsHandler(stores), project.layout.report)
+        merge_report(sorted((part for _, part in rows), key=lambda part: part.run_id), project.layout.report)
+    elif config.report_data:
+        clear_report(project.layout.report)
     return summary
 
 
-def _finish_row(result: RunResult, reporting, threads, config_echo, results_dir, formats) -> SymbolStore:
-    """Extract one row's symbols and write its store; returns the store."""
+def _finish_row(
+    result: RunResult, reporting, threads, config_echo, results_dir, formats, report: bool = True
+) -> PartialReport | None:
+    """Extract one row's symbols and write its store; returns the row's
+    share of the report if ``report``."""
     [store] = extract_symbols([result], reporting, threads=threads, config_echo=config_echo)
     write_store(store, results_dir, formats)
-    return store
+    return partial_report(store) if report else None
 
 
 def report_project(root: Path | str) -> dict:
-    """Build the standard report from every store under ``<root>/results``."""
+    """Build the standard report from every store under ``<root>/results``,
+    reading one store at a time (its ``store.npz`` if it has one, else its
+    CSVs) and keeping only its share of the report."""
     root = Path(root)
     results_dir = root / "results"
     if not results_dir.is_dir() or not any(results_dir.iterdir()):
         raise ValidationError(f"{results_dir}: no result stores found (run the project first)")
-    handler = SymbolsHandler(read_all_stores(results_dir))
-    return standard_report(handler, root / "report")
+    parts = [
+        partial_report(read_store(run_dir, NPZ_FORMAT if (run_dir / _NPZ_NAME).is_file() else CSV_FORMAT))
+        for run_dir in sorted(p for p in results_dir.iterdir() if p.is_dir())
+    ]
+    return merge_report(parts, root / "report")
 
 
 def validate_project(root: Path | str) -> Project:

@@ -5,24 +5,35 @@ annual generation with curtailment, storage sizing and throughput, residual
 load duration curves) plus a ``manifest.json`` describing every produced
 table. Numbers are kept at full precision throughout the pipeline and only
 rounded to six significant digits here, at emission.
+
+The report is made in two steps. :func:`partial_report` turns one run's
+store into that run's formatted rows, so it can run beside the run's solve
+and the store can be dropped right after; :func:`merge_report` sorts the
+rows of all runs into the tables and writes them with the manifest.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .symbols import Symbol, SymbolsHandler, aggregate
+from .symbols import DimensionMismatch, Symbol, SymbolsHandler, _absent, aggregate
 from .system import hour_index
 
 log = logging.getLogger(__name__)
 
 _TABLES = ("capacity.csv", "generation.csv", "storage.csv", "rldc.csv", "summary.csv")
+_MANIFEST = "manifest.json"
+# The symbols the report reads, and the RLDC's storage flow columns.
+_SYMBOLS = ("N", "G", "CU", "N_STO_E", "N_STO_P", "STO_IN", "STO_OUT", "d", "SLACK")
+_FLOWS = (("sto_in", "STO_IN"), ("sto_out", "STO_OUT"))
 
 
 def _hourly(symbol: Symbol, hours: np.ndarray, by=("run", "n"), where=None) -> dict[tuple, tuple]:
@@ -124,28 +135,182 @@ def rldc(
     return ["n", "run", "rank", "h", "residual", *companions], list(map(list, rows))
 
 
-def _write_table(path: Path, headers: list[str], rows) -> None:
+def _format(rows) -> Iterator[str]:
     """One CSV line per row: floats to six significant digits (``%.6g``
     reads as ``format(value, ".6g")``), anything else as ``str``. Each row
     is formatted by one template, made once per pattern of cell types."""
     templates: dict[tuple[type, ...], str] = {}
-    lines = [",".join(headers)]
     for row in map(tuple, rows):
         kinds = tuple(map(type, row))
         template = templates.get(kinds)
         if template is None:
             template = templates[kinds] = ",".join("%.6g" if issubclass(k, float) else "%s" for k in kinds)
-        lines.append(template % row)
-    path.write_text("\n".join(lines) + "\n")
+        yield template % row
 
 
-def standard_report(handler: SymbolsHandler, out_dir: Path | str) -> dict:
-    """Write the standard result tables; returns the manifest.
+def _write_lines(path: Path, headers: list[str], lines: Iterable[str]) -> None:
+    path.write_text("\n".join([",".join(headers), *lines]) + "\n")
 
-    Sections whose input symbols are missing are skipped with a notice in
-    the manifest rather than failing the report, and a table of a skipped
-    section left in ``out_dir`` by an earlier report is removed.
+
+def _write_table(path: Path, headers: list[str], rows) -> None:
+    _write_lines(path, headers, _format(rows))
+
+
+@dataclass
+class PartialReport:
+    """One run's share of the standard report, made from its store alone.
+
+    Rows are kept as formatted CSV lines. The capacity, generation and
+    storage rows carry the two labels they are sorted by across runs; the
+    RLDC rows of all the run's nodes are kept as newline-joined columns
+    (the cells up to the dispatch columns, each storage flow the run holds,
+    net imports), because a run without a flow another run holds gets a
+    zero column for it. ``symbols`` maps each report symbol the store
+    holds to its dims and record count, which is all :func:`merge_report`
+    needs to tell which tables and columns the runs make together.
     """
+
+    run_id: str
+    symbols: dict[str, tuple[tuple[str, ...], int]]
+    summary: str
+    capacity: list[tuple[str, str, str]] = field(default_factory=list)
+    generation: list[tuple[str, str, str]] = field(default_factory=list)
+    storage: list[tuple[str, str, str]] = field(default_factory=list)
+    dispatch: list[str] = field(default_factory=list)  # the RLDC's gen_ columns
+    has_nodes: bool = False
+    rldc: str = ""
+    flows: dict[str, str] = field(default_factory=dict)
+    net_import: str = ""
+    rldc_error: str | None = None  # raised by the merge if it writes the RLDC
+
+
+def partial_report(store) -> PartialReport:
+    """The report's rows of one run, from its store (any object with
+    ``run_id``, ``symbols`` and ``meta``).
+
+    Every number is the same bits as in a report made from the symbols
+    joined across runs (:meth:`SymbolsHandler.lookup`): ``aggregate`` is
+    exact, and each hourly sum adds the run's records in sorted-key order,
+    which is also their order within the joined symbol.
+    """
+    run, meta = store.run_id, store.meta
+
+    def grab(name: str) -> Symbol | None:
+        symbol = store.symbols.get(name)
+        return None if symbol is None or _absent(symbol) else symbol
+
+    def annual(name: str) -> Mapping:
+        symbol = grab(name)
+        return aggregate(symbol, "h", "sum").records if symbol is not None else {}
+
+    def keyed(rows: list[list]) -> list[tuple[str, str, str]]:
+        return [(row[0], row[1], line) for row, line in zip(rows, _format(rows))]
+
+    summary = [
+        run, meta.get("status", ""), float(meta.get("objective") or 0.0),
+        float(meta.get("objective_investment") or 0.0), float(meta.get("objective_variable") or 0.0),
+    ]
+    part = PartialReport(
+        run,
+        {name: (sym.dims, len(sym)) for name in _SYMBOLS if (sym := store.symbols.get(name)) is not None},
+        next(_format([summary])),
+    )
+    capacity = grab("N")
+    if capacity is not None:
+        part.capacity = keyed([[key[0], key[1], run, value] for key, value in capacity.records.items()])
+    if grab("G") is not None:
+        curtailed = annual("CU")
+        part.generation = keyed(
+            [[key[0], key[1], run, value, curtailed.get(key, 0.0)] for key, value in annual("G").items()]
+        )
+    energy = grab("N_STO_E")
+    if energy is not None:
+        power = grab("N_STO_P")
+        power = power.records if power is not None else {}
+        charge, discharge = annual("STO_IN"), annual("STO_OUT")
+        part.storage = keyed([
+            [key[0], key[1], run, value, power.get(key, 0.0), charge.get(key, 0.0), discharge.get(key, 0.0)]
+            for key, value in energy.records.items()
+        ])
+    _partial_rldc(part, meta.get("sets", {}), grab)
+    return part
+
+
+def _partial_rldc(part: PartialReport, sets: dict, grab) -> None:
+    """Fill in the run's RLDC rows: one curve per node of the run, in the
+    run's node order, over the hours its demand has records at."""
+    res = set(sets.get("res", []))
+    part.dispatch = [t for t in sets.get("tech", []) if t not in res]
+    nodes = sets.get("n", [])
+    part.has_nodes = bool(nodes)
+    demand = grab("d")
+    if demand is None or not nodes:
+        return
+    axis = _axis(demand)
+    blank = (np.zeros(len(axis[0])), np.zeros(len(axis[0]), dtype=bool))
+    d = _hourly(demand, axis[0], ("n",))
+    generation = grab("G")
+    if generation is not None:
+        tech = generation.dims.index("tech")
+        renewable = np.array([t in res for t in generation.layout.labels[tech].tolist()], dtype=bool)
+        g = _hourly(generation, axis[0], ("n",))
+        g_tech = _hourly(generation, axis[0], ("n", "tech"))
+        vre = _hourly(generation, axis[0], ("n",), where=renewable[generation.layout.codes[:, tech]])
+    else:
+        g = g_tech = vre = {}
+    storage = {
+        column: _hourly(symbol, axis[0], ("n",))
+        for column, name in _FLOWS
+        if (symbol := grab(name)) is not None
+    }
+    slack = grab("SLACK")
+    sl = _hourly(slack, axis[0], ("n",)) if slack is not None else {}
+
+    rows = []
+    for node in nodes:
+        key = (node,)
+        d_n = d.get(key, blank)
+        flows = {column: groups.get(key, blank)[0] for column, groups in storage.items()}
+        columns = [g_tech.get((node, tech), blank)[0] for tech in part.dispatch]
+        columns.extend(flows.values())
+        # Net imports from the balance identity: d - sum G - out + in - slack.
+        columns.append(
+            d_n[0] - g.get(key, blank)[0] - flows.get("sto_out", blank[0]) + flows.get("sto_in", blank[0])
+            - sl.get(key, blank)[0]
+        )
+        try:
+            # A run without renewables has zero renewable generation.
+            rows.extend(_curve(node, part.run_id, axis, d_n, vre.get(key, blank) if res else None, columns))
+        except KeyError as exc:
+            part.rldc_error = exc.args[0]
+            return
+    width = 5 + len(part.dispatch)
+    part.rldc = "\n".join(_format(row[:width] for row in rows))
+    part.flows = {
+        column: "\n".join(["%.6g" % row[width + i] for row in rows]) for i, column in enumerate(storage)
+    }
+    part.net_import = "\n".join(["%.6g" % row[-1] for row in rows])
+
+
+def _marker(entry: tuple[tuple[str, ...], int]) -> bool:
+    """Whether a partial's symbol entry is the "not in the model" marker."""
+    return entry == ((), 0)
+
+
+def merge_report(parts: Iterable[PartialReport], out_dir: Path | str) -> dict:
+    """Write the standard tables of the runs ``parts`` come from, in that
+    order; returns the manifest.
+
+    Capacity, generation and storage rows are sorted by their labels and
+    run; the summary and the RLDC list the runs in the order given. A
+    symbol counts as :meth:`SymbolsHandler.lookup` would find it across the
+    runs: missing from every store, in the model of none of them (noted in
+    the manifest), or joined from those that hold it. Sections whose input
+    symbols are missing are skipped with a notice in the manifest rather
+    than failing the report, and a table of a skipped section left in
+    ``out_dir`` by an earlier report is removed.
+    """
+    parts = list(parts)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"tables": [], "notices": []}
@@ -154,163 +319,103 @@ def standard_report(handler: SymbolsHandler, out_dir: Path | str) -> dict:
         log.warning("%s", msg)
         manifest["notices"].append(msg)
 
-    @cache  # one lookup per name: each lookup copies the symbol out of every run
-    def grab(name: str) -> Symbol | None:
-        try:
-            symbol = handler.lookup(name)
-        except KeyError:
+    @cache  # notices come once per name, in the order the sections ask
+    def grab(name: str) -> int | None:
+        """The runs' records of ``name`` together, None if it is missing or
+        in no run's model."""
+        first, total = None, 0
+        for part in parts:
+            entry = part.symbols.get(name)
+            if entry is None or (first is not None and _marker(entry)):
+                continue
+            if first is None or _marker(first):
+                first = entry
+            elif entry[0] != first[0]:
+                raise DimensionMismatch(
+                    f"symbol {name!r} has dims {entry[0]} in run {part.run_id}, expected {first[0]}"
+                )
+            total += entry[1]
+        if first is None:
             return None
-        if symbol.dims == ("run",) and not len(symbol):
-            # Listed for extraction but absent from every run's model.
+        if _marker(first):
             notice(f"symbol {name} not extracted: not in the model")
             return None
-        return symbol
+        return total
 
-    capacity = grab("N")
-    if capacity is not None:
-        rows = [
-            [key[1], key[2], key[0], value]
-            for key, value in sorted(capacity.records.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0]))
-        ]
-        _write_table(out_dir / "capacity.csv", ["tech", "n", "run", "value"], rows)
-        manifest["tables"].append(
-            {"name": "capacity.csv", "dims": ["tech", "n", "run"], "unit": "MW"}
-        )
+    def table(name: str, headers: list[str], lines: Iterable[str], dims: list[str], unit: str) -> None:
+        _write_lines(out_dir / name, headers, lines)
+        manifest["tables"].append({"name": name, "dims": dims, "unit": unit})
+
+    def by_labels(rows: str) -> list[str]:
+        keyed = sorted((a, b, part.run_id, line) for part in parts for a, b, line in getattr(part, rows))
+        return [line for *_, line in keyed]
+
+    if grab("N") is not None:
+        table("capacity.csv", ["tech", "n", "run", "value"], by_labels("capacity"), ["tech", "n", "run"], "MW")
     else:
         notice("capacity.csv skipped: symbol N not extracted")
 
-    generation = grab("G")
-    if generation is not None:
-        annual = aggregate(generation, "h", "sum")
-        curtail = grab("CU")
-        curtailed = aggregate(curtail, "h", "sum") if curtail is not None else None
-        rows = []
-        for key in sorted(annual.records, key=lambda k: (k[1], k[2], k[0])):
-            run, tech, node = key
-            cu = curtailed.records.get(key, 0.0) if curtailed is not None else 0.0
-            rows.append([tech, node, run, annual.records[key], cu])
-        _write_table(
-            out_dir / "generation.csv",
-            ["tech", "n", "run", "generation", "curtailment"],
-            rows,
-        )
-        manifest["tables"].append(
-            {"name": "generation.csv", "dims": ["tech", "n", "run"], "unit": "MWh"}
-        )
+    if grab("G") is not None:
+        # CU here, the flows in the storage table and SLACK only enter values,
+        # which each share has: they are grabbed for their notices, in the
+        # order a report from joined symbols asks for them.
+        grab("CU")
+        table("generation.csv", ["tech", "n", "run", "generation", "curtailment"], by_labels("generation"),
+              ["tech", "n", "run"], "MWh")
     else:
         notice("generation.csv skipped: symbol G not extracted")
 
-    sto_e = grab("N_STO_E")
-    sto_p = grab("N_STO_P")
-    if sto_e is not None and sto_p is not None and len(sto_e):
-        charge = grab("STO_IN")
-        discharge = grab("STO_OUT")
-        charge_total = aggregate(charge, "h", "sum") if charge is not None else None
-        discharge_total = aggregate(discharge, "h", "sum") if discharge is not None else None
-        rows = []
-        for key in sorted(sto_e.records, key=lambda k: (k[1], k[2], k[0])):
-            run, sto, node = key
-            rows.append(
-                [
-                    sto,
-                    node,
-                    run,
-                    sto_e.records[key],
-                    sto_p.records.get(key, 0.0),
-                    charge_total.records.get(key, 0.0) if charge_total else 0.0,
-                    discharge_total.records.get(key, 0.0) if discharge_total else 0.0,
-                ]
-            )
-        _write_table(
-            out_dir / "storage.csv",
-            ["sto", "n", "run", "energy_cap", "power_cap", "charge", "discharge"],
-            rows,
-        )
-        manifest["tables"].append(
-            {"name": "storage.csv", "dims": ["sto", "n", "run"], "unit": "MWh/MW"}
-        )
-    elif sto_e is None or sto_p is None:
+    energy, power = grab("N_STO_E"), grab("N_STO_P")
+    if energy is not None and power is not None and energy:
+        grab("STO_IN"), grab("STO_OUT")
+        table("storage.csv", ["sto", "n", "run", "energy_cap", "power_cap", "charge", "discharge"],
+              by_labels("storage"), ["sto", "n", "run"], "MWh/MW")
+    elif energy is None or power is None:
         notice("storage.csv skipped: storage symbols not extracted")
 
-    _emit_rldc(handler, out_dir, manifest, notice, grab)
+    demand, generation = grab("d"), grab("G")
+    if demand is None or generation is None:
+        notice("rldc.csv skipped: needs symbols d and G")
+    else:
+        flows = [column for column, name in _FLOWS if grab(name) is not None]
+        grab("SLACK")
+        for part in parts:
+            if part.rldc_error is not None:
+                raise KeyError(part.rldc_error)
+        first = next((part for part in parts if part.has_nodes), None)
+        if first is not None:
+            headers = ["n", "run", "rank", "h", "residual", *(f"gen_{t}" for t in first.dispatch), *flows,
+                       "net_import"]
+            lines = chain.from_iterable(_rldc_lines(part, flows) for part in parts if part.rldc)
+            table("rldc.csv", headers, lines, ["n", "run", "rank"], "MWh/h")
 
-    rows = []
-    for run_id in handler.runs():
-        meta = handler.meta(run_id)
-        rows.append(
-            [
-                run_id,
-                meta.get("status", ""),
-                float(meta.get("objective") or 0.0),
-                float(meta.get("objective_investment") or 0.0),
-                float(meta.get("objective_variable") or 0.0),
-            ]
-        )
-    _write_table(
-        out_dir / "summary.csv",
-        ["run", "status", "objective", "investment_cost", "variable_cost"],
-        rows,
-    )
-    manifest["tables"].append({"name": "summary.csv", "dims": ["run"], "unit": "EUR"})
+    table("summary.csv", ["run", "status", "objective", "investment_cost", "variable_cost"],
+          [part.summary for part in parts], ["run"], "EUR")
 
-    written = {table["name"] for table in manifest["tables"]}
+    written = {t["name"] for t in manifest["tables"]}
     for name in _TABLES:
         if name not in written:  # left by an earlier report, it would read as this one's
             (out_dir / name).unlink(missing_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    (out_dir / _MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
 
-def _emit_rldc(handler, out_dir, manifest, notice, grab) -> None:
-    demand = grab("d")
-    generation = grab("G")
-    if demand is None or generation is None:
-        notice("rldc.csv skipped: needs symbols d and G")
-        return
+def _rldc_lines(part: PartialReport, flows: list[str]) -> Iterator[str]:
+    """The run's RLDC lines with the storage flow columns ``flows``; a flow
+    the run does not hold reads 0, as a zero series formats."""
+    columns = [part.flows[column].split("\n") if column in part.flows else repeat("0") for column in flows]
+    return map(",".join, zip(part.rldc.split("\n"), *columns, part.net_import.split("\n")))
 
-    sets = {run_id: handler.meta(run_id).get("sets", {}) for run_id in handler.runs()}
-    res = {run_id: set(s.get("res", [])) for run_id, s in sets.items()}
-    run_pos, tech_pos = generation.dims.index("run"), generation.dims.index("tech")
-    # Whether each (run, tech) label pair of G is renewable in that run.
-    runs, techs = (generation.layout.labels[p].tolist() for p in (run_pos, tech_pos))
-    renewable = np.array([[tech in res[run] for tech in techs] for run in runs], dtype=bool)
-    renewable = renewable.reshape(len(runs), len(techs))
-    codes = generation.layout.codes
-    axis = _axis(demand)
-    blank = (np.zeros(len(axis[0])), np.zeros(len(axis[0]), dtype=bool))
-    d = _hourly(demand, axis[0])
-    g = _hourly(generation, axis[0])
-    g_tech = _hourly(generation, axis[0], ("run", "n", "tech"))
-    vre = _hourly(generation, axis[0], where=renewable[codes[:, run_pos], codes[:, tech_pos]])
-    storage = {
-        column: _hourly(sym, axis[0])
-        for column, sym in (("sto_in", grab("STO_IN")), ("sto_out", grab("STO_OUT")))
-        if sym is not None
-    }
-    slack = grab("SLACK")
-    sl = _hourly(slack, axis[0]) if slack is not None else {}
 
-    headers: list[str] | None = None
-    curves = []
-    for run_id, run_sets in sets.items():
-        disp = [t for t in run_sets.get("tech", []) if t not in res[run_id]]
-        for node in run_sets.get("n", []):
-            key = (run_id, node)
-            d_n = d.get(key, blank)
-            flows = {column: groups.get(key, blank)[0] for column, groups in storage.items()}
-            columns = [g_tech.get((*key, tech), blank)[0] for tech in disp]
-            columns.extend(flows.values())
-            # Net imports from the balance identity: d - sum G - out + in - slack.
-            columns.append(
-                d_n[0] - g.get(key, blank)[0] - flows.get("sto_out", blank[0]) + flows.get("sto_in", blank[0])
-                - sl.get(key, blank)[0]
-            )
-            # A run without renewables has zero renewable generation.
-            curves.append(_curve(node, run_id, axis, d_n, vre.get(key, blank) if res[run_id] else None, columns))
-            if headers is None:
-                headers = ["n", "run", "rank", "h", "residual", *(f"gen_{t}" for t in disp), *storage, "net_import"]
-    if headers is not None:
-        _write_table(out_dir / "rldc.csv", headers, chain.from_iterable(curves))
-        manifest["tables"].append(
-            {"name": "rldc.csv", "dims": ["n", "run", "rank"], "unit": "MWh/h"}
-        )
+def clear_report(out_dir: Path | str) -> None:
+    """Remove the tables and manifest an earlier report left in ``out_dir``."""
+    for name in (*_TABLES, _MANIFEST):
+        (Path(out_dir) / name).unlink(missing_ok=True)
+
+
+def standard_report(handler: SymbolsHandler, out_dir: Path | str) -> dict:
+    """Write the standard result tables of the handler's runs, in handler
+    order; returns the manifest. The same as :func:`merge_report` over each
+    store's :func:`partial_report`, which is how it is made: no symbol is
+    looked up across runs."""
+    return merge_report([partial_report(store) for store in handler.stores.values()], out_dir)

@@ -28,7 +28,8 @@ import re
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -433,15 +434,38 @@ def expand_overrides(
     return deltas
 
 
+class _Program:
+    """The ``lp`` of a :class:`RunResult`: the program it was given, or, if
+    it was given a callable instead, what that returns, made when ``lp`` is
+    first read and kept."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None
+        lp = result.__dict__["lp"]
+        if callable(lp):
+            lp = result.__dict__["lp"] = lp()
+        return lp
+
+    def __set__(self, result, lp) -> None:
+        result.__dict__["lp"] = lp
+
+
 @dataclass
 class RunResult:
-    """Outcome of one scenario run, present even when the run failed."""
+    """Outcome of one scenario run, present even when the run failed.
+
+    A sweep gives each row that ran a callable for its program (``lp``),
+    which derives it from the sweep's plan when first read, in every mode:
+    the row's country-set build with its deltas applied, bitwise what was
+    solved. A pickled result carries its program.
+    """
 
     run_id: str
     solution: Solution | None
     overrides: tuple[tuple[str, str], ...]
     error: str | None = None
-    lp: LinearProgram | None = None
+    lp: LinearProgram | None = field(default=None, repr=False, compare=False)
     wall_time: float = 0.0
 
     @property
@@ -453,6 +477,12 @@ class RunResult:
     @property
     def objective(self) -> float | None:
         return self.solution.objective if self.solution is not None else None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "lp": self.lp}
+
+
+RunResult.lp = _Program()  # after the dataclass has made ``lp`` an init field
 
 
 def _echo(spec: ScenarioSpec) -> tuple[tuple[str, str], ...]:
@@ -656,7 +686,8 @@ def _run_sequential(
     The first ``replays`` rows of ``run`` are only solved, for the bases
     they leave, and dropped. Every other row is returned with what
     ``finish`` (if given) made of its result, called as soon as the row is
-    solved."""
+    solved, and without its program: the result holds a copy of it only
+    until ``finish`` returns."""
     instances: dict[tuple[str, ...] | None, ModelInstance] = {}
     waiting = Counter(sweep.parents[i] for i in run)  # children still to run, per row
     bases: dict[int, object] = {}
@@ -679,35 +710,25 @@ def _run_sequential(
         if basis is not None and waiting[idx]:
             bases[idx] = basis
         if pos >= replays:
-            out.append((idx, result, None if finish is None else finish(result)))
+            done = None if finish is None else finish(result)
+            result.lp = None
+            out.append((idx, result, done))
     return out
 
 
 def _parallel_worker(payload) -> list[tuple[int, RunResult, object]]:
     """Run one segment, after replaying the ancestors it needs. Its rows
-    come back finished and without their programs, which the parent
-    re-attaches from its own plan (:func:`_attach_programs`)."""
+    come back finished and without their programs."""
     sweep, run, delays, replays, finish = payload
-    return [
-        (idx, replace(result, lp=None), done)
-        for idx, result, done in _run_sequential(sweep, run, delays, replays=replays, finish=finish)
-    ]
+    return _run_sequential(sweep, run, delays, replays=replays, finish=finish)
 
 
-def _attach_programs(sweep: _Sweep, indexed: list[tuple[int, RunResult, object]]) -> None:
-    """Give each row that ran its program: its country set's build with its
-    deltas applied, as the worker's instance held it when it solved it."""
-    instances: dict[tuple[str, ...] | None, ModelInstance] = {}
-    for idx, result, _ in indexed:
-        if result.error is not None:
-            continue
-        key = sweep.specs[idx].country_set
-        inst = instances.get(key)
-        if inst is None:
-            inst = instances[key] = compile_instance(sweep.builds[key], sweep.backend)
-        inst.reset()
-        inst.apply(sweep.deltas[idx])
-        result.lp = inst.snapshot()
+def _program(sweep: _Sweep, idx: int) -> LinearProgram:
+    """Row ``idx``'s program: its country set's build with its deltas
+    applied, as the instance that solved the row held it."""
+    inst = compile_instance(sweep.builds[sweep.specs[idx].country_set], sweep.backend)
+    inst.apply(sweep.deltas[idx])
+    return inst.lp
 
 
 def run_scenarios(
@@ -729,9 +750,9 @@ def run_scenarios(
     fresh instance from the build per run and solves it cold;
     ``single_instance`` compiles once per country set and re-solves with
     per-run deltas applied to the restored base; ``parallel`` does the same
-    in worker processes, which only compile, apply and solve. A worker
-    ships each result back without its program; this process re-attaches
-    it from the plan, so every optimal result carries ``lp`` in every mode.
+    in worker processes, which only compile, apply and solve. No result
+    holds its program once its row is finished: every row that ran derives
+    ``lp`` from the plan when it is first read, in every mode.
     ``threads`` = 0 uses every available core.
 
     In the two instance modes a country set with eight or more rows in
@@ -803,6 +824,8 @@ def _run_and_finish(
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_parallel_worker, payloads))
         indexed = [row for chunk in chunks for row in chunk]
-        _attach_programs(sweep, indexed)
+    for idx, result, _ in indexed:
+        if result.error is None:
+            result.lp = partial(_program, sweep, idx)
     by_index = {idx: (result, done) for idx, result, done in indexed}
     return [by_index[i] for i in range(len(specs))]

@@ -169,6 +169,19 @@ class TestRun:
         summary = (root / "report" / "summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary[1:]] == ["X0", "base"]
 
+    def test_failed_run_leaves_no_earlier_report(self, tmp_path, capsys):
+        root = create_project("demo", "minimal", tmp_path)
+        assert run_cli("run", str(root)) == 0
+        report = root / "report"
+        assert (report / "summary.csv").exists() and (report / "manifest.json").exists()
+        rewrite = root / "settings" / "project_variables.csv"
+        rewrite.write_text(rewrite.read_text().replace("scenarios_iteration,no", "scenarios_iteration,yes"))
+        (root / "iterationfiles" / "iteration_table.csv").write_text("run,country_set\nbase,ZZ\n")
+        capsys.readouterr()
+        assert run_cli("run", str(root)) == 2
+        assert "ZZ" in capsys.readouterr().err
+        assert sorted(p.name for p in report.iterdir()) == []
+
     def test_stores_and_report_hold_no_negative_zero(self, tmp_path):
         root = create_project("demo", "example1", tmp_path)
         assert run_cli("run", str(root)) == 0

@@ -2,15 +2,18 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from functools import cache
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import two_node_sweep_system
-from voltaic.reports import _hourly, _write_table, rldc, standard_report
+from voltaic.reports import _axis, _curve, _hourly, _write_table, rldc, standard_report
 from voltaic.scenarios import RunResult, ScenarioSpec, parse_iteration_table, run_scenarios
 from voltaic.store import SymbolStore, extract_symbols, read_all_stores, read_store, write_store
-from voltaic.symbols import Symbol, SymbolsHandler
+from voltaic.symbols import Symbol, SymbolsHandler, aggregate
 from voltaic.system import hour_index
 
 FULL_REPORTING = [
@@ -325,8 +328,9 @@ class TestGroupedReport:
         assert (tmp_path / "report" / "rldc.csv").read_text() == oracle_rldc_csv(handler)
 
     def test_lookups_do_not_grow_with_runs(self, mixed_stores, tmp_path):
+        # Each run is reported from its own store: no symbol is joined
+        # across runs, however many there are.
         base = [s for s in mixed_stores if s.run_id in ("S0", "R00")]
-        calls = []
         for copies in (1, 4):  # 2 and 8 stores
             stores = [
                 SymbolStore(f"{store.run_id}_{i}", store.symbols, store.meta)
@@ -335,9 +339,9 @@ class TestGroupedReport:
             ]
             handler = CountingHandler(stores)
             standard_report(handler, tmp_path / f"report{len(stores)}")
-            assert max(handler.calls.values()) == 1, handler.calls
-            calls.append(sum(handler.calls.values()))
-        assert calls[0] == calls[1]
+            assert not handler.calls, handler.calls
+            summary = (tmp_path / f"report{len(stores)}" / "summary.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in summary[1:]] == [store.run_id for store in stores]
 
 
 def oracle_hour_groups(symbol, by=("run", "n"), where=None):
@@ -505,10 +509,278 @@ def test_run_report_from_memory_equals_report_from_disk(tmp_path, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(store, "read_store", no_read)
-        patched.setattr(pipeline, "read_all_stores", no_read)
+        patched.setattr(pipeline, "read_store", no_read)
         assert pipeline.run_project(root).all_optimal
     from_memory = {p.name: p.read_bytes() for p in sorted((root / "report").iterdir())}
     pipeline.report_project(root)
     from_disk = {p.name: p.read_bytes() for p in sorted((root / "report").iterdir())}
     assert len(from_memory) == 6
     assert from_memory == from_disk
+
+
+# -- reference: the report made from symbols joined across runs --------------
+# ``standard_report`` as it was before the report was split into per-run
+# partials and a merge (apart from names and logging), so the merged report
+# can be held to its exact bytes.
+
+_STACKED_TABLES = ("capacity.csv", "generation.csv", "storage.csv", "rldc.csv", "summary.csv")
+
+
+def stacked_report(handler, out_dir):
+    """``standard_report`` as it was made from symbols joined across runs."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest: dict = {"tables": [], "notices": []}
+
+    def notice(msg: str) -> None:
+        manifest["notices"].append(msg)
+
+    @cache  # one lookup per name: each lookup copies the symbol out of every run
+    def grab(name: str) -> Symbol | None:
+        try:
+            symbol = handler.lookup(name)
+        except KeyError:
+            return None
+        if symbol.dims == ("run",) and not len(symbol):
+            # Listed for extraction but absent from every run's model.
+            notice(f"symbol {name} not extracted: not in the model")
+            return None
+        return symbol
+
+    capacity = grab("N")
+    if capacity is not None:
+        rows = [
+            [key[1], key[2], key[0], value]
+            for key, value in sorted(capacity.records.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0]))
+        ]
+        _write_table(out_dir / "capacity.csv", ["tech", "n", "run", "value"], rows)
+        manifest["tables"].append(
+            {"name": "capacity.csv", "dims": ["tech", "n", "run"], "unit": "MW"}
+        )
+    else:
+        notice("capacity.csv skipped: symbol N not extracted")
+
+    generation = grab("G")
+    if generation is not None:
+        annual = aggregate(generation, "h", "sum")
+        curtail = grab("CU")
+        curtailed = aggregate(curtail, "h", "sum") if curtail is not None else None
+        rows = []
+        for key in sorted(annual.records, key=lambda k: (k[1], k[2], k[0])):
+            run, tech, node = key
+            cu = curtailed.records.get(key, 0.0) if curtailed is not None else 0.0
+            rows.append([tech, node, run, annual.records[key], cu])
+        _write_table(
+            out_dir / "generation.csv",
+            ["tech", "n", "run", "generation", "curtailment"],
+            rows,
+        )
+        manifest["tables"].append(
+            {"name": "generation.csv", "dims": ["tech", "n", "run"], "unit": "MWh"}
+        )
+    else:
+        notice("generation.csv skipped: symbol G not extracted")
+
+    sto_e = grab("N_STO_E")
+    sto_p = grab("N_STO_P")
+    if sto_e is not None and sto_p is not None and len(sto_e):
+        charge = grab("STO_IN")
+        discharge = grab("STO_OUT")
+        charge_total = aggregate(charge, "h", "sum") if charge is not None else None
+        discharge_total = aggregate(discharge, "h", "sum") if discharge is not None else None
+        rows = []
+        for key in sorted(sto_e.records, key=lambda k: (k[1], k[2], k[0])):
+            run, sto, node = key
+            rows.append(
+                [
+                    sto,
+                    node,
+                    run,
+                    sto_e.records[key],
+                    sto_p.records.get(key, 0.0),
+                    charge_total.records.get(key, 0.0) if charge_total else 0.0,
+                    discharge_total.records.get(key, 0.0) if discharge_total else 0.0,
+                ]
+            )
+        _write_table(
+            out_dir / "storage.csv",
+            ["sto", "n", "run", "energy_cap", "power_cap", "charge", "discharge"],
+            rows,
+        )
+        manifest["tables"].append(
+            {"name": "storage.csv", "dims": ["sto", "n", "run"], "unit": "MWh/MW"}
+        )
+    elif sto_e is None or sto_p is None:
+        notice("storage.csv skipped: storage symbols not extracted")
+
+    _stacked_rldc(handler, out_dir, manifest, notice, grab)
+
+    rows = []
+    for run_id in handler.runs():
+        meta = handler.meta(run_id)
+        rows.append(
+            [
+                run_id,
+                meta.get("status", ""),
+                float(meta.get("objective") or 0.0),
+                float(meta.get("objective_investment") or 0.0),
+                float(meta.get("objective_variable") or 0.0),
+            ]
+        )
+    _write_table(
+        out_dir / "summary.csv",
+        ["run", "status", "objective", "investment_cost", "variable_cost"],
+        rows,
+    )
+    manifest["tables"].append({"name": "summary.csv", "dims": ["run"], "unit": "EUR"})
+
+    written = {table["name"] for table in manifest["tables"]}
+    for name in _STACKED_TABLES:
+        if name not in written:  # left by an earlier report, it would read as this one's
+            (out_dir / name).unlink(missing_ok=True)
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return manifest
+
+
+def _stacked_rldc(handler, out_dir, manifest, notice, grab):
+    demand = grab("d")
+    generation = grab("G")
+    if demand is None or generation is None:
+        notice("rldc.csv skipped: needs symbols d and G")
+        return
+
+    sets = {run_id: handler.meta(run_id).get("sets", {}) for run_id in handler.runs()}
+    res = {run_id: set(s.get("res", [])) for run_id, s in sets.items()}
+    run_pos, tech_pos = generation.dims.index("run"), generation.dims.index("tech")
+    # Whether each (run, tech) label pair of G is renewable in that run.
+    runs, techs = (generation.layout.labels[p].tolist() for p in (run_pos, tech_pos))
+    renewable = np.array([[tech in res[run] for tech in techs] for run in runs], dtype=bool)
+    renewable = renewable.reshape(len(runs), len(techs))
+    codes = generation.layout.codes
+    axis = _axis(demand)
+    blank = (np.zeros(len(axis[0])), np.zeros(len(axis[0]), dtype=bool))
+    d = _hourly(demand, axis[0])
+    g = _hourly(generation, axis[0])
+    g_tech = _hourly(generation, axis[0], ("run", "n", "tech"))
+    vre = _hourly(generation, axis[0], where=renewable[codes[:, run_pos], codes[:, tech_pos]])
+    storage = {
+        column: _hourly(sym, axis[0])
+        for column, sym in (("sto_in", grab("STO_IN")), ("sto_out", grab("STO_OUT")))
+        if sym is not None
+    }
+    slack = grab("SLACK")
+    sl = _hourly(slack, axis[0]) if slack is not None else {}
+
+    headers: list[str] | None = None
+    curves = []
+    for run_id, run_sets in sets.items():
+        disp = [t for t in run_sets.get("tech", []) if t not in res[run_id]]
+        for node in run_sets.get("n", []):
+            key = (run_id, node)
+            d_n = d.get(key, blank)
+            flows = {column: groups.get(key, blank)[0] for column, groups in storage.items()}
+            columns = [g_tech.get((*key, tech), blank)[0] for tech in disp]
+            columns.extend(flows.values())
+            # Net imports from the balance identity: d - sum G - out + in - slack.
+            columns.append(
+                d_n[0] - g.get(key, blank)[0] - flows.get("sto_out", blank[0]) + flows.get("sto_in", blank[0])
+                - sl.get(key, blank)[0]
+            )
+            # A run without renewables has zero renewable generation.
+            curves.append(_curve(node, run_id, axis, d_n, vre.get(key, blank) if res[run_id] else None, columns))
+            if headers is None:
+                headers = ["n", "run", "rank", "h", "residual", *(f"gen_{t}" for t in disp), *storage, "net_import"]
+    if headers is not None:
+        _write_table(out_dir / "rldc.csv", headers, chain.from_iterable(curves))
+        manifest["tables"].append(
+            {"name": "rldc.csv", "dims": ["n", "run", "rank"], "unit": "MWh/h"}
+        )
+
+
+def _tree_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _assert_stacked(stores, report_dir, tmp_path):
+    """``report_dir`` holds, byte for byte, what the joined report makes of ``stores``."""
+    expected = tmp_path / "stacked"
+    stacked_report(SymbolsHandler(stores), expected)
+    assert _tree_bytes(report_dir) == _tree_bytes(expected)
+
+
+class TestMergedEqualsStacked:
+    """The report merged from per-run partials is the report made from the
+    symbols joined across runs, table for table and byte for byte."""
+
+    @pytest.mark.parametrize("template", ["example1", "example2"])
+    def test_project_sweeps(self, template, tmp_path):
+        from voltaic.pipeline import report_project, run_project
+        from voltaic.templates import create_project
+
+        root = create_project("demo", template, tmp_path)
+        assert run_project(root, mode="parallel", threads=2).all_optimal
+        stores = read_all_stores(root / "results")
+        _assert_stacked(stores, root / "report", tmp_path)
+        report_project(root)
+        _assert_stacked(stores, root / "report", tmp_path)
+
+    @pytest.mark.parametrize("source", ["memory", "disk"])
+    def test_slack_different_renewables_and_a_failed_run(self, mixed_stores, source, tmp_path):
+        stores = mixed_stores
+        if source == "disk":
+            for store in stores:
+                write_store(store, tmp_path / "results")
+            stores = read_all_stores(tmp_path / "results")
+        assert any(len(store.symbols.get("SLACK", ())) for store in stores)
+        standard_report(SymbolsHandler(stores), tmp_path / "report")
+        _assert_stacked(stores, tmp_path / "report", tmp_path)
+
+    def test_no_renewables(self, merit_toy, tmp_path):
+        data, config = merit_toy
+        results = run_scenarios(data, config, None, [ScenarioSpec("S0"), ScenarioSpec("S1")], mode="rebuild")
+        stores = extract_symbols(results, FULL_REPORTING)
+        assert stores[0].symbols["CU"].dims == ()
+        standard_report(SymbolsHandler(stores), tmp_path / "report")
+        _assert_stacked(stores, tmp_path / "report", tmp_path)
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["flows_first", "flows_last"])
+    def test_runs_with_and_without_renewables_and_storage(self, sweep_toy, merit_toy, step, tmp_path):
+        stores = []
+        for run_id, (data, config) in (("A", sweep_toy), ("B", merit_toy)):
+            results = run_scenarios(data, config, None, [ScenarioSpec(run_id)], mode="single_instance")
+            stores.extend(extract_symbols(results, FULL_REPORTING + [("SLACK", "level")]))
+        stores = stores[::step]
+        standard_report(SymbolsHandler(stores), tmp_path / "report")
+        _assert_stacked(stores, tmp_path / "report", tmp_path)
+        header = (tmp_path / "report" / "rldc.csv").read_text().splitlines()[0]
+        assert "sto_in" in header.split(",")
+
+    def test_rows_with_different_country_sets(self, tmp_path):
+        from voltaic.pipeline import run_project
+        from voltaic.templates import create_project
+
+        root = create_project("demo", "example2", tmp_path)
+        (root / "iterationfiles" / "iteration_table.csv").write_text(
+            "run,country_set,min_renewable_share('DE')\nboth,\"DE,FR\",0.5\nde,DE,0.6\nfr,FR,\nde2,DE,0.7\n"
+        )
+        assert run_project(root, mode="single_instance").all_optimal
+        stores = read_all_stores(root / "results")
+        assert len({tuple(store.meta["sets"]["n"]) for store in stores}) == 3
+        _assert_stacked(stores, root / "report", tmp_path)
+
+    def test_report_over_a_stale_store_of_another_horizon(self, tmp_path):
+        from voltaic.pipeline import report_project, run_project
+        from voltaic.project import load_project
+        from voltaic.templates import create_project
+
+        root = create_project("demo", "example2", tmp_path)
+        assert run_project(root).all_optimal
+        project = load_project(root)
+        short = replace(project.config, end_hour=24)
+        results = run_scenarios(project.data, short, project.features, [ScenarioSpec("old")], mode="rebuild")
+        for store in extract_symbols(results, project.reporting):
+            write_store(store, root / "results")  # CSVs only, beside stores with store.npz
+        stores = read_all_stores(root / "results")
+        assert {len(store.symbols["d"]) for store in stores} == {2 * 24, 2 * 168}
+        report_project(root)
+        _assert_stacked(stores, root / "report", tmp_path)

@@ -14,6 +14,7 @@ from voltaic import scenarios, solver
 from voltaic.model import build_model
 from voltaic.scenarios import ScenarioSpec, expand_overrides, parse_iteration_table, run_scenarios
 from voltaic.solver import Delta, certify, compile as compile_instance, solve
+from voltaic.store import read_store
 from voltaic.system import ModelConfig, Node, SystemData, Technology, TimeSeries
 
 _CORE = "scipy.optimize._highspy._core"
@@ -588,13 +589,15 @@ class TestRowsFinishWhereSolved:
         assert bool(replayed) == (threads > 1)
         assert sorted(run_id for run_id, _ in writes) == sorted(spec.run_id for spec in specs)
         assert all(owner[run_id] == w for run_id, w in writes)
-        assert [store.run_id for _, store in rows] == [spec.run_id for spec in specs]
+        assert [part.run_id for _, part in rows] == [spec.run_id for spec in specs]
         errors = {result.run_id: result.error for result, _ in rows if result.error is not None}
         assert sorted(errors) == ["E", "X"] and "lo > hi" in errors["E"]
-        for result, store in rows:
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(spec.run_id for spec in specs)
+        for result, part in rows:
+            store = read_store(tmp_path / result.run_id)
             assert store.meta.get("error") == result.error
             assert sorted(store.symbols) == ([] if result.error else ["G"])
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(spec.run_id for spec in specs)
+            assert sorted(part.symbols) == sorted(store.symbols)
 
     def test_no_row_is_finished_by_a_replay_or_twice_in_one_process(self, far):
         data, config, _ = far
@@ -624,18 +627,83 @@ class TestRowsFinishWhereSolved:
         assert all((result.lp is None) == (result.error is not None) for result, _ in rows)
 
     def test_reattached_programs_equal_single_instance_bitwise(self, far):
+        # No result keeps the copy of its program it was finished with: in
+        # every mode a row's program is derived from the plan when first
+        # read, bitwise the program the single instance solved.
         data, config, _ = far
         specs = _table_with_failures()
-        single = run_scenarios(data, config, None, specs, mode="single_instance")
-        fields = ("obj", "lo", "hi", "rhs", "sense", "a_rows", "a_cols", "a_vals")
-        for threads in (1, 2, 3):
-            par = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
-            for a, b in zip(single, par):
-                assert (a.lp is None) == (b.lp is None) == (a.error is not None), a.run_id
-                if a.lp is not None:
-                    assert all(getattr(a.lp, f).tobytes() == getattr(b.lp, f).tobytes() for f in fields)
-                    assert a.lp.sets == b.lp.sets and a.lp.var_families.keys() == b.lp.var_families.keys()
-                    assert _bitwise(a.solution, b.solution)
+        held = scenarios._run_and_finish(data, config, None, specs, "single_instance", 0,
+                                         finish=lambda result: result.lp)
+        assert sum(lp is not None for _, lp in held) == len(specs) - 2
+        for mode, threads in (("rebuild", 0), ("single_instance", 0), ("parallel", 1), ("parallel", 2),
+                              ("parallel", 3)):
+            got = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+            for (a, lp), b in zip(held, got):
+                assert (lp is None) == (b.lp is None) == (a.error is not None), a.run_id
+                if lp is not None:
+                    assert _same_program(lp, b.lp)
+                    assert mode == "rebuild" or _bitwise(a.solution, b.solution)
+
+    def test_run_project_parent_makes_no_program_lookup_or_store(self, tmp_path, monkeypatch):
+        # In parallel mode the parent only merges the report shares the
+        # workers made; the results' programs are derived on first read.
+        import gc
+        import pickle
+
+        from voltaic import pipeline
+        from voltaic.project import load_project
+        from voltaic.reports import PartialReport
+        from voltaic.store import SymbolStore
+        from voltaic.symbols import SymbolsHandler
+        from voltaic.templates import create_project
+
+        root = create_project("demo", "example2", tmp_path)
+        calls = Counter()
+        for owner, name in ((solver.ModelInstance, "snapshot"), (SymbolsHandler, "lookup"),
+                            (scenarios, "_program")):
+            def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        before = {id(o) for o in gc.get_objects() if isinstance(o, SymbolStore)}
+        merged, merge = [], pipeline.merge_report
+
+        def recording_merge(parts, out_dir):
+            held = [o for o in gc.get_objects() if isinstance(o, SymbolStore) and id(o) not in before]
+            merged.append((list(parts), held))
+            return merge(parts, out_dir)
+
+        monkeypatch.setattr(pipeline, "merge_report", recording_merge)
+        summary = pipeline.run_project(root, mode="parallel", threads=2)
+        assert summary.all_optimal
+        assert calls == Counter()
+        [(parts, held)] = merged
+        assert held == [] and all(isinstance(part, PartialReport) for part in parts)
+        assert sorted(part.run_id for part in parts) == sorted(r.run_id for r in summary.results)
+
+        project = load_project(root)
+        reference = scenarios._run_and_finish(
+            project.data, project.config, project.features, project.specs, "single_instance", 0,
+            finish=lambda result: result.lp,
+        )
+        swept = run_scenarios(project.data, project.config, project.features, project.specs,
+                              mode="parallel", threads=2)
+        for (_, lp), from_project, from_sweep in zip(reference, summary.results, swept):
+            assert _same_program(lp, from_project.lp)
+            assert _same_program(lp, from_sweep.lp)
+            assert _same_program(lp, pickle.loads(pickle.dumps(from_sweep)).lp)
+        assert calls["_program"] == 2 * len(project.specs)
+
+
+def _same_program(a, b):
+    fields = ("obj", "lo", "hi", "rhs", "sense", "a_rows", "a_cols", "a_vals")
+    return (
+        all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in fields)
+        and a.sets == b.sets
+        and a.var_families.keys() == b.var_families.keys()
+        and a.row_families.keys() == b.row_families.keys()
+    )
 
 
 @st.composite
