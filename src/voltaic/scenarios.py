@@ -23,28 +23,30 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
 
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
-from .solver import Delta, ModelInstance, Solution, certified, compile as compile_instance, solve
+from .solver import Delta, ModelInstance, Solution, basis_statuses, certified, compile as compile_instance, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
-# Rows a country set needs before its instance re-solves warm. Every worker
-# holding the set pays one base solve, and one row far from the base costs
-# more warm than cold: example1's three rows at 48 h take 6.8 s of uncapped
-# warm solves against 4.1 s cold, while on the 32-row, 24 h benchmark sweep
-# a warm row saves 0.7-0.8 of its cold solve. Smaller sets solve exactly as
-# ``rebuild`` does.
+# Rows a country set needs before its instance re-solves warm. The sweep
+# pays one base solve per warm set, whatever the worker count, and one row
+# far from the base costs more warm than cold: example1's three rows at
+# 48 h take 6.8 s of uncapped warm solves against 4.1 s cold, while on the
+# 32-row, 24 h benchmark sweep a warm row saves 0.7-0.8 of its cold solve.
+# Smaller sets solve exactly as ``rebuild`` does.
 _WARM_MIN_ROWS = 8
 
 PARAMETER = "parameter"
@@ -535,6 +537,50 @@ class _Sweep:
     warm_keys: frozenset
     backend: str = "highs"
 
+    @cached_property
+    def _heights(self) -> list[int]:
+        """Each row's count of rows on the longest chain from it down its tree."""
+        heights = [1] * len(self.specs)
+        for idx in reversed(self.order):  # children after their parent in depth-first order
+            if self.parents[idx] is not None:
+                heights[self.parents[idx]] = max(heights[self.parents[idx]], heights[idx] + 1)
+        return heights
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Each row's tree children in the order they run: the longest chain
+        below first, so what is left for an idle worker to take is the
+        shorter subtrees (nearest first among equals)."""
+        children: list[list[int]] = [[] for _ in self.specs]
+        for idx in self.order:
+            if self.parents[idx] is not None:
+                children[self.parents[idx]].append(idx)
+        return [sorted(rows, key=self._heights.__getitem__, reverse=True) for rows in children]
+
+    @cached_property
+    def roots(self) -> dict:
+        """Each warm country set's rows whose tree parent is the base, in
+        the order they run (as :attr:`children`)."""
+        roots: dict = {key: [] for key in self.warm_keys}
+        for idx in self.order:
+            key = self.specs[idx].country_set
+            if key in roots and self.parents[idx] is None:
+                roots[key].append(idx)
+        return {key: sorted(rows, key=self._heights.__getitem__, reverse=True) for key, rows in roots.items()}
+
+    def entries(self) -> list[tuple]:
+        """The sweep as :class:`_Runner` entries, in order: each warm
+        country set as a whole, every other row on its own."""
+        entries, seen = [], set()
+        for idx in self.order:
+            key = self.specs[idx].country_set
+            if key not in self.warm_keys:
+                entries.append(("row", idx, None))
+            elif key not in seen:
+                seen.add(key)
+                entries.append(("set", key))
+        return entries
+
 
 # Planning coordinate of each delta kind.
 _FIELDS = {"obj": 0, "lo": 1, "up": 2, "rhs": 3, "coef": 4}
@@ -668,59 +714,262 @@ def _plan(
     return _Sweep(specs, builds, deltas, order, parents, frozenset(warm_keys), backend)
 
 
-def _run_sequential(
-    sweep: _Sweep,
-    run: list[int],
-    delays: list[float] | None,
-    rebuild: bool = False,
-    replays: int = 0,
-    finish=None,
-) -> list[tuple[int, RunResult, object]]:
-    """Run ``sweep.specs[i]`` for each ``i`` of ``run``, in that order, on an
-    instance compiled from its country set's build: one per set, or with
-    ``rebuild`` a fresh one per row. A row whose country set is in
-    ``sweep.warm_keys`` re-solves warm, from the basis of its parent row if
-    that row was solved warm here, else from its instance's base basis; all
-    others are solved cold.
+class _Runner:
+    """Runs a sweep's rows depth-first, in one process, from a stack of
+    entries. ``("set", key)`` opens the warm handle of country set ``key``
+    (its one base solve) and stacks the set's tree roots; ``("row", idx,
+    start)`` runs row ``idx`` from ``start`` (the basis of its tree parent,
+    held here or shipped as statuses, or None for the base basis), finishes
+    it and stacks its tree children, each to start from the basis the row
+    left (None if it was not solved warm). Rows compile one instance per
+    country set, or with ``rebuild`` a fresh one per row. One runner serves
+    ``rebuild`` and ``single_instance`` in the calling process and each
+    ``parallel`` worker."""
 
-    The first ``replays`` rows of ``run`` are only solved, for the bases
-    they leave, and dropped. Every other row is returned with what
-    ``finish`` (if given) made of its result, called as soon as the row is
-    solved, and without its program: the result holds a copy of it only
-    until ``finish`` returns."""
-    instances: dict[tuple[str, ...] | None, ModelInstance] = {}
-    waiting = Counter(sweep.parents[i] for i in run)  # children still to run, per row
-    bases: dict[int, object] = {}
-    out: list[tuple[int, RunResult, object]] = []
-    for pos, idx in enumerate(run):
-        spec, parent, deltas = sweep.specs[idx], sweep.parents[idx], sweep.deltas[idx]
-        start = bases.get(parent)
-        waiting[parent] -= 1
-        if not waiting[parent]:
-            bases.pop(parent, None)
+    def __init__(self, sweep: _Sweep, delays: list[float] | None = None, finish=None, rebuild: bool = False):
+        self.sweep, self.delays, self.finish, self.rebuild = sweep, delays, finish, rebuild
+        self.instances: dict[tuple[str, ...] | None, ModelInstance] = {}
+        self.bases: dict = {}  # warm country set -> its base basis's statuses, None without a handle
+        self.stack: list[tuple] = []
+        # The last base solve's time, which the next row here, the first on
+        # its handle, counts in its wall time, as if it had opened the handle.
+        self.base_time = 0.0
+
+    def _instance(self, key) -> ModelInstance:
+        inst = self.instances.get(key) or compile_instance(self.sweep.builds[key], self.sweep.backend)
+        if not self.rebuild:
+            self.instances[key] = inst
+        return inst
+
+    def take(self, entry: tuple, base=None) -> None:
+        """Stack ``entry``, handed over from another process with ``base``,
+        the statuses of its warm country set's base basis (None if the set
+        has no handle)."""
+        if entry[0] == "row":
+            key = self.sweep.specs[entry[1]].country_set
+            if key in self.sweep.warm_keys and key not in self.bases:
+                self.bases[key] = None if base is None else self._instance(key).open(base)
+        self.stack.append(entry)
+
+    def give(self) -> tuple | None:
+        """Unstack the bottom entry, the shallowest unstarted subtree, with
+        its start as statuses, for another process; None unless at least two
+        rows are stacked."""
+        if len(self.stack) < 2 or self.stack[0][0] != "row":
+            return None
+        _, idx, start = self.stack.pop(0)
+        return "row", idx, basis_statuses(start) if start is not None and not isinstance(start, tuple) else start
+
+    def step(self) -> tuple:
+        """Run the top entry: ``("base", key, statuses)`` for a base, else
+        ``("row", idx, result, done)`` with what ``finish`` made of the
+        result, which no longer holds its program."""
+        sweep, entry = self.sweep, self.stack.pop()
+        if entry[0] == "set":
+            key, started = entry[1], time.perf_counter()
+            self.bases[key] = self._instance(key).open()
+            self.base_time = time.perf_counter() - started
+            self.stack.extend(("row", j, None) for j in reversed(sweep.roots[key]))
+            return "base", key, self.bases[key]
+        _, idx, start = entry
+        spec, deltas = sweep.specs[idx], sweep.deltas[idx]
         if isinstance(deltas, str):
             result, basis = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
         else:
             key = spec.country_set
-            inst = instances.get(key) or compile_instance(sweep.builds[key], sweep.backend)
-            if not rebuild:
-                instances[key] = inst
-            delay = delays[idx] if delays else 0.0
-            result, basis = _run_on_instance(inst, spec, deltas, delay, key in sweep.warm_keys, start)
-        if basis is not None and waiting[idx]:
-            bases[idx] = basis
-        if pos >= replays:
-            done = None if finish is None else finish(result)
-            result.lp = None
-            out.append((idx, result, done))
-    return out
+            warm = self.bases.get(key) is not None
+            delay = self.delays[idx] if self.delays else 0.0
+            result, basis = _run_on_instance(self._instance(key), spec, deltas, delay, warm, start)
+        result.wall_time, self.base_time = result.wall_time + self.base_time, 0.0
+        done = None if self.finish is None else self.finish(result)
+        result.lp = None
+        self.stack.extend(("row", j, basis) for j in reversed(sweep.children[idx]))
+        return "row", idx, result, done
 
 
-def _parallel_worker(payload) -> list[tuple[int, RunResult, object]]:
-    """Run one segment, after replaying the ancestors it needs. Its rows
-    come back finished and without their programs."""
-    sweep, run, delays, replays, finish = payload
-    return _run_sequential(sweep, run, delays, replays=replays, finish=finish)
+def _worker(runner: _Runner, conn, running, slot: int) -> None:
+    """A ``parallel`` worker: stacks what the parent hands it and sends each
+    row back as soon as it is finished. Asked for work, it sends the
+    shallowest unstarted subtree it holds, between rows, as soon as it holds
+    two. ``running[slot]`` names the row it is running (-1 for none), for
+    the parent to read if this process dies."""
+    asked = False
+    try:
+        while True:
+            while not runner.stack or conn.poll():
+                message = conn.recv()
+                if message is None:
+                    return
+                if message == "give":
+                    asked = True
+                else:
+                    runner.take(*message)
+            if asked and (entry := runner.give()) is not None:
+                conn.send(("given", entry))
+                asked = False
+            top = runner.stack[-1]
+            running[slot] = top[1] if top[0] == "row" else -1
+            conn.send(runner.step())
+            running[slot] = -1
+    except EOFError:
+        pass  # the parent is gone
+    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+        conn.send(("raise", exc, "".join(traceback.format_exception(exc))))
+
+
+class _Scheduler:
+    """Runs a planned sweep on ``workers`` forked processes and collects
+    each row's ``(result, done)`` as it arrives.
+
+    The parent solves nothing. Each warm country set goes to one worker as
+    a whole: that worker solves its base, the set's only base solve, and
+    runs its tree depth-first, each row from the basis its tree parent left
+    in the same process. For a worker on its last row or idle, the parent
+    asks a busy one for its shallowest unstarted subtree, which moves with
+    the statuses of its start basis (and of the set's base basis); a cold
+    row is handed out on its own. A worker that dies loses the row it was
+    running, which comes back as an error; the rows it still held run
+    elsewhere, each from the base basis, and a fresh worker takes its
+    place."""
+
+    def __init__(self, sweep: _Sweep, workers: int, delays: list[float] | None, finish):
+        # Forked workers inherit the plan and ``finish`` without pickling
+        # and import nothing; the parent has loaded no solver to copy.
+        methods = multiprocessing.get_all_start_methods()
+        self.ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self.sweep, self.delays, self.finish = sweep, delays, finish
+        self.running = self.ctx.RawArray("q", [-1] * workers)
+        self.procs: dict[int, object] = {}
+        self.conns: dict[int, object] = {}
+        self.ready: deque[tuple] = deque(sweep.entries())
+        self.owned: list[set[int]] = [set() for _ in range(workers)]  # unreported rows held, per worker
+        self.solving: dict = {}  # warm country set -> the worker solving its base
+        self.bases: dict = {}  # warm country set -> its base basis's statuses, None without a handle
+        self.asked: set[int] = set()  # workers asked for work that have not sent any
+        self.done: dict[int, tuple[RunResult, object]] = {}
+
+    def _fork(self, slot: int) -> None:
+        here, there = self.ctx.Pipe()
+        runner = _Runner(self.sweep, self.delays, self.finish)
+        proc = self.ctx.Process(target=_worker, args=(runner, there, self.running, slot), daemon=True)
+        self.running[slot] = -1
+        proc.start()
+        there.close()
+        self.procs[slot], self.conns[slot] = proc, here
+
+    def _send(self, slot: int, message) -> None:
+        try:
+            self.conns[slot].send(message)
+        except OSError:
+            pass  # it died: its end of the pipe reads EOF next
+
+    def _rows(self, entry: tuple) -> set[int]:
+        """The rows of ``entry``'s subtree: a warm country set's rows for a
+        set, a row and its tree descendants for a row."""
+        sweep = self.sweep
+        stack = list(sweep.roots[entry[1]]) if entry[0] == "set" else [entry[1]]
+        rows = set()
+        while stack:
+            idx = stack.pop()
+            rows.add(idx)
+            stack.extend(sweep.children[idx])
+        return rows
+
+    def _dispatch(self) -> None:
+        """Hand ready entries to idle workers. For each worker idle or on
+        its last row that no ready entry or earlier request will serve, ask
+        a busy worker, the fullest first, for work."""
+        idle = [slot for slot in self.conns if not self.owned[slot]]
+        while idle and self.ready:
+            slot, entry = idle.pop(0), self.ready.popleft()
+            if entry[0] == "set":
+                self.solving[entry[1]] = slot
+            self.owned[slot] |= self._rows(entry)
+            key = self.sweep.specs[entry[1]].country_set if entry[0] == "row" else None
+            self._send(slot, (entry, self.bases.get(key)))
+        short = sum(len(self.owned[slot]) <= 1 for slot in self.conns) - len(self.ready) - len(self.asked)
+        busy = sorted((slot for slot in self.conns if len(self.owned[slot]) > 1 and slot not in self.asked),
+                      key=lambda slot: -len(self.owned[slot]))
+        for slot in busy[:max(0, short)]:
+            self.asked.add(slot)
+            self._send(slot, "give")
+
+    def _receive(self, slot: int, message: tuple) -> None:
+        kind = message[0]
+        if kind == "row":
+            _, idx, result, done = message
+            self.done[idx] = result, done
+            self.owned[slot].discard(idx)
+            if not self.owned[slot]:
+                self.asked.discard(slot)  # it has nothing left to give
+        elif kind == "base":
+            _, key, statuses = message
+            self.bases[key] = statuses
+            del self.solving[key]
+        elif kind == "given":
+            self.asked.discard(slot)
+            self.owned[slot] -= self._rows(message[1])
+            self.ready.append(message[1])
+        else:  # "raise"
+            raise message[1] from RuntimeError(f"in a sweep worker:\n{message[2]}")
+
+    def _lost(self, slot: int) -> None:
+        """Worker ``slot`` died: fail the row it was running, make the rows
+        it held ready to start from the base basis, and fork a fresh worker
+        in its place if the death cost a row or a base (so a worker that
+        dies before any work cannot be replaced forever)."""
+        proc, sweep = self.procs.pop(slot), self.sweep
+        self.conns.pop(slot).close()
+        proc.join()
+        lost, self.owned[slot] = self.owned[slot], set()
+        self.asked.discard(slot)
+        crashed = self.running[slot]
+        progress = crashed in lost
+        if progress:
+            lost.discard(crashed)
+            spec = sweep.specs[crashed]
+            error = f"the worker process running this row died (exit code {proc.exitcode})"
+            self.done[crashed] = RunResult(spec.run_id, None, _echo(spec), error=error), None
+        for key in [key for key, owner in self.solving.items() if owner == slot]:
+            del self.solving[key]
+            self.bases[key], progress = None, True  # its rows are solved cold
+        self.ready.extend(("row", idx, None) for idx in sweep.order if idx in lost and sweep.parents[idx] not in lost)
+        if progress:
+            self._fork(slot)
+
+    def run(self) -> dict[int, tuple[RunResult, object]]:
+        n = len(self.sweep.specs)
+        try:
+            for slot in range(len(self.owned)):
+                self._fork(slot)
+            while len(self.done) < n:
+                if not self.conns:  # every worker died without running a row
+                    for idx in set(range(n)) - set(self.done):
+                        spec = self.sweep.specs[idx]
+                        error = "no worker process was left to run this row"
+                        self.done[idx] = RunResult(spec.run_id, None, _echo(spec), error=error), None
+                    break
+                self._dispatch()
+                for conn in multiprocessing.connection.wait(list(self.conns.values())):
+                    slot = next(s for s, c in self.conns.items() if c is conn)
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):  # OSError: it died with a message unread
+                        self._lost(slot)
+                        continue
+                    self._receive(slot, message)
+            for slot in self.conns:
+                self._send(slot, None)
+            for proc in self.procs.values():
+                proc.join()
+        finally:
+            for proc in self.procs.values():
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join()
+            for conn in self.conns.values():
+                conn.close()
+        return self.done
 
 
 def _program(sweep: _Sweep, idx: int) -> LinearProgram:
@@ -761,12 +1010,13 @@ def run_scenarios(
     (:func:`_tree`) from their deltas: each row starts from the optimal
     basis of its tree parent, the nearest row by relative change, if that
     row was solved warm, and from the base basis otherwise. Rows run in the
-    tree's depth-first order; ``parallel`` cuts that order into one
-    contiguous segment per worker, and a worker first re-solves the
-    ancestors of its segment that lie outside it. A row's start therefore
-    depends on the table alone, and ``parallel`` returns bitwise what
+    tree's depth-first order. ``parallel`` schedules them over forked
+    workers (:class:`_Scheduler`): each warm set's base is solved once, in
+    a worker, and no row is solved twice. A row's start therefore depends
+    on the table alone, and ``parallel`` returns bitwise what
     ``single_instance`` does, whatever ``threads`` is. All three modes
-    produce the same objectives (to the 1e-6 certification).
+    produce the same objectives (to the 1e-6 certification). A worker that
+    dies fails only the row it was running (see :class:`_Scheduler`).
     """
     return [
         result
@@ -793,8 +1043,8 @@ def _run_and_finish(
     """:func:`run_scenarios`, with each row's result paired with what
     ``finish(result)`` returned. ``finish`` runs once per row, in the
     process that solved the row and right after it: in a worker in
-    ``parallel`` mode (so it and what it returns must pickle), in this
-    process otherwise, and never on a worker's replayed ancestors."""
+    ``parallel`` mode (so what it returns must pickle), in this process
+    otherwise. A row whose worker died before sending it pairs with None."""
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:
@@ -802,30 +1052,18 @@ def _run_and_finish(
     if threads < 0:
         raise ValidationError(f"run_scenarios: threads must be 0 (all cores) or more, got {threads}")
     sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild", backend)
-    if mode != "parallel":
-        indexed = _run_sequential(sweep, sweep.order, delays, rebuild=mode == "rebuild", finish=finish)
+    workers = min(threads or os.cpu_count() or 1, len(specs)) if mode == "parallel" else 1
+    if workers > 1:
+        done = _Scheduler(sweep, workers, delays, finish).run()
     else:
-        workers = min(threads or os.cpu_count() or 1, len(specs))
-        payloads, end = [], 0
-        for w in range(workers):
-            begin, end = end, end + len(specs) // workers + (w < len(specs) % workers)
-            segment = sweep.order[begin:end]
-            rows = set(segment)
-            for idx in segment:
-                p = sweep.parents[idx]
-                while p is not None and p not in rows:
-                    rows.add(p)
-                    p = sweep.parents[p]
-            run = [idx for idx in sweep.order[:end] if idx in rows]
-            payloads.append((sweep, run, delays, len(run) - len(segment), finish))
-        if workers == 1:
-            chunks = [_parallel_worker(p) for p in payloads]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(_parallel_worker, payloads))
-        indexed = [row for chunk in chunks for row in chunk]
-    for idx, result, _ in indexed:
+        runner = _Runner(sweep, delays, finish, rebuild=mode == "rebuild")
+        runner.stack = sweep.entries()[::-1]
+        done = {}
+        while runner.stack:
+            message = runner.step()
+            if message[0] == "row":
+                done[message[1]] = message[2:]
+    for idx, (result, _) in done.items():
         if result.error is None:
             result.lp = partial(_program, sweep, idx)
-    by_index = {idx: (result, done) for idx, result, done in indexed}
-    return [by_index[i] for i in range(len(specs))]
+    return [done[i] for i in range(len(specs))]

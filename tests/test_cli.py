@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -181,6 +182,31 @@ class TestRun:
         assert run_cli("run", str(root)) == 2
         assert "ZZ" in capsys.readouterr().err
         assert sorted(p.name for p in report.iterdir()) == []
+
+    def test_a_crashed_worker_fails_only_its_row(self, tmp_path, monkeypatch, capsys):
+        from voltaic import pipeline
+
+        root = create_project("demo", "example2", tmp_path)
+        variables = root / "settings" / "project_variables.csv"
+        variables.write_text(variables.read_text().replace("end_hour,h168", "end_hour,h12"))
+        table = "run,min_renewable_share('DE'),min_renewable_share('FR')\n" + "".join(
+            f"s{i},{0.50 + 0.02 * i:.2f},{0.40 + 0.01 * i:.2f}\n" for i in range(9)
+        )
+        (root / "iterationfiles" / "iteration_table.csv").write_text(table)
+        finish = pipeline._finish_row
+
+        def crashing(result, *args, **kwargs):
+            if result.run_id == "s4":
+                os._exit(1)  # the forked worker dies, as on a segfault or a kill
+            return finish(result, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_finish_row", crashing)
+        assert run_cli("run", str(root), "--mode", "parallel", "--threads", "2") == 2
+        out, err = capsys.readouterr()
+        assert "error: s4: the worker process running this row died (exit code 1)" in err
+        assert sum("status=optimal" in line for line in out.splitlines()) == 8
+        assert sorted(p.name for p in (root / "results").iterdir()) == [f"s{i}" for i in range(9) if i != 4]
+        assert not (root / "report" / "manifest.json").exists()
 
     def test_stores_and_report_hold_no_negative_zero(self, tmp_path):
         root = create_project("demo", "example1", tmp_path)

@@ -492,6 +492,22 @@ class TestHighsMatrix:
         assert got.complementarity == pytest.approx(expected, rel=0, abs=1e-12)
 
 
+class TestBasisStatuses:
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_statuses_read_as_numpy_reads_them_and_rebuild_the_basis(self, programs, name):
+        pytest.importorskip(_CORE)
+        inst = compile_instance(programs[name])
+        statuses = inst.open()
+        basis = inst._warm.basis
+        for got, listed in zip(statuses, (basis.col_status, basis.row_status)):
+            assert got.dtype == np.int8 and np.array_equal(got, np.array(listed, dtype=np.int8))
+        assert {int(s) for s in np.concatenate(statuses)} >= {0, 1}  # at bound and basic
+        rebuilt = solver._basis(inst._warm.core, statuses)
+        assert (rebuilt.valid, rebuilt.alien, rebuilt.was_alien) == (True, False, False)
+        assert list(rebuilt.col_status) == list(basis.col_status)
+        assert list(rebuilt.row_status) == list(basis.row_status)
+
+
 # -- loading scipy's HiGHS binding ---------------------------------------------
 
 class TestHighsCore:

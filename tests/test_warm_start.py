@@ -1,8 +1,13 @@
 """Warm re-solves on a persistent HiGHS handle: agreement, determinism, fallback."""
 
+import hashlib
+import json
+import os
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -127,20 +132,49 @@ class TestDeterminism:
     def test_parallel_equals_single_instance_bitwise(self, sweep):
         data, config, specs = sweep
         single = run_scenarios(data, config, None, specs, mode="single_instance")
-        # Five workers over nine rows: one shard holds a single row, which
-        # must still run warm because the whole table shares the instance.
-        par = run_scenarios(data, config, None, specs, mode="parallel", threads=5)
-        assert all(_same(a.solution, b.solution) for a, b in zip(single, par))
+        # Up to five workers over nine rows: a worker that did not solve the
+        # base runs its rows warm from the base basis it was sent.
+        for threads in (1, 2, 3, 5):
+            par = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
+            assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par)), threads
+
+
+    def test_a_seeded_handle_solves_as_the_handle_that_solved_the_base(self, sweep):
+        pytest.importorskip(_CORE)
+        data, config, specs = sweep
+        lp = build_model(data, config)
+        solved, seeded = compile_instance(lp), compile_instance(lp)
+        base = solved.open()
+        assert all(np.array_equal(a, b) for a, b in zip(seeded.open(base), base))
+        previous = None  # each row also starts from the basis the row before left
+        for spec in specs:
+            for inst in (solved, seeded):
+                inst.reset()
+                inst.apply(expand_overrides(spec, inst.lp, data, config))
+            assert _bitwise(solved.resolve(), seeded.resolve())
+            if previous is not None:
+                shipped = solver.basis_statuses(previous)
+                assert _bitwise(solved.resolve(previous), seeded.resolve(shipped))
+            previous = solved.basis
 
 
 class TestFallback:
-    def test_missing_highs_object_falls_back_to_cold(self, sweep, monkeypatch):
+    def test_missing_highs_object_falls_back_to_cold(self, sweep, monkeypatch, solves):
         data, config, specs = sweep
         cold = run_scenarios(data, config, None, specs, mode="rebuild")
+        # Only the HiGHS object goes missing: the linprog fallback, imported
+        # before, stays importable whatever tests ran earlier.
+        import scipy.optimize  # noqa: F401
         monkeypatch.setitem(sys.modules, _CORE, None)
-        warmless = run_scenarios(data, config, None, specs, mode="single_instance")
-        assert [r.objective for r in warmless] == [r.objective for r in cold]
-        assert all(_same(a.solution, b.solution) for a, b in zip(warmless, cold))
+        for mode, threads in (("single_instance", 0), ("parallel", 2)):
+            warmless = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+            assert [r.objective for r in warmless] == [r.objective for r in cold]
+            assert all(_same(a.solution, b.solution) for a, b in zip(warmless, cold))
+        # In each mode the base task opened no handle, and every row, in
+        # whichever process, was solved cold (as in rebuild, logged first).
+        assert [(seeded, base) for _, seeded, base in solves.read("open")] == [(False, None)] * 2
+        rows = solves.read("row")
+        assert len(rows) == 3 * len(specs) and not any(warm for _, _, warm, _, _ in rows)
 
     def test_uncertified_warm_result_falls_back_to_cold(self, sweep, monkeypatch):
         pytest.importorskip(_CORE)  # the warm path needs the bundled HiGHS object
@@ -200,7 +234,7 @@ class TestFallback:
     def test_handle_that_cannot_be_built_falls_back_to_cold(self, sweep, monkeypatch):
         data, config, specs = sweep
 
-        def unbuildable(cls, inst):
+        def unbuildable(cls, inst, base=None):
             raise AttributeError("module 'scipy.optimize._highspy._core' has no attribute 'HighsLp'")
 
         monkeypatch.setattr(solver._WarmStart, "open", classmethod(unbuildable))
@@ -246,9 +280,9 @@ class TestWhereWarmRuns:
         calls = []
         original = solver._WarmStart.open.__func__
 
-        def counting(cls, inst):
+        def counting(cls, inst, base=None):
             calls.append(inst)
-            return original(cls, inst)
+            return original(cls, inst, base)
 
         monkeypatch.setattr(solver._WarmStart, "open", classmethod(counting))
         return calls
@@ -293,23 +327,6 @@ def test_coef_delta_on_a_split_cell_sets_its_first_entry(one_node):
 # --- Warm starts planned as a tree over the rows ----------------------------
 
 
-class _InProcess:
-    """A stand-in for the process pool that runs each worker in this process."""
-
-    def __init__(self, max_workers):
-        self.payloads = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        self.payloads.extend(payloads)
-        return [fn(p) for p in payloads]
-
-
 def _bitwise(a, b):
     return (
         a.status == b.status
@@ -335,23 +352,85 @@ def far():
     return data, replace(config, end_hour=12), _far_table()
 
 
-@pytest.fixture
-def starts(monkeypatch):
-    """Runs in this process, recording for each row the row whose basis it
-    started from (None for the base basis), once per solve of the row."""
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InProcess)
-    made, seen = {}, []
-    original = scenarios._run_on_instance
+def _fingerprint(basis):
+    """A basis, or its statuses, as one digest that compares across
+    processes; None stays None (the base basis, or no basis)."""
+    if basis is None:
+        return None
+    cols, rows = basis if isinstance(basis, tuple) else solver.basis_statuses(basis)
+    return hashlib.sha1(cols.tobytes() + rows.tobytes()).hexdigest()
 
-    def recording(inst, spec, deltas, delay=0.0, warm=False, start=None):
-        seen.append((spec.run_id, None if start is None else made[id(start)]))
-        result, basis = original(inst, spec, deltas, delay, warm, start)
-        if basis is not None:
-            made[id(basis)] = spec.run_id
+
+class _Log:
+    """Events written by this process and by every worker forked from it,
+    one JSON line each, led by the writer's process id."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, kind, *fields):
+        with open(self.path, "a") as out:
+            out.write(json.dumps([os.getpid(), kind, *fields]) + "\n")
+
+    def read(self, kind):
+        """The events of ``kind`` in the order written, each ``[pid, *fields]``."""
+        lines = self.path.read_text().splitlines() if self.path.exists() else []
+        return [[pid, *fields] for pid, k, *fields in map(json.loads, lines) if k == kind]
+
+
+@pytest.fixture
+def solves(monkeypatch, tmp_path):
+    """Logs, in every process, each warm handle opened (``open``: whether it
+    was seeded with a base basis, and the fingerprint of the base basis it
+    holds, None without a handle) and each row solved (``row``: run id,
+    whether it ran warm, the fingerprint of its start, None for the base
+    basis, and of the basis it left)."""
+    log = _Log(tmp_path / "solves.jsonl")
+    open_, run = solver._WarmStart.open.__func__, scenarios._run_on_instance
+
+    def opening(cls, inst, base=None):
+        warm = None
+        try:
+            warm = open_(cls, inst, base)
+        finally:
+            log("open", base is not None, None if warm is None else _fingerprint(warm.basis))
+        return warm
+
+    def running(inst, spec, deltas, delay=0.0, warm=False, start=None):
+        result, basis = run(inst, spec, deltas, delay, warm, start)
+        log("row", spec.run_id, warm, _fingerprint(start), _fingerprint(basis))
         return result, basis
 
-    monkeypatch.setattr(scenarios, "_run_on_instance", recording)
-    return seen
+    monkeypatch.setattr(solver._WarmStart, "open", classmethod(opening))
+    monkeypatch.setattr(scenarios, "_run_on_instance", running)
+    return log
+
+
+def _solved(log) -> dict:
+    """Each solved row's ``(pid, warm, start, left)``; no row is solved twice."""
+    rows = {}
+    for pid, run_id, warm, start, left in log.read("row"):
+        assert run_id not in rows, f"{run_id} solved twice"
+        rows[run_id] = pid, warm, start, left
+    return rows
+
+
+def _assert_tree_starts(log, parents) -> dict:
+    """Across all processes: each row was solved once, from the basis its
+    planned parent left, or from the base basis if that is the base or left
+    none; the one warm country set's base was solved once, never in this
+    process unless it ran the rows itself, and every handle of it holds the
+    same base basis. Returns the solved rows (see :func:`_solved`)."""
+    rows = _solved(log)
+    for run_id, (_, _, start, _) in rows.items():
+        parent = parents[run_id]
+        assert start == (rows[parent][3] if parent in rows else None), run_id
+    opens = log.read("open")
+    assert [seeded for _, seeded, _ in opens].count(False) == 1
+    assert len({base for _, _, base in opens}) == 1
+    workers = {pid for pid, *_ in opens} | {pid for pid, *_ in rows.values()}
+    assert os.getpid() not in workers or workers == {os.getpid()}
+    return rows
 
 
 def _plan_of(data, config, specs):
@@ -414,37 +493,82 @@ class TestTreePlan:
 class TestTreeStarts:
     @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 1), ("parallel", 2),
                                                ("parallel", 3), ("parallel", 5)])
-    def test_each_row_starts_from_its_planned_parent(self, far, starts, mode, threads):
+    def test_each_row_starts_from_its_planned_parent(self, far, solves, mode, threads):
         data, config, specs = far
         results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
         assert all(r.status == "optimal" for r in results)
         _, parents = _plan_of(data, config, specs)
-        assert dict(starts) == parents
-        replays = len(starts) - len(specs)
-        # F0..F7 form one chain: every segment but the first replays its
-        # ancestors, and only those.
-        assert replays == {0: 0, 1: 0, 2: 4, 3: 3 + 6, 5: 2 + 4 + 6 + 7}[threads]
+        rows = _assert_tree_starts(solves, parents)
+        # F0..F7 form one chain: nothing to share, and nothing solved twice.
+        assert len(rows) == len(specs)
+        assert (os.getpid() in {pid for pid, *_ in rows.values()}) == (threads < 2)
 
     @pytest.mark.parametrize("threads", [2, 3, 5])
-    def test_segments_are_contiguous_in_depth_first_order(self, far, monkeypatch, threads):
-        data, config, specs = far
-        pool = _InProcess(threads)
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", lambda max_workers: pool)
-        run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
-        sweep = scenarios._plan(specs, data, config)
-        order, parents = sweep.order, sweep.parents
-        segments = []
-        for _, run, _, replays, _ in pool.payloads:
-            segments.append(run[replays:])
-            ancestors = set()
-            for idx in run[replays:]:
-                while parents[idx] is not None and parents[idx] not in run[replays:]:
-                    idx = parents[idx]
-                    ancestors.add(idx)
-            assert run[:replays] == [i for i in order if i in ancestors]
-        assert [i for segment in segments for i in segment] == order
-        sizes = [len(segment) for segment in segments]
-        assert max(sizes) - min(sizes) <= 1
+    def test_branching_rows_start_from_their_planned_parents_in_any_worker(self, sweep, solves, threads):
+        data, config, specs = sweep
+        results = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
+        assert all(r.status == "optimal" for r in results)
+        _, parents = _plan_of(data, config, specs)
+        assert len(_assert_tree_starts(solves, parents)) == len(specs)
+
+    def test_a_subtree_moves_with_its_start_as_statuses(self, sweep):
+        # Two runners take turns; one with nothing stacked takes the other's
+        # shallowest unstarted subtree, with its start basis as statuses. The
+        # runner that did not solve the base holds the base basis it was sent.
+        data, config, specs = sweep
+        plan = scenarios._plan(specs, data, config)
+        single = run_scenarios(data, config, None, specs, mode="single_instance")
+        a, b, got, moved = scenarios._Runner(plan), scenarios._Runner(plan), {}, []
+        a.stack = plan.entries()[::-1]
+        kind, _, base = a.step()
+        assert kind == "base" and all(statuses.dtype == np.int8 for statuses in base)
+
+        def depth(entry):
+            idx, n = entry[1], 0
+            while idx is not None:
+                idx, n = plan.parents[idx], n + 1
+            return n
+
+        while a.stack or b.stack:
+            for runner, other in ((a, b), (b, a)):
+                if not runner.stack and (entry := other.give()) is not None:
+                    assert depth(entry) <= min(map(depth, other.stack))
+                    moved.append(entry)
+                    runner.take(entry, base)
+                if runner.stack:
+                    _, idx, result, _ = runner.step()
+                    got[idx] = result
+        assert [start is None for _, _, start in moved] == [True, False]  # a root, then a subtree
+        assert isinstance(moved[1][2], tuple) and b.instances[None]._warm.basis is not a.instances[None]._warm.basis
+        assert all(_bitwise(single[i].solution, got[i].solution) for i in range(len(specs)))
+
+    def test_a_worker_ships_each_row_on_its_own(self, sweep, monkeypatch, tmp_path):
+        # A worker finishes a row only once the parent has received every
+        # row it finished before, so results sent in a batch would stall it.
+        data, config, specs = sweep
+        received = tmp_path / "received"
+        received.mkdir()
+        receive = scenarios._Scheduler._receive
+
+        def recording(self, slot, message):
+            if message[0] == "row":
+                (received / message[2].run_id).touch()
+            return receive(self, slot, message)
+
+        finished = []  # each worker appends to its own copy
+
+        def finish(result):
+            deadline = time.monotonic() + 60
+            while not all((received / run_id).exists() for run_id in finished):
+                assert time.monotonic() < deadline, f"{finished} not all received"
+                time.sleep(0.002)
+            finished.append(result.run_id)
+            return os.getpid()
+
+        monkeypatch.setattr(scenarios._Scheduler, "_receive", recording)
+        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)
+        assert all(result.status == "optimal" for result, _ in rows)
+        assert os.getpid() not in {pid for _, pid in rows}
 
     def test_parallel_equals_single_instance_bitwise(self, far):
         data, config, specs = far
@@ -466,7 +590,7 @@ class TestTreeStarts:
             assert a.objective == pytest.approx(b.objective, rel=1e-9)
         assert sum(r.solution.stats.iterations for r in tree) < sum(s.stats.iterations for s in from_base) / 2
 
-    def test_children_of_a_failed_row_start_from_the_base(self, far, starts):
+    def test_children_of_a_failed_row_start_from_the_base(self, far, solves):
         data, config, _ = far
         # E fails (lo > hi) when applied; C lies nearer to E than to the
         # base, and the base is nearer to E than to C.
@@ -477,12 +601,13 @@ class TestTreeStarts:
         assert planned["C"] == "E"
         results = {r.run_id: r for r in run_scenarios(data, config, None, specs, mode="parallel", threads=3)}
         assert results["E"].status == "error" and results["C"].status == "optimal"
-        assert dict(starts)["C"] is None
+        rows = _assert_tree_starts(solves, planned)
+        assert rows["E"][3] is None and rows["C"][2] is None
         inst = compile_instance(build_model(data, config))
         fresh = inst.update_and_resolve(expand_overrides(specs[-1], inst.lp, data, config))
         assert _bitwise(results["C"].solution, fresh)
 
-    def test_rows_with_infinite_rhs_solve_cold_and_start_their_children_from_the_base(self, starts):
+    def test_rows_with_infinite_rhs_solve_cold_and_start_their_children_from_the_base(self, solves):
         data, config = two_node_sweep_system(hours=12)
         data = replace(
             data,
@@ -497,7 +622,7 @@ class TestTreeStarts:
         _, planned = _plan_of(data, config, specs)
         assert planned["X2"] == "X1"
         single = run_scenarios(data, config, None, specs, mode="single_instance")
-        assert dict(starts)["X2"] is None
+        assert _assert_tree_starts(solves, planned)["X2"][2] is None
         for threads in (2, 3):
             par = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
             assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par))
@@ -507,31 +632,34 @@ class TestTreeStarts:
 
 class TestPlannedOnce:
     """The parent builds each country set once and expands each row once;
-    workers, replays included, only compile, apply and solve."""
+    workers only compile, apply and solve, and solve each row once."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = Counter()
+    def calls(self, monkeypatch, tmp_path):
+        log = _Log(tmp_path / "calls.jsonl")
         for name in ("build_model", "expand_overrides"):
             def counting(*args, _name=name, _original=getattr(scenarios, name), **kwargs):
-                calls[_name] += 1
+                log("call", _name)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(scenarios, name, counting)
-        return calls
+        return log
 
     @pytest.mark.parametrize("mode, threads", [("rebuild", 0), ("single_instance", 0), ("parallel", 1),
                                                ("parallel", 2), ("parallel", 3)])
-    def test_one_build_per_country_set_and_one_expansion_per_row(self, far, starts, calls, mode, threads):
+    def test_one_build_per_country_set_and_one_expansion_per_row(self, far, solves, calls, mode, threads):
         data, config, specs = far
         # The eight far rows share the warm, unrestricted set; two more rows
         # form a cold DE-only set.
         specs = [*specs, *(replace(spec, run_id=f"DE{i}", country_set=("DE",)) for i, spec in enumerate(specs[:2]))]
         results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
         assert all(r.status == "optimal" for r in results)
-        assert calls == {"build_model": 2, "expand_overrides": len(specs)}
-        replays = len(starts) - len(specs)
-        assert replays == {0: 0, 1: 0, 2: 5, 3: 4 + 7}[threads]
+        made = calls.read("call")
+        assert Counter(name for _, name in made) == {"build_model": 2, "expand_overrides": len(specs)}
+        assert {pid for pid, _ in made} == {os.getpid()}
+        rows = _solved(solves)
+        assert sorted(rows) == sorted(spec.run_id for spec in specs)
+        assert [seeded for _, seeded, _ in solves.read("open")] == ([] if mode == "rebuild" else [False])
 
     def test_a_set_that_does_not_build_is_built_once_and_not_expanded(self, far, calls):
         data, config, specs = far
@@ -539,7 +667,7 @@ class TestPlannedOnce:
         results = run_scenarios(data, config, None, specs, mode="rebuild")
         assert [r.status for r in results[-2:]] == ["error", "error"]
         assert results[-1].error == results[-2].error and "XX" in results[-1].error
-        assert calls == {"build_model": 2, "expand_overrides": len(specs) - 2}
+        assert Counter(name for _, name in calls.read("call")) == {"build_model": 2, "expand_overrides": len(specs) - 2}
 
 
 def _table_with_failures():
@@ -553,75 +681,69 @@ def _table_with_failures():
 
 class TestRowsFinishWhereSolved:
     """Each row's store is extracted and written by the process that solved
-    the row, and a worker ships its rows back without their programs."""
+    the row, and a worker ships each row back without its program."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 5])
-    def test_each_store_is_written_once_by_its_owning_segment(self, far, monkeypatch, tmp_path, threads):
-        from functools import partial
-
+    def test_each_store_is_written_once_by_the_process_that_solved_it(self, far, monkeypatch, tmp_path, solves,
+                                                                       threads):
         from voltaic import pipeline
 
         data, config, _ = far
         specs = _table_with_failures()
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InProcess)
-        segments, writes = [], []
-        worker, write = scenarios._parallel_worker, pipeline.write_store
-
-        def recording_worker(payload):
-            segments.append(payload)
-            return worker(payload)
+        writes, write = _Log(tmp_path / "writes.jsonl"), pipeline.write_store
 
         def recording_write(store, root, formats):
-            writes.append((store.run_id, len(segments) - 1))
+            writes("write", store.run_id)
             return write(store, root, formats)
 
-        monkeypatch.setattr(scenarios, "_parallel_worker", recording_worker)
         monkeypatch.setattr(pipeline, "write_store", recording_write)
+        stores = tmp_path / "stores"
         finish = partial(pipeline._finish_row, reporting=[("G", "level")], threads=1, config_echo=None,
-                         results_dir=tmp_path, formats=("csv",))
+                         results_dir=stores, formats=("csv",))
         rows = scenarios._run_and_finish(data, config, None, specs, "parallel", threads, finish=finish)
 
-        assert len(segments) == threads
-        owner, replayed = {}, []
-        for w, (sweep, run, _, replays, _) in enumerate(segments):
-            owner.update((sweep.specs[idx].run_id, w) for idx in run[replays:])
-            replayed.extend(sweep.specs[idx].run_id for idx in run[:replays])
-        assert bool(replayed) == (threads > 1)
-        assert sorted(run_id for run_id, _ in writes) == sorted(spec.run_id for spec in specs)
-        assert all(owner[run_id] == w for run_id, w in writes)
+        written = writes.read("write")
+        assert sorted(run_id for _, run_id in written) == sorted(spec.run_id for spec in specs)
+        solved = _solved(solves)
+        assert sorted(solved) == sorted(spec.run_id for spec in specs if spec.run_id != "X")  # X does not expand
+        assert all(solved[run_id][0] == pid for pid, run_id in written if run_id in solved)
+        assert (os.getpid() in {pid for pid, _ in written}) == (threads == 1)
         assert [part.run_id for _, part in rows] == [spec.run_id for spec in specs]
         errors = {result.run_id: result.error for result, _ in rows if result.error is not None}
         assert sorted(errors) == ["E", "X"] and "lo > hi" in errors["E"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(spec.run_id for spec in specs)
+        assert sorted(p.name for p in stores.iterdir()) == sorted(spec.run_id for spec in specs)
         for result, part in rows:
-            store = read_store(tmp_path / result.run_id)
+            store = read_store(stores / result.run_id)
             assert store.meta.get("error") == result.error
             assert sorted(store.symbols) == ([] if result.error else ["G"])
             assert sorted(part.symbols) == sorted(store.symbols)
 
-    def test_no_row_is_finished_by_a_replay_or_twice_in_one_process(self, far):
+    @pytest.mark.parametrize("mode, threads", [("rebuild", 0), ("single_instance", 0), ("parallel", 2),
+                                               ("parallel", 3)])
+    def test_no_row_is_finished_by_a_replay_or_twice_in_one_process(self, far, tmp_path, mode, threads):
         data, config, _ = far
         specs = _table_with_failures()
-        for mode in ("rebuild", "single_instance"):
-            finished = []
-            rows = scenarios._run_and_finish(data, config, None, specs, mode, 0,
-                                             finish=lambda result: finished.append(result.run_id) or result.run_id)
-            assert sorted(finished) == sorted(spec.run_id for spec in specs)
-            assert [done for _, done in rows] == [spec.run_id for spec in specs]
+        finished = _Log(tmp_path / "finished.jsonl")
+
+        def finish(result):
+            finished("finish", result.run_id)
+            return result.run_id
+
+        rows = scenarios._run_and_finish(data, config, None, specs, mode, threads, finish=finish)
+        assert sorted(run_id for _, run_id in finished.read("finish")) == sorted(spec.run_id for spec in specs)
+        assert [done for _, done in rows] == [spec.run_id for spec in specs]
 
     def test_workers_ship_no_programs(self, far, monkeypatch):
         data, config, _ = far
         specs = _table_with_failures()
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InProcess)
-        shipped = []
-        worker = scenarios._parallel_worker
+        shipped, receive = [], scenarios._Scheduler._receive
 
-        def recording_worker(payload):
-            chunk = worker(payload)
-            shipped.extend(result.lp for _, result, _ in chunk)
-            return chunk
+        def recording(self, slot, message):
+            if message[0] == "row":
+                shipped.append(message[2].lp)
+            return receive(self, slot, message)
 
-        monkeypatch.setattr(scenarios, "_parallel_worker", recording_worker)
+        monkeypatch.setattr(scenarios._Scheduler, "_receive", recording)
         rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 3)
         assert shipped == [None] * len(specs)
         assert all((result.lp is None) == (result.error is not None) for result, _ in rows)
@@ -694,6 +816,71 @@ class TestRowsFinishWhereSolved:
             assert _same_program(lp, from_sweep.lp)
             assert _same_program(lp, pickle.loads(pickle.dumps(from_sweep)).lp)
         assert calls["_program"] == 2 * len(project.specs)
+
+
+class TestCrashedWorker:
+    """A worker that dies loses only the row it was running; the rows it
+    still held run elsewhere, from the base basis."""
+
+    def test_other_rows_finish_and_the_lost_rows_descendants_start_from_the_base(self, far, solves, tmp_path):
+        from voltaic import pipeline
+
+        data, config, specs = far  # the chain F7 -> F6 -> ... -> F0
+        stores = tmp_path / "stores"
+        finish = partial(pipeline._finish_row, reporting=[("G", "level")], threads=1, config_echo=None,
+                         results_dir=stores, formats=("csv",))
+
+        def crashing(result):
+            if result.run_id == "F5":
+                os._exit(1)
+            return finish(result)
+
+        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=crashing)
+        results = {result.run_id: result for result, _ in rows}
+        assert results["F5"].status == "error"
+        assert "worker process running this row died (exit code 1)" in results["F5"].error
+        assert all(r.status == "optimal" for run_id, r in results.items() if run_id != "F5")
+        assert sorted(p.name for p in stores.iterdir()) == sorted(run_id for run_id in results if run_id != "F5")
+        assert [part is None for _, part in rows] == [spec.run_id == "F5" for spec in specs]
+
+        solved = _solved(solves)  # F5 included: it died while it was being finished
+        assert sorted(solved) == sorted(spec.run_id for spec in specs)
+        _, parents = _plan_of(data, config, specs)
+        assert parents["F4"] == "F5" and solved["F4"][2] is None
+        for run_id in ("F6", "F5", "F3", "F2", "F1", "F0"):
+            assert solved[run_id][2] == solved[parents[run_id]][3], run_id
+        assert solved["F4"][0] != solved["F5"][0]
+        single = run_scenarios(data, config, None, specs, mode="single_instance")
+        for reference in single:
+            if reference.run_id != "F5":
+                assert results[reference.run_id].objective == pytest.approx(reference.objective, rel=1e-6)
+
+    def test_a_death_in_the_base_solve_leaves_its_rows_cold(self, far, monkeypatch, solves):
+        data, config, specs = far
+        original, parent = solver._WarmStart.open.__func__, os.getpid()
+
+        def dying(cls, inst, base=None):
+            if base is None and os.getpid() != parent:
+                os._exit(3)
+            return original(cls, inst, base)
+
+        monkeypatch.setattr(solver._WarmStart, "open", classmethod(dying))
+        results = run_scenarios(data, config, None, specs, mode="parallel", threads=2)
+        assert all(r.status == "optimal" for r in results)
+        assert not any(warm for _, _, warm, _, _ in solves.read("row"))
+        cold = run_scenarios(data, config, None, specs, mode="rebuild")
+        assert all(_same(a.solution, b.solution) for a, b in zip(results, cold))
+
+    def test_an_exception_in_a_worker_is_raised_in_the_parent(self, far):
+        data, config, specs = far
+
+        def failing(result):
+            if result.run_id == "F5":
+                raise OSError(28, "No space left on device")
+            return result.run_id
+
+        with pytest.raises(OSError, match="No space left"):
+            scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=failing)
 
 
 def _same_program(a, b):
