@@ -47,9 +47,10 @@ def run_project(
     ``<root>/results/<run_id>/``. Each row's store is extracted and written,
     and the row's share of the report made from it, by the process that
     solved the row (a worker in ``parallel`` mode), which hands back that
-    share with the result and drops the store. This process only merges the
-    shares: the report covers the runs of this call only, in run-id order,
-    and equals what :func:`report_project` makes from their stores on disk.
+    share with the result and drops the store; a row whose worker died is
+    finished here, as an error. This process only merges the shares: the
+    report covers the runs of this call only, in run-id order, and equals
+    what :func:`report_project` makes from their stores on disk.
     If a run is not optimal there is no report, and the tables and manifest
     an earlier call left in ``<root>/report`` are removed.
     """

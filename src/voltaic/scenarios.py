@@ -21,6 +21,7 @@ Column headings:
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 import multiprocessing
@@ -29,7 +30,7 @@ import os
 import re
 import time
 import traceback
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product
@@ -499,7 +500,6 @@ def _run_on_instance(
     inst: ModelInstance,
     spec: ScenarioSpec,
     deltas: list[Delta],
-    delay: float = 0.0,
     warm: bool = False,
     start=None,
 ) -> tuple[RunResult, object]:
@@ -509,8 +509,6 @@ def _run_on_instance(
     started = time.perf_counter()
     try:
         inst.reset()
-        if delay:
-            time.sleep(delay)
         inst.apply(deltas)
         # resolve certifies whatever it returns; a cold solve is checked here.
         solution = inst.resolve(start) if warm else certified(inst.lp, solve(inst.lp, inst.backend))
@@ -538,48 +536,23 @@ class _Sweep:
     backend: str = "highs"
 
     @cached_property
-    def _heights(self) -> list[int]:
-        """Each row's count of rows on the longest chain from it down its tree."""
+    def rank(self) -> dict[int, int]:
+        """Each row's place in the order ready rows run in: the longest chain
+        of rows from it down its tree first, tree order among equals."""
         heights = [1] * len(self.specs)
         for idx in reversed(self.order):  # children after their parent in depth-first order
             if self.parents[idx] is not None:
                 heights[self.parents[idx]] = max(heights[self.parents[idx]], heights[idx] + 1)
-        return heights
+        return {idx: k for k, idx in enumerate(sorted(self.order, key=lambda idx: -heights[idx]))}
 
     @cached_property
     def children(self) -> list[list[int]]:
-        """Each row's tree children in the order they run: the longest chain
-        below first, so what is left for an idle worker to take is the
-        shorter subtrees (nearest first among equals)."""
+        """Each row's tree children in :attr:`rank` order."""
         children: list[list[int]] = [[] for _ in self.specs]
         for idx in self.order:
             if self.parents[idx] is not None:
                 children[self.parents[idx]].append(idx)
-        return [sorted(rows, key=self._heights.__getitem__, reverse=True) for rows in children]
-
-    @cached_property
-    def roots(self) -> dict:
-        """Each warm country set's rows whose tree parent is the base, in
-        the order they run (as :attr:`children`)."""
-        roots: dict = {key: [] for key in self.warm_keys}
-        for idx in self.order:
-            key = self.specs[idx].country_set
-            if key in roots and self.parents[idx] is None:
-                roots[key].append(idx)
-        return {key: sorted(rows, key=self._heights.__getitem__, reverse=True) for key, rows in roots.items()}
-
-    def entries(self) -> list[tuple]:
-        """The sweep as :class:`_Runner` entries, in order: each warm
-        country set as a whole, every other row on its own."""
-        entries, seen = [], set()
-        for idx in self.order:
-            key = self.specs[idx].country_set
-            if key not in self.warm_keys:
-                entries.append(("row", idx, None))
-            elif key not in seen:
-                seen.add(key)
-                entries.append(("set", key))
-        return entries
+        return [sorted(rows, key=self.rank.__getitem__) for rows in children]
 
 
 # Planning coordinate of each delta kind.
@@ -714,25 +687,35 @@ def _plan(
     return _Sweep(specs, builds, deltas, order, parents, frozenset(warm_keys), backend)
 
 
-class _Runner:
-    """Runs a sweep's rows depth-first, in one process, from a stack of
-    entries. ``("set", key)`` opens the warm handle of country set ``key``
-    (its one base solve) and stacks the set's tree roots; ``("row", idx,
-    start)`` runs row ``idx`` from ``start`` (the basis of its tree parent,
-    held here or shipped as statuses, or None for the base basis), finishes
-    it and stacks its tree children, each to start from the basis the row
-    left (None if it was not solved warm). Rows compile one instance per
-    country set, or with ``rebuild`` a fresh one per row. One runner serves
-    ``rebuild`` and ``single_instance`` in the calling process and each
-    ``parallel`` worker."""
+# A row's start when it runs in the process that ran its tree parent just
+# before: the basis that row left there. A value, not an object, so it
+# keeps its meaning once pickled.
+_LEFT = "left"
 
-    def __init__(self, sweep: _Sweep, delays: list[float] | None = None, finish=None, rebuild: bool = False):
-        self.sweep, self.delays, self.finish, self.rebuild = sweep, delays, finish, rebuild
+
+class _Tasks:
+    """Runs sweep tasks in one process: the calling one in ``rebuild`` and
+    ``single_instance`` mode, each worker in ``parallel``.
+
+    ``("base", key)`` solves warm country set ``key``'s base, the set's one
+    base solve, and returns ``("base", key, statuses)`` (None without a
+    handle). ``("row", idx, start, base)`` runs row ``idx`` and finishes it:
+    from the base basis (``start`` None), from shipped statuses, or from
+    the basis the last row run here left (``_LEFT``). ``base`` is the set's
+    base statuses, on which a process opens its handle without a solve
+    (None: the row runs cold). It returns ``("row", idx, result, done,
+    statuses)``: the result without its program, what ``finish`` made of
+    it and, only for a row with two or more tree children, the statuses of
+    the basis it left. Rows compile one instance per country set, or with
+    ``rebuild`` one per row."""
+
+    def __init__(self, sweep: _Sweep, finish=None, rebuild: bool = False):
+        self.sweep, self.finish, self.rebuild = sweep, finish, rebuild
         self.instances: dict[tuple[str, ...] | None, ModelInstance] = {}
-        self.bases: dict = {}  # warm country set -> its base basis's statuses, None without a handle
-        self.stack: list[tuple] = []
-        # The last base solve's time, which the next row here, the first on
-        # its handle, counts in its wall time, as if it had opened the handle.
+        self.warm: dict = {}  # warm country set -> whether this process holds its handle
+        self.left = None  # the basis the last row run here left
+        # The time of the base solves since the last row here, which the next
+        # row counts in its wall time, as a row that opened its handle did.
         self.base_time = 0.0
 
     def _instance(self, key) -> ModelInstance:
@@ -741,235 +724,179 @@ class _Runner:
             self.instances[key] = inst
         return inst
 
-    def take(self, entry: tuple, base=None) -> None:
-        """Stack ``entry``, handed over from another process with ``base``,
-        the statuses of its warm country set's base basis (None if the set
-        has no handle)."""
-        if entry[0] == "row":
-            key = self.sweep.specs[entry[1]].country_set
-            if key in self.sweep.warm_keys and key not in self.bases:
-                self.bases[key] = None if base is None else self._instance(key).open(base)
-        self.stack.append(entry)
-
-    def give(self) -> tuple | None:
-        """Unstack the bottom entry, the shallowest unstarted subtree, with
-        its start as statuses, for another process; None unless at least two
-        rows are stacked."""
-        if len(self.stack) < 2 or self.stack[0][0] != "row":
-            return None
-        _, idx, start = self.stack.pop(0)
-        return "row", idx, basis_statuses(start) if start is not None and not isinstance(start, tuple) else start
-
-    def step(self) -> tuple:
-        """Run the top entry: ``("base", key, statuses)`` for a base, else
-        ``("row", idx, result, done)`` with what ``finish`` made of the
-        result, which no longer holds its program."""
-        sweep, entry = self.sweep, self.stack.pop()
-        if entry[0] == "set":
-            key, started = entry[1], time.perf_counter()
-            self.bases[key] = self._instance(key).open()
-            self.base_time = time.perf_counter() - started
-            self.stack.extend(("row", j, None) for j in reversed(sweep.roots[key]))
-            return "base", key, self.bases[key]
-        _, idx, start = entry
+    def __call__(self, task: tuple) -> tuple:
+        sweep = self.sweep
+        if task[0] == "base":
+            key, started = task[1], time.perf_counter()
+            statuses = self._instance(key).open()
+            self.warm[key] = statuses is not None
+            self.base_time += time.perf_counter() - started
+            return "base", key, statuses
+        _, idx, start, base = task
         spec, deltas = sweep.specs[idx], sweep.deltas[idx]
+        key = spec.country_set
         if isinstance(deltas, str):
-            result, basis = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
+            result, self.left = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
         else:
-            key = spec.country_set
-            warm = self.bases.get(key) is not None
-            delay = self.delays[idx] if self.delays else 0.0
-            result, basis = _run_on_instance(self._instance(key), spec, deltas, delay, warm, start)
+            if key in sweep.warm_keys and key not in self.warm:
+                self.warm[key] = base is not None and self._instance(key).open(base) is not None
+            start = self.left if start == _LEFT else start
+            result, self.left = _run_on_instance(self._instance(key), spec, deltas, self.warm.get(key, False), start)
         result.wall_time, self.base_time = result.wall_time + self.base_time, 0.0
         done = None if self.finish is None else self.finish(result)
         result.lp = None
-        self.stack.extend(("row", j, basis) for j in reversed(sweep.children[idx]))
-        return "row", idx, result, done
+        branches = self.left is not None and len(sweep.children[idx]) > 1
+        return "row", idx, result, done, basis_statuses(self.left) if branches else None
 
 
-def _worker(runner: _Runner, conn, running, slot: int) -> None:
-    """A ``parallel`` worker: stacks what the parent hands it and sends each
-    row back as soon as it is finished. Asked for work, it sends the
-    shallowest unstarted subtree it holds, between rows, as soon as it holds
-    two. ``running[slot]`` names the row it is running (-1 for none), for
-    the parent to read if this process dies."""
-    asked = False
+def _worker(run: _Tasks, conn) -> None:
+    """A ``parallel`` worker: runs each task the parent sends and sends back
+    what it returned, until the parent sends None."""
     try:
-        while True:
-            while not runner.stack or conn.poll():
-                message = conn.recv()
-                if message is None:
-                    return
-                if message == "give":
-                    asked = True
-                else:
-                    runner.take(*message)
-            if asked and (entry := runner.give()) is not None:
-                conn.send(("given", entry))
-                asked = False
-            top = runner.stack[-1]
-            running[slot] = top[1] if top[0] == "row" else -1
-            conn.send(runner.step())
-            running[slot] = -1
+        for task in iter(conn.recv, None):
+            conn.send(run(task))
     except EOFError:
         pass  # the parent is gone
     except Exception as exc:  # noqa: BLE001 - raised again in the parent
         conn.send(("raise", exc, "".join(traceback.format_exception(exc))))
 
 
-class _Scheduler:
-    """Runs a planned sweep on ``workers`` forked processes and collects
-    each row's ``(result, done)`` as it arrives.
+class _Ready:
+    """A sweep's ready queue, kept by the calling process in every mode,
+    and each row's ``(result, done)`` as it comes back.
 
-    The parent solves nothing. Each warm country set goes to one worker as
-    a whole: that worker solves its base, the set's only base solve, and
-    runs its tree depth-first, each row from the basis its tree parent left
-    in the same process. For a worker on its last row or idle, the parent
-    asks a busy one for its shallowest unstarted subtree, which moves with
-    the statuses of its start basis (and of the set's base basis); a cold
-    row is handed out on its own. A worker that dies loses the row it was
-    running, which comes back as an error; the rows it still held run
-    elsewhere, each from the base basis, and a fresh worker takes its
-    place."""
+    Warm country sets' bases go out first, then rows, the longest chain
+    below first (tree order among equals). A solved base makes its set's
+    tree roots ready, to start from the base basis. A finished row's first
+    tree child goes straight back to the process that ran the row, to start
+    from the basis the row left there (``_LEFT``); its other children wait
+    here with that basis's statuses. So every row starts from its tree
+    parent's basis, whichever process runs it."""
 
-    def __init__(self, sweep: _Sweep, workers: int, delays: list[float] | None, finish):
-        # Forked workers inherit the plan and ``finish`` without pickling
-        # and import nothing; the parent has loaded no solver to copy.
-        methods = multiprocessing.get_all_start_methods()
-        self.ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self.sweep, self.delays, self.finish = sweep, delays, finish
-        self.running = self.ctx.RawArray("q", [-1] * workers)
-        self.procs: dict[int, object] = {}
-        self.conns: dict[int, object] = {}
-        self.ready: deque[tuple] = deque(sweep.entries())
-        self.owned: list[set[int]] = [set() for _ in range(workers)]  # unreported rows held, per worker
-        self.solving: dict = {}  # warm country set -> the worker solving its base
+    def __init__(self, sweep: _Sweep, finish=None):
+        self.sweep, self.finish = sweep, finish
+        self.heap: list[tuple] = []
         self.bases: dict = {}  # warm country set -> its base basis's statuses, None without a handle
-        self.asked: set[int] = set()  # workers asked for work that have not sent any
+        self.roots: dict = {}  # warm country set -> its tree roots, ready once its base is solved
         self.done: dict[int, tuple[RunResult, object]] = {}
+        for idx in sweep.order:
+            if sweep.parents[idx] is None:
+                if (key := sweep.specs[idx].country_set) in sweep.warm_keys:
+                    self.roots.setdefault(key, []).append(idx)
+                else:
+                    self._queue([idx], None)
+        for k, key in enumerate(self.roots):
+            heapq.heappush(self.heap, ((0, k), ("base", key)))
 
-    def _fork(self, slot: int) -> None:
-        here, there = self.ctx.Pipe()
-        runner = _Runner(self.sweep, self.delays, self.finish)
-        proc = self.ctx.Process(target=_worker, args=(runner, there, self.running, slot), daemon=True)
-        self.running[slot] = -1
-        proc.start()
-        there.close()
-        self.procs[slot], self.conns[slot] = proc, here
+    def _task(self, idx: int, start) -> tuple:
+        return "row", idx, start, self.bases.get(self.sweep.specs[idx].country_set)
 
-    def _send(self, slot: int, message) -> None:
-        try:
-            self.conns[slot].send(message)
-        except OSError:
-            pass  # it died: its end of the pipe reads EOF next
+    def _queue(self, rows: list[int], start) -> None:
+        for idx in rows:
+            heapq.heappush(self.heap, ((1, self.sweep.rank[idx]), self._task(idx, start)))
 
-    def _rows(self, entry: tuple) -> set[int]:
-        """The rows of ``entry``'s subtree: a warm country set's rows for a
-        set, a row and its tree descendants for a row."""
-        sweep = self.sweep
-        stack = list(sweep.roots[entry[1]]) if entry[0] == "set" else [entry[1]]
-        rows = set()
-        while stack:
-            idx = stack.pop()
-            rows.add(idx)
-            stack.extend(sweep.children[idx])
-        return rows
+    def pop(self) -> tuple:
+        return heapq.heappop(self.heap)[1]
 
-    def _dispatch(self) -> None:
-        """Hand ready entries to idle workers. For each worker idle or on
-        its last row that no ready entry or earlier request will serve, ask
-        a busy worker, the fullest first, for work."""
-        idle = [slot for slot in self.conns if not self.owned[slot]]
-        while idle and self.ready:
-            slot, entry = idle.pop(0), self.ready.popleft()
-            if entry[0] == "set":
-                self.solving[entry[1]] = slot
-            self.owned[slot] |= self._rows(entry)
-            key = self.sweep.specs[entry[1]].country_set if entry[0] == "row" else None
-            self._send(slot, (entry, self.bases.get(key)))
-        short = sum(len(self.owned[slot]) <= 1 for slot in self.conns) - len(self.ready) - len(self.asked)
-        busy = sorted((slot for slot in self.conns if len(self.owned[slot]) > 1 and slot not in self.asked),
-                      key=lambda slot: -len(self.owned[slot]))
-        for slot in busy[:max(0, short)]:
-            self.asked.add(slot)
-            self._send(slot, "give")
-
-    def _receive(self, slot: int, message: tuple) -> None:
-        kind = message[0]
-        if kind == "row":
-            _, idx, result, done = message
-            self.done[idx] = result, done
-            self.owned[slot].discard(idx)
-            if not self.owned[slot]:
-                self.asked.discard(slot)  # it has nothing left to give
-        elif kind == "base":
-            _, key, statuses = message
-            self.bases[key] = statuses
-            del self.solving[key]
-        elif kind == "given":
-            self.asked.discard(slot)
-            self.owned[slot] -= self._rows(message[1])
-            self.ready.append(message[1])
-        else:  # "raise"
+    def receive(self, message: tuple) -> tuple | None:
+        """Take what a process returned for its task; returns the task that
+        process is to run next, if any."""
+        if message[0] == "raise":
             raise message[1] from RuntimeError(f"in a sweep worker:\n{message[2]}")
+        if message[0] == "base":
+            _, key, self.bases[key] = message
+            self._queue(self.roots[key], None)
+            return None
+        _, idx, result, done, statuses = message
+        self.done[idx] = result, done
+        first, *others = self.sweep.children[idx] or [None]
+        self._queue(others, statuses)
+        return None if first is None else self._task(first, _LEFT)
 
-    def _lost(self, slot: int) -> None:
-        """Worker ``slot`` died: fail the row it was running, make the rows
-        it held ready to start from the base basis, and fork a fresh worker
-        in its place if the death cost a row or a base (so a worker that
-        dies before any work cannot be replaced forever)."""
-        proc, sweep = self.procs.pop(slot), self.sweep
-        self.conns.pop(slot).close()
-        proc.join()
-        lost, self.owned[slot] = self.owned[slot], set()
-        self.asked.discard(slot)
-        crashed = self.running[slot]
-        progress = crashed in lost
-        if progress:
-            lost.discard(crashed)
-            spec = sweep.specs[crashed]
-            error = f"the worker process running this row died (exit code {proc.exitcode})"
-            self.done[crashed] = RunResult(spec.run_id, None, _echo(spec), error=error), None
-        for key in [key for key, owner in self.solving.items() if owner == slot]:
-            del self.solving[key]
-            self.bases[key], progress = None, True  # its rows are solved cold
-        self.ready.extend(("row", idx, None) for idx in sweep.order if idx in lost and sweep.parents[idx] not in lost)
-        if progress:
-            self._fork(slot)
+    def _fail(self, idx: int, error: str) -> None:
+        """Row ``idx`` fails with ``error``, finished in this process."""
+        spec = self.sweep.specs[idx]
+        result = RunResult(spec.run_id, None, _echo(spec), error=error)
+        self.done[idx] = result, None if self.finish is None else self.finish(result)
 
-    def run(self) -> dict[int, tuple[RunResult, object]]:
+    def _lost(self, task: tuple, exitcode) -> None:
+        """The worker running ``task`` died: a base's set's roots are solved
+        cold; a row fails, finished here so that its store is this sweep's,
+        and its tree children start from the base basis."""
+        if task[0] == "base":
+            self.receive(("base", task[1], None))  # as a base without a handle
+        else:
+            self._fail(task[1], f"the worker process running this row died (exit code {exitcode})")
+            self._queue(self.sweep.children[task[1]], None)
+
+    def serve(self, run: _Tasks) -> None:
+        """Run every task with ``run``, in this process."""
+        task = None
+        while task is not None or self.heap:
+            task = self.receive(run(task or self.pop()))
+
+    def serve_forked(self, run: _Tasks, workers: int) -> None:
+        """Run every task on ``workers`` forked processes, each running its
+        copy of ``run``, one task at a time. A worker that dies loses only
+        the task it was running (see :meth:`_lost`), and a fresh one is
+        forked in its place."""
+        # Forked workers inherit the plan and ``run`` without pickling and
+        # import nothing; the parent has loaded no solver to copy.
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        procs, conns, running = {}, {}, {}  # slot -> process, pipe end, task
+
+        def fork(slot: int) -> None:
+            here, there = ctx.Pipe()
+            procs[slot] = ctx.Process(target=_worker, args=(run, there), daemon=True)
+            procs[slot].start()
+            there.close()
+            conns[slot] = here
+
+        def send(slot: int, task) -> None:
+            running[slot] = task
+            try:
+                conns[slot].send(task)
+            except OSError:
+                pass  # it died: its end of the pipe reads EOF next
+
         n = len(self.sweep.specs)
         try:
-            for slot in range(len(self.owned)):
-                self._fork(slot)
+            for slot in range(workers):
+                fork(slot)
             while len(self.done) < n:
-                if not self.conns:  # every worker died without running a row
+                if not conns:  # every worker died without a task
                     for idx in set(range(n)) - set(self.done):
-                        spec = self.sweep.specs[idx]
-                        error = "no worker process was left to run this row"
-                        self.done[idx] = RunResult(spec.run_id, None, _echo(spec), error=error), None
+                        self._fail(idx, "no worker process was left to run this row")
                     break
-                self._dispatch()
-                for conn in multiprocessing.connection.wait(list(self.conns.values())):
-                    slot = next(s for s, c in self.conns.items() if c is conn)
+                for slot in [slot for slot in conns if slot not in running][:len(self.heap)]:
+                    send(slot, self.pop())
+                for conn in multiprocessing.connection.wait(list(conns.values())):
+                    slot = next(s for s, c in conns.items() if c is conn)
+                    task = running.pop(slot, None)
                     try:
                         message = conn.recv()
                     except (EOFError, OSError):  # OSError: it died with a message unread
-                        self._lost(slot)
+                        proc = procs.pop(slot)
+                        conns.pop(slot).close()
+                        proc.join()
+                        if task is not None:  # so one that dies idle is not replaced forever
+                            self._lost(task, proc.exitcode)
+                            fork(slot)
                         continue
-                    self._receive(slot, message)
-            for slot in self.conns:
-                self._send(slot, None)
-            for proc in self.procs.values():
+                    if (task := self.receive(message)) is not None:
+                        send(slot, task)
+            for slot in conns:
+                send(slot, None)
+            for proc in procs.values():
                 proc.join()
         finally:
-            for proc in self.procs.values():
+            for proc in procs.values():
                 if proc.is_alive():
                     proc.terminate()
                     proc.join()
-            for conn in self.conns.values():
+            for conn in conns.values():
                 conn.close()
-        return self.done
 
 
 def _program(sweep: _Sweep, idx: int) -> LinearProgram:
@@ -990,7 +917,6 @@ def run_scenarios(
     constraint_blocks: dict[str, tuple[str, ...]] | None = None,
     backend: str = "highs",
     fixed_capacities=None,
-    _test_delays: list[float] | None = None,
 ) -> list[RunResult]:
     """Execute all scenario rows and return results in spec order.
 
@@ -1009,20 +935,20 @@ def run_scenarios(
     sets are solved cold. The rows of each warm set are planned as a tree
     (:func:`_tree`) from their deltas: each row starts from the optimal
     basis of its tree parent, the nearest row by relative change, if that
-    row was solved warm, and from the base basis otherwise. Rows run in the
-    tree's depth-first order. ``parallel`` schedules them over forked
-    workers (:class:`_Scheduler`): each warm set's base is solved once, in
-    a worker, and no row is solved twice. A row's start therefore depends
-    on the table alone, and ``parallel`` returns bitwise what
+    row was solved warm, and from the base basis otherwise. In every mode
+    this process hands out the rows from one ready queue (:class:`_Ready`),
+    to itself or, in ``parallel``, to forked workers: each warm set's base
+    is solved once, and no row is solved twice. A row's start therefore
+    depends on the table alone, and ``parallel`` returns bitwise what
     ``single_instance`` does, whatever ``threads`` is. All three modes
     produce the same objectives (to the 1e-6 certification). A worker that
-    dies fails only the row it was running (see :class:`_Scheduler`).
+    dies fails only the row it was running, and that row's tree children
+    start from the base basis.
     """
     return [
         result
         for result, _ in _run_and_finish(
-            data, config, features, specs, mode, threads, constraint_blocks, backend, fixed_capacities,
-            delays=_test_delays,
+            data, config, features, specs, mode, threads, constraint_blocks, backend, fixed_capacities
         )
     ]
 
@@ -1038,13 +964,12 @@ def _run_and_finish(
     backend: str = "highs",
     fixed_capacities=None,
     finish=None,
-    delays: list[float] | None = None,
 ) -> list[tuple[RunResult, object]]:
     """:func:`run_scenarios`, with each row's result paired with what
     ``finish(result)`` returned. ``finish`` runs once per row, in the
     process that solved the row and right after it: in a worker in
     ``parallel`` mode (so what it returns must pickle), in this process
-    otherwise. A row whose worker died before sending it pairs with None."""
+    otherwise. A row whose worker died is finished here, as an error."""
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:
@@ -1053,17 +978,12 @@ def _run_and_finish(
         raise ValidationError(f"run_scenarios: threads must be 0 (all cores) or more, got {threads}")
     sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild", backend)
     workers = min(threads or os.cpu_count() or 1, len(specs)) if mode == "parallel" else 1
+    ready, run = _Ready(sweep, finish), _Tasks(sweep, finish, rebuild=mode == "rebuild")
     if workers > 1:
-        done = _Scheduler(sweep, workers, delays, finish).run()
+        ready.serve_forked(run, workers)
     else:
-        runner = _Runner(sweep, delays, finish, rebuild=mode == "rebuild")
-        runner.stack = sweep.entries()[::-1]
-        done = {}
-        while runner.stack:
-            message = runner.step()
-            if message[0] == "row":
-                done[message[1]] = message[2:]
-    for idx, (result, _) in done.items():
+        ready.serve(run)
+    for idx, (result, _) in ready.done.items():
         if result.error is None:
             result.lp = partial(_program, sweep, idx)
-    return [done[i] for i in range(len(specs))]
+    return [ready.done[i] for i in range(len(specs))]

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import run_python
 from voltaic.cli import main
+from voltaic.store import read_store
 from voltaic.templates import create_project
 
 
@@ -196,16 +197,17 @@ class TestRun:
         finish = pipeline._finish_row
 
         def crashing(result, *args, **kwargs):
-            if result.run_id == "s4":
+            if result.run_id == "s4" and result.error is None:
                 os._exit(1)  # the forked worker dies, as on a segfault or a kill
-            return finish(result, *args, **kwargs)
+            return finish(result, *args, **kwargs)  # s4's error store is written by the parent
 
         monkeypatch.setattr(pipeline, "_finish_row", crashing)
         assert run_cli("run", str(root), "--mode", "parallel", "--threads", "2") == 2
         out, err = capsys.readouterr()
         assert "error: s4: the worker process running this row died (exit code 1)" in err
         assert sum("status=optimal" in line for line in out.splitlines()) == 8
-        assert sorted(p.name for p in (root / "results").iterdir()) == [f"s{i}" for i in range(9) if i != 4]
+        assert sorted(p.name for p in (root / "results").iterdir()) == [f"s{i}" for i in range(9)]
+        assert "worker process running this row died" in read_store(root / "results" / "s4").meta["error"]
         assert not (root / "report" / "manifest.json").exists()
 
     def test_stores_and_report_hold_no_negative_zero(self, tmp_path):

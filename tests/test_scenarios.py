@@ -1,10 +1,12 @@
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from voltaic import scenarios
 from voltaic.model import build_model
 from voltaic.scenarios import (
     PARAMETER_DOMAINS,
@@ -304,18 +306,18 @@ class TestRunModes:
         objs = [r.objective for r in results]
         assert objs[0] >= objs[1] - 1e-9 >= objs[2] - 1e-9
 
-    def test_order_preserved_with_delays(self, battery_system):
+    def test_order_preserved_with_delays(self, battery_system, monkeypatch):
         data, config = battery_system
         specs = self.specs()
-        results = run_scenarios(
-            data,
-            config,
-            None,
-            specs,
-            mode="parallel",
-            threads=3,
-            _test_delays=[0.6, 0.2, 0.0],
-        )
+        delays = dict(zip((s.run_id for s in specs), [0.6, 0.2, 0.0]))
+        run = scenarios._run_on_instance
+
+        def delayed(inst, spec, *args, **kwargs):
+            time.sleep(delays[spec.run_id])  # in the forked worker that runs the row
+            return run(inst, spec, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "_run_on_instance", delayed)
+        results = run_scenarios(data, config, None, specs, mode="parallel", threads=3)
         assert [r.run_id for r in results] == [s.run_id for s in specs]
         assert all(r.status == "optimal" for r in results)
 

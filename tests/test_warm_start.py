@@ -352,12 +352,15 @@ def far():
     return data, replace(config, end_hour=12), _far_table()
 
 
+_basis_statuses = solver.basis_statuses  # not the logging stand-in of ``TestStatusesMade.made``
+
+
 def _fingerprint(basis):
     """A basis, or its statuses, as one digest that compares across
     processes; None stays None (the base basis, or no basis)."""
     if basis is None:
         return None
-    cols, rows = basis if isinstance(basis, tuple) else solver.basis_statuses(basis)
+    cols, rows = basis if isinstance(basis, tuple) else _basis_statuses(basis)
     return hashlib.sha1(cols.tobytes() + rows.tobytes()).hexdigest()
 
 
@@ -396,8 +399,8 @@ def solves(monkeypatch, tmp_path):
             log("open", base is not None, None if warm is None else _fingerprint(warm.basis))
         return warm
 
-    def running(inst, spec, deltas, delay=0.0, warm=False, start=None):
-        result, basis = run(inst, spec, deltas, delay, warm, start)
+    def running(inst, spec, deltas, warm=False, start=None):
+        result, basis = run(inst, spec, deltas, warm, start)
         log("row", spec.run_id, warm, _fingerprint(start), _fingerprint(basis))
         return result, basis
 
@@ -512,35 +515,34 @@ class TestTreeStarts:
         assert len(_assert_tree_starts(solves, parents)) == len(specs)
 
     def test_a_subtree_moves_with_its_start_as_statuses(self, sweep):
-        # Two runners take turns; one with nothing stacked takes the other's
-        # shallowest unstarted subtree, with its start basis as statuses. The
-        # runner that did not solve the base holds the base basis it was sent.
+        # Two task runners take turns on one ready queue, as two workers do.
+        # A row's first tree child comes straight back to the runner that
+        # ran it; a sibling waits in the queue with the basis the row left,
+        # as statuses, and may run in the other runner. The runner that did
+        # not solve the base holds the base basis it was sent.
         data, config, specs = sweep
         plan = scenarios._plan(specs, data, config)
         single = run_scenarios(data, config, None, specs, mode="single_instance")
-        a, b, got, moved = scenarios._Runner(plan), scenarios._Runner(plan), {}, []
-        a.stack = plan.entries()[::-1]
-        kind, _, base = a.step()
-        assert kind == "base" and all(statuses.dtype == np.int8 for statuses in base)
-
-        def depth(entry):
-            idx, n = entry[1], 0
-            while idx is not None:
-                idx, n = plan.parents[idx], n + 1
-            return n
-
-        while a.stack or b.stack:
-            for runner, other in ((a, b), (b, a)):
-                if not runner.stack and (entry := other.give()) is not None:
-                    assert depth(entry) <= min(map(depth, other.stack))
-                    moved.append(entry)
-                    runner.take(entry, base)
-                if runner.stack:
-                    _, idx, result, _ = runner.step()
-                    got[idx] = result
-        assert [start is None for _, _, start in moved] == [True, False]  # a root, then a subtree
-        assert isinstance(moved[1][2], tuple) and b.instances[None]._warm.basis is not a.instances[None]._warm.basis
-        assert all(_bitwise(single[i].solution, got[i].solution) for i in range(len(specs)))
+        ready, runners = scenarios._Ready(plan), (scenarios._Tasks(plan), scenarios._Tasks(plan))
+        held, ran = [None, None], []
+        while ready.heap or any(held):
+            for k, run in enumerate(runners):
+                if (task := held[k] or (ready.pop() if ready.heap else None)) is not None:
+                    ran.append((k, task))
+                    held[k] = ready.receive(run(task))
+        assert [task[0] for _, task in ran].count("base") == 1 and ran[0][1][0] == "base"
+        assert all(statuses.dtype == np.int8 for statuses in ready.bases[None])
+        last = {}  # runner -> the row it ran last
+        for k, task in ran:
+            if task[0] == "row":
+                if task[2] == scenarios._LEFT:
+                    assert last[k] == plan.parents[task[1]]  # straight back to the runner that ran its parent
+                last[k] = task[1]
+        shipped = [task for _, task in ran if task[0] == "row" and isinstance(task[2], tuple)]
+        assert shipped and all(statuses.dtype == np.int8 for task in shipped for statuses in task[2])
+        assert {k for k, task in ran if task[0] == "row"} == {0, 1}
+        assert runners[0].instances[None]._warm.basis is not runners[1].instances[None]._warm.basis
+        assert all(_bitwise(single[i].solution, ready.done[i][0].solution) for i in range(len(specs)))
 
     def test_a_worker_ships_each_row_on_its_own(self, sweep, monkeypatch, tmp_path):
         # A worker finishes a row only once the parent has received every
@@ -548,12 +550,12 @@ class TestTreeStarts:
         data, config, specs = sweep
         received = tmp_path / "received"
         received.mkdir()
-        receive = scenarios._Scheduler._receive
+        receive = scenarios._Ready.receive
 
-        def recording(self, slot, message):
+        def recording(self, message):
             if message[0] == "row":
                 (received / message[2].run_id).touch()
-            return receive(self, slot, message)
+            return receive(self, message)
 
         finished = []  # each worker appends to its own copy
 
@@ -565,7 +567,7 @@ class TestTreeStarts:
             finished.append(result.run_id)
             return os.getpid()
 
-        monkeypatch.setattr(scenarios._Scheduler, "_receive", recording)
+        monkeypatch.setattr(scenarios._Ready, "receive", recording)
         rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)
         assert all(result.status == "optimal" for result, _ in rows)
         assert os.getpid() not in {pid for _, pid in rows}
@@ -736,14 +738,14 @@ class TestRowsFinishWhereSolved:
     def test_workers_ship_no_programs(self, far, monkeypatch):
         data, config, _ = far
         specs = _table_with_failures()
-        shipped, receive = [], scenarios._Scheduler._receive
+        shipped, receive = [], scenarios._Ready.receive
 
-        def recording(self, slot, message):
+        def recording(self, message):
             if message[0] == "row":
                 shipped.append(message[2].lp)
-            return receive(self, slot, message)
+            return receive(self, message)
 
-        monkeypatch.setattr(scenarios._Scheduler, "_receive", recording)
+        monkeypatch.setattr(scenarios._Ready, "receive", recording)
         rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 3)
         assert shipped == [None] * len(specs)
         assert all((result.lp is None) == (result.error is not None) for result, _ in rows)
@@ -819,8 +821,10 @@ class TestRowsFinishWhereSolved:
 
 
 class TestCrashedWorker:
-    """A worker that dies loses only the row it was running; the rows it
-    still held run elsewhere, from the base basis."""
+    """A worker that dies loses only the row it was running, which the
+    parent fails and finishes, so its store is this sweep's. Only that
+    row's tree children start from the base basis; every other row starts
+    from its planned parent's basis."""
 
     def test_other_rows_finish_and_the_lost_rows_descendants_start_from_the_base(self, far, solves, tmp_path):
         from voltaic import pipeline
@@ -829,9 +833,12 @@ class TestCrashedWorker:
         stores = tmp_path / "stores"
         finish = partial(pipeline._finish_row, reporting=[("G", "level")], threads=1, config_echo=None,
                          results_dir=stores, formats=("csv",))
+        scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)  # an earlier sweep
+        assert read_store(stores / "F5").meta.get("error") is None
+        solves.path.unlink()
 
         def crashing(result):
-            if result.run_id == "F5":
+            if result.run_id == "F5" and result.error is None:  # the parent finishes F5's error
                 os._exit(1)
             return finish(result)
 
@@ -840,8 +847,9 @@ class TestCrashedWorker:
         assert results["F5"].status == "error"
         assert "worker process running this row died (exit code 1)" in results["F5"].error
         assert all(r.status == "optimal" for run_id, r in results.items() if run_id != "F5")
-        assert sorted(p.name for p in stores.iterdir()) == sorted(run_id for run_id in results if run_id != "F5")
-        assert [part is None for _, part in rows] == [spec.run_id == "F5" for spec in specs]
+        assert sorted(p.name for p in stores.iterdir()) == sorted(results)
+        assert read_store(stores / "F5").meta["error"] == results["F5"].error  # not the earlier sweep's store
+        assert all(part is not None for _, part in rows)
 
         solved = _solved(solves)  # F5 included: it died while it was being finished
         assert sorted(solved) == sorted(spec.run_id for spec in specs)
@@ -854,6 +862,35 @@ class TestCrashedWorker:
         for reference in single:
             if reference.run_id != "F5":
                 assert results[reference.run_id].objective == pytest.approx(reference.objective, rel=1e-6)
+
+    def test_a_lost_row_changes_only_the_starts_below_it(self, sweep, solves):
+        data, config, specs = sweep
+        plan = scenarios._plan(specs, data, config)
+        names = [spec.run_id for spec in specs]
+        # The first child of a row with two: its sibling waits in the queue
+        # when it dies, and it has children of its own.
+        [fork] = [idx for idx, children in enumerate(plan.children) if len(children) > 1]
+        lost, sibling = plan.children[fork][:2]
+        assert plan.children[lost]
+
+        def crashing(result):
+            if result.run_id == names[lost] and result.error is None:
+                os._exit(1)
+            return result.run_id
+
+        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=crashing)
+        assert [result.status == "error" for result, _ in rows] == [idx == lost for idx in range(len(specs))]
+        assert [done for _, done in rows] == names  # the lost row finished in the parent
+        solved = _solved(solves)
+        assert sorted(solved) == sorted(names)
+        for idx, parent in enumerate(plan.parents):
+            planned = None if parent in (None, lost) else solved[names[parent]][3]
+            assert solved[names[idx]][2] == planned, names[idx]
+        assert solved[names[sibling]][2] is not None
+        single = run_scenarios(data, config, None, specs, mode="single_instance")
+        for idx, (result, _) in enumerate(rows):
+            if idx != lost and plan.parents[idx] != lost:
+                assert _bitwise(single[idx].solution, result.solution), names[idx]
 
     def test_a_death_in_the_base_solve_leaves_its_rows_cold(self, far, monkeypatch, solves):
         data, config, specs = far
@@ -881,6 +918,65 @@ class TestCrashedWorker:
 
         with pytest.raises(OSError, match="No space left"):
             scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=failing)
+
+
+def _sweep_wide(seed, root):
+    """The benchmark's ``sweep_wide`` project for ``seed`` (32 rows at 24 h,
+    made by ``perfbench/gen.py``): data, config, features and specs."""
+    import importlib.util
+    from pathlib import Path
+
+    from voltaic.project import load_project
+
+    spec = importlib.util.spec_from_file_location("_gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    project = load_project(gen.generate("sweep_wide", seed, root / f"sweep_wide_{seed}"))
+    return project.data, project.config, project.features, project.specs
+
+
+class TestStatusesMade:
+    """Basis statuses are made, in any process, only for a warm base (once
+    per handle opened) and for a row with two or more tree children (once,
+    for the siblings that wait in the queue)."""
+
+    @pytest.fixture
+    def made(self, monkeypatch, tmp_path):
+        log = _Log(tmp_path / "statuses.jsonl")
+
+        def making(basis):
+            statuses = _basis_statuses(basis)
+            log("statuses", _fingerprint(statuses))
+            return statuses
+
+        monkeypatch.setattr(solver, "basis_statuses", making)
+        monkeypatch.setattr(scenarios, "basis_statuses", making)
+        return log
+
+    def _check(self, made, solves, data, config, features, specs, branching):
+        plan = scenarios._plan(specs, data, config, features)
+        rows = _solved(solves)
+        forks = [specs[idx].run_id for idx, children in enumerate(plan.children) if len(children) > 1]
+        assert len(forks) == branching and all(rows[run_id][3] is not None for run_id in forks)
+        handles = [base for _, _, base in solves.read("open") if base is not None]
+        expected = Counter(handles) + Counter(rows[run_id][3] for run_id in forks)
+        assert Counter(fingerprint for _, fingerprint in made.read("statuses")) == expected
+
+    @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2), ("parallel", 3)])
+    def test_sweep(self, sweep, solves, made, mode, threads):
+        pytest.importorskip(_CORE)
+        data, config, specs = sweep
+        results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+        assert all(r.status == "optimal" for r in results)
+        self._check(made, solves, data, config, None, specs, branching=1)
+
+    @pytest.mark.parametrize("seed, branching", [(1, 6), (2, 5)])
+    def test_sweep_wide(self, solves, made, tmp_path, seed, branching):
+        pytest.importorskip(_CORE)
+        data, config, features, specs = _sweep_wide(seed, tmp_path)
+        results = run_scenarios(data, config, features, specs, mode="parallel", threads=2)
+        assert all(r.status == "optimal" for r in results)
+        self._check(made, solves, data, config, features, specs, branching)
 
 
 def _same_program(a, b):
