@@ -50,6 +50,10 @@ SENSE_LE = "L"
 SENSE_EQ = "E"
 SENSE_GE = "G"
 
+#: The vectors a scenario row may change; the senses and the matrix pattern
+#: (``a_rows``, ``a_cols``) are fixed at build.
+VECTORS = ("obj", "lo", "hi", "rhs", "a_vals")
+
 #: Variable families holding capacity decisions; these are the columns fixed
 #: in dispatch-only mode.
 CAPACITY_FAMILIES = ("N", "N_STO_E", "N_STO_P", "NTC")
@@ -186,8 +190,12 @@ class LinearProgram:
     """A compiled optimization problem with a name/domain registry.
 
     Columns and rows live in :class:`Family` blocks; coefficients are stored
-    as sparse (row, col, value) triplets. Instances are treated as immutable
-    once built: anything that needs to mutate works on a :meth:`copy`.
+    as sparse (row, col, value) triplets. A built program's arrays are never
+    written in place: a program that differs in a vector (:data:`VECTORS`)
+    holds its own copy of that vector and shares every other array with the
+    program it was made from (:meth:`replace`), so a build is the one full
+    copy of its program however many instances, snapshots and dispatch-only
+    variants are made from it.
     """
 
     def __init__(self):
@@ -200,11 +208,12 @@ class LinearProgram:
         self.hi = np.zeros(0)
         self.rhs = np.zeros(0)
         self.sense = np.zeros(0, dtype="<U1")
-        self.a_rows = np.zeros(0, dtype=np.int64)
-        self.a_cols = np.zeros(0, dtype=np.int64)
+        self.a_rows = np.zeros(0, dtype=np.int32)
+        self.a_cols = np.zeros(0, dtype=np.int32)
         self.a_vals = np.zeros(0)
         self._col_starts: list[tuple[int, str]] = []
         self._row_starts: list[tuple[int, str]] = []
+        self.sets: dict[str, tuple[str, ...]] = {}
 
     # -- registry ---------------------------------------------------------
 
@@ -239,24 +248,16 @@ class LinearProgram:
 
     # -- lifecycle --------------------------------------------------------
 
-    def copy(self) -> "LinearProgram":
-        dup = LinearProgram()
-        dup.var_families = self.var_families
-        dup.row_families = self.row_families
-        dup.n_cols = self.n_cols
-        dup.n_rows = self.n_rows
-        dup.obj = self.obj.copy()
-        dup.lo = self.lo.copy()
-        dup.hi = self.hi.copy()
-        dup.rhs = self.rhs.copy()
-        dup.sense = self.sense  # senses never change after build
-        dup.a_rows = self.a_rows
-        dup.a_cols = self.a_cols
-        dup.a_vals = self.a_vals.copy()
-        dup._col_starts = self._col_starts
-        dup._row_starts = self._row_starts
-        dup.sets = getattr(self, "sets", {})
+    def replace(self, **vectors: np.ndarray) -> "LinearProgram":
+        """This program with the given vectors in place of its own; it shares
+        every other array, and the registry, with this one."""
+        dup = object.__new__(LinearProgram)
+        dup.__dict__ = {**self.__dict__, **vectors}
         return dup
+
+    def copy(self) -> "LinearProgram":
+        """A program with its own copy of every vector (:data:`VECTORS`)."""
+        return self.replace(**{name: getattr(self, name).copy() for name in VECTORS})
 
     def validate(self) -> None:
         """Raise if the compiled program violates its structural invariants."""
@@ -268,7 +269,8 @@ class LinearProgram:
         bad = np.nonzero(self.lo > self.hi)[0]
         if bad.size:
             raise ValueError(f"bounds lo > hi on column {self.col_label(int(bad[0]))}")
-        if not set(np.unique(self.sense)) <= {SENSE_LE, SENSE_EQ, SENSE_GE}:
+        # Compared one sense at a time: ``np.unique`` imports ``numpy.ma``.
+        if ((self.sense != SENSE_LE) & (self.sense != SENSE_EQ) & (self.sense != SENSE_GE)).any():
             raise ValueError("invalid row sense")
 
 
@@ -341,8 +343,8 @@ class _Build:
         return fam
 
     def add_entries(self, rows: np.ndarray, cols: np.ndarray, vals) -> None:
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
+        rows = np.asarray(rows, dtype=np.int32).ravel()
+        cols = np.asarray(cols, dtype=np.int32).ravel()
         vals = self._spread(vals, rows.size)
         if rows.size:
             self.tri_rows.append(rows)
@@ -659,8 +661,10 @@ def _finalize(b: _Build) -> None:
     lp.hi = np.concatenate(b.col_hi) if b.col_hi else np.zeros(0)
     lp.rhs = np.concatenate(b.row_rhs) if b.row_rhs else np.zeros(0)
     lp.sense = np.concatenate(b.row_sense) if b.row_sense else np.zeros(0, dtype="<U1")
-    lp.a_rows = np.concatenate(b.tri_rows) if b.tri_rows else np.zeros(0, dtype=np.int64)
-    lp.a_cols = np.concatenate(b.tri_cols) if b.tri_cols else np.zeros(0, dtype=np.int64)
+    # Row and column indices are int32, as HiGHS's are; cell ids made from
+    # them (row * n_cols + col) are computed in int64 where they are used.
+    lp.a_rows = np.concatenate(b.tri_rows) if b.tri_rows else np.zeros(0, dtype=np.int32)
+    lp.a_cols = np.concatenate(b.tri_cols) if b.tri_cols else np.zeros(0, dtype=np.int32)
     lp.a_vals = np.concatenate(b.tri_vals) if b.tri_vals else np.zeros(0)
     lp._col_starts.sort()
     lp._row_starts.sort()
@@ -699,7 +703,7 @@ def apply_dispatch_only(
     includes the fixed-cost block. Raises :class:`ValidationError` when any
     capacity column has no value in ``fixed_capacities``.
     """
-    fixed = lp.copy()
+    fixed = lp.replace(lo=lp.lo.copy(), hi=lp.hi.copy())
     missing: list[str] = []
     for fam_name in CAPACITY_FAMILIES:
         fam = lp.var_families.get(fam_name)

@@ -14,10 +14,11 @@ loaded from its extension file (:func:`_highs_core`), so neither
 ``scipy.optimize.linprog`` on the same layout, which it matches bit for
 bit, is only the fallback (see :func:`_solve_highs`), and :func:`matrix`,
 which returns a scipy sparse matrix, is a helper for callers outside it.
-A :class:`ModelInstance` keeps copies of one built program plus a mutable
-overlay of bound/cost/rhs/coefficient updates, so a scenario sweep reuses a
-single build; its :meth:`~ModelInstance.resolve` re-solves warm from the
-base program's optimal basis, or from the basis of an earlier warm solve.
+A :class:`ModelInstance` holds one built program, which it never writes,
+plus an overlay of bound/cost/rhs/coefficient updates that copies only the
+vectors they write, so a scenario sweep reuses a single build; its
+:meth:`~ModelInstance.resolve` re-solves warm from the base program's
+optimal basis, or from the basis of an earlier warm solve.
 
 Duals follow the sensitivity convention throughout: the marginal of a row
 is the derivative of the optimal objective with respect to that row's
@@ -30,6 +31,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
@@ -37,6 +39,8 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 import numpy as np
+
+from .model import VECTORS
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -202,7 +206,8 @@ class _HighsModel:
     negated (these first ``n_ub`` rows are bounded above only), then the
     ``=`` rows. Vacuous rows are left out. The matrix is held column-wise:
     column ``j``'s entries are ``start[j]:start[j + 1]`` of ``index`` (model
-    rows, ascending) and ``value``, one entry per stored cell, zeros kept."""
+    rows, ascending) and ``value``, one entry per stored cell, zeros kept.
+    A cold solve drops the matrix once HiGHS has copied it."""
 
     rows: np.ndarray
     sign: np.ndarray
@@ -346,9 +351,12 @@ def _solve_highs(lp: LpLike) -> Solution:
     try:
         core = _highs_core()
         highs = _open_handle(core, lp, model)
-        return _run(core, highs, lp, model) if highs is not None else Solution(INFEASIBLE)
+        if highs is None:
+            return Solution(INFEASIBLE)
+        model.start = model.index = model.value = None  # HiGHS holds its own copy
+        return _run(core, highs, lp, model)
     except (ImportError, *_BINDING_ERRORS):
-        return _solve_linprog(lp, model)
+        return _solve_linprog(lp, _highs_model(lp))
 
 
 def _solve_dense(lp: LpLike) -> Solution:
@@ -433,7 +441,16 @@ class _WarmStart:
         # example1's Li-ion cost at 48 h needs 1.6 times it from the base
         # (6.0 s against 1.4 s cold). Past the limit the row is solved cold.
         highs.setOptionValue("simplex_iteration_limit", base.n_rows)
-        return cls(core, highs, base, model, basis)
+        warm = cls(core, highs, base, model, basis)
+        if statuses is not None:
+            warm.statuses = statuses
+        return warm
+
+    @cached_property
+    def statuses(self) -> tuple[np.ndarray, np.ndarray]:
+        """The statuses of the base basis (see :func:`basis_statuses`): the
+        ones the handle was opened with, else read from the basis once."""
+        return basis_statuses(self.basis)
 
     def _load(self, diff, lp, coefficients) -> None:
         """Push ``lp``'s values at the ``diff`` positions into the handle."""
@@ -485,25 +502,41 @@ class _WarmStart:
 
 
 class ModelInstance:
-    """One compiled program plus a resettable overlay of pending updates.
+    """One built program plus a resettable overlay of pending updates.
 
-    The instance owns two private copies of the program: ``lp``, which
-    carries the overlay, and the as-compiled base, which :meth:`reset`
-    restores without recompiling.
+    The build is the instance's base and is never written in place. ``lp``,
+    which carries the overlay, shares every array with the build until a
+    delta writes one of its vectors (``obj``, ``lo``, ``hi``, ``rhs``,
+    ``a_vals``), which it then copies; :meth:`reset` gives back only the
+    copied vectors, so an instance holds no array the rows leave unchanged.
     """
 
     def __init__(self, lp, backend: str = "highs"):
-        self.lp = lp.copy()
+        self._base = lp
+        self.lp = lp.replace()
         self.backend = backend
-        self._base = lp.copy()
         self._cells: tuple[np.ndarray, ...] | None = None
         self._warm: _WarmStart | None | object = _UNOPENED
         self.basis = None  # the optimal basis of the last resolve, if it was warm
 
+    def _written(self) -> dict[str, np.ndarray]:
+        """The overlay's own vectors: the ones a delta wrote since :meth:`reset`."""
+        lp, base = self.lp, self._base
+        return {name: getattr(lp, name) for name in VECTORS if getattr(lp, name) is not getattr(base, name)}
+
+    def _vector(self, name: str) -> np.ndarray:
+        """The overlay's vector ``name`` to write, copied from the build first
+        if the overlay still shares it."""
+        vector = getattr(self.lp, name)
+        if vector is getattr(self._base, name):
+            vector = vector.copy()
+            setattr(self.lp, name, vector)
+        return vector
+
     def reset(self) -> None:
         """Drop the overlay: restore the program exactly as compiled."""
-        for name in ("obj", "lo", "hi", "rhs", "a_vals"):
-            np.copyto(getattr(self.lp, name), getattr(self._base, name))
+        for name in self._written():
+            setattr(self.lp, name, getattr(self._base, name))
 
     def _entries(self, row, col) -> np.ndarray | None:
         """The entries of matrix cell (row, col) in entry order, None if it
@@ -544,19 +577,19 @@ class ModelInstance:
         touched_cols: set[int] = set()
         for d in deltas:
             if d.kind == "obj":
-                lp.obj[d.col] = d.value
+                self._vector("obj")[d.col] = d.value
             elif d.kind == "lo":
-                lp.lo[d.col] = d.value
+                self._vector("lo")[d.col] = d.value
                 touched_cols.add(d.col)
             elif d.kind == "up":
-                lp.hi[d.col] = d.value
+                self._vector("hi")[d.col] = d.value
                 touched_cols.add(d.col)
             elif d.kind == "rhs":
-                lp.rhs[d.row] = d.value
+                self._vector("rhs")[d.row] = d.value
             elif d.kind == "coef":
-                entries = next(coef_entries)
-                lp.a_vals[entries[0]] = d.value
-                lp.a_vals[entries[1:]] = 0.0
+                entries, a_vals = next(coef_entries), self._vector("a_vals")
+                a_vals[entries[0]] = d.value
+                a_vals[entries[1:]] = 0.0
         for col in touched_cols:
             if lp.lo[col] > lp.hi[col]:
                 raise ValueError(
@@ -565,23 +598,25 @@ class ModelInstance:
                 )
 
     def snapshot(self):
-        """An independent copy of the current program state.
+        """The current program, safe from later updates: a copy of each
+        vector the overlay wrote, sharing every other array with the build.
 
-        Results that outlive the next :meth:`reset` must hold a snapshot,
-        never ``self.lp``, which is mutated in place between runs.
+        Results that outlive the next :meth:`apply` must hold a snapshot,
+        never ``self.lp``, whose own vectors are written in place.
         """
-        return self.lp.copy()
+        return self.lp.replace(**{name: vector.copy() for name, vector in self._written().items()})
 
     def open(self, statuses=None):
         """Open the warm handle of :meth:`resolve` now, unless it is open:
         solve the as-compiled program cold, as :func:`solve` does, or, given
         the ``statuses`` of its optimal basis (see :func:`basis_statuses`),
         take that basis without a solve. Returns the statuses of the
-        handle's base basis, None if there is no handle (no bundled HiGHS
-        object, the ``dense`` backend, a row with infinite rhs, a base that
-        is not solved to optimality)."""
+        handle's base basis (the given ones, if it was opened with them),
+        None if there is no handle (no bundled HiGHS object, the ``dense``
+        backend, a row with infinite rhs, a base that is not solved to
+        optimality)."""
         warm = self._open(statuses)
-        return None if warm is None else basis_statuses(warm.basis)
+        return None if warm is None else warm.statuses
 
     def _open(self, statuses=None) -> _WarmStart | None:
         if self._warm is _UNOPENED:

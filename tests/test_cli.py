@@ -315,13 +315,21 @@ core = "scipy.optimize._highspy._core"
 binding = sorted(n for n in sys.modules if n == core or n.startswith(core + "."))
 loaded = sorted(n for n in sys.modules if n.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])
                 and n not in binding)
-print(json.dumps({"codes": codes, "binding": core in binding, "loaded": loaded}, separators=(",", ":")))
+ma = sorted(n for n in sys.modules if n == "numpy.ma" or n.startswith("numpy.ma."))
+print(json.dumps({"codes": codes, "binding": core in binding, "loaded": loaded, "ma": ma}, separators=(",", ":")))
 """
 
 
 class TestImportFootprint:
-    def test_cli_session_loads_neither_scipy_optimize_nor_sparse(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def session(self, tmp_path_factory):
         # Without the bundled HiGHS object every solve imports linprog.
         pytest.importorskip("scipy.optimize._highspy._core")
-        result = json.loads(run_python(_SESSION, str(tmp_path))[-1])
-        assert result == {"codes": [0, 0, 0, 0], "binding": True, "loaded": []}
+        return json.loads(run_python(_SESSION, str(tmp_path_factory.mktemp("session")))[-1])
+
+    def test_cli_session_loads_neither_scipy_optimize_nor_sparse(self, session):
+        assert (session["codes"], session["binding"], session["loaded"]) == ([0, 0, 0, 0], True, [])
+
+    def test_cli_session_loads_no_numpy_ma(self, session):
+        # ``np.unique`` imports numpy.ma (15 ms, 1.3 MB under numpy 2.4).
+        assert session["codes"] == [0, 0, 0, 0] and session["ma"] == []

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import run_python, two_node_sweep_system
 from voltaic import solver
-from voltaic.model import CAPACITY_FAMILIES, apply_dispatch_only, build_model
+from voltaic.model import CAPACITY_FAMILIES, VECTORS, LinearProgram, apply_dispatch_only, build_model
 from voltaic.project import load_project
 from voltaic.solver import (
     _IPM_THRESHOLD,
@@ -215,6 +215,104 @@ def test_reset_restores_base(merit_toy):
     assert inst.resolve().objective != pytest.approx(base)
     inst.reset()
     assert inst.resolve().objective == pytest.approx(base, rel=1e-12)
+
+
+class TestProgramSharing:
+    """A build is the one full copy of its program: instances, snapshots and
+    dispatch-only variants share every array they do not change."""
+
+    ARRAYS = (*VECTORS, "sense", "a_rows", "a_cols")
+
+    @pytest.fixture
+    def lp(self, two_node_toy):
+        return build_model(*two_node_toy)
+
+    def test_an_instance_shares_the_build(self, lp):
+        inst = compile_instance(lp)
+        for name in self.ARRAYS:
+            assert np.shares_memory(getattr(inst.lp, name), getattr(lp, name)), name
+        assert inst.resolve().is_optimal
+        for name in self.ARRAYS:  # the warm handle's base solve wrote nothing either
+            assert getattr(inst.lp, name) is getattr(lp, name), name
+
+    def test_a_coef_delta_copies_a_vals_and_reset_restores_it(self, lp):
+        before = {name: getattr(lp, name).copy() for name in self.ARRAYS}
+        inst = compile_instance(lp)
+        row, col = lp.row_index("BAL", ("DE", "h1")), lp.col_index("F", ("DE-FR", "h1"))
+        inst.apply([Delta("coef", row=row, col=col, value=-0.5)])
+        [entry] = inst._entries(row, col)
+        assert inst.lp.a_vals[entry] == -0.5 and lp.a_vals[entry] == before["a_vals"][entry]
+        assert not np.shares_memory(inst.lp.a_vals, lp.a_vals)
+        for name in ("obj", "lo", "hi", "rhs", "sense", "a_rows", "a_cols"):
+            assert getattr(inst.lp, name) is getattr(lp, name), name
+        snap = inst.snapshot()
+        assert snap.a_vals[entry] == -0.5
+        assert not np.shares_memory(snap.a_vals, inst.lp.a_vals) and not np.shares_memory(snap.a_vals, lp.a_vals)
+        assert all(getattr(snap, name) is getattr(lp, name) for name in ("obj", "lo", "hi", "rhs"))
+        inst.apply([Delta("coef", row=row, col=col, value=-0.25)])
+        assert snap.a_vals[entry] == -0.5  # a snapshot outlives later updates
+        inst.reset()
+        assert inst.lp.a_vals is lp.a_vals
+        for name in self.ARRAYS:
+            assert getattr(lp, name).tobytes() == before[name].tobytes(), name
+
+    def test_each_delta_kind_copies_only_its_vector(self, lp):
+        inst = compile_instance(lp)
+        col, row = lp.col_index("N", ("cheap", "DE")), lp.row_index("BAL", ("FR", "h2"))
+        for delta, name in ((Delta("obj", col=col, value=1.0), "obj"), (Delta("lo", col=col, value=1.0), "lo"),
+                            (Delta("up", col=col, value=2.0), "hi"), (Delta("rhs", row=row, value=3.0), "rhs")):
+            inst.reset()
+            inst.apply([delta])
+            assert [n for n in VECTORS if getattr(inst.lp, n) is not getattr(lp, n)] == [name]
+
+    def test_dispatch_only_copies_only_the_bounds(self, lp):
+        fixed = apply_dispatch_only(lp, {(fam, key): 1.0 for fam in CAPACITY_FAMILIES
+                                         if fam in lp.var_families for key in lp.var_families[fam].keys()})
+        assert not np.shares_memory(fixed.lo, lp.lo) and not np.shares_memory(fixed.hi, lp.hi)
+        assert all(getattr(fixed, name) is getattr(lp, name) for name in self.ARRAYS if name not in ("lo", "hi"))
+        assert fixed.lo[lp.col_index("N", ("cheap", "DE"))] == 1.0 != lp.lo[lp.col_index("N", ("cheap", "DE"))]
+
+    def test_matrix_indices_are_int32(self, lp):
+        assert lp.a_rows.dtype == lp.a_cols.dtype == np.int32
+
+
+def _wide_program():
+    """A program whose cell ids (col * n_rows + row) pass 2**31: 60,000 rows
+    by 60,000 columns, a few entries in the first and last columns and rows,
+    one cell stored as two entries."""
+    n = 60_000
+    lp = LinearProgram()
+    lp.n_rows = lp.n_cols = n
+    lp.obj, lp.lo, lp.hi = np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    lp.rhs, lp.sense = np.ones(n), np.full(n, "E", dtype="<U1")
+    cells = [(n - 1, n - 1), (0, n - 1), (n - 1, 0), (5, 40_000), (n - 2, 35_792), (5, 40_000), (0, 0)]
+    lp.a_rows = np.array([r for r, _ in cells], dtype=np.int32)
+    lp.a_cols = np.array([c for _, c in cells], dtype=np.int32)
+    lp.a_vals = np.arange(1.0, len(cells) + 1.0)
+    return lp, cells
+
+
+class TestCellsPastInt32:
+    def test_highs_model_orders_cells_by_column_then_row(self):
+        lp, cells = _wide_program()
+        assert lp.n_rows * lp.n_cols > 2**31
+        model = _highs_model(lp)
+        summed = {}
+        for (r, c), v in zip(cells, lp.a_vals):
+            summed[c, r] = summed.get((c, r), 0.0) + v
+        expected = sorted(summed.items())
+        got = [(col, int(model.index[p]), float(model.value[p]))
+               for col in range(lp.n_cols) if model.start[col] < model.start[col + 1]
+               for p in range(model.start[col], model.start[col + 1])]
+        assert got == [(c, r, v) for (c, r), v in expected]
+        assert model.start[-1] == len(expected)
+
+    def test_instance_entries_find_each_cell(self):
+        lp, cells = _wide_program()
+        inst = compile_instance(lp)
+        for r, c in set(cells):
+            assert inst._entries(r, c).tolist() == [k for k, cell in enumerate(cells) if cell == (r, c)]
+        assert inst._entries(1, lp.n_cols - 1) is None
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

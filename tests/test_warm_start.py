@@ -937,8 +937,9 @@ def _sweep_wide(seed, root):
 
 class TestStatusesMade:
     """Basis statuses are made, in any process, only for a warm base (once
-    per handle opened) and for a row with two or more tree children (once,
-    for the siblings that wait in the queue)."""
+    per base solved; a handle opened with shipped statuses keeps them) and
+    for a row with two or more tree children (once, for the siblings that
+    wait in the queue)."""
 
     @pytest.fixture
     def made(self, monkeypatch, tmp_path):
@@ -958,7 +959,7 @@ class TestStatusesMade:
         rows = _solved(solves)
         forks = [specs[idx].run_id for idx, children in enumerate(plan.children) if len(children) > 1]
         assert len(forks) == branching and all(rows[run_id][3] is not None for run_id in forks)
-        handles = [base for _, _, base in solves.read("open") if base is not None]
+        handles = [base for _, seeded, base in solves.read("open") if base is not None and not seeded]
         expected = Counter(handles) + Counter(rows[run_id][3] for run_id in forks)
         assert Counter(fingerprint for _, fingerprint in made.read("statuses")) == expected
 
@@ -977,6 +978,47 @@ class TestStatusesMade:
         results = run_scenarios(data, config, features, specs, mode="parallel", threads=2)
         assert all(r.status == "optimal" for r in results)
         self._check(made, solves, data, config, features, specs, branching)
+
+
+def _digests(builds) -> dict:
+    """Each build's arrays as one digest."""
+    arrays = ("obj", "lo", "hi", "rhs", "sense", "a_rows", "a_cols", "a_vals")
+    return {key: hashlib.sha1(b"".join(getattr(lp, name).tobytes() for name in arrays)).hexdigest()
+            for key, lp in builds.items()}
+
+
+class TestBuildsStayUnwritten:
+    """A sweep never writes its builds in place: each row's deltas go to the
+    copies its instance makes of the vectors they change."""
+
+    @pytest.mark.parametrize("mode, threads", [("rebuild", 0), ("single_instance", 0), ("parallel", 2)])
+    def test_after_every_row_in_every_process(self, monkeypatch, mode, threads):
+        data, config = two_node_sweep_system(hours=24)
+        config = replace(config, end_hour=24)
+        # Cost, share (rhs), capacity bound (up) and availability (coef) columns.
+        table = random_sweep_table(9, seed=5).splitlines()
+        table[0] += ",\"phi('solar','DE')\",\"N.up('gas','DE')\""
+        table[1:] = [row + (",cf_wind" if i % 2 else ",") + f",{1_500 + 50 * i}" for i, row in enumerate(table[1:])]
+        specs = parse_iteration_table("\n".join(table) + "\n")
+        planned, plan = [], scenarios._plan
+
+        def planning(*args, **kwargs):
+            sweep = plan(*args, **kwargs)
+            planned.append((sweep, _digests(sweep.builds)))
+            return sweep
+
+        monkeypatch.setattr(scenarios, "_plan", planning)
+        rows = scenarios._run_and_finish(data, config, None, specs, mode, threads,
+                                         finish=lambda result: _digests(planned[0][0].builds))
+        [(sweep, before)] = planned
+        kinds = {d.kind for deltas in sweep.deltas for d in deltas}
+        assert kinds == {"obj", "rhs", "up", "coef"}
+        assert all(result.status == "optimal" for result, _ in rows)
+        assert all(done == before for _, done in rows)
+        build = sweep.builds[None]
+        for result, _ in rows:  # each row's program shares what its deltas leave unchanged
+            assert result.lp.a_rows is build.a_rows and result.lp.sense is build.sense
+        assert _digests(sweep.builds) == before
 
 
 def _same_program(a, b):
