@@ -195,7 +195,9 @@ class LinearProgram:
     holds its own copy of that vector and shares every other array with the
     program it was made from (:meth:`replace`), so a build is the one full
     copy of its program however many instances, snapshots and dispatch-only
-    variants are made from it.
+    variants are made from it. What is derived from the arrays a build fixes
+    (the senses and the matrix pattern), such as the solver's cell index, is
+    kept in ``_derived``, which those programs share too.
     """
 
     def __init__(self):
@@ -214,6 +216,7 @@ class LinearProgram:
         self._col_starts: list[tuple[int, str]] = []
         self._row_starts: list[tuple[int, str]] = []
         self.sets: dict[str, tuple[str, ...]] = {}
+        self._derived: dict = {}
 
     # -- registry ---------------------------------------------------------
 
@@ -248,6 +251,10 @@ class LinearProgram:
 
     # -- lifecycle --------------------------------------------------------
 
+    def __getstate__(self):
+        # What is derived is made again on first use, like Family.layout().
+        return {**self.__dict__, "_derived": {}}
+
     def replace(self, **vectors: np.ndarray) -> "LinearProgram":
         """This program with the given vectors in place of its own; it shares
         every other array, and the registry, with this one."""
@@ -256,8 +263,9 @@ class LinearProgram:
         return dup
 
     def copy(self) -> "LinearProgram":
-        """A program with its own copy of every vector (:data:`VECTORS`)."""
-        return self.replace(**{name: getattr(self, name).copy() for name in VECTORS})
+        """A program with its own copy of every vector (:data:`VECTORS`) and
+        its own ``_derived`` store, so its pattern may be changed."""
+        return self.replace(_derived={}, **{name: getattr(self, name).copy() for name in VECTORS})
 
     def validate(self) -> None:
         """Raise if the compiled program violates its structural invariants."""

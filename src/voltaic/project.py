@@ -36,6 +36,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
+from .model import CAPACITY_FAMILIES, COST_TERMS
 from .scenarios import CONSTRAINT_BLOCKS, ScenarioSpec, parse_iteration_table
 from .symbols import LEVEL, MARGINAL
 from .system import (
@@ -133,17 +134,6 @@ class ProjectLayout:
     @property
     def report(self) -> Path:
         return self.root / "report"
-
-    def required_paths(self) -> list[Path]:
-        return [
-            self.settings / PROJECT_VARIABLES,
-            self.settings / FEATURES_FILE,
-            self.settings / REPORTING_FILE,
-            self.settings / CONSTRAINTS_FILE,
-            self.static_input,
-            self.timeseries_input,
-            self.iteration_table,
-        ]
 
 
 @dataclass
@@ -479,17 +469,11 @@ def _load_constraints(path: Path, issues: list[str]) -> dict[str, tuple[str, ...
 
 def _load_fixed_capacities(path: Path, issues: list[str]) -> dict[tuple[str, tuple[str, ...]], float]:
     fixed: dict[tuple[str, tuple[str, ...]], float] = {}
-    if not path.exists():
-        return fixed
-    for i, row in enumerate(_read_rows(path), start=2):
-        variable = (row.get("variable") or "").strip()
-        element = (row.get("element") or "").strip()
-        node = (row.get("node") or "").strip()
+    for i, row in enumerate(_read_rows(path) if path.exists() else [], start=2):
+        variable, element, node = ((row.get(name) or "").strip() for name in ("variable", "element", "node"))
         value = _num(row, "value", f"{FIXED_CAPACITIES}:{i}", issues)
-        if variable in ("N", "N_STO_E", "N_STO_P"):
-            fixed[(variable, (element, node))] = value
-        elif variable == "NTC":
-            fixed[(variable, (element,))] = value
+        if variable in CAPACITY_FAMILIES:  # keyed as its columns: a line alone, else at a node
+            fixed[(variable, (element,) if COST_TERMS[variable].owner == "l" else (element, node))] = value
         else:
             issues.append(f"{FIXED_CAPACITIES}:{i}: unknown capacity variable {variable!r}")
     return fixed

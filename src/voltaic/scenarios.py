@@ -38,7 +38,7 @@ from itertools import product
 import numpy as np
 
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
-from .solver import Delta, ModelInstance, Solution, basis_statuses, certified, compile as compile_instance, solve
+from .solver import Delta, ModelInstance, Solution, _cell_index, basis_statuses, certified, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
@@ -585,13 +585,11 @@ def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[i
     for k, values in enumerate((lp.obj, lp.lo, lp.hi)):
         base[field_ == k] = values[col[field_ == k]]
     base[field_ == 3] = lp.rhs[row[field_ == 3]]
-    cells = field_ == 4
-    if cells.any():  # a cell's value is the sum of its entries, in entry order
-        cell_ids = row[cells] * lp.n_cols + col[cells]  # ascending, as positions are
-        entry_ids = lp.a_rows.astype(np.int64) * lp.n_cols + lp.a_cols
-        at_cell = np.minimum(np.searchsorted(cell_ids, entry_ids), len(cell_ids) - 1)
-        hit = cell_ids[at_cell] == entry_ids
-        base[cells] = np.bincount(at_cell[hit], weights=lp.a_vals[hit], minlength=len(cell_ids))
+    cells = np.flatnonzero(field_ == 4)
+    if cells.size:  # a cell's value is the sum of its entries, in entry order; 0 off the pattern
+        index = _cell_index(lp)
+        at = index.find(lp, row[cells], col[cells])
+        base[cells[at >= 0]] = index.sums(lp.a_vals, at[at >= 0])
 
     column = {p: k for k, p in enumerate(positions)}
     n = len(rows)
@@ -706,11 +704,11 @@ class _Tasks:
     (None: the row runs cold). It returns ``("row", idx, result, done,
     statuses)``: the result without its program, what ``finish`` made of
     it and, only for a row with two or more tree children, the statuses of
-    the basis it left. Rows compile one instance per country set, or with
-    ``rebuild`` one per row."""
+    the basis it left. Rows compile one instance per country set, which
+    each row resets."""
 
-    def __init__(self, sweep: _Sweep, finish=None, rebuild: bool = False):
-        self.sweep, self.finish, self.rebuild = sweep, finish, rebuild
+    def __init__(self, sweep: _Sweep, finish=None):
+        self.sweep, self.finish = sweep, finish
         self.instances: dict[tuple[str, ...] | None, ModelInstance] = {}
         self.warm: dict = {}  # warm country set -> whether this process holds its handle
         self.left = None  # the basis the last row run here left
@@ -719,10 +717,9 @@ class _Tasks:
         self.base_time = 0.0
 
     def _instance(self, key) -> ModelInstance:
-        inst = self.instances.get(key) or compile_instance(self.sweep.builds[key], self.sweep.backend)
-        if not self.rebuild:
-            self.instances[key] = inst
-        return inst
+        if key not in self.instances:
+            self.instances[key] = ModelInstance(self.sweep.builds[key], self.sweep.backend)
+        return self.instances[key]
 
     def __call__(self, task: tuple) -> tuple:
         sweep = self.sweep
@@ -902,7 +899,7 @@ class _Ready:
 def _program(sweep: _Sweep, idx: int) -> LinearProgram:
     """Row ``idx``'s program: its country set's build with its deltas
     applied, as the instance that solved the row held it."""
-    inst = compile_instance(sweep.builds[sweep.specs[idx].country_set], sweep.backend)
+    inst = ModelInstance(sweep.builds[sweep.specs[idx].country_set], sweep.backend)
     inst.apply(sweep.deltas[idx])
     return inst.lp
 
@@ -921,11 +918,11 @@ def run_scenarios(
     """Execute all scenario rows and return results in spec order.
 
     This process first builds the model once per country set and expands
-    each row once against it (:func:`_plan`). ``rebuild`` then compiles a
-    fresh instance from the build per run and solves it cold;
-    ``single_instance`` compiles once per country set and re-solves with
-    per-run deltas applied to the restored base; ``parallel`` does the same
-    in worker processes, which only compile, apply and solve. No result
+    each row once against it (:func:`_plan`). Each mode compiles one
+    instance per country set and applies each run's deltas to the restored
+    base, bitwise the build: ``rebuild`` solves every run cold;
+    ``single_instance`` re-solves warm where it can; ``parallel`` does the
+    same in worker processes, which only compile, apply and solve. No result
     holds its program once its row is finished: every row that ran derives
     ``lp`` from the plan when it is first read, in every mode.
     ``threads`` = 0 uses every available core.
@@ -978,7 +975,7 @@ def _run_and_finish(
         raise ValidationError(f"run_scenarios: threads must be 0 (all cores) or more, got {threads}")
     sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild", backend)
     workers = min(threads or os.cpu_count() or 1, len(specs)) if mode == "parallel" else 1
-    ready, run = _Ready(sweep, finish), _Tasks(sweep, finish, rebuild=mode == "rebuild")
+    ready, run = _Ready(sweep, finish), _Tasks(sweep, finish)
     if workers > 1:
         ready.serve_forked(run, workers)
     else:

@@ -8,7 +8,11 @@ independent cross-check on small instances).
 
 Every HiGHS solve, cold or warm, passes one model in ``linprog``'s row
 layout, its matrix built column-wise in numpy, to a handle of scipy's HiGHS
-object, and one reader maps the result back to program rows. The binding is
+object, and one reader maps the result back to program rows. Which entries
+make up each matrix cell, in what order they are summed and where the cell
+sits in that column-wise layout is held in one place: the build's cell
+index (:func:`_cell_index`), which the model matrix, coefficient deltas,
+warm updates and the sweep planner all read. The binding is
 loaded from its extension file (:func:`_highs_core`), so neither
 ``scipy.optimize`` nor ``scipy.sparse`` is imported on this path;
 ``scipy.optimize.linprog`` on the same layout, which it matches bit for
@@ -36,7 +40,7 @@ from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -198,16 +202,87 @@ def classify_rows(lp: LpLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]
     return eq, le, ge, impossible
 
 
+class _Cells(NamedTuple):
+    """Where each matrix cell's entries are: the one map from cells to
+    entries, made once per build (see :func:`_cell_index`).
+
+    ``order`` lists the entries by column, then row class (``<=``, ``>=``,
+    ``=``: the HiGHS model's row order), then row, then entry; cell ``c``'s
+    entries are ``order[start[c]:start[c + 1]]``, and ``rank`` is each
+    program row's place in class order. The senses and the matrix pattern
+    are fixed at build, so the rhs plays no part: dropping vacuous rows
+    never reorders the rest. The arrays held are int32; ``starts`` is held
+    only where some cell has several entries (``build_model`` stores one
+    per cell)."""
+
+    order: np.ndarray
+    rank: np.ndarray
+    starts: np.ndarray | None
+
+    @property
+    def start(self) -> np.ndarray:
+        """Where each cell's entries start in ``order``, then where the last ends."""
+        return np.arange(len(self.order) + 1) if self.starts is None else self.starts
+
+    def find(self, lp: LpLike, rows, cols) -> np.ndarray:
+        """The cells at program ``rows`` and ``cols``, -1 where the matrix
+        has no entry or there is no such row or column. Each call computes
+        every cell's key, so callers look up their targets in one batch."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        ok = (0 <= rows) & (rows < lp.n_rows) & (0 <= cols) & (cols < lp.n_cols)
+        want = np.full(len(rows), -1)
+        want[ok] = cols[ok] * lp.n_rows + self.rank[rows[ok]]
+        first = self.order[self.start[:-1]]  # each cell's first entry
+        keys = lp.a_cols[first].astype(np.int64) * lp.n_rows + self.rank[lp.a_rows[first]]  # ascending
+        at = np.searchsorted(keys, want)
+        return np.where(ok & (np.append(keys, -1)[at] == want), at, -1)
+
+    def entries(self, lp: LpLike, targets) -> list[np.ndarray | None]:
+        """Each (row, col) target cell's entries in entry order, None where
+        it has none (a row or column may be None)."""
+        at = self.find(lp, *np.array([[-1 if i is None else i for i in t] for t in targets]).reshape(-1, 2).T)
+        start = self.start
+        return [None if c < 0 else self.order[start[c]:start[c + 1]] for c in at.tolist()]
+
+    def sums(self, values: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The value of each of ``cells``: its entries' ``values`` summed in
+        entry order, as a cold solve passes it."""
+        start = self.start
+        first, count = start[cells], start[cells + 1] - start[cells]
+        total = values[self.order[first]]
+        for j in range(1, int(count.max(initial=1))):  # a cell's further entries
+            more = count > j
+            total[more] += values[self.order[first[more] + j]]
+        return total
+
+
+def _cell_index(lp: LpLike) -> _Cells:
+    """``lp``'s :class:`_Cells`, made on first use and kept in its
+    ``_derived`` store, which every program made from the same build shares
+    (a program without that store gets a fresh index)."""
+    derived = getattr(lp, "_derived", {})
+    if "cells" not in derived:
+        # A permutation's argsort is its inverse: each row's place in class order.
+        rank = np.argsort(np.concatenate([np.flatnonzero(lp.sense == s) for s in "LGE"])).astype(np.int32)
+        key = lp.a_cols.astype(np.int64) * lp.n_rows + rank[lp.a_rows]
+        order = np.argsort(key, kind="stable")
+        start = np.flatnonzero(np.diff(key[order], prepend=-1))  # one per cell
+        starts = None if len(start) == len(order) else np.append(start, len(order)).astype(np.int32)
+        derived["cells"] = _Cells(order.astype(np.int32), rank, starts)
+    return derived["cells"]
+
+
 @dataclass
 class _HighsModel:
     """A program in the row layout ``linprog`` hands to HiGHS, and the HiGHS
     solver a cold solve of it uses. Model row ``k`` is program row
     ``rows[k]`` times ``sign[k]``: the ``<=`` rows, then the ``>=`` rows
     negated (these first ``n_ub`` rows are bounded above only), then the
-    ``=`` rows. Vacuous rows are left out. The matrix is held column-wise:
-    column ``j``'s entries are ``start[j]:start[j + 1]`` of ``index`` (model
-    rows, ascending) and ``value``, one entry per stored cell, zeros kept.
-    A cold solve drops the matrix once HiGHS has copied it."""
+    ``=`` rows. Vacuous rows are left out. The matrix is held column-wise,
+    in :func:`_cell_index` order: column ``j``'s entries are
+    ``start[j]:start[j + 1]`` of ``index`` (model rows, ascending) and
+    ``value``, one entry per stored cell, zeros kept. A cold solve drops the
+    matrix once HiGHS has copied it."""
 
     rows: np.ndarray
     sign: np.ndarray
@@ -228,28 +303,21 @@ def _highs_model(lp: LpLike) -> _HighsModel | None:
     eq, le, ge, impossible = classify_rows(lp)
     if impossible:
         return None
-    rows = np.concatenate([np.flatnonzero(le), np.flatnonzero(ge), np.flatnonzero(eq)])
+    # The model rows and signs are held while HiGHS runs, so they are held small.
+    rows = np.concatenate([np.flatnonzero(le), np.flatnonzero(ge), np.flatnonzero(eq)]).astype(np.int32)
     n_le, n_ub = int(le.sum()), int(le.sum() + ge.sum())
-    sign = np.ones(len(rows))
-    sign[n_le:n_ub] = -1.0
-    position = np.full(lp.n_rows, -1, dtype=np.int64)
+    sign = np.ones(len(rows), dtype=np.int8)
+    sign[n_le:n_ub] = -1
+    position = np.full(lp.n_rows, -1, dtype=np.int32)
     position[rows] = np.arange(len(rows))
-    k = position[lp.a_rows]
-    kept = np.flatnonzero(k >= 0)
-    cell = lp.a_cols[kept].astype(np.int64) * len(rows) + k[kept]
-    order = np.argsort(cell, kind="stable")  # by column, then model row, then entry
-    cell, values = cell[order], lp.a_vals[kept[order]]
-    first = np.flatnonzero(np.diff(cell, prepend=-1))
-    value = values[first]
-    count = np.diff(np.r_[first, len(cell)])
-    for j in range(1, int(count.max(initial=1))):  # a cell's further entries, in entry order
-        more = count > j
-        value[more] += values[first[more] + j]
-    col, index = np.divmod(cell[first], len(rows))
-    value *= sign[index]
-    start = np.r_[0, np.cumsum(np.bincount(col, minlength=lp.n_cols))].astype(np.int32)
+    cells = _cell_index(lp)
+    first = cells.order[cells.start[:-1]]  # each cell's first entry
+    kept = np.flatnonzero(position[lp.a_rows[first]] >= 0)  # the cells of vacuous rows are left out
+    index = position[lp.a_rows[first[kept]]]
+    value = cells.sums(lp.a_vals, kept) * sign[index]
+    start = np.r_[0, np.cumsum(np.bincount(lp.a_cols[first[kept]], minlength=lp.n_cols))].astype(np.int32)
     method = "ipm" if lp.n_rows + lp.n_cols > _IPM_THRESHOLD else "simplex"
-    return _HighsModel(rows, sign, n_ub, start, index.astype(np.int32), value, method)
+    return _HighsModel(rows, sign, n_ub, start, index, value, method)
 
 
 # HiGHS model statuses as linprog reads them; any other is numerical.
@@ -405,8 +473,6 @@ class _WarmStart:
     def __init__(self, core, highs, base, model: _HighsModel, basis):
         self.core, self.highs, self.base, self.model, self.basis = core, highs, base, model, basis
         self.solved = None  # the basis of the last optimal warm solve
-        self.position = np.empty(len(model.rows), dtype=np.int64)  # program row -> model row
-        self.position[model.rows] = np.arange(len(model.rows))
 
     @classmethod
     def open(cls, inst: "ModelInstance", statuses=None) -> "_WarmStart | None":
@@ -453,21 +519,22 @@ class _WarmStart:
         return basis_statuses(self.basis)
 
     def _load(self, diff, lp, coefficients) -> None:
-        """Push ``lp``'s values at the ``diff`` positions into the handle."""
-        cols, bounded, rows, entries = diff
+        """Push ``lp``'s values at the ``diff`` positions, and the model
+        ``coefficients`` of its cells, into the handle."""
+        cols, bounded, rows, (cell_rows, cell_cols) = diff
         highs = self.highs
         if cols.size:
             highs.changeColsCost(cols.size, cols, lp.obj[cols])
         if bounded.size:
             highs.changeColsBounds(bounded.size, bounded, lp.lo[bounded], lp.hi[bounded])
-        k = self.position[rows]
+        # Every base row is in the model (all rhs are finite), so a row's
+        # model row is its place in class order.
+        k = _cell_index(self.base).rank[rows]
         lower, upper = self.model.bounds(k, lp.rhs[rows])
         for r, lw, up in zip(k.tolist(), lower.tolist(), upper.tolist()):
             highs.changeRowBounds(r, lw, up)
-        model = self.model
-        entry_cols = np.searchsorted(model.start, entries, side="right") - 1
-        for col, p in zip(entry_cols.tolist(), entries.tolist()):
-            highs.changeCoeff(int(model.index[p]), col, float(coefficients[p]))
+        for r, col, value in zip(cell_rows.tolist(), cell_cols.tolist(), coefficients.tolist()):
+            highs.changeCoeff(r, col, value)
 
     def solve(self, lp, start=None) -> Solution | None:
         """Warm-solve ``lp`` (the instance's program) from ``start``, a basis
@@ -478,26 +545,30 @@ class _WarmStart:
             return None
         if isinstance(start, tuple):
             start = _basis(self.core, start)
-        base, model = self.base, self.model
-        # A changed entry rebuilds the model matrix, so a cell stored as
-        # several entries takes exactly the sum a cold solve passes.
-        coefficients = _highs_model(lp).value if (lp.a_vals != base.a_vals).any() else model.value
+        base, cells = self.base, _cell_index(self.base)
+        # Only the cells of changed entries are summed, each as a cold solve
+        # sums it, and pushed where the sum moved, in model matrix order.
+        changed = np.flatnonzero(lp.a_vals != base.a_vals)
+        at, one = np.unique(cells.find(base, base.a_rows[changed], base.a_cols[changed]), return_index=True)
+        k, cols = cells.rank[base.a_rows[changed[one]]], base.a_cols[changed[one]]
+        values, before = (cells.sums(v, at) * self.model.sign[k] for v in (lp.a_vals, base.a_vals))
+        moved = values != before
         diff = (
             np.flatnonzero(lp.obj != base.obj).astype(np.int32),
             np.flatnonzero((lp.lo != base.lo) | (lp.hi != base.hi)).astype(np.int32),
             np.flatnonzero(lp.rhs != base.rhs),
-            np.flatnonzero(coefficients != model.value),
+            (k[moved], cols[moved]),
         )
         highs = self.highs
         try:
-            self._load(diff, lp, coefficients)
+            self._load(diff, lp, values[moved])
             highs.clearSolver()
             highs.setBasis(self.basis if start is None else start)
-            sol = _run(self.core, highs, lp, model)
+            sol = _run(self.core, highs, lp, self.model)
             if sol.is_optimal:
                 self.solved = highs.getBasis()
         finally:
-            self._load(diff, base, model.value)
+            self._load(diff, base, before[moved])
         return sol if sol.is_optimal else None
 
 
@@ -515,7 +586,6 @@ class ModelInstance:
         self._base = lp
         self.lp = lp.replace()
         self.backend = backend
-        self._cells: tuple[np.ndarray, ...] | None = None
         self._warm: _WarmStart | None | object = _UNOPENED
         self.basis = None  # the optimal basis of the last resolve, if it was warm
 
@@ -541,23 +611,15 @@ class ModelInstance:
     def _entries(self, row, col) -> np.ndarray | None:
         """The entries of matrix cell (row, col) in entry order, None if it
         has none."""
-        lp = self.lp
-        if row is None or col is None or not (0 <= row < lp.n_rows and 0 <= col < lp.n_cols):
-            return None
-        if self._cells is None:  # entries sorted by column-major cell id
-            ids = lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows
-            order = np.argsort(ids, kind="stable")
-            self._cells = (ids[order], order)
-        ids, order = self._cells
-        cell_id = int(col) * lp.n_rows + int(row)
-        first, end = np.searchsorted(ids, cell_id), np.searchsorted(ids, cell_id, side="right")
-        return order[first:end] if end > first else None
+        return _cell_index(self.lp).entries(self.lp, [(row, col)])[0]
 
     def apply(self, deltas: Iterable[Delta]) -> None:
         """Apply updates to the overlay, validating every target first."""
         deltas = list(deltas)
         lp = self.lp
-        coef_entries = []
+        coefs = [(d.row, d.col) for d in deltas if d.kind == "coef"]
+        coef_entries = _cell_index(lp).entries(lp, coefs) if coefs else []
+        found = iter(coef_entries)
         for d in deltas:
             if d.kind in ("obj", "lo", "up"):
                 if d.col is None or not 0 <= d.col < lp.n_cols:
@@ -566,10 +628,8 @@ class ModelInstance:
                 if d.row is None or not 0 <= d.row < lp.n_rows:
                     raise KeyError(f"delta targets unknown row {d.row}")
             elif d.kind == "coef":
-                entries = self._entries(d.row, d.col)
-                if entries is None:
+                if next(found) is None:
                     raise KeyError(f"delta targets unknown coefficient ({d.row}, {d.col})")
-                coef_entries.append(entries)
             else:
                 raise ValueError(f"unknown delta kind {d.kind!r}")
 
@@ -672,13 +732,10 @@ def certified(lp, sol: Solution) -> Solution:
     return sol
 
 
-def compile(lp, backend: str = "highs") -> ModelInstance:  # noqa: A001 - domain verb
-    """Compile a program into a repeatedly solvable instance."""
-    return ModelInstance(lp, backend)
-
-
-def update_and_resolve(inst: ModelInstance, deltas: Iterable[Delta]) -> Solution:
-    return inst.update_and_resolve(deltas)
+# ``compile(lp, backend)`` makes a program's repeatedly solvable instance, and
+# ``update_and_resolve(instance, deltas)`` applies and re-solves: thin aliases.
+compile = ModelInstance  # noqa: A001 - domain verb
+update_and_resolve = ModelInstance.update_and_resolve
 
 
 @dataclass

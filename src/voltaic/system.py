@@ -357,10 +357,3 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
             )
 
     return issues
-
-
-def check_system(data: SystemData, config: ModelConfig) -> None:
-    """Raise :class:`ValidationError` if any invariant is violated."""
-    issues = validate_system(data, config)
-    if issues:
-        raise ValidationError(issues)

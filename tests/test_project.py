@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from voltaic.model import build_model
 from voltaic.project import STATIC_TABLES, load_project, parse_project_variables
 from voltaic.system import (
     FEATURE_MODULES,
@@ -165,6 +166,23 @@ class TestLoadProject:
             example1_root / "settings" / "project_variables.csv", "dispatch_only,no", "dispatch_only,yes"
         )
         with pytest.raises(ValidationError, match="fixed_capacities"):
+            load_project(example1_root)
+
+    def test_fixed_capacities_are_keyed_as_their_columns(self, example1_root):
+        path = example1_root / "data_input" / "static_input" / "fixed_capacities.csv"
+        path.write_text("variable,element,node,value\nN,ccgt,DE,10\nN_STO_P,Li-ion,FR,2.5\nNTC,DE-FR,,500\n")
+        project = load_project(example1_root)
+        assert project.fixed_capacities == {
+            ("N", ("ccgt", "DE")): 10.0, ("N_STO_P", ("Li-ion", "FR")): 2.5, ("NTC", ("DE-FR",)): 500.0,
+        }
+        lp = build_model(project.data, project.config, project.features)
+        for family, key in project.fixed_capacities:
+            lp.col_index(family, key)
+
+    def test_unknown_fixed_capacity_variable_rejected(self, example1_root):
+        path = example1_root / "data_input" / "static_input" / "fixed_capacities.csv"
+        path.write_text("variable,element,node,value\nN,ccgt,DE,10\nG,ccgt,DE,1\n")
+        with pytest.raises(ValidationError, match=r"fixed_capacities.csv:3: unknown capacity variable 'G'"):
             load_project(example1_root)
 
     def test_skip_input_still_reads_edited_inputs(self, example1_root):

@@ -1,3 +1,4 @@
+import pickle
 import sys
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python, two_node_sweep_system
-from voltaic import solver
+from voltaic import scenarios, solver
 from voltaic.model import CAPACITY_FAMILIES, VECTORS, LinearProgram, apply_dispatch_only, build_model
 from voltaic.project import load_project
 from voltaic.solver import (
@@ -275,6 +276,19 @@ class TestProgramSharing:
     def test_matrix_indices_are_int32(self, lp):
         assert lp.a_rows.dtype == lp.a_cols.dtype == np.int32
 
+    def test_one_cell_index_per_build_never_pickled(self, lp):
+        index = solver._cell_index(lp)
+        assert index.order.dtype == index.rank.dtype == np.int32 and index.starts is None
+        inst = compile_instance(lp)
+        row, col = lp.row_index("BAL", ("DE", "h1")), lp.col_index("F", ("DE-FR", "h1"))
+        inst.apply([Delta("coef", row=row, col=col, value=-0.5)])
+        fixed = apply_dispatch_only(lp, {(fam, key): 1.0 for fam in CAPACITY_FAMILIES
+                                         if fam in lp.var_families for key in lp.var_families[fam].keys()})
+        for program in (inst.lp, inst.snapshot(), fixed):
+            assert solver._cell_index(program) is index
+        assert pickle.loads(pickle.dumps(inst.snapshot()))._derived == {}
+        assert solver._cell_index(lp.copy()) is not index
+
 
 def _wide_program():
     """A program whose cell ids (col * n_rows + row) pass 2**31: 60,000 rows
@@ -509,6 +523,14 @@ def _three_entry_cell():
     return lp
 
 
+def _as_program(raw):
+    """``raw`` as a :class:`LinearProgram`, which an instance can hold."""
+    lp = LinearProgram()
+    for name in ("n_rows", "n_cols", *VECTORS, "sense", "a_rows", "a_cols"):
+        setattr(lp, name, getattr(raw, name))
+    return lp
+
+
 @pytest.fixture(scope="module")
 def programs(tmp_path_factory):
     root = tmp_path_factory.mktemp("templates")
@@ -523,8 +545,8 @@ def programs(tmp_path_factory):
     out["vacuous_rows"] = _with_vacuous_rows(lp.copy())
     out["split_entry"] = _split_first_entry(lp.copy())
     out["explicit_zeros"] = _with_explicit_zeros(lp.copy())
-    out["three_entry_cell"] = _three_entry_cell()
-    out["raw_vacuous_row"] = _RAW_PROGRAMS["vacuous_row"][0]()
+    out["three_entry_cell"] = _as_program(_three_entry_cell())
+    out["raw_vacuous_row"] = _as_program(_RAW_PROGRAMS["vacuous_row"][0]())
     return out
 
 
@@ -564,6 +586,96 @@ class TestHighsMatrix:
         # Column 1 holds 1 + 0.25 + 0.5 in row 0.
         assert model.value[model.start[1]:model.start[2]].tolist() == [-1.0, -1.75, 1.0]
         assert model.index[model.start[1]:model.start[2]].tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", _PROGRAMS)
+    def test_instance_entries_make_the_scipy_cells(self, programs, name):
+        lp = programs[name]
+        reference = matrix(lp).tocoo()
+        inst = compile_instance(lp)
+        value = dict(zip(zip(reference.row.tolist(), reference.col.tolist()), reference.data))
+        picked = np.random.default_rng(7).permutation(reference.nnz)[:200]
+        multiple = np.flatnonzero(np.bincount(lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows) > 1)
+        cells = {*zip(reference.row[picked].tolist(), reference.col[picked].tolist()),
+                 *((int(c % lp.n_rows), int(c // lp.n_rows)) for c in multiple)}
+        for row, col in cells:
+            entries = inst._entries(row, col)
+            assert entries.tolist() == np.flatnonzero((lp.a_rows == row) & (lp.a_cols == col)).tolist()
+            total = lp.a_vals[entries[0]]
+            for entry in entries[1:]:
+                total = total + lp.a_vals[entry]
+            assert _bits(total) == _bits(value[row, col])
+        empty = np.flatnonzero(matrix(lp).getnnz(axis=1) < lp.n_cols)
+        if empty.size:
+            row = int(empty[0])
+            col = int(np.setdiff1d(np.arange(lp.n_cols), lp.a_cols[lp.a_rows == row])[0])
+            assert inst._entries(row, col) is None
+        assert inst._entries(lp.n_rows, 0) is None and inst._entries(None, 0) is None
+
+    @pytest.mark.parametrize("name", _PROGRAMS)
+    def test_the_tree_reads_cell_values_as_the_scipy_matrix(self, programs, name):
+        lp = programs[name]
+        reference = matrix(lp).tocoo()
+        picked = np.random.default_rng(11).permutation(reference.nnz)[:50]
+        # A row that sets a cell to its value changes nothing: it is as far
+        # from the base as the base is, nearer than a row that moves a cost
+        # by one unit in the last place, which comes last.
+        nudge = Delta("obj", col=0, value=float(np.nextafter(lp.obj[0], np.inf)))
+        rows = [[nudge]] + [[Delta("coef", row=int(reference.row[k]), col=int(reference.col[k]),
+                                   value=float(reference.data[k]))] for k in picked]
+        order, parents = scenarios._tree(lp, rows)
+        assert order == [*range(1, len(rows)), 0] and parents == [None] * len(rows)
+
+    @pytest.mark.parametrize("name", ["minimal", "split_entry", "explicit_zeros", "three_entry_cell",
+                                      "vacuous_rows", "raw_vacuous_row"])
+    def test_warm_pushes_the_changed_scipy_cells(self, programs, name):
+        pytest.importorskip(_CORE)
+        lp = programs[name]
+        inst = compile_instance(lp)
+        if not np.isfinite(lp.rhs).all():
+            assert inst.open() is None  # no handle holds a vacuous row
+            return
+        assert inst.open() is not None
+        warm = inst._warm
+        reference = matrix(lp).tocoo()
+        # The first cell (split into two entries or a value and a zero where
+        # the program splits it), three-entry cells, zeros and random cells;
+        # the last one is set to its own value, which pushes nothing.
+        multiple = np.flatnonzero(np.bincount(lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows) > 1)
+        cells = [(int(lp.a_rows[0]), int(lp.a_cols[0]))]
+        cells += [(int(c % lp.n_rows), int(c // lp.n_rows)) for c in multiple]
+        cells += [(int(reference.row[k]), int(reference.col[k])) for k in np.flatnonzero(reference.data == 0)[:3]]
+        cells += [(int(reference.row[k]), int(reference.col[k]))
+                  for k in np.random.default_rng(5).permutation(reference.nnz)[:20]]
+        deltas = [Delta("coef", row=r, col=c, value=0.5 + 0.25 * k) for k, (r, c) in enumerate(cells)]
+        deltas.append(Delta("coef", row=int(reference.row[-1]), col=int(reference.col[-1]),
+                            value=float(reference.data[-1])))
+        inst.apply(deltas)
+
+        class Recording:
+            """The handle, recording its coefficient changes and not running."""
+
+            def __init__(self, highs):
+                self.highs, self.pushed = highs, []
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def changeCoeff(self, row, col, value):
+                self.pushed.append((row, col, _bits(value)))
+                return self.highs.changeCoeff(row, col, value)
+
+            def run(self):
+                pass
+
+        warm.highs = recording = Recording(warm.highs)
+        warm.solve(inst.lp)
+        before, after = _scipy_highs_matrix(lp, warm.model).tocoo(), _scipy_highs_matrix(inst.lp, warm.model).tocoo()
+        moved = after.data != before.data
+        expected = list(zip(after.col[moved].tolist(), after.row[moved].tolist()))
+        assert sorted(expected) == expected  # the model's matrix order: column, then model row
+        assert len(expected) >= 3
+        assert recording.pushed == [(r, c, _bits(v)) for (c, r), v in zip(expected, after.data[moved])] + [
+            (r, c, _bits(v)) for (c, r), v in zip(expected, before.data[moved])]
 
     @pytest.mark.parametrize("name", ["minimal", "split_entry", "explicit_zeros", "vacuous_rows"])
     def test_certify_matches_the_scipy_product(self, programs, name):

@@ -324,6 +324,46 @@ def test_coef_delta_on_a_split_cell_sets_its_first_entry(one_node):
         inst.apply([Delta("coef", row=lp.n_rows, col=col, value=1.0)])
 
 
+def test_rebuild_compiles_one_instance_per_country_set(monkeypatch):
+    """Every mode resets one instance per country set between rows; a reset
+    instance is bitwise its build, so ``rebuild`` needs no fresh one."""
+    data, config = two_node_sweep_system(hours=24)
+    config = replace(config, end_hour=24)
+    specs = parse_iteration_table(random_sweep_table(3, seed=2))
+    compiled = []
+
+    class Counted(solver.ModelInstance):
+        def __init__(self, *args, **kwargs):
+            compiled.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "ModelInstance", Counted)
+    rows = scenarios._run_and_finish(data, config, None, specs, "rebuild", 0)
+    assert len(compiled) == 1 and all(result.status == "optimal" for result, _ in rows)
+    assert compiled[0].basis is None and compiled[0]._warm is solver._UNOPENED  # every row cold
+
+
+def test_a_warm_row_with_phi_deltas_builds_no_highs_model(monkeypatch):
+    """A warm row pushes only the cells its coefficient deltas change: it
+    does not lay out the whole HiGHS matrix again."""
+    pytest.importorskip("scipy.optimize._highspy._core")
+    data, config = two_node_sweep_system(hours=24)
+    config = replace(config, end_hour=24)
+    lp = build_model(data, config)
+    [spec] = parse_iteration_table("run,\"phi('solar','DE')\"\nr0,cf_wind\n")
+    deltas = expand_overrides(spec, lp, data, config)
+    assert len(deltas) == 24 and {d.kind for d in deltas} == {"coef"}
+    inst = compile_instance(lp)
+    assert inst.open() is not None
+    laid_out, highs_model = [], solver._highs_model
+    monkeypatch.setattr(solver, "_highs_model", lambda lp: laid_out.append(lp) or highs_model(lp))
+    inst.apply(deltas)
+    sol = inst.resolve()
+    assert inst.basis is not None and sol.is_optimal  # solved warm
+    assert laid_out == []
+    assert sol.objective == pytest.approx(solve(inst.lp).objective, rel=1e-9)
+
+
 # --- Warm starts planned as a tree over the rows ----------------------------
 
 
