@@ -620,6 +620,12 @@ def _emit_flow_limits(b: _Build) -> None:
         b.add_entries(lo.grid()[l_i], np.broadcast_to(ntc[l_i], (b.H,)), -1.0)
 
 
+def share_rhs(share: float, demand) -> float:
+    """A ``RES_SHARE`` row's rhs: ``share`` times the node's demand series
+    summed by numpy, so a build and an override of either agree bitwise."""
+    return share * float(np.sum(demand, dtype=float))
+
+
 def emit_policy_constraints(b: _Build) -> None:
     """Per-node renewable share floors and emission caps.
 
@@ -635,9 +641,7 @@ def emit_policy_constraints(b: _Build) -> None:
 
     share_nodes = [n for n in b.nodes if n.min_renewable_share > 0.0]
     if share_nodes:
-        rhs = np.array(
-            [n.min_renewable_share * b.demand[node_pos[n.id]].sum() for n in share_nodes]
-        )
+        rhs = np.array([share_rhs(n.min_renewable_share, b.demand[node_pos[n.id]]) for n in share_nodes])
         fam = b.add_rows("RES_SHARE", ("n",), ([n.id for n in share_nodes],), SENSE_GE, rhs=rhs)
         for i, node in enumerate(share_nodes):
             row = fam.start + i

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .solver import _cell_index
+
 
 def _fmt(value: float) -> str:
     """Render a value into at most 12 characters without losing much precision."""
@@ -55,23 +57,22 @@ def write_mps(lp, target, name: str = "VOLTAIC") -> dict[str, dict[str, str]]:
     for i in range(lp.n_rows):
         lines.append(_entry(lp.sense[i], row_names[i]))
 
-    by_col: dict[int, list[tuple[str, float]]] = {}
-    for r, c, v in zip(lp.a_rows, lp.a_cols, lp.a_vals):
-        if v != 0.0:
-            by_col.setdefault(int(c), []).append((row_names[int(r)], float(v)))
+    # Each cell is its entries summed as the HiGHS model sums them; the
+    # nonzero cells are written, each column's in row order.
+    cells = _cell_index(lp)
+    first = cells.order[cells.start[:-1]]  # each cell's first entry
+    value = cells.sums(lp.a_vals, np.arange(len(first)))
+    kept = value != 0.0
+    rows, cols, value = lp.a_rows[first][kept], lp.a_cols[first][kept], value[kept]
+    order = np.lexsort((rows, cols))
+    named = [(row_names[r], v) for r, v in zip(rows[order].tolist(), value[order].tolist())]
+    start = np.searchsorted(cols[order], np.arange(lp.n_cols + 1)).tolist()
 
     lines.append("COLUMNS")
     for j in range(lp.n_cols):
-        entries = []
-        if lp.obj[j] != 0.0:
-            entries.append(("COST", float(lp.obj[j])))
-        cells: dict[str, float] = {}
-        for row_name, v in by_col.get(j, []):
-            cells[row_name] = cells.get(row_name, 0.0) + v
-        entries.extend(sorted(cells.items()))
-        if not entries:
-            entries.append(("COST", 0.0))  # declare otherwise-empty columns
-        for row_name, v in entries:
+        entries = [("COST", float(lp.obj[j]))] if lp.obj[j] != 0.0 else []
+        entries += named[start[j] : start[j + 1]]
+        for row_name, v in entries or [("COST", 0.0)]:  # declare otherwise-empty columns
             lines.append(_entry("", col_names[j], row_name, _fmt(v)))
 
     lines.append("RHS")
@@ -223,22 +224,17 @@ def read_mps(source) -> MpsProblem:
     n_rows, n_cols = len(senses), len(col_index)
     problem.n_rows = n_rows
     problem.n_cols = n_cols
-    problem.row_names = [name for name, _ in sorted(row_index.items(), key=lambda kv: kv[1])]
-    problem.col_names = [name for name, _ in sorted(col_index.items(), key=lambda kv: kv[1])]
+    problem.row_names, problem.col_names = list(row_index), list(col_index)  # in index order
     problem.sense = np.array(senses, dtype="<U1")
-    problem.rhs = np.zeros(n_rows)
-    for i, v in rhs.items():
-        problem.rhs[i] = v
-    problem.obj = np.zeros(n_cols)
-    for j, v in obj.items():
-        problem.obj[j] = v
-    problem.lo = np.zeros(n_cols)
-    problem.hi = np.full(n_cols, math.inf)
-    for j, v in lo.items():
-        problem.lo[j] = v
-    for j, v in hi.items():
-        problem.hi[j] = v
-    problem.a_rows = np.array([t[0] for t in triplets], dtype=np.int64)
-    problem.a_cols = np.array([t[1] for t in triplets], dtype=np.int64)
-    problem.a_vals = np.array([t[2] for t in triplets], dtype=float)
+
+    def filled(size: int, default: float, values: dict[int, float]) -> np.ndarray:
+        array = np.full(size, default)
+        array[list(values)] = list(values.values())
+        return array
+
+    problem.rhs, problem.obj = filled(n_rows, 0.0, rhs), filled(n_cols, 0.0, obj)
+    problem.lo, problem.hi = filled(n_cols, 0.0, lo), filled(n_cols, math.inf, hi)
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    problem.a_rows, problem.a_cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    problem.a_vals = np.array(vals, dtype=float)
     return problem

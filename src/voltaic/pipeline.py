@@ -9,7 +9,7 @@ from pathlib import Path
 from .project import Project, load_project
 from .reports import PartialReport, clear_report, merge_report, partial_report
 from .scenarios import RunResult, _run_and_finish
-from .store import _NPZ_NAME, CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_store, write_store
+from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_run, write_store
 from .system import ValidationError
 
 
@@ -98,16 +98,14 @@ def _finish_row(
 
 def report_project(root: Path | str) -> dict:
     """Build the standard report from every store under ``<root>/results``,
-    reading one store at a time (its ``store.npz`` if it has one, else its
-    CSVs) and keeping only its share of the report."""
+    reading one store at a time (its ``store.npz`` if it has one of this
+    version's layout, else its CSVs) and keeping only its share of the
+    report."""
     root = Path(root)
     results_dir = root / "results"
     if not results_dir.is_dir() or not any(results_dir.iterdir()):
         raise ValidationError(f"{results_dir}: no result stores found (run the project first)")
-    parts = [
-        partial_report(read_store(run_dir, NPZ_FORMAT if (run_dir / _NPZ_NAME).is_file() else CSV_FORMAT))
-        for run_dir in sorted(p for p in results_dir.iterdir() if p.is_dir())
-    ]
+    parts = [partial_report(read_run(run_dir)) for run_dir in sorted(p for p in results_dir.iterdir() if p.is_dir())]
     return merge_report(parts, root / "report")
 
 

@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient
+from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient, share_rhs
 from .solver import Delta, ModelInstance, Solution, _cell_index, basis_statuses, certified, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
@@ -336,11 +336,6 @@ def expand_overrides(
                 series_swap[(ref.name, combo)] = str(value)
 
     H = config.end_hour
-
-    def demand_series(node_id: str) -> tuple[float, ...]:
-        name = series_swap.get(("d", (node_id,)), data.node(node_id).demand)
-        return data.series[name].values[:H]
-
     share_rhs_dirty: set[str] = set()
     costed: set[tuple[str, tuple[str, ...]]] = set()
 
@@ -403,7 +398,8 @@ def expand_overrides(
                 f"override min_renewable_share({n!r}): the base model has no share row for "
                 f"this node (base share is zero)"
             )
-        deltas.append(Delta("rhs", row=fam.index((n,)), value=share * sum(demand_series(n))))
+        demand = data.series[series_swap.get(("d", (n,)), data.node(n).demand)].values[:H]
+        deltas.append(Delta("rhs", row=fam.index((n,)), value=share_rhs(share, demand)))
 
     for ref, value in spec.overrides:
         if ref.target_kind not in (VARIABLE_FIX, VARIABLE_LO, VARIABLE_UP):

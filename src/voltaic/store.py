@@ -7,11 +7,19 @@ content. Both formats round-trip losslessly and are byte-identical across
 repeated runs and extraction thread counts; nothing time- or host-dependent
 is ever written.
 
+``store.npz`` holds each symbol's :class:`~voltaic.symbols.Layout` as it
+is: a zip of ``store.json`` (the ``run.meta`` content, each symbol's dims
+and the label tables it uses, each distinct table once) and, per symbol,
+``<name>/codes.npy`` (its codes in sorted-key order, in the smallest
+unsigned dtype that indexes its tables) and ``<name>/values.npy``. A
+``store.npz`` of the earlier layout (one label row per record) is not read;
+the CSVs beside it hold the same store.
+
 Every step works on a symbol's columns (:class:`~voltaic.symbols.Layout`
 plus values): extraction takes a family's label layout, built once per
 family and shared by every run, and copies one slice of the solution; the
-writers emit the layout's cached sorted views with the values in that
-order; the readers fill the columns directly.
+writers emit the layout's sorted views with the values in that order; the
+readers fill the columns directly.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import logging
 import operator
 import zipfile
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -35,6 +44,7 @@ log = logging.getLogger(__name__)
 CSV_FORMAT = "csv"
 NPZ_FORMAT = "npz"
 _NPZ_NAME = "store.npz"
+_NPZ_HEADER = "store.json"
 _META_NAME = "run.meta"
 
 
@@ -144,19 +154,6 @@ def _csv_prefixes(layout: Layout) -> list[str]:
     return prefixes
 
 
-def _npz_keys(layout: Layout) -> np.ndarray:
-    """The keys in sorted-key order as a (records, dims) array of labels, as
-    wide as the longest label: never truncated, and no wider than needed."""
-    size, arity = layout.codes.shape
-    width = max((len(label) for table in layout.labels for label in table.tolist()), default=1)
-    keys = np.empty((size, arity), dtype=f"<U{max(width, 1)}")
-    ordered = layout.codes[layout.order]
-    for d, table in enumerate(layout.labels):
-        keys[:, d] = table[ordered[:, d]]
-    keys.flags.writeable = False  # shared by every run over the layout
-    return keys
-
-
 def _symbol_csv(symbol: Symbol) -> str:
     """Header, then one ``labels,value`` line per record in sorted-key order."""
     layout = symbol.layout
@@ -186,33 +183,46 @@ def write_store(store: SymbolStore, root: Path | str, formats=(CSV_FORMAT,)) -> 
     for name in sorted(store.symbols):
         (target / f"{name}.csv").write_text(_symbol_csv(store.symbols[name]))
     if NPZ_FORMAT in formats:
-        _write_npz(store, target / _NPZ_NAME)
+        _write_npz(store, meta, target / _NPZ_NAME)
     return target
 
 
-def _write_npz(store: SymbolStore, path: Path) -> None:
-    arrays: dict[str, np.ndarray] = {
-        "__meta__": np.array(_meta_text(store.meta)),
-        "__symbols__": np.array(sorted(store.symbols), dtype=str),
-    }
-    for name in sorted(store.symbols):
-        sym = store.symbols[name]
-        arrays[f"{name}/dims"] = np.array(sym.dims, dtype=str)
-        arrays[f"{name}/kind"] = np.array(sym.value_kind)
-        arrays[f"{name}/unit"] = np.array(sym.unit)
-        arrays[f"{name}/keys"] = sym.layout.view(_npz_keys)
-        arrays[f"{name}/values"] = sym.values[sym.layout.order]
+def _npz_codes(layout: Layout) -> tuple[list[np.ndarray], np.ndarray]:
+    """The label tables cut to the labels some record uses, and the codes
+    into them in sorted-key order, in the smallest unsigned dtype that
+    indexes every table."""
+    ordered = layout.codes[layout.order]
+    tables = []
+    for d, table in enumerate(layout.labels):
+        used = np.zeros(len(table), dtype=bool)
+        used[ordered[:, d]] = True
+        ordered[:, d] = (np.cumsum(used) - 1)[ordered[:, d]]
+        tables.append(table[used])
+    return tables, ordered.astype(np.min_scalar_type(max([0, *(len(t) - 1 for t in tables)])))
+
+
+def _write_npz(store: SymbolStore, meta: dict, path: Path) -> None:
+    header, tables = {"meta": meta, "dims": {}, "labels": {}}, {}
     # Fixed zip timestamps keep repeated runs byte-identical.
+    member = partial(zipfile.ZipInfo, date_time=(1980, 1, 1, 0, 0, 0))
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for key in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asanyarray(arrays[key]), allow_pickle=False)
-            info = zipfile.ZipInfo(key + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+        for name in sorted(store.symbols):
+            sym = store.symbols[name]
+            used, codes = _npz_codes(sym.layout)
+            header["dims"][name] = sym.dims
+            header["labels"][name] = [tables.setdefault(tuple(t.tolist()), len(tables)) for t in used]
+            for part, array in (("codes", codes), ("values", sym.values[sym.layout.order])):
+                with zf.open(member(f"{name}/{part}.npy"), "w") as out:
+                    np.lib.format.write_array(out, array, allow_pickle=False)
+        header["tables"] = list(tables)
+        zf.writestr(member(_NPZ_HEADER), json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False))
 
 
 def read_store(run_dir: Path | str, fmt: str = CSV_FORMAT) -> SymbolStore:
-    """Load one run directory back; inverse of :func:`write_store`."""
+    """Load one run directory back; inverse of :func:`write_store`.
+
+    A ``store.npz`` of the earlier layout raises ``ValueError``; the CSVs
+    beside it hold the same store."""
     run_dir = Path(run_dir)
     if fmt == NPZ_FORMAT:
         return _read_npz(run_dir / _NPZ_NAME, run_dir.name)
@@ -230,35 +240,56 @@ def read_store(run_dir: Path | str, fmt: str = CSV_FORMAT) -> SymbolStore:
             raise ValueError(f"{csv_path}: a line does not have {len(dims) + 1} fields")
         fields = ",".join(lines).split(",") if lines else []
         step = len(dims) + 1
-        columns = [fields[d::step] for d in range(len(dims))]
+        layout = Layout.encode([fields[d::step] for d in range(len(dims))], len(lines))
         values = np.fromiter(map(float, fields[len(dims) :: step]), float, count=len(lines))
         kind = kinds.get(name, PARAMETER if name == "d" else LEVEL)
-        store.symbols[name] = _read_symbol(name, kind, dims, columns, values, units.get(name, ""))
+        store.symbols[name] = _read_symbol(name, kind, dims, layout, values, units.get(name, ""))
     return store
+
+
+class _EarlierNpz(ValueError):
+    """A ``store.npz`` of the layout with one label row per record."""
 
 
 def _read_npz(path: Path, fallback_run_id: str) -> SymbolStore:
-    with np.load(path) as data:
-        meta = json.loads(str(data["__meta__"]))
+    with zipfile.ZipFile(path) as zf:
+        if _NPZ_HEADER not in zf.namelist():
+            raise _EarlierNpz(f"{path}: a store.npz of an earlier layout, which this version does not "
+                              "read; the CSVs beside it hold the same store")
+        header = json.loads(zf.read(_NPZ_HEADER))
+        meta, tables = header["meta"], [np.array(labels, dtype=str) for labels in header["tables"]]
+        if any(table.ndim != 1 or (table[1:] <= table[:-1]).any() for table in tables):
+            raise ValueError(f"{path}: a label table is not sorted and unique")
+        kinds, units = meta.pop("symbol_kinds"), meta.pop("symbol_units")
         store = SymbolStore(meta.get("run_id", fallback_run_id), meta=meta)
-        for name in data["__symbols__"].tolist():
-            dims = tuple(data[f"{name}/dims"].tolist())
-            keys = data[f"{name}/keys"]
-            columns = [keys[:, d].tolist() for d in range(len(dims))]
-            store.symbols[name] = _read_symbol(
-                name, str(data[f"{name}/kind"]), dims, columns, data[f"{name}/values"],
-                str(data[f"{name}/unit"]),
-            )
+        for name, dims in sorted(header["dims"].items()):
+            codes, values = (np.lib.format.read_array(zf.open(f"{name}/{part}.npy")) for part in ("codes", "values"))
+            labels = [tables[t] for t in header["labels"][name]]
+            if codes.dtype.kind not in "iu" or codes.ndim != 2 or codes.shape[1] != len(labels) or len(codes) and (
+                (codes.min(axis=0) < 0) | (codes.max(axis=0) >= list(map(len, labels)))
+            ).any():
+                raise ValueError(f"{path}: symbol {name}: codes {codes.dtype}{codes.shape} do not index its tables")
+            layout = Layout(labels, codes.astype(np.int64))
+            store.symbols[name] = _read_symbol(name, kinds[name], tuple(dims), layout, values, units[name])
     return store
 
 
-def _read_symbol(name, kind, dims, columns, values, unit) -> Symbol:
-    layout = Layout.encode(columns, len(values))
+def _read_symbol(name, kind, dims, layout, values, unit) -> Symbol:
     repeated = layout.first_duplicate()
     if repeated is not None:
-        key = tuple(column[repeated] for column in columns)
+        key = tuple(column[0] for column in layout.columns(np.array([repeated])))
         raise ValueError(f"symbol {name}: key {key} stored twice")
     return Symbol.from_columns(name, kind, dims, layout, values, unit)
+
+
+def read_run(run_dir: Path | str) -> SymbolStore:
+    """One run's store as the report reads it: its ``store.npz`` if it has
+    one of this layout, else its CSVs."""
+    try:
+        return read_store(run_dir, NPZ_FORMAT if (Path(run_dir) / _NPZ_NAME).is_file() else CSV_FORMAT)
+    except _EarlierNpz as exc:
+        log.warning("%s: reading them", exc)
+        return read_store(run_dir, CSV_FORMAT)
 
 
 def read_all_stores(results_dir: Path | str, fmt: str = CSV_FORMAT) -> list[SymbolStore]:

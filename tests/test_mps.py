@@ -84,6 +84,45 @@ def test_bounds_roundtrip():
     assert np.array_equal(back.hi, Raw.hi)
 
 
+def _raw(rows, cols, vals):
+    class Raw:
+        n_cols = 3
+        n_rows = 3
+        obj = np.array([1.0, 0.0, 2.0])
+        lo = np.zeros(3)
+        hi = np.full(3, np.inf)
+        rhs = np.array([1.0, 2.0, 3.0])
+        sense = np.array(["G", "L", "E"], dtype="<U1")
+        a_rows = np.array(rows, dtype=np.int32)
+        a_cols = np.array(cols, dtype=np.int32)
+        a_vals = np.array(vals, dtype=float)
+
+    return Raw()
+
+
+def test_cells_are_written_as_their_entries_summed():
+    """A cell is written when its entries' sum is nonzero, each column's cells
+    in row order: a cell stored as [1, -1] and one stored as [0] are left
+    out, and a split entry is written as one sum, so the file equals the one
+    written from a program holding the summed matrix."""
+    stored = _raw(
+        [1, 0, 1, 2, 1, 0, 2, 0],
+        [0, 2, 0, 1, 2, 0, 0, 2],
+        [1.0, 2.5, -1.0, 0.0, 4.0, 1.0, -1.0, 0.5],
+    )
+    summed = _raw([0, 2, 0, 1], [0, 0, 2, 2], [1.0, -1.0, 3.0, 4.0])
+    written, reference = io.StringIO(), io.StringIO()
+    write_mps(stored, written)
+    write_mps(summed, reference)
+    assert written.getvalue() == reference.getvalue()
+    columns = written.getvalue().split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()
+    assert [line.split()[1:] for line in columns] == [
+        ["COST", "1"], ["R0000001", "1"], ["R0000003", "-1"],
+        ["COST", "0"],  # every cell of the column sums to zero
+        ["COST", "2"], ["R0000001", "3"], ["R0000002", "4"],  # row order, not the model's class order
+    ]
+
+
 def test_infinite_rhs_rejected():
     class Raw:
         n_cols = 1

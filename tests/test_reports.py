@@ -509,7 +509,7 @@ def test_run_report_from_memory_equals_report_from_disk(tmp_path, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(store, "read_store", no_read)
-        patched.setattr(pipeline, "read_store", no_read)
+        patched.setattr(pipeline, "read_run", no_read)
         assert pipeline.run_project(root).all_optimal
     from_memory = {p.name: p.read_bytes() for p in sorted((root / "report").iterdir())}
     pipeline.report_project(root)

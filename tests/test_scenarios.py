@@ -170,6 +170,32 @@ class TestExpansion:
         (d,) = [d for d in deltas if d.col == col]
         assert d.value == pytest.approx(scale * 10_014.0)
 
+    @pytest.mark.parametrize("hours", [24, 168])
+    def test_restated_shares_and_demand_keep_the_build_rhs_bitwise(self, tmp_path, hours):
+        """A row that restates every node's base share and base demand series
+        gives every share and balance row the build's rhs, bit for bit (the
+        ``invest_week`` seed 1 profiles, made by ``perfbench/gen.py``)."""
+        import importlib.util
+
+        from voltaic.project import load_project
+        from voltaic.templates import write_project
+
+        spec = importlib.util.spec_from_file_location("_gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        project = load_project(write_project(gen.build("invest_week", 1, hours), tmp_path / "project"))
+        data, config = project.data, project.config
+        lp = build_model(data, config)
+        nodes = [n for n in data.nodes if n.min_renewable_share > 0.0]
+        header = ",".join(["run", *(f"min_renewable_share('{n.id}'),d('{n.id}')" for n in nodes)])
+        row = ",".join(["S0", *(f"{n.min_renewable_share!r},{n.demand}" for n in nodes)])
+        deltas = expand_overrides(parse_iteration_table(f"{header}\n{row}\n")[0], lp, data, config)
+        share = lp.row_families["RES_SHARE"]
+        assert sum(share.start <= d.row < share.start + share.size for d in deltas) == len(nodes) == 12
+        assert len(deltas) == len(nodes) * (hours + 1)
+        for d in deltas:
+            assert d.kind == "rhs" and np.float64(d.value).tobytes() == lp.rhs[d.row].tobytes(), lp.row_label(d.row)
+
     def test_literal_restricts_to_one_node(self, battery_system):
         data, config = battery_system
         lp = build_model(data, config)

@@ -1,21 +1,24 @@
 import io
 import json
+import re
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voltaic.pipeline import report_project
 from voltaic.scenarios import ScenarioSpec, parse_iteration_table, run_scenarios
 from voltaic.store import (
     SymbolStore,
     _meta_text,
-    _write_npz,
     extract_symbols,
     read_store,
     write_store,
 )
-from voltaic.symbols import LEVEL, PARAMETER, Symbol
+from voltaic.symbols import LEVEL, MARGINAL, PARAMETER, Layout, Symbol
 
 REPORTING = [("N", "level"), ("G", "level"), ("BAL", "marginal"), ("d", "level")]
 
@@ -132,14 +135,41 @@ class TestSerialization:
         assert back.symbols["N"].dims == ("tech", dim)
         assert back.symbols["N"].records == sym.records
 
-    def test_npz_labels_take_their_natural_width(self, merit_results, tmp_path):
-        import numpy as np
-
+    def test_npz_codes_take_the_smallest_unsigned_dtype(self, merit_results, tmp_path):
         _, _, results = merit_results
-        target = write_store(extract_symbols(results, REPORTING)[0], tmp_path, formats=("csv", "npz"))
-        with np.load(target / "store.npz") as data:
-            assert data["G/keys"].dtype == np.dtype("<U4")  # longest label: "peak"
-            assert data["G/dims"].dtype == np.dtype("<U4")
+        store = extract_symbols(results, REPORTING)[0]
+        store.symbols["wide"] = Symbol("wide", "level", ("h",), {(f"h{i}",): 1.0 for i in range(256)})
+        store.symbols["wider"] = Symbol("wider", "level", ("h",), {(f"h{i}",): 1.0 for i in range(257)})
+        target = write_store(store, tmp_path, formats=("csv", "npz"))
+        with zipfile.ZipFile(target / "store.npz") as zf:
+            codes = {
+                name[: -len("/codes.npy")]: np.lib.format.read_array(zf.open(name))
+                for name in zf.namelist() if name.endswith("/codes.npy")
+            }
+            assert len(zf.namelist()) == 1 + 2 * len(store.symbols)  # store.json, codes and values
+        assert {name: array.dtype for name, array in codes.items()} == {
+            "BAL": np.uint8, "G": np.uint8, "N": np.uint8, "d": np.uint8, "wide": np.uint8, "wider": np.uint16
+        }
+        assert codes["G"].shape == (len(store.symbols["G"]), 3)
+
+    def test_npz_tables_hold_only_the_labels_records_use(self, tmp_path):
+        """A layout may list labels no record uses (a family with an empty
+        dimension, a grouped layout): the npz writes the tables its CSVs
+        read back as."""
+        tables = [np.array(["a", "b", "c"]), np.array(["h1", "h2"])]
+        partial = Layout(tables, np.array([[2, 0], [0, 1], [2, 1]]))
+        empty = Layout(tables, np.zeros((0, 2), dtype=np.int64))
+        store = SymbolStore("S0", {
+            "G": Symbol.from_columns("G", "level", ("tech", "h"), partial, np.array([1.0, 2.0, 3.0])),
+            "N": Symbol.from_columns("N", "level", ("tech", "h"), empty, np.zeros(0)),
+        }, {"run_id": "S0"})
+        target = write_store(store, tmp_path, formats=("csv", "npz"))
+        back = read_store(target, "npz")
+        assert_same_store(back, read_store(target, "csv"))
+        assert [t.tolist() for t in back.symbols["G"].layout.labels] == [["a", "c"], ["h1", "h2"]]
+        assert [t.tolist() for t in back.symbols["N"].layout.labels] == [[], []]
+        oracle_write_npz_tables(store, tmp_path / "oracle.npz")
+        assert (target / "store.npz").read_bytes() == (tmp_path / "oracle.npz").read_bytes()
 
     def test_writes_are_byte_identical(self, merit_results, tmp_path):
         _, _, results = merit_results
@@ -175,8 +205,8 @@ def oracle_symbol_csv(symbol: Symbol) -> str:
 
 
 def oracle_write_npz(store: SymbolStore, path: Path) -> None:
-    # Label arrays take the width of their longest label: never truncated,
-    # and no wider than the labels need.
+    """The earlier ``store.npz`` layout: one label row per record, as wide
+    as the longest label, and one zip member per field."""
     arrays: dict[str, np.ndarray] = {
         "__meta__": np.array(_meta_text(store.meta)),
         "__symbols__": np.array(sorted(store.symbols), dtype=str),
@@ -227,20 +257,59 @@ def oracle_read_store(run_dir: Path | str, fmt: str = CSV_FORMAT) -> SymbolStore
 
 
 def oracle_read_npz(path: Path, fallback_run_id: str) -> SymbolStore:
-    with np.load(path) as data:
-        meta = json.loads(str(data["__meta__"]))
+    """The records of a label-table ``store.npz``, label by label."""
+    with zipfile.ZipFile(path) as zf:
+        header = json.loads(zf.read("store.json").decode())
+        meta = header["meta"]
+        kinds, units = meta.pop("symbol_kinds"), meta.pop("symbol_units")
         store = SymbolStore(meta.get("run_id", fallback_run_id), meta=meta)
-        for name in data["__symbols__"].tolist():
-            dims = tuple(data[f"{name}/dims"].tolist())
-            keys = data[f"{name}/keys"]
-            values = data[f"{name}/values"]
+        for name in sorted(header["dims"]):
+            codes = np.lib.format.read_array(zf.open(f"{name}/codes.npy"))
+            values = np.lib.format.read_array(zf.open(f"{name}/values.npy"))
+            tables = [header["tables"][t] for t in header["labels"][name]]
             records = {
-                tuple(str(k) for k in key): float(v) for key, v in zip(keys, values)
+                tuple(table[int(c)] for table, c in zip(tables, row)): float(v) for row, v in zip(codes, values)
             }
-            store.symbols[name] = Symbol(
-                name, str(data[f"{name}/kind"]), dims, records, unit=str(data[f"{name}/unit"])
-            )
+            store.symbols[name] = Symbol(name, kinds[name], header["dims"][name], records, unit=units[name])
     return store
+
+
+def oracle_write_npz_tables(store: SymbolStore, path: Path) -> None:
+    """The label-table layout, made from the records: each symbol's keys
+    sorted; along each dimension the sorted distinct labels as its table,
+    each distinct table once in ``store.json``, in order of first use; the
+    codes as positions in those tables, in the first of uint8, uint16,
+    uint32 and uint64 that holds the largest table's last position."""
+    tables: list[list[str]] = []
+    dims, labels, members = {}, {}, {}
+    for name in sorted(store.symbols):
+        sym = store.symbols[name]
+        keys = sorted(sym.records)
+        columns = [sorted({key[d] for key in keys}) for d in range(len(sym.dims))]
+        for column in columns:
+            if column not in tables:
+                tables.append(column)
+        dims[name] = list(sym.dims)
+        labels[name] = [tables.index(column) for column in columns]
+        last = max((len(column) - 1 for column in columns), default=0)
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if last <= np.iinfo(t).max)
+        position = [{label: i for i, label in enumerate(column)} for column in columns]
+        codes = [[position[d][label] for d, label in enumerate(key)] for key in keys]
+        members[f"{name}/codes.npy"] = np.array(codes, dtype=dtype).reshape(len(keys), len(columns))
+        members[f"{name}/values.npy"] = np.array([sym.records[key] for key in keys], dtype=float)
+    meta = dict(store.meta)
+    meta["symbol_kinds"] = {name: sym.value_kind for name, sym in store.symbols.items()}
+    meta["symbol_units"] = {name: sym.unit for name, sym in store.symbols.items()}
+    header = {"dims": dims, "labels": labels, "meta": meta, "tables": tables}
+    members["store.json"] = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for key in sorted(members):
+            data = members[key]
+            if not isinstance(data, str):
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, data, allow_pickle=False)
+                data = buf.getvalue()
+            zf.writestr(zipfile.ZipInfo(key, date_time=(1980, 1, 1, 0, 0, 0)), data)
 
 
 FULL_REPORTING = REPORTING + [
@@ -290,6 +359,19 @@ def oracle_stores(merit_toy, storage_toy, sweep_toy):
     return stores + hand_built_stores()
 
 
+def assert_same_store(a: SymbolStore, b: SymbolStore) -> None:
+    """Equal run ids, metadata, symbol order, dims, kinds, units, label
+    tables, codes, and values bit for bit."""
+    assert (a.run_id, a.meta) == (b.run_id, b.meta)
+    assert list(a.symbols) == list(b.symbols)
+    for name, x in a.symbols.items():
+        y = b.symbols[name]
+        assert (x.dims, x.value_kind, x.unit) == (y.dims, y.value_kind, y.unit), name
+        assert [(t.dtype, t.tolist()) for t in x.layout.labels] == [(t.dtype, t.tolist()) for t in y.layout.labels]
+        assert x.layout.codes.dtype == y.layout.codes.dtype and np.array_equal(x.layout.codes, y.layout.codes)
+        assert x.values.tobytes() == y.values.tobytes(), name
+
+
 def same_columns(a: Symbol, b: Symbol) -> bool:
     return (a.name, a.value_kind, a.dims, a.unit) == (b.name, b.value_kind, b.dims, b.unit) and list(
         a.records.items()
@@ -305,9 +387,14 @@ class TestAgainstRecordOracles:
 
     def test_npz_bytes(self, oracle_stores, tmp_path):
         for store in oracle_stores:
-            _write_npz(store, tmp_path / "new.npz")
-            oracle_write_npz(store, tmp_path / "old.npz")
-            assert (tmp_path / "new.npz").read_bytes() == (tmp_path / "old.npz").read_bytes(), store.run_id
+            target = write_store(store, tmp_path, formats=("csv", "npz"))
+            oracle_write_npz_tables(store, tmp_path / "oracle.npz")
+            assert (target / "store.npz").read_bytes() == (tmp_path / "oracle.npz").read_bytes(), store.run_id
+
+    def test_npz_reads_back_as_its_csvs(self, oracle_stores, tmp_path):
+        for store in oracle_stores:
+            target = write_store(store, tmp_path, formats=("csv", "npz"))
+            assert_same_store(read_store(target, "npz"), read_store(target, "csv"))
 
     @pytest.mark.parametrize("fmt", ["csv", "npz"])
     def test_read_back(self, oracle_stores, tmp_path, fmt):
@@ -346,3 +433,147 @@ class TestMalformedStores:
     def test_non_finite_value_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             read_store(self.write(tmp_path, "tech,n,value\na,N1,inf\n"))
+
+
+class TestEarlierNpzLayout:
+    """A ``store.npz`` with one label row per record, as written before the
+    label-table layout (``oracle_write_npz``), is not read; its run's CSVs
+    hold the same store."""
+
+    def test_read_store_names_the_file(self, oracle_stores, tmp_path):
+        target = write_store(oracle_stores[0], tmp_path, formats=("csv",))
+        oracle_write_npz(oracle_stores[0], target / "store.npz")
+        with pytest.raises(ValueError, match=re.escape(str(target / "store.npz")) + ".*CSVs beside it"):
+            read_store(target, "npz")
+
+    def test_report_reads_such_a_run_from_its_csvs(self, merit_results, tmp_path, caplog):
+        _, _, results = merit_results
+        for store in extract_symbols(results, REPORTING):
+            write_store(store, tmp_path / "results", formats=("csv", "npz"))
+        report_project(tmp_path)
+        from_npz = tree_bytes(tmp_path / "report")
+        earlier = tmp_path / "results" / "S0" / "store.npz"
+        oracle_write_npz(read_store(earlier.parent), earlier)
+        with caplog.at_level("WARNING"):
+            report_project(tmp_path)
+        assert tree_bytes(tmp_path / "report") == from_npz
+        assert any(str(earlier) in message for message in caplog.messages)
+        for path in (tmp_path / "results").rglob("store.npz"):
+            path.unlink()
+        report_project(tmp_path)
+        assert tree_bytes(tmp_path / "report") == from_npz
+
+
+# Characters a label or dimension name cannot hold in a CSV store: the field
+# separator, what ``str.splitlines`` breaks lines at, and NUL (numpy's str
+# arrays drop trailing NULs).
+_NOT_IN_CSV = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x00"
+LABELS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_NOT_IN_CSV), max_size=90)
+# Table sizes at the code dtypes' edges (uint8 holds codes up to 255).
+EDGES = [127, 128, 255, 256, 257, 32767, 32768]
+
+
+@st.composite
+def symbols(draw, name):
+    arity = draw(st.integers(0, 3))
+    dims = tuple(draw(st.lists(LABELS, min_size=arity, max_size=arity)))
+    kind, unit = draw(st.sampled_from([LEVEL, MARGINAL, PARAMETER])), draw(LABELS)
+    if arity and draw(st.booleans()):  # one dimension with a table at a dtype edge
+        d, size, other = draw(st.integers(0, arity - 1)), draw(st.sampled_from(EDGES)), draw(LABELS)
+        keys = [tuple(f"{other}{i:05d}" if e == d else other for e in range(arity)) for i in range(size)]
+        values = np.random.default_rng(size).standard_normal(size) * 1e3
+        return Symbol(name, kind, dims, dict(zip(keys, values.tolist())), unit=unit)
+    pools = [draw(st.lists(LABELS, min_size=1, max_size=5, unique=True)) for _ in range(arity)]
+    keys = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), unique=True, max_size=12 if arity else 1))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(keys), max_size=len(keys)))
+    return Symbol(name, kind, dims, dict(zip(keys, values)), unit=unit)
+
+
+@st.composite
+def stores(draw):
+    names = draw(st.lists(st.sampled_from(["G", "N", "BAL", "d", "Zü", "x_λ"]), max_size=4, unique=True))
+    meta = {"run_id": "S0", "objective": draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))}
+    return SymbolStore("S0", {name: draw(symbols(name)) for name in names}, meta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(store=stores())
+def test_npz_round_trip_equals_the_csv_read(store, tmp_path_factory):
+    target = write_store(store, tmp_path_factory.mktemp("store"), formats=("csv", "npz"))
+    back = read_store(target, "npz")
+    assert_same_store(back, read_store(target, "csv"))
+    for name, sym in store.symbols.items():
+        assert list(back.symbols[name].records.items()) == sorted(sym.records.items())
+
+
+@pytest.mark.parametrize("size", [*EDGES, 65536, 65537])
+def test_tables_at_dtype_edges_round_trip(size, tmp_path):
+    keys = [(f"h{i:05d}", "DE") for i in range(size)]
+    sym = Symbol("G", "level", ("h", "n"), dict(zip(keys, np.linspace(-1.0, 1.0, size).tolist())))
+    target = write_store(SymbolStore("S0", {"G": sym}, {"run_id": "S0"}), tmp_path, formats=("csv", "npz"))
+    with zipfile.ZipFile(target / "store.npz") as zf:
+        codes = np.lib.format.read_array(zf.open("G/codes.npy"))
+    assert codes.dtype == (np.uint8 if size <= 256 else np.uint16 if size <= 65536 else np.uint32)
+    assert_same_store(read_store(target, "npz"), read_store(target, "csv"))
+
+
+class TestMalformedNpz:
+    """The reader checks a ``store.npz`` as outside input."""
+
+    @pytest.fixture
+    def target(self, tmp_path):
+        sym = Symbol("G", "level", ("tech", "h"), {("gas", "h1"): 1.0, ("gas", "h2"): 2.0, ("wind", "h1"): 3.0})
+        return write_store(SymbolStore("S0", {"G": sym}, {"run_id": "S0"}), tmp_path, ("csv", "npz"))
+
+    def tamper(self, target, edit=lambda header: None, **arrays):
+        """Rewrite the store's ``store.npz`` with its header edited in place
+        by ``edit`` and the given members (``G_codes`` for ``G/codes.npy``)
+        replaced."""
+        path = target / "store.npz"
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        header = json.loads(members["store.json"])
+        edit(header)
+        members["store.json"] = json.dumps(header).encode()
+        for key, array in arrays.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, array)
+            members[key.replace("_", "/") + ".npy"] = buf.getvalue()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+
+    def test_the_fixture_reads(self, target):
+        self.tamper(target)
+        assert_same_store(read_store(target, "npz"), read_store(target, "csv"))
+
+    def test_unsorted_table_rejected(self, target):
+        self.tamper(target, lambda header: header["tables"][0].reverse())
+        with pytest.raises(ValueError, match="not sorted and unique"):
+            read_store(target, "npz")
+
+    def test_repeated_table_label_rejected(self, target):
+        self.tamper(target, lambda header: header["tables"][0].append(header["tables"][0][-1]))
+        with pytest.raises(ValueError, match="not sorted and unique"):
+            read_store(target, "npz")
+
+    @pytest.mark.parametrize(
+        "codes",
+        [np.array([[0, 0], [0, 1], [2, 0]], np.uint8), np.array([[0, 0], [0, -1], [1, 0]], np.int8),
+         np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.array([0, 1, 2], np.uint8)],
+        ids=["past the table", "negative", "float", "one column"],
+    )
+    def test_codes_that_do_not_index_the_tables_rejected(self, target, codes):
+        self.tamper(target, G_codes=codes)
+        with pytest.raises(ValueError, match="do not index its tables"):
+            read_store(target, "npz")
+
+    def test_repeated_key_rejected(self, target):
+        self.tamper(target, G_codes=np.array([[0, 0], [0, 1], [0, 1]], np.uint8))
+        with pytest.raises(ValueError, match="stored twice"):
+            read_store(target, "npz")
+
+    def test_values_of_another_length_rejected(self, target):
+        self.tamper(target, G_values=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="keys of arity"):
+            read_store(target, "npz")
