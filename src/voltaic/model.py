@@ -190,14 +190,16 @@ class LinearProgram:
     """A compiled optimization problem with a name/domain registry.
 
     Columns and rows live in :class:`Family` blocks; coefficients are stored
-    as sparse (row, col, value) triplets. A built program's arrays are never
-    written in place: a program that differs in a vector (:data:`VECTORS`)
-    holds its own copy of that vector and shares every other array with the
-    program it was made from (:meth:`replace`), so a build is the one full
-    copy of its program however many instances, snapshots and dispatch-only
-    variants are made from it. What is derived from the arrays a build fixes
-    (the senses and the matrix pattern), such as the solver's cell index, is
-    kept in ``_derived``, which those programs share too.
+    as sparse (row, col, value) triplets, one per (row, col) cell: the
+    solvers and the MPS writer reject a cell stored twice. A built
+    program's arrays are never written in place: a program that differs in
+    a vector (:data:`VECTORS`) holds its own copy of that vector and shares
+    every other array with the program it was made from (:meth:`replace`),
+    so a build is the one full copy of its program however many instances,
+    snapshots and dispatch-only variants are made from it. What is derived
+    from the arrays a build fixes (the senses and the matrix pattern), such
+    as the solver's cell index, is kept in ``_derived``, which those
+    programs share too.
     """
 
     def __init__(self):

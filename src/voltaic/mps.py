@@ -45,7 +45,8 @@ def write_mps(lp, target, name: str = "VOLTAIC") -> dict[str, dict[str, str]]:
 
     Returns ``{"rows": {...}, "cols": {...}}`` mapping registry labels to
     the 8-character file names. Raises ``ValueError`` on non-finite
-    right-hand sides, which fixed MPS cannot represent.
+    right-hand sides, which fixed MPS cannot represent, and on a matrix cell
+    stored as more than one entry.
     """
     if np.any(~np.isfinite(lp.rhs)):
         raise ValueError("cannot export rows with non-finite right-hand sides")
@@ -57,13 +58,11 @@ def write_mps(lp, target, name: str = "VOLTAIC") -> dict[str, dict[str, str]]:
     for i in range(lp.n_rows):
         lines.append(_entry(lp.sense[i], row_names[i]))
 
-    # Each cell is its entries summed as the HiGHS model sums them; the
-    # nonzero cells are written, each column's in row order.
-    cells = _cell_index(lp)
-    first = cells.order[cells.start[:-1]]  # each cell's first entry
-    value = cells.sums(lp.a_vals, np.arange(len(first)))
-    kept = value != 0.0
-    rows, cols, value = lp.a_rows[first][kept], lp.a_cols[first][kept], value[kept]
+    # A program stores each cell as one entry (a repeated cell raises); the
+    # nonzero entries are written, each column's in row order.
+    _cell_index(lp)
+    kept = lp.a_vals != 0.0
+    rows, cols, value = lp.a_rows[kept], lp.a_cols[kept], lp.a_vals[kept]
     order = np.lexsort((rows, cols))
     named = [(row_names[r], v) for r, v in zip(rows[order].tolist(), value[order].tolist())]
     start = np.searchsorted(cols[order], np.arange(lp.n_cols + 1)).tolist()
@@ -132,7 +131,9 @@ class MpsProblem:
 
 
 def read_mps(source) -> MpsProblem:
-    """Parse an MPS file (fixed or free field spacing) into arrays."""
+    """Parse an MPS file (fixed or free field spacing) into arrays. Raises
+    ValueError naming the line where COLUMNS gives a (row, column) cell a
+    second entry."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -148,9 +149,9 @@ def read_mps(source) -> MpsProblem:
     rhs: dict[int, float] = {}
     lo: dict[int, float] = {}
     hi: dict[int, float] = {}
-    triplets: list[tuple[int, int, float]] = []
+    entries: dict[tuple[int, int], float] = {}  # one per (row, column) cell
 
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         if raw[0] not in " \t":
@@ -183,8 +184,10 @@ def read_mps(source) -> MpsProblem:
                 v = float(value)
                 if row_name == objective_row:
                     obj[j] = obj.get(j, 0.0) + v
+                elif (row_index[row_name], j) in entries:
+                    raise ValueError(f"line {number}: column {col_name!r} has a second entry in row {row_name!r}")
                 else:
-                    triplets.append((row_index[row_name], j, v))
+                    entries[row_index[row_name], j] = v
         elif section == "RHS":
             for row_name, value in zip(fields[1::2], fields[2::2]):
                 if row_name == objective_row:
@@ -234,7 +237,7 @@ def read_mps(source) -> MpsProblem:
 
     problem.rhs, problem.obj = filled(n_rows, 0.0, rhs), filled(n_cols, 0.0, obj)
     problem.lo, problem.hi = filled(n_cols, 0.0, lo), filled(n_cols, math.inf, hi)
-    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    rows, cols = zip(*entries) if entries else ((), ())
     problem.a_rows, problem.a_cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    problem.a_vals = np.array(vals, dtype=float)
+    problem.a_vals = np.array(list(entries.values()), dtype=float)
     return problem

@@ -564,11 +564,12 @@ def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[i
 
     A row is the vector of its relative changes ``(v - base) / max(1,
     |base|)`` at every position (cost, bound, rhs or matrix cell) any row
-    changes. The rows form a Prim minimum spanning tree under the L2
-    distance, rooted at the base (the zero vector); ties go to the lower
-    row index, and the base wins a tie for parent. Returns the rows in
-    depth-first order, each node's children by distance and then index,
-    and each row's parent (None for the base).
+    changes; a cell's base is its one entry's value (see
+    :func:`solver._cell_index`), 0 where it has none. The rows form a Prim
+    minimum spanning tree under the L2 distance, rooted at the base (the
+    zero vector); ties go to the lower row index, and the base wins a tie
+    for parent. Returns the rows in depth-first order, each node's children
+    by distance and then index, and each row's parent (None for the base).
     """
     changes = [
         {(_FIELDS[d.kind], -1 if d.row is None else d.row, -1 if d.col is None else d.col): d.value
@@ -582,10 +583,9 @@ def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[i
         base[field_ == k] = values[col[field_ == k]]
     base[field_ == 3] = lp.rhs[row[field_ == 3]]
     cells = np.flatnonzero(field_ == 4)
-    if cells.size:  # a cell's value is the sum of its entries, in entry order; 0 off the pattern
-        index = _cell_index(lp)
-        at = index.find(lp, row[cells], col[cells])
-        base[cells[at >= 0]] = index.sums(lp.a_vals, at[at >= 0])
+    if cells.size:  # a cell's value is its one entry's; 0 off the pattern
+        at = _cell_index(lp).find(lp, row[cells], col[cells])
+        base[cells[at >= 0]] = lp.a_vals[at[at >= 0]]
 
     column = {p: k for k, p in enumerate(positions)}
     n = len(rows)

@@ -54,8 +54,13 @@ def solve_dense(lp: LpLike) -> Solution:
     kept_rows = np.nonzero(keep)[0]
     m, n = len(kept_rows), lp.n_cols
 
+    cells = np.sort(lp.a_rows.astype(np.int64) * n + lp.a_cols)
+    repeated = cells[:-1][cells[1:] == cells[:-1]]
+    if repeated.size:
+        raise ValueError(f"matrix cell (row {repeated[0] // n}, column {repeated[0] % n}) "
+                         "is stored as more than one entry")
     dense_full = np.zeros((lp.n_rows, n))
-    np.add.at(dense_full, (lp.a_rows, lp.a_cols), lp.a_vals)
+    dense_full[lp.a_rows, lp.a_cols] = lp.a_vals
     dense = dense_full[kept_rows]
     row_rhs = lp.rhs[kept_rows]
     row_sense = lp.sense[kept_rows]

@@ -8,11 +8,12 @@ independent cross-check on small instances).
 
 Every HiGHS solve, cold or warm, passes one model in ``linprog``'s row
 layout, its matrix built column-wise in numpy, to a handle of scipy's HiGHS
-object, and one reader maps the result back to program rows. Which entries
-make up each matrix cell, in what order they are summed and where the cell
-sits in that column-wise layout is held in one place: the build's cell
-index (:func:`_cell_index`), which the model matrix, coefficient deltas,
-warm updates and the sweep planner all read. The binding is
+object, and one reader maps the result back to program rows. A program
+stores each matrix cell as one entry. Where each cell's entry is, and where
+it sits in that column-wise layout, is held in one place: the build's cell
+index (:func:`_cell_index`), which rejects a cell stored twice and which
+the model matrix, coefficient deltas, warm updates and the sweep planner
+all read. The binding is
 loaded from its extension file (:func:`_highs_core`), so neither
 ``scipy.optimize`` nor ``scipy.sparse`` is imported on this path;
 ``scipy.optimize.linprog`` on the same layout, which it matches bit for
@@ -129,8 +130,9 @@ def _trivial_solution(lp: LpLike) -> Solution | None:
 
 
 def matrix(lp: LpLike):
-    """Assemble the sparse constraint matrix as a scipy CSR matrix
-    (duplicate cells are summed)."""
+    """Assemble the sparse constraint matrix as a scipy CSR matrix, one
+    stored element per entry: a program stores each cell as one entry (see
+    :func:`_cell_index`)."""
     import scipy.sparse as sp
 
     return sp.coo_matrix(
@@ -203,72 +205,49 @@ def classify_rows(lp: LpLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]
 
 
 class _Cells(NamedTuple):
-    """Where each matrix cell's entries are: the one map from cells to
-    entries, made once per build (see :func:`_cell_index`).
+    """Where each matrix cell's entry is: the one map from cells to entries,
+    made once per build (see :func:`_cell_index`). A program stores each
+    (row, column) cell as one entry, so the cells are the entries.
 
     ``order`` lists the entries by column, then row class (``<=``, ``>=``,
-    ``=``: the HiGHS model's row order), then row, then entry; cell ``c``'s
-    entries are ``order[start[c]:start[c + 1]]``, and ``rank`` is each
+    ``=``: the HiGHS model's row order), then row, and ``rank`` is each
     program row's place in class order. The senses and the matrix pattern
     are fixed at build, so the rhs plays no part: dropping vacuous rows
-    never reorders the rest. The arrays held are int32; ``starts`` is held
-    only where some cell has several entries (``build_model`` stores one
-    per cell)."""
+    never reorders the rest. Both arrays are int32."""
 
     order: np.ndarray
     rank: np.ndarray
-    starts: np.ndarray | None
-
-    @property
-    def start(self) -> np.ndarray:
-        """Where each cell's entries start in ``order``, then where the last ends."""
-        return np.arange(len(self.order) + 1) if self.starts is None else self.starts
 
     def find(self, lp: LpLike, rows, cols) -> np.ndarray:
-        """The cells at program ``rows`` and ``cols``, -1 where the matrix
+        """The entries at program ``rows`` and ``cols``, -1 where the matrix
         has no entry or there is no such row or column. Each call computes
         every cell's key, so callers look up their targets in one batch."""
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         ok = (0 <= rows) & (rows < lp.n_rows) & (0 <= cols) & (cols < lp.n_cols)
         want = np.full(len(rows), -1)
         want[ok] = cols[ok] * lp.n_rows + self.rank[rows[ok]]
-        first = self.order[self.start[:-1]]  # each cell's first entry
-        keys = lp.a_cols[first].astype(np.int64) * lp.n_rows + self.rank[lp.a_rows[first]]  # ascending
+        keys = lp.a_cols[self.order].astype(np.int64) * lp.n_rows + self.rank[lp.a_rows[self.order]]  # ascending
         at = np.searchsorted(keys, want)
-        return np.where(ok & (np.append(keys, -1)[at] == want), at, -1)
-
-    def entries(self, lp: LpLike, targets) -> list[np.ndarray | None]:
-        """Each (row, col) target cell's entries in entry order, None where
-        it has none (a row or column may be None)."""
-        at = self.find(lp, *np.array([[-1 if i is None else i for i in t] for t in targets]).reshape(-1, 2).T)
-        start = self.start
-        return [None if c < 0 else self.order[start[c]:start[c + 1]] for c in at.tolist()]
-
-    def sums(self, values: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """The value of each of ``cells``: its entries' ``values`` summed in
-        entry order, as a cold solve passes it."""
-        start = self.start
-        first, count = start[cells], start[cells + 1] - start[cells]
-        total = values[self.order[first]]
-        for j in range(1, int(count.max(initial=1))):  # a cell's further entries
-            more = count > j
-            total[more] += values[self.order[first[more] + j]]
-        return total
+        return np.where(ok & (np.append(keys, -1)[at] == want), np.append(self.order, -1)[at], -1)
 
 
 def _cell_index(lp: LpLike) -> _Cells:
     """``lp``'s :class:`_Cells`, made on first use and kept in its
     ``_derived`` store, which every program made from the same build shares
-    (a program without that store gets a fresh index)."""
+    (a program without that store gets a fresh index). Raises ValueError
+    naming the first cell, in index order, stored as more than one entry."""
     derived = getattr(lp, "_derived", {})
     if "cells" not in derived:
         # A permutation's argsort is its inverse: each row's place in class order.
         rank = np.argsort(np.concatenate([np.flatnonzero(lp.sense == s) for s in "LGE"])).astype(np.int32)
         key = lp.a_cols.astype(np.int64) * lp.n_rows + rank[lp.a_rows]
         order = np.argsort(key, kind="stable")
-        start = np.flatnonzero(np.diff(key[order], prepend=-1))  # one per cell
-        starts = None if len(start) == len(order) else np.append(start, len(order)).astype(np.int32)
-        derived["cells"] = _Cells(order.astype(np.int32), rank, starts)
+        repeated = np.flatnonzero(np.diff(key[order]) == 0)
+        if repeated.size:
+            entry = order[repeated[0]]
+            raise ValueError(f"matrix cell (row {lp.a_rows[entry]}, column {lp.a_cols[entry]}) "
+                             "is stored as more than one entry")
+        derived["cells"] = _Cells(order.astype(np.int32), rank)
     return derived["cells"]
 
 
@@ -281,15 +260,15 @@ class _HighsModel:
     ``=`` rows. Vacuous rows are left out. The matrix is held column-wise,
     in :func:`_cell_index` order: column ``j``'s entries are
     ``start[j]:start[j + 1]`` of ``index`` (model rows, ascending) and
-    ``value``, one entry per stored cell, zeros kept. A cold solve drops the
-    matrix once HiGHS has copied it."""
+    ``value``, the program's entries, one per cell, zeros kept. A handle
+    drops the matrix once HiGHS has copied it (see :func:`_open_handle`)."""
 
     rows: np.ndarray
     sign: np.ndarray
     n_ub: int
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
+    start: np.ndarray | None
+    index: np.ndarray | None
+    value: np.ndarray | None
     method: str
 
     def bounds(self, k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,12 +289,11 @@ def _highs_model(lp: LpLike) -> _HighsModel | None:
     sign[n_le:n_ub] = -1
     position = np.full(lp.n_rows, -1, dtype=np.int32)
     position[rows] = np.arange(len(rows))
-    cells = _cell_index(lp)
-    first = cells.order[cells.start[:-1]]  # each cell's first entry
-    kept = np.flatnonzero(position[lp.a_rows[first]] >= 0)  # the cells of vacuous rows are left out
-    index = position[lp.a_rows[first[kept]]]
-    value = cells.sums(lp.a_vals, kept) * sign[index]
-    start = np.r_[0, np.cumsum(np.bincount(lp.a_cols[first[kept]], minlength=lp.n_cols))].astype(np.int32)
+    order = _cell_index(lp).order
+    kept = order[position[lp.a_rows[order]] >= 0]  # the entries of vacuous rows are left out
+    index = position[lp.a_rows[kept]]
+    value = lp.a_vals[kept] * sign[index]
+    start = np.r_[0, np.cumsum(np.bincount(lp.a_cols[kept], minlength=lp.n_cols))].astype(np.int32)
     method = "ipm" if lp.n_rows + lp.n_cols > _IPM_THRESHOLD else "simplex"
     return _HighsModel(rows, sign, n_ub, start, index, value, method)
 
@@ -348,7 +326,8 @@ def _optimal(lp: LpLike, model: _HighsModel, objective, primal, row_dual, lower,
 
 def _open_handle(core, lp: LpLike, model: _HighsModel):
     """A new HiGHS handle holding ``model`` with ``linprog``'s options; None
-    if HiGHS rejects the model."""
+    if HiGHS rejects the model. ``model`` then drops its matrix: HiGHS holds
+    its own copy."""
     highs = core._Highs()
     for option, value in (("output_flag", False), ("presolve", "on"), ("solver", model.method),
                           ("simplex_strategy", 1)):  # 1: dual simplex
@@ -361,7 +340,9 @@ def _open_handle(core, lp: LpLike, model: _HighsModel):
     m = hlp.a_matrix_
     m.format_, m.num_col_, m.num_row_ = core.MatrixFormat.kColwise, lp.n_cols, n_rows
     m.start_, m.index_, m.value_ = model.start, model.index, model.value
-    return None if highs.passModel(hlp) == core.HighsStatus.kError else highs
+    status = highs.passModel(hlp)
+    model.start = model.index = model.value = None
+    return None if status == core.HighsStatus.kError else highs
 
 
 def _run(core, highs, lp: LpLike, model: _HighsModel) -> Solution:
@@ -421,7 +402,6 @@ def _solve_highs(lp: LpLike) -> Solution:
         highs = _open_handle(core, lp, model)
         if highs is None:
             return Solution(INFEASIBLE)
-        model.start = model.index = model.value = None  # HiGHS holds its own copy
         return _run(core, highs, lp, model)
     except (ImportError, *_BINDING_ERRORS):
         return _solve_linprog(lp, _highs_model(lp))
@@ -545,30 +525,29 @@ class _WarmStart:
             return None
         if isinstance(start, tuple):
             start = _basis(self.core, start)
-        base, cells = self.base, _cell_index(self.base)
-        # Only the cells of changed entries are summed, each as a cold solve
-        # sums it, and pushed where the sum moved, in model matrix order.
+        base = self.base
+        # The changed entries, one per cell, are pushed in model matrix order.
         changed = np.flatnonzero(lp.a_vals != base.a_vals)
-        at, one = np.unique(cells.find(base, base.a_rows[changed], base.a_cols[changed]), return_index=True)
-        k, cols = cells.rank[base.a_rows[changed[one]]], base.a_cols[changed[one]]
-        values, before = (cells.sums(v, at) * self.model.sign[k] for v in (lp.a_vals, base.a_vals))
-        moved = values != before
+        k, cols = _cell_index(base).rank[base.a_rows[changed]], base.a_cols[changed]
+        in_order = np.lexsort((k, cols))
+        k, cols, changed = k[in_order], cols[in_order], changed[in_order]
+        values, before = (v[changed] * self.model.sign[k] for v in (lp.a_vals, base.a_vals))
         diff = (
             np.flatnonzero(lp.obj != base.obj).astype(np.int32),
             np.flatnonzero((lp.lo != base.lo) | (lp.hi != base.hi)).astype(np.int32),
             np.flatnonzero(lp.rhs != base.rhs),
-            (k[moved], cols[moved]),
+            (k, cols),
         )
         highs = self.highs
         try:
-            self._load(diff, lp, values[moved])
+            self._load(diff, lp, values)
             highs.clearSolver()
             highs.setBasis(self.basis if start is None else start)
             sol = _run(self.core, highs, lp, self.model)
             if sol.is_optimal:
                 self.solved = highs.getBasis()
         finally:
-            self._load(diff, base, before[moved])
+            self._load(diff, base, before)
         return sol if sol.is_optimal else None
 
 
@@ -608,17 +587,12 @@ class ModelInstance:
         for name in self._written():
             setattr(self.lp, name, getattr(self._base, name))
 
-    def _entries(self, row, col) -> np.ndarray | None:
-        """The entries of matrix cell (row, col) in entry order, None if it
-        has none."""
-        return _cell_index(self.lp).entries(self.lp, [(row, col)])[0]
-
     def apply(self, deltas: Iterable[Delta]) -> None:
         """Apply updates to the overlay, validating every target first."""
         deltas = list(deltas)
         lp = self.lp
-        coefs = [(d.row, d.col) for d in deltas if d.kind == "coef"]
-        coef_entries = _cell_index(lp).entries(lp, coefs) if coefs else []
+        coefs = [(-1 if d.row is None else d.row, -1 if d.col is None else d.col) for d in deltas if d.kind == "coef"]
+        coef_entries = _cell_index(lp).find(lp, *np.reshape(coefs, (-1, 2)).T).tolist() if coefs else []
         found = iter(coef_entries)
         for d in deltas:
             if d.kind in ("obj", "lo", "up"):
@@ -628,7 +602,7 @@ class ModelInstance:
                 if d.row is None or not 0 <= d.row < lp.n_rows:
                     raise KeyError(f"delta targets unknown row {d.row}")
             elif d.kind == "coef":
-                if next(found) is None:
+                if next(found) < 0:
                     raise KeyError(f"delta targets unknown coefficient ({d.row}, {d.col})")
             else:
                 raise ValueError(f"unknown delta kind {d.kind!r}")
@@ -647,9 +621,7 @@ class ModelInstance:
             elif d.kind == "rhs":
                 self._vector("rhs")[d.row] = d.value
             elif d.kind == "coef":
-                entries, a_vals = next(coef_entries), self._vector("a_vals")
-                a_vals[entries[0]] = d.value
-                a_vals[entries[1:]] = 0.0
+                self._vector("a_vals")[next(coef_entries)] = d.value
         for col in touched_cols:
             if lp.lo[col] > lp.hi[col]:
                 raise ValueError(
@@ -680,6 +652,10 @@ class ModelInstance:
 
     def _open(self, statuses=None) -> _WarmStart | None:
         if self._warm is _UNOPENED:
+            if self.backend == "highs":
+                # A repeated cell raises here: the handler below would take
+                # its ValueError for a binding's and drop the handle.
+                _cell_index(self._base)
             try:
                 self._warm = _WarmStart.open(self, statuses) if self.backend == "highs" else None
             except (ImportError, *_BINDING_ERRORS):

@@ -100,27 +100,29 @@ def _raw(rows, cols, vals):
     return Raw()
 
 
-def test_cells_are_written_as_their_entries_summed():
-    """A cell is written when its entries' sum is nonzero, each column's cells
-    in row order: a cell stored as [1, -1] and one stored as [0] are left
-    out, and a split entry is written as one sum, so the file equals the one
-    written from a program holding the summed matrix."""
-    stored = _raw(
-        [1, 0, 1, 2, 1, 0, 2, 0],
-        [0, 2, 0, 1, 2, 0, 0, 2],
-        [1.0, 2.5, -1.0, 0.0, 4.0, 1.0, -1.0, 0.5],
-    )
-    summed = _raw([0, 2, 0, 1], [0, 0, 2, 2], [1.0, -1.0, 3.0, 4.0])
-    written, reference = io.StringIO(), io.StringIO()
-    write_mps(stored, written)
-    write_mps(summed, reference)
-    assert written.getvalue() == reference.getvalue()
+def test_nonzero_entries_are_written_each_column_in_row_order():
+    """Each column's nonzero entries are written in row order, not in the
+    HiGHS model's class order; zero entries are left out."""
+    written = io.StringIO()
+    write_mps(_raw([2, 1, 0, 2, 1, 0], [0, 1, 2, 2, 2, 0], [-1.0, 0.0, 3.0, 0.5, 4.0, 1.0]), written)
     columns = written.getvalue().split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()
     assert [line.split()[1:] for line in columns] == [
         ["COST", "1"], ["R0000001", "1"], ["R0000003", "-1"],
-        ["COST", "0"],  # every cell of the column sums to zero
-        ["COST", "2"], ["R0000001", "3"], ["R0000002", "4"],  # row order, not the model's class order
+        ["COST", "0"],  # the column's one entry is zero
+        ["COST", "2"], ["R0000001", "3"], ["R0000002", "4"], ["R0000003", "0.5"],
     ]
+
+
+def test_a_cell_stored_twice_is_not_written():
+    with pytest.raises(ValueError, match=r"matrix cell \(row 1, column 2\)"):
+        write_mps(_raw([1, 0, 1], [2, 0, 2], [1.0, 2.0, -1.0]), io.StringIO())
+
+
+def test_a_cell_given_twice_is_not_read():
+    text = ("NAME\nROWS\n N  COST\n L  R1\n L  R2\nCOLUMNS\n    C1  R1  1.0  R2  2.0\n"
+            "    C2  R1  1.0\n    C1  R2  3.0\nRHS\n    RHS  R1  1\nENDATA\n")
+    with pytest.raises(ValueError, match="line 9: column 'C1' has a second entry in row 'R2'"):
+        read_mps(io.StringIO(text))
 
 
 def test_infinite_rhs_rejected():

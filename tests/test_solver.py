@@ -241,7 +241,7 @@ class TestProgramSharing:
         inst = compile_instance(lp)
         row, col = lp.row_index("BAL", ("DE", "h1")), lp.col_index("F", ("DE-FR", "h1"))
         inst.apply([Delta("coef", row=row, col=col, value=-0.5)])
-        [entry] = inst._entries(row, col)
+        [entry] = solver._cell_index(lp).find(lp, [row], [col])
         assert inst.lp.a_vals[entry] == -0.5 and lp.a_vals[entry] == before["a_vals"][entry]
         assert not np.shares_memory(inst.lp.a_vals, lp.a_vals)
         for name in ("obj", "lo", "hi", "rhs", "sense", "a_rows", "a_cols"):
@@ -278,7 +278,7 @@ class TestProgramSharing:
 
     def test_one_cell_index_per_build_never_pickled(self, lp):
         index = solver._cell_index(lp)
-        assert index.order.dtype == index.rank.dtype == np.int32 and index.starts is None
+        assert index._fields == ("order", "rank") and index.order.dtype == index.rank.dtype == np.int32
         inst = compile_instance(lp)
         row, col = lp.row_index("BAL", ("DE", "h1")), lp.col_index("F", ("DE-FR", "h1"))
         inst.apply([Delta("coef", row=row, col=col, value=-0.5)])
@@ -292,14 +292,13 @@ class TestProgramSharing:
 
 def _wide_program():
     """A program whose cell ids (col * n_rows + row) pass 2**31: 60,000 rows
-    by 60,000 columns, a few entries in the first and last columns and rows,
-    one cell stored as two entries."""
+    by 60,000 columns, a few entries in the first and last columns and rows."""
     n = 60_000
     lp = LinearProgram()
     lp.n_rows = lp.n_cols = n
     lp.obj, lp.lo, lp.hi = np.zeros(n), np.zeros(n), np.full(n, np.inf)
     lp.rhs, lp.sense = np.ones(n), np.full(n, "E", dtype="<U1")
-    cells = [(n - 1, n - 1), (0, n - 1), (n - 1, 0), (5, 40_000), (n - 2, 35_792), (5, 40_000), (0, 0)]
+    cells = [(n - 1, n - 1), (0, n - 1), (n - 1, 0), (5, 40_000), (n - 2, 35_792), (0, 0)]
     lp.a_rows = np.array([r for r, _ in cells], dtype=np.int32)
     lp.a_cols = np.array([c for _, c in cells], dtype=np.int32)
     lp.a_vals = np.arange(1.0, len(cells) + 1.0)
@@ -311,22 +310,79 @@ class TestCellsPastInt32:
         lp, cells = _wide_program()
         assert lp.n_rows * lp.n_cols > 2**31
         model = _highs_model(lp)
-        summed = {}
-        for (r, c), v in zip(cells, lp.a_vals):
-            summed[c, r] = summed.get((c, r), 0.0) + v
-        expected = sorted(summed.items())
+        expected = sorted((c, r, v) for (r, c), v in zip(cells, lp.a_vals.tolist()))
         got = [(col, int(model.index[p]), float(model.value[p]))
                for col in range(lp.n_cols) if model.start[col] < model.start[col + 1]
                for p in range(model.start[col], model.start[col + 1])]
-        assert got == [(c, r, v) for (c, r), v in expected]
+        assert got == expected
         assert model.start[-1] == len(expected)
 
     def test_instance_entries_find_each_cell(self):
         lp, cells = _wide_program()
+        rows, cols = np.array(cells).T
+        assert solver._cell_index(lp).find(lp, rows, cols).tolist() == list(range(len(cells)))
+        assert solver._cell_index(lp).find(lp, [1], [lp.n_cols - 1]).tolist() == [-1]
+
+
+def _cells_stored_twice():
+    """``_mixed_rows`` with two cells stored again: (2, 1), then (0, 0), which
+    comes first in index order (column 0; rows in class order 1, 0, 2)."""
+    lp = _as_program(_mixed_rows())
+    lp.a_rows = np.append(lp.a_rows, [2, 0])
+    lp.a_cols = np.append(lp.a_cols, [1, 0])
+    lp.a_vals = np.append(lp.a_vals, [0.5, 0.5])
+    return lp
+
+
+class TestOneEntryPerCell:
+    """A program stores each (row, column) cell as one entry; every path that
+    reads the matrix rejects a cell stored twice, naming it."""
+
+    CELL = r"matrix cell \(row 0, column 0\) is stored as more than one entry"
+
+    def test_the_cell_index_names_the_first_repeated_cell(self):
+        with pytest.raises(ValueError, match=self.CELL):
+            solver._cell_index(_cells_stored_twice())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_solve(self, backend):
+        with pytest.raises(ValueError, match=self.CELL):
+            solve(_cells_stored_twice(), backend)
+
+    def test_opening_a_handle(self):
+        with pytest.raises(ValueError, match=self.CELL):
+            compile_instance(_cells_stored_twice()).open()
+
+    def test_a_coef_delta(self):
+        inst = compile_instance(_cells_stored_twice())
+        with pytest.raises(ValueError, match=self.CELL):
+            inst.apply([Delta("coef", row=2, col=0, value=1.0)])
+
+    def test_the_sweep_planner(self):
+        with pytest.raises(ValueError, match=self.CELL):
+            scenarios._tree(_cells_stored_twice(), [[Delta("coef", row=2, col=1, value=1.0)]])
+
+    def test_a_coef_delta_writes_its_one_entry(self, two_node_toy):
+        lp = build_model(*two_node_toy)
         inst = compile_instance(lp)
-        for r, c in set(cells):
-            assert inst._entries(r, c).tolist() == [k for k, cell in enumerate(cells) if cell == (r, c)]
-        assert inst._entries(1, lp.n_cols - 1) is None
+        row, col = lp.row_index("BAL", ("DE", "h1")), lp.col_index("F", ("DE-FR", "h1"))
+        inst.apply([Delta("coef", row=row, col=col, value=7.0)])
+        changed = np.flatnonzero(inst.lp.a_vals != lp.a_vals)
+        assert changed.tolist() == solver._cell_index(lp).find(lp, [row], [col]).tolist()
+        assert inst.lp.a_vals[changed].tolist() == [7.0]
+        with pytest.raises(KeyError):
+            inst.apply([Delta("coef", row=lp.n_rows, col=col, value=1.0)])
+
+    def test_an_open_handle_holds_no_matrix(self, two_node_toy):
+        pytest.importorskip(_CORE)
+        lp = build_model(*two_node_toy)
+        inst = compile_instance(lp)
+        statuses = inst.open()
+        seeded = compile_instance(lp)
+        seeded.open(statuses)
+        for warm in (inst._warm, seeded._warm):
+            assert warm.model.start is warm.model.index is warm.model.value is None
+        assert inst.resolve().is_optimal and inst.basis is not None
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -395,15 +451,6 @@ def test_determinism_bitwise(merit_toy):
 _CORE = "scipy.optimize._highspy._core"
 
 
-def _split_first_entry(lp):
-    """``lp`` with its first matrix cell stored as two half entries."""
-    lp.a_rows = np.append(lp.a_rows, lp.a_rows[0])
-    lp.a_cols = np.append(lp.a_cols, lp.a_cols[0])
-    lp.a_vals = np.append(lp.a_vals, 0.5 * lp.a_vals[0])
-    lp.a_vals[0] *= 0.5
-    return lp
-
-
 def _mixed_rows():
     """``<=``, ``>=`` and ``=`` rows with a bounded column; optimum (1.5, 1.5)."""
     return RawLp(
@@ -426,7 +473,6 @@ _RAW_PROGRAMS = {
         "infeasible",
     ),
     "unbounded": (lambda: RawLp([-1.0], [0.0], [np.inf], [([1.0], "G", 1.0)]), "unbounded"),
-    "split_cell": (lambda: _split_first_entry(_mixed_rows()), "optimal"),
 }
 
 
@@ -505,21 +551,17 @@ def _with_vacuous_rows(lp):
 
 
 def _with_explicit_zeros(lp):
-    """``lp`` with every fifth entry zero and its first cell split into a
-    value and a zero entry, as a coefficient delta leaves a split cell."""
-    lp = _split_first_entry(lp)
-    lp.a_vals[0] *= 2.0
-    lp.a_vals[-1] = 0.0
+    """``lp`` with every fifth entry zero, each still its cell's one entry,
+    as a coefficient delta to 0 leaves a cell."""
     lp.a_vals[1::5] = 0.0
     return lp
 
 
-def _three_entry_cell():
-    """A cell stored as three entries, out of order among the others."""
-    lp = _mixed_rows()
-    lp.a_rows = np.concatenate([[2, 0], lp.a_rows, [0]])
-    lp.a_cols = np.concatenate([[0, 1], lp.a_cols, [1]])
-    lp.a_vals = np.concatenate([[0.0, 0.25], lp.a_vals, [0.5]])
+def _shuffled_entries(lp):
+    """``lp`` with its entries in random order: the cell index, not the
+    entry order, decides where each one goes."""
+    order = np.random.default_rng(13).permutation(len(lp.a_vals))
+    lp.a_rows, lp.a_cols, lp.a_vals = lp.a_rows[order], lp.a_cols[order], lp.a_vals[order]
     return lp
 
 
@@ -543,15 +585,14 @@ def programs(tmp_path_factory):
                   for key in lp.var_families[family].keys()}
     out["dispatch_only"] = apply_dispatch_only(lp, capacities)
     out["vacuous_rows"] = _with_vacuous_rows(lp.copy())
-    out["split_entry"] = _split_first_entry(lp.copy())
     out["explicit_zeros"] = _with_explicit_zeros(lp.copy())
-    out["three_entry_cell"] = _as_program(_three_entry_cell())
+    out["shuffled_entries"] = _shuffled_entries(lp.copy())
     out["raw_vacuous_row"] = _as_program(_RAW_PROGRAMS["vacuous_row"][0]())
     return out
 
 
-_PROGRAMS = [*sorted(TEMPLATES), "dispatch_only", "vacuous_rows", "split_entry", "explicit_zeros",
-             "three_entry_cell", "raw_vacuous_row"]
+_PROGRAMS = [*sorted(TEMPLATES), "dispatch_only", "vacuous_rows", "explicit_zeros", "shuffled_entries",
+             "raw_vacuous_row"]
 
 
 def _scipy_highs_matrix(lp, model):
@@ -580,36 +621,23 @@ class TestHighsMatrix:
         model = _highs_model(lp)
         assert len(model.rows) < lp.n_rows and np.isfinite(lp.rhs[model.rows]).all()
 
-    def test_a_three_entry_cell_is_one_entry(self):
-        model = _highs_model(_three_entry_cell())
-        # Model rows: the <= row 1, the >= row 0 negated, the = row 2.
-        # Column 1 holds 1 + 0.25 + 0.5 in row 0.
-        assert model.value[model.start[1]:model.start[2]].tolist() == [-1.0, -1.75, 1.0]
-        assert model.index[model.start[1]:model.start[2]].tolist() == [0, 1, 2]
-
     @pytest.mark.parametrize("name", _PROGRAMS)
     def test_instance_entries_make_the_scipy_cells(self, programs, name):
         lp = programs[name]
         reference = matrix(lp).tocoo()
-        inst = compile_instance(lp)
-        value = dict(zip(zip(reference.row.tolist(), reference.col.tolist()), reference.data))
+        index = solver._cell_index(lp)
         picked = np.random.default_rng(7).permutation(reference.nnz)[:200]
-        multiple = np.flatnonzero(np.bincount(lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows) > 1)
-        cells = {*zip(reference.row[picked].tolist(), reference.col[picked].tolist()),
-                 *((int(c % lp.n_rows), int(c // lp.n_rows)) for c in multiple)}
-        for row, col in cells:
-            entries = inst._entries(row, col)
-            assert entries.tolist() == np.flatnonzero((lp.a_rows == row) & (lp.a_cols == col)).tolist()
-            total = lp.a_vals[entries[0]]
-            for entry in entries[1:]:
-                total = total + lp.a_vals[entry]
-            assert _bits(total) == _bits(value[row, col])
+        rows, cols = reference.row[picked], reference.col[picked]
+        entries = index.find(lp, rows, cols)
+        for r, c, entry in zip(rows.tolist(), cols.tolist(), entries.tolist()):
+            assert entry == np.flatnonzero((lp.a_rows == r) & (lp.a_cols == c)).item()
+        assert _bits(lp.a_vals[entries]) == _bits(reference.data[picked])
         empty = np.flatnonzero(matrix(lp).getnnz(axis=1) < lp.n_cols)
         if empty.size:
             row = int(empty[0])
             col = int(np.setdiff1d(np.arange(lp.n_cols), lp.a_cols[lp.a_rows == row])[0])
-            assert inst._entries(row, col) is None
-        assert inst._entries(lp.n_rows, 0) is None and inst._entries(None, 0) is None
+            assert index.find(lp, [row], [col]).tolist() == [-1]
+        assert index.find(lp, [lp.n_rows, -1], [0, 0]).tolist() == [-1, -1]
 
     @pytest.mark.parametrize("name", _PROGRAMS)
     def test_the_tree_reads_cell_values_as_the_scipy_matrix(self, programs, name):
@@ -625,8 +653,8 @@ class TestHighsMatrix:
         order, parents = scenarios._tree(lp, rows)
         assert order == [*range(1, len(rows)), 0] and parents == [None] * len(rows)
 
-    @pytest.mark.parametrize("name", ["minimal", "split_entry", "explicit_zeros", "three_entry_cell",
-                                      "vacuous_rows", "raw_vacuous_row"])
+    @pytest.mark.parametrize("name", ["minimal", "explicit_zeros", "shuffled_entries", "vacuous_rows",
+                                      "raw_vacuous_row"])
     def test_warm_pushes_the_changed_scipy_cells(self, programs, name):
         pytest.importorskip(_CORE)
         lp = programs[name]
@@ -637,12 +665,9 @@ class TestHighsMatrix:
         assert inst.open() is not None
         warm = inst._warm
         reference = matrix(lp).tocoo()
-        # The first cell (split into two entries or a value and a zero where
-        # the program splits it), three-entry cells, zeros and random cells;
-        # the last one is set to its own value, which pushes nothing.
-        multiple = np.flatnonzero(np.bincount(lp.a_cols.astype(np.int64) * lp.n_rows + lp.a_rows) > 1)
+        # The first cell, zeros and random cells; the last one is set to its
+        # own value, which pushes nothing.
         cells = [(int(lp.a_rows[0]), int(lp.a_cols[0]))]
-        cells += [(int(c % lp.n_rows), int(c // lp.n_rows)) for c in multiple]
         cells += [(int(reference.row[k]), int(reference.col[k])) for k in np.flatnonzero(reference.data == 0)[:3]]
         cells += [(int(reference.row[k]), int(reference.col[k]))
                   for k in np.random.default_rng(5).permutation(reference.nnz)[:20]]
@@ -677,7 +702,7 @@ class TestHighsMatrix:
         assert recording.pushed == [(r, c, _bits(v)) for (c, r), v in zip(expected, after.data[moved])] + [
             (r, c, _bits(v)) for (c, r), v in zip(expected, before.data[moved])]
 
-    @pytest.mark.parametrize("name", ["minimal", "split_entry", "explicit_zeros", "vacuous_rows"])
+    @pytest.mark.parametrize("name", ["minimal", "explicit_zeros", "vacuous_rows"])
     def test_certify_matches_the_scipy_product(self, programs, name):
         lp = programs[name]
         sol = solve(lp)

@@ -307,23 +307,6 @@ class TestWhereWarmRuns:
         assert len(opened) == 1
 
 
-def test_coef_delta_on_a_split_cell_sets_its_first_entry(one_node):
-    """A cell stored as several entries takes the value once, in its first entry."""
-    lp = build_model(*one_node)
-    first = 0
-    lp.a_rows = np.append(lp.a_rows, lp.a_rows[first])
-    lp.a_cols = np.append(lp.a_cols, lp.a_cols[first])
-    lp.a_vals = np.append(lp.a_vals, 0.5 * lp.a_vals[first])
-    lp.a_vals[first] *= 0.5
-    inst = compile_instance(lp)
-    row, col = int(lp.a_rows[first]), int(lp.a_cols[first])
-    inst.apply([Delta("coef", row=row, col=col, value=7.0)])
-    assert inst.lp.a_vals[first] == 7.0 and inst.lp.a_vals[-1] == 0.0
-    assert np.array_equal(np.delete(inst.lp.a_vals, [first, -1]), np.delete(lp.a_vals, [first, len(lp.a_vals) - 1]))
-    with pytest.raises(KeyError):
-        inst.apply([Delta("coef", row=lp.n_rows, col=col, value=1.0)])
-
-
 def test_rebuild_compiles_one_instance_per_country_set(monkeypatch):
     """Every mode resets one instance per country set between rows; a reset
     instance is bitwise its build, so ``rebuild`` needs no fresh one."""
@@ -1168,17 +1151,6 @@ def _scipy_tree(lp, rows):
     return order, [None if p < 0 else int(p) for p in parent]
 
 
-def _split_cells(lp):
-    """``lp`` with every seventh matrix cell stored as two entries."""
-    lp = lp.copy()
-    split = np.arange(0, len(lp.a_vals), 7)
-    lp.a_rows = np.concatenate([lp.a_rows, lp.a_rows[split]])
-    lp.a_cols = np.concatenate([lp.a_cols, lp.a_cols[split]])
-    lp.a_vals = np.concatenate([lp.a_vals, 0.375 * lp.a_vals[split]])
-    lp.a_vals[split] *= 0.625
-    return lp
-
-
 @st.composite
 def _planning_delta(draw, lp):
     """A delta at any kind of position, often at the base value, at a value
@@ -1188,7 +1160,7 @@ def _planning_delta(draw, lp):
     if kind == "coef":
         entry = draw(st.integers(0, len(lp.a_vals) - 1))
         row, col = int(lp.a_rows[entry]), int(lp.a_cols[entry])
-        base = float(lp.a_vals[(lp.a_rows == row) & (lp.a_cols == col)].sum())
+        base = float(lp.a_vals[entry])
     elif kind == "rhs":
         row = draw(st.integers(0, lp.n_rows - 1))
         base = float(lp.rhs[row])
@@ -1216,7 +1188,5 @@ def planning_tables(draw, lp):
 def test_tree_equals_the_scipy_reference(instances, data):
     name = data.draw(st.sampled_from(sorted(instances)))
     lp = instances[name]._base
-    if data.draw(st.booleans()):
-        lp = _split_cells(lp)
     rows = data.draw(planning_tables(lp))
     assert scenarios._tree(lp, rows) == _scipy_tree(lp, rows)
