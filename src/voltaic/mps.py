@@ -132,8 +132,8 @@ class MpsProblem:
 
 def read_mps(source) -> MpsProblem:
     """Parse an MPS file (fixed or free field spacing) into arrays. Raises
-    ValueError naming the line where COLUMNS gives a (row, column) cell a
-    second entry."""
+    ValueError naming the line where COLUMNS gives a (row, column) cell, or
+    a column's objective coefficient, a second entry."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -183,7 +183,9 @@ def read_mps(source) -> MpsProblem:
             for row_name, value in zip(fields[1::2], fields[2::2]):
                 v = float(value)
                 if row_name == objective_row:
-                    obj[j] = obj.get(j, 0.0) + v
+                    if j in obj:
+                        raise ValueError(f"line {number}: column {col_name!r} has a second objective entry")
+                    obj[j] = v
                 elif (row_index[row_name], j) in entries:
                     raise ValueError(f"line {number}: column {col_name!r} has a second entry in row {row_name!r}")
                 else:

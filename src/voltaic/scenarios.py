@@ -29,7 +29,6 @@ import multiprocessing.connection
 import os
 import re
 import time
-import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -693,24 +692,24 @@ class _Tasks:
 
     ``("base", key)`` solves warm country set ``key``'s base, the set's one
     base solve, and returns ``("base", key, statuses)`` (None without a
-    handle). ``("row", idx, start, base)`` runs row ``idx`` and finishes it:
-    from the base basis (``start`` None), from shipped statuses, or from
-    the basis the last row run here left (``_LEFT``). ``base`` is the set's
+    handle, or if the solve raised: the set's rows then run cold).
+    ``("row", idx, start, base)`` runs row ``idx`` and finishes it: from
+    the base basis (``start`` None), from shipped statuses, or from the
+    basis the last row run here left (``_LEFT``). ``base`` is the set's
     base statuses, on which a process opens its handle without a solve
     (None: the row runs cold). It returns ``("row", idx, result, done,
     statuses)``: the result without its program, what ``finish`` made of
     it and, only for a row with two or more tree children, the statuses of
-    the basis it left. Rows compile one instance per country set, which
-    each row resets."""
+    the basis it left; or ``("fail", idx, error)`` if solving or finishing
+    the row raised, naming the exception. Rows compile one instance per
+    country set, which each row resets; a row that raised drops its set's
+    instance, so the next row here opens a fresh one."""
 
     def __init__(self, sweep: _Sweep, finish=None):
         self.sweep, self.finish = sweep, finish
         self.instances: dict[tuple[str, ...] | None, ModelInstance] = {}
         self.warm: dict = {}  # warm country set -> whether this process holds its handle
         self.left = None  # the basis the last row run here left
-        # The time of the base solves since the last row here, which the next
-        # row counts in its wall time, as a row that opened its handle did.
-        self.base_time = 0.0
 
     def _instance(self, key) -> ModelInstance:
         if key not in self.instances:
@@ -720,23 +719,31 @@ class _Tasks:
     def __call__(self, task: tuple) -> tuple:
         sweep = self.sweep
         if task[0] == "base":
-            key, started = task[1], time.perf_counter()
-            statuses = self._instance(key).open()
+            key = task[1]
+            try:
+                statuses = self._instance(key).open()
+            except Exception:  # noqa: BLE001 - the set's rows run cold
+                statuses = None
             self.warm[key] = statuses is not None
-            self.base_time += time.perf_counter() - started
             return "base", key, statuses
         _, idx, start, base = task
         spec, deltas = sweep.specs[idx], sweep.deltas[idx]
         key = spec.country_set
-        if isinstance(deltas, str):
-            result, self.left = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
-        else:
-            if key in sweep.warm_keys and key not in self.warm:
-                self.warm[key] = base is not None and self._instance(key).open(base) is not None
-            start = self.left if start == _LEFT else start
-            result, self.left = _run_on_instance(self._instance(key), spec, deltas, self.warm.get(key, False), start)
-        result.wall_time, self.base_time = result.wall_time + self.base_time, 0.0
-        done = None if self.finish is None else self.finish(result)
+        try:
+            if isinstance(deltas, str):
+                result, self.left = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
+            else:
+                if key in sweep.warm_keys and key not in self.warm:
+                    self.warm[key] = base is not None and self._instance(key).open(base) is not None
+                start = self.left if start == _LEFT else start
+                result, self.left = _run_on_instance(self._instance(key), spec, deltas, self.warm.get(key, False),
+                                                     start)
+            done = None if self.finish is None else self.finish(result)
+        except Exception as exc:  # noqa: BLE001 - fails this row alone
+            self.left = None
+            self.instances.pop(key, None)
+            self.warm.pop(key, None)
+            return "fail", idx, f"{type(exc).__name__}: {exc}"
         result.lp = None
         branches = self.left is not None and len(sweep.children[idx]) > 1
         return "row", idx, result, done, basis_statuses(self.left) if branches else None
@@ -750,8 +757,6 @@ def _worker(run: _Tasks, conn) -> None:
             conn.send(run(task))
     except EOFError:
         pass  # the parent is gone
-    except Exception as exc:  # noqa: BLE001 - raised again in the parent
-        conn.send(("raise", exc, "".join(traceback.format_exception(exc))))
 
 
 class _Ready:
@@ -764,7 +769,9 @@ class _Ready:
     tree child goes straight back to the process that ran the row, to start
     from the basis the row left there (``_LEFT``); its other children wait
     here with that basis's statuses. So every row starts from its tree
-    parent's basis, whichever process runs it."""
+    parent's basis, whichever process runs it. A row that failed, or whose
+    process died, is finished here as an error, and its children start
+    from the base basis."""
 
     def __init__(self, sweep: _Sweep, finish=None):
         self.sweep, self.finish = sweep, finish
@@ -794,11 +801,14 @@ class _Ready:
     def receive(self, message: tuple) -> tuple | None:
         """Take what a process returned for its task; returns the task that
         process is to run next, if any."""
-        if message[0] == "raise":
-            raise message[1] from RuntimeError(f"in a sweep worker:\n{message[2]}")
         if message[0] == "base":
             _, key, self.bases[key] = message
             self._queue(self.roots[key], None)
+            return None
+        if message[0] == "fail":
+            _, idx, error = message
+            self._fail(idx, error)
+            self._queue(self.sweep.children[idx], None)
             return None
         _, idx, result, done, statuses = message
         self.done[idx] = result, done
@@ -819,8 +829,7 @@ class _Ready:
         if task[0] == "base":
             self.receive(("base", task[1], None))  # as a base without a handle
         else:
-            self._fail(task[1], f"the worker process running this row died (exit code {exitcode})")
-            self._queue(self.sweep.children[task[1]], None)
+            self.receive(("fail", task[1], f"the worker process running this row died (exit code {exitcode})"))
 
     def serve(self, run: _Tasks) -> None:
         """Run every task with ``run``, in this process."""
@@ -832,7 +841,9 @@ class _Ready:
         """Run every task on ``workers`` forked processes, each running its
         copy of ``run``, one task at a time. A worker that dies loses only
         the task it was running (see :meth:`_lost`), and a fresh one is
-        forked in its place."""
+        forked in its place. So is a worker that has solved a base, once it
+        has replied: no process that held a base's solve runs a row, and
+        each row's process opens its handle from the base's statuses."""
         # Forked workers inherit the plan and ``run`` without pickling and
         # import nothing; the parent has loaded no solver to copy.
         methods = multiprocessing.get_all_start_methods()
@@ -877,7 +888,14 @@ class _Ready:
                             self._lost(task, proc.exitcode)
                             fork(slot)
                         continue
-                    if (task := self.receive(message)) is not None:
+                    task = self.receive(message)
+                    if message[0] == "base":  # retire it; send marked it busy
+                        send(slot, None)
+                        del running[slot]
+                        conns.pop(slot).close()
+                        procs.pop(slot).join()
+                        fork(slot)
+                    elif task is not None:
                         send(slot, task)
             for slot in conns:
                 send(slot, None)
@@ -928,15 +946,19 @@ def run_scenarios(
     sets are solved cold. The rows of each warm set are planned as a tree
     (:func:`_tree`) from their deltas: each row starts from the optimal
     basis of its tree parent, the nearest row by relative change, if that
-    row was solved warm, and from the base basis otherwise. In every mode
+    row left one (solved warm, or solved cold after a warm attempt with
+    all rhs finite), and from the base basis otherwise. In every mode
     this process hands out the rows from one ready queue (:class:`_Ready`),
     to itself or, in ``parallel``, to forked workers: each warm set's base
-    is solved once, and no row is solved twice. A row's start therefore
+    is solved once, and no row is solved twice. With two or more workers
+    the worker that solved a base is replaced by a fresh one, so no row
+    runs in a process that held a base's solve. A row's start therefore
     depends on the table alone, and ``parallel`` returns bitwise what
     ``single_instance`` does, whatever ``threads`` is. All three modes
-    produce the same objectives (to the 1e-6 certification). A worker that
-    dies fails only the row it was running, and that row's tree children
-    start from the base basis.
+    produce the same objectives (to the 1e-6 certification). A row whose
+    solve or finish raises, or whose worker dies, fails alone as an
+    ``error`` run, and that row's tree children start from the base basis;
+    a base solve that raises leaves its set's rows to be solved cold.
     """
     return [
         result
@@ -962,7 +984,8 @@ def _run_and_finish(
     ``finish(result)`` returned. ``finish`` runs once per row, in the
     process that solved the row and right after it: in a worker in
     ``parallel`` mode (so what it returns must pickle), in this process
-    otherwise. A row whose worker died is finished here, as an error."""
+    otherwise. A row that raised, or whose worker died, is finished here,
+    as an error."""
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:

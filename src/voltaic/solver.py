@@ -394,17 +394,24 @@ def _solve_highs(lp: LpLike) -> Solution:
     no HiGHS object, or when the private bindings raise. (``linprog``'s row
     order is the faster one: 9.1–9.3 s against 10.4 s in natural order on
     the 168 h benchmark investment LP.)"""
+    return _cold_highs(lp)[0]
+
+
+def _cold_highs(lp: LpLike) -> tuple[Solution, object]:
+    """:func:`_solve_highs`, and the handle's optimal basis: None if the
+    solve is not optimal, left no valid basis or ran on ``linprog``."""
     model = _highs_model(lp)
     if model is None:
-        return Solution(INFEASIBLE)
+        return Solution(INFEASIBLE), None
     try:
         core = _highs_core()
         highs = _open_handle(core, lp, model)
         if highs is None:
-            return Solution(INFEASIBLE)
-        return _run(core, highs, lp, model)
+            return Solution(INFEASIBLE), None
+        sol, basis = _run(core, highs, lp, model), highs.getBasis()
+        return sol, basis if sol.is_optimal and basis.valid else None
     except (ImportError, *_BINDING_ERRORS):
-        return _solve_linprog(lp, _highs_model(lp))
+        return _solve_linprog(lp, _highs_model(lp)), None
 
 
 def _solve_dense(lp: LpLike) -> Solution:
@@ -458,7 +465,8 @@ class _WarmStart:
     def open(cls, inst: "ModelInstance", statuses=None) -> "_WarmStart | None":
         """Solve the as-compiled program cold and keep the handle and its
         optimal basis, or, given that basis's ``statuses`` (see
-        :func:`basis_statuses`), take it without a solve; None if unusable."""
+        :func:`basis_statuses`), take it without a solve: the handle runs
+        once from it, making no iterations. None if unusable."""
         core = _highs_core()
         base = inst._base
         if base.n_cols == 0 or base.n_rows == 0 or not np.isfinite(base.rhs).all():
@@ -487,6 +495,17 @@ class _WarmStart:
         # example1's Li-ion cost at 48 h needs 1.6 times it from the base
         # (6.0 s against 1.4 s cold). Past the limit the row is solved cold.
         highs.setOptionValue("simplex_iteration_limit", base.n_rows)
+        if statuses is not None:
+            # One run from the given basis, which makes no iterations, as a
+            # handle that solved the base has run: HiGHS keeps some of what
+            # it derives from the model at a handle's first run, so without
+            # it a row with coefficient deltas solved first would change the
+            # later rows (on example1 at 24 h, swapping DE's solar
+            # availability for its wind took 4,602 warm iterations on such a
+            # handle against 4,290 on the one that solved the base).
+            highs.setBasis(basis)
+            if not _run(core, highs, base, model).is_optimal:
+                return None
         warm = cls(core, highs, base, model, basis)
         if statuses is not None:
             warm.statuses = statuses
@@ -679,11 +698,15 @@ class ModelInstance:
         certifies at 1e-6; otherwise (no handle, a handle whose members
         differ from those used here, a row with infinite rhs, a warm solve
         that fails, hits its iteration limit or does not certify) the
-        program is solved cold with :func:`solve`; a cold optimum that does
-        not certify at 1e-6 either comes back ``numerical``, so every
-        optimal result of this method is certified. A single call on a fresh
-        instance therefore costs a base solve on top of its own; callers
-        that solve once should use :func:`solve`.
+        program is solved cold, bit for bit as :func:`solve` solves it; a
+        cold optimum that does not certify at 1e-6 either comes back
+        ``numerical``, so every optimal result of this method is certified.
+        A cold fallback on a program whose rhs are all finite, with the
+        handle open, runs on a fresh handle whose optimal basis it keeps in
+        :attr:`basis`: it has the handle's row layout, so a later call can
+        start from it. A single call on a fresh instance therefore costs a
+        base solve on top of its own; callers that solve once should use
+        :func:`solve`.
         """
         self.basis = None
         warm = self._open()
@@ -694,7 +717,12 @@ class ModelInstance:
         if sol is not None and certify(self.lp, sol).ok(1e-6):
             self.basis = warm.solved
             return sol
-        return certified(self.lp, solve(self.lp, self.backend))
+        if self._warm is None or not np.isfinite(self.lp.rhs).all():
+            return certified(self.lp, solve(self.lp, self.backend))
+        sol, basis = _cold_highs(self.lp)
+        sol = certified(self.lp, sol)
+        self.basis = basis if sol.is_optimal else None
+        return sol
 
     def update_and_resolve(self, deltas: Iterable[Delta]) -> Solution:
         self.apply(deltas)

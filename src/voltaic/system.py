@@ -316,10 +316,10 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
             issues.append(f"storage {sto.id}: eta_in must be in (0, 1], got {sto.eta_in}")
         if not 0.0 < sto.eta_out <= 1.0:
             issues.append(f"storage {sto.id}: eta_out must be in (0, 1], got {sto.eta_out}")
-        if not sto.e_min <= sto.e_max:
-            issues.append(f"storage {sto.id}: need e_min <= e_max, got [{sto.e_min}, {sto.e_max}]")
-        if not sto.p_min <= sto.p_max:
-            issues.append(f"storage {sto.id}: need p_min <= p_max, got [{sto.p_min}, {sto.p_max}]")
+        if not 0 <= sto.e_min <= sto.e_max:
+            issues.append(f"storage {sto.id}: need 0 <= e_min <= e_max, got [{sto.e_min}, {sto.e_max}]")
+        if not 0 <= sto.p_min <= sto.p_max:
+            issues.append(f"storage {sto.id}: need 0 <= p_min <= p_max, got [{sto.p_min}, {sto.p_max}]")
         _check_nonnegative(issues, f"storage {sto.id}", sto, ("c_i_sto_e", "c_i_sto_p", "c_fix", "c_var_sto"))
 
     seen_pairs: set[frozenset[str]] = set()

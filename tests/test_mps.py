@@ -125,6 +125,13 @@ def test_a_cell_given_twice_is_not_read():
         read_mps(io.StringIO(text))
 
 
+def test_an_objective_entry_given_twice_is_not_read():
+    text = ("NAME\nROWS\n N  COST\n L  R1\nCOLUMNS\n    C1  COST  1.0  R1  1.0\n"
+            "    C1  COST  2.0\nRHS\n    RHS  R1  1\nENDATA\n")
+    with pytest.raises(ValueError, match="line 7: column 'C1' has a second objective entry"):
+        read_mps(io.StringIO(text))
+
+
 def test_infinite_rhs_rejected():
     class Raw:
         n_cols = 1

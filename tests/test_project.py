@@ -298,6 +298,14 @@ class TestNumericFieldChecks:
         if field.startswith("c_"):
             assert self.issues("storages", field, -1.0) == [f"storage Li-ion: {field} must be finite and >= 0, got -1.0"]
 
+    @pytest.mark.parametrize("kind", ["e", "p"])
+    def test_storage_minimums_are_non_negative(self, kind):
+        need = f"storage Li-ion: need 0 <= {kind}_min <= {kind}_max"
+        assert self.issues("storages", f"{kind}_min", -5.0) == [f"{need}, got [-5.0, inf]"]
+        assert self.issues("storages", f"{kind}_min", math.nan) == [f"{need}, got [nan, inf]"]
+        assert self.issues("storages", f"{kind}_max", -1.0) == [f"{need}, got [0.0, -1.0]"]
+        assert self.issues("storages", f"{kind}_min", 0.0) == []
+
     @pytest.mark.parametrize("field", ["ntc_existing", "ntc_max", "c_inv_ntc", "loss_factor"])
     def test_line_fields(self, field):
         assert any(i.startswith("line N1-N2:") and field in i for i in self.issues("lines", field, math.nan))

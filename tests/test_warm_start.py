@@ -158,6 +158,31 @@ class TestDeterminism:
             previous = solved.basis
 
 
+    def test_a_seeded_handle_that_first_solves_a_coefficient_row_solves_as_the_base_handle(self, tmp_path):
+        # A seeded handle runs the base once from its basis before any row:
+        # solving a row with coefficient deltas first would otherwise leave
+        # it other than the handle that solved the base.
+        pytest.importorskip(_CORE)
+        from voltaic.project import load_project
+        from voltaic.templates import create_project
+
+        root = create_project("phi", "example1", tmp_path)
+        settings = root / "settings" / "project_variables.csv"
+        settings.write_text(settings.read_text().replace("end_hour,h48", "end_hour,h24"))
+        project = load_project(root)
+        lp = build_model(project.data, project.config, project.features)
+        [spec] = parse_iteration_table("run,\"phi('solar','DE')\"\nP0,cf_wind_DE\n")
+        deltas = expand_overrides(spec, lp, project.data, project.config)
+        assert deltas and {d.kind for d in deltas} == {"coef"}
+        solved = compile_instance(lp)
+        seeded = compile_instance(lp)
+        seeded.open(solved.open())
+        for inst in (solved, seeded):
+            inst.apply(deltas)
+        assert _bitwise(solved.resolve(), seeded.resolve())
+        assert solved.basis is not None  # solved warm
+
+
 class TestFallback:
     def test_missing_highs_object_falls_back_to_cold(self, sweep, monkeypatch, solves):
         data, config, specs = sweep
@@ -210,17 +235,20 @@ class TestFallback:
         inst = compile_instance(build_model(data, config))
         inst.resolve()  # opens the handle on the base program
         inst._warm.highs.setOptionValue("simplex_iteration_limit", 1)  # every warm attempt fails
-        original = solver.solve
+        original = solver._cold_highs
 
-        def corrupted(lp, backend="highs"):
-            sol = original(lp, backend)
+        def corrupted(lp):
+            sol, basis = original(lp)
             sol.primal = sol.primal + 1.0
-            return sol
+            return sol, basis
 
-        monkeypatch.setattr(solver, "solve", corrupted)
+        # All rhs are finite: the fallback runs on a fresh handle, whose
+        # basis an uncertified optimum does not hand on.
+        monkeypatch.setattr(solver, "_cold_highs", corrupted)
         inst.apply(expand_overrides(specs[1], inst.lp, data, config))
         assert inst._warm.solve(inst.lp) is None
         assert inst.resolve().status == solver.NUMERICAL
+        assert inst.basis is None
 
     def test_missing_highs_member_falls_back_to_cold(self, sweep, monkeypatch):
         core = pytest.importorskip(_CORE)
@@ -632,6 +660,47 @@ class TestTreeStarts:
         fresh = inst.update_and_resolve(expand_overrides(specs[-1], inst.lp, data, config))
         assert _bitwise(results["C"].solution, fresh)
 
+    def test_a_fallback_hands_its_basis_to_its_children(self, far, solves, monkeypatch, tmp_path):
+        pytest.importorskip(_CORE)
+        data, config, _ = far
+        # G1 takes 81 warm iterations from its parent F0, past a guard lowered
+        # to 40 for this toy (F7, the next dearest row, takes 20), and falls
+        # back cold; G0 is G1's child.
+        rows = ["run,\"c_i_sto_e(n,'Li-ion')\",\"c_i_sto_p(n,'Li-ion')\",\"c_var(n,'gas')\""]
+        rows += [f"F{i},{4000 + 150 * i},{3000 + 100 * (i % 3)}," for i in range(8)]
+        specs = parse_iteration_table("\n".join([*rows, "G0,4000,3000,5", "G1,4000,3000,6"]) + "\n")
+        _, planned = _plan_of(data, config, specs)
+        assert planned["G1"] == "F0" and planned["G0"] == "G1"
+        open_, cold_highs, cold = solver._WarmStart.open.__func__, solver._cold_highs, _Log(tmp_path / "cold.jsonl")
+
+        def guarded(cls, inst, base=None):
+            warm = open_(cls, inst, base)
+            if warm is not None:
+                warm.highs.setOptionValue("simplex_iteration_limit", 40)
+            return warm
+
+        def logged(lp):
+            sol, basis = cold_highs(lp)
+            cold("cold", sol.objective, _fingerprint(basis))
+            return sol, basis
+
+        monkeypatch.setattr(solver._WarmStart, "open", classmethod(guarded))
+        monkeypatch.setattr(solver, "_cold_highs", logged)
+        single = None
+        for mode, threads in (("single_instance", 0), ("parallel", 1), ("parallel", 2), ("parallel", 3)):
+            results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+            assert all(r.status == "optimal" for r in results)
+            solved = _assert_tree_starts(solves, planned)
+            [(_, objective, left)] = cold.read("cold")
+            assert objective == results[-1].objective and solved["G1"][1]  # G1 fell back from a warm attempt
+            assert left is not None and solved["G1"][3] == left and solved["G0"][2] == left
+            if single is None:
+                single = results
+                assert _bitwise(results[-1].solution, solve(results[-1].lp))
+            assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, results)), (mode, threads)
+            solves.path.unlink()
+            cold.path.unlink()
+
     def test_rows_with_infinite_rhs_solve_cold_and_start_their_children_from_the_base(self, solves):
         data, config = two_node_sweep_system(hours=12)
         data = replace(
@@ -653,6 +722,44 @@ class TestTreeStarts:
             assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par))
         for result in single[-2:]:
             assert _bitwise(result.solution, solve(result.lp))
+
+
+class TestRetiredBase:
+    """With two or more workers, the process that solved a warm set's base
+    is replaced once it has replied: every row runs in a process that
+    opened its handle from the base's statuses."""
+
+    @pytest.mark.parametrize("threads", [2, 3, 5])
+    def test_no_process_solves_a_base_and_runs_a_row(self, sweep, solves, threads):
+        pytest.importorskip(_CORE)
+        data, config, specs = sweep
+        # Two warm sets: all nodes, and the same rows on DE alone.
+        specs = [*specs, *(replace(spec, run_id=f"DE_{spec.run_id}", country_set=("DE",)) for spec in specs)]
+        results = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
+        assert all(r.status == "optimal" for r in results)
+        opens = solves.read("open")
+        bases = {pid for pid, seeded, _ in opens if not seeded}
+        rows = {pid for pid, *_ in _solved(solves).values()}
+        assert len(bases) == 2 and os.getpid() not in bases | rows
+        assert not bases & rows
+        assert rows <= {pid for pid, seeded, _ in opens if seeded}  # each opened a handle from statuses
+        single = run_scenarios(data, config, None, specs, mode="single_instance")
+        assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, results))
+
+    def test_a_rows_wall_time_leaves_out_the_base_solve(self, far, monkeypatch):
+        data, config, specs = far
+        original = solver._WarmStart.open.__func__
+
+        def slow(cls, inst, base=None):
+            if base is None:
+                time.sleep(0.5)
+            return original(cls, inst, base)
+
+        monkeypatch.setattr(solver._WarmStart, "open", classmethod(slow))
+        for mode, threads in (("single_instance", 0), ("parallel", 2)):
+            results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+            assert all(r.status == "optimal" for r in results)
+            assert max(r.wall_time for r in results) < 0.5, mode
 
 
 class TestPlannedOnce:
@@ -684,7 +791,12 @@ class TestPlannedOnce:
         assert {pid for pid, _ in made} == {os.getpid()}
         rows = _solved(solves)
         assert sorted(rows) == sorted(spec.run_id for spec in specs)
-        assert [seeded for _, seeded, _ in solves.read("open")] == ([] if mode == "rebuild" else [False])
+        # With two or more workers the base's process is retired, and the
+        # one chain of far rows runs in one fresh process, seeded once from
+        # the base's statuses if the base left any.
+        opens = solves.read("open")
+        reseeded = mode == "parallel" and threads > 1 and any(base is not None for _, _, base in opens)
+        assert [seeded for _, seeded, _ in opens] == ([] if mode == "rebuild" else [False] + [True] * reseeded)
 
     def test_a_set_that_does_not_build_is_built_once_and_not_expanded(self, far, calls):
         data, config, specs = far
@@ -931,16 +1043,114 @@ class TestCrashedWorker:
         cold = run_scenarios(data, config, None, specs, mode="rebuild")
         assert all(_same(a.solution, b.solution) for a, b in zip(results, cold))
 
-    def test_an_exception_in_a_worker_is_raised_in_the_parent(self, far):
-        data, config, specs = far
+
+class TestRowExceptions:
+    """An exception while a row is solved or finished, in a worker or in
+    the calling process, fails that row alone: the parent finishes it as an
+    error that names the exception, and its tree children start from the
+    base basis. A base solve that raises leaves its set's rows cold."""
+
+    @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2), ("parallel", 3)])
+    def test_an_exception_in_a_row_fails_that_row_alone(self, far, solves, tmp_path, mode, threads):
+        pytest.importorskip(_CORE)  # F5 must leave a basis
+        data, config, specs = far  # the chain F7 -> F6 -> ... -> F0
 
         def failing(result):
-            if result.run_id == "F5":
+            if result.run_id == "F5" and result.error is None:  # the parent finishes F5's error
                 raise OSError(28, "No space left on device")
             return result.run_id
 
-        with pytest.raises(OSError, match="No space left"):
-            scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=failing)
+        rows = scenarios._run_and_finish(data, config, None, specs, mode, threads, finish=failing)
+        results = {result.run_id: result for result, _ in rows}
+        assert results["F5"].error == "OSError: [Errno 28] No space left on device"
+        assert all(r.status == "optimal" for run_id, r in results.items() if run_id != "F5")
+        assert [done for _, done in rows] == [spec.run_id for spec in specs]  # F5's error finished once
+        solved = _solved(solves)
+        _, parents = _plan_of(data, config, specs)
+        assert parents["F4"] == "F5" and solved["F4"][2] is None and solved["F5"][3] is not None
+        for run_id in ("F6", "F5", "F3", "F2", "F1", "F0"):
+            assert solved[run_id][2] == solved[parents[run_id]][3], run_id
+        single = {r.run_id: r for r in run_scenarios(data, config, None, specs, mode="single_instance")}
+        for run_id in ("F7", "F6"):  # above F5: their starts are unchanged
+            assert _bitwise(results[run_id].solution, single[run_id].solution), run_id
+        for run_id in ("F4", "F3", "F2", "F1", "F0"):
+            assert results[run_id].objective == pytest.approx(single[run_id].objective, rel=1e-6)
+
+    @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2)])
+    def test_an_exception_in_the_base_solve_leaves_its_rows_cold(self, far, monkeypatch, solves, mode, threads):
+        data, config, specs = far
+        original = solver._WarmStart.open.__func__
+
+        def raising(cls, inst, base=None):
+            if base is None:
+                raise MemoryError("base solve")
+            return original(cls, inst, base)
+
+        monkeypatch.setattr(solver._WarmStart, "open", classmethod(raising))
+        results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+        assert all(r.status == "optimal" for r in results)
+        assert not any(warm for _, _, warm, _, _ in solves.read("row"))
+        cold = run_scenarios(data, config, None, specs, mode="rebuild")
+        assert all(_same(a.solution, b.solution) for a, b in zip(results, cold))
+
+    @pytest.mark.parametrize("where", ["solve", "finish"])
+    @pytest.mark.parametrize("mode, threads", [("single_instance", "0"), ("parallel", "2")])
+    def test_run_project_fails_the_row_and_keeps_every_other_store(self, tmp_path, monkeypatch, capsys, where,
+                                                                   mode, threads):
+        import shutil
+
+        from voltaic import pipeline
+        from voltaic.cli import main
+        from voltaic.project import load_project
+        from voltaic.templates import create_project
+
+        # L100 is a leaf of the plan: the children of a failed row start
+        # from the base basis, and on a degenerate program may stop at
+        # another optimum, so only a leaf leaves every other store as it was.
+        root = create_project("faults", "example1", tmp_path)
+        settings = root / "settings" / "project_variables.csv"
+        settings.write_text(settings.read_text().replace("end_hour,h48", "end_hour,h12"))
+        rows = ["run,\"c_i_sto_e(n,'Li-ion')\",\"c_i_sto_p(n,'Li-ion')\""]
+        rows += [f"L{k},{20029 * k // 100},{15021 * k // 100}" for k in (100, 95, 90, 85, 80, 75, 25, 24)]
+        (root / "iterationfiles" / "iteration_table.csv").write_text("\n".join(rows) + "\n")
+        project = load_project(root)
+        plan = scenarios._plan(project.specs, project.data, project.config, project.features)
+        assert project.specs[0].run_id == "L100" and plan.children[0] == [] and plan.warm_keys
+        clean, faulty = (shutil.copytree(root, tmp_path / name) for name in ("clean", "faulty"))
+        assert main(["run", str(clean), "--mode", mode, "--threads", threads]) == 0
+
+        if where == "finish":
+            finish_row = pipeline._finish_row
+
+            def faulting(result, **kwargs):
+                if result.run_id == "L100" and result.error is None:
+                    raise RuntimeError("injected")
+                return finish_row(result, **kwargs)
+
+            monkeypatch.setattr(pipeline, "_finish_row", faulting)
+        else:
+            run_on_instance = scenarios._run_on_instance
+
+            def faulting(inst, spec, *args, **kwargs):
+                if spec.run_id == "L100":
+                    raise RuntimeError("injected")
+                return run_on_instance(inst, spec, *args, **kwargs)
+
+            monkeypatch.setattr(scenarios, "_run_on_instance", faulting)
+        capsys.readouterr()
+        assert main(["run", str(faulty), "--mode", mode, "--threads", threads]) == 2
+        assert "error: L100: RuntimeError: injected" in capsys.readouterr().err
+        assert read_store(faulty / "results" / "L100").meta["error"] == "RuntimeError: injected"
+        assert not (faulty / "report" / "manifest.json").exists()
+        runs = sorted(p.name for p in (clean / "results").iterdir())
+        assert runs == sorted(p.name for p in (faulty / "results").iterdir()) and len(runs) == 8
+        for run in runs:
+            if run != "L100":
+                files = sorted(p.name for p in (clean / "results" / run).iterdir())
+                assert files == sorted(p.name for p in (faulty / "results" / run).iterdir()), run
+                for name in files:
+                    assert (clean / "results" / run / name).read_bytes() == \
+                        (faulty / "results" / run / name).read_bytes(), (run, name)
 
 
 def _sweep_wide(seed, root):
