@@ -38,7 +38,6 @@ def run_project(
     root: Path | str,
     mode: str | None = None,
     threads: int | None = None,
-    backend: str = "highs",
 ) -> RunSummary:
     """Run a project's configured scenario set and write the result stores.
 
@@ -59,7 +58,6 @@ def run_project(
     finish = partial(
         _finish_row,
         reporting=project.reporting,
-        threads=config.gdx_convert_parallel_threads,
         config_echo=project.config_echo,
         results_dir=project.layout.results,
         formats=(CSV_FORMAT, NPZ_FORMAT) if config.write_npz else (CSV_FORMAT,),
@@ -73,7 +71,6 @@ def run_project(
         mode=pick_mode(project, mode),
         threads=config.guss_parallel_threads if threads is None else threads,
         constraint_blocks=project.constraint_blocks or None,
-        backend=backend,
         fixed_capacities=project.fixed_capacities if config.dispatch_only else None,
         finish=finish,
     )
@@ -87,11 +84,11 @@ def run_project(
 
 
 def _finish_row(
-    result: RunResult, reporting, threads, config_echo, results_dir, formats, report: bool = True
+    result: RunResult, reporting, config_echo, results_dir, formats, report: bool = True
 ) -> PartialReport | None:
     """Extract one row's symbols and write its store; returns the row's
     share of the report if ``report``."""
-    [store] = extract_symbols([result], reporting, threads=threads, config_echo=config_echo)
+    [store] = extract_symbols([result], reporting, config_echo=config_echo)
     write_store(store, results_dir, formats)
     return partial_report(store) if report else None
 

@@ -37,7 +37,7 @@ from itertools import product
 import numpy as np
 
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient, share_rhs
-from .solver import Delta, ModelInstance, Solution, _cell_index, basis_statuses, certified, solve
+from .solver import Delta, ModelInstance, Solution, _cell_index, base_statuses, basis_statuses, certified, solve
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
@@ -506,7 +506,7 @@ def _run_on_instance(
         inst.reset()
         inst.apply(deltas)
         # resolve certifies whatever it returns; a cold solve is checked here.
-        solution = inst.resolve(start) if warm else certified(inst.lp, solve(inst.lp, inst.backend))
+        solution = inst.resolve(start) if warm else certified(inst.lp, solve(inst.lp))
     except (ValidationError, KeyError, ValueError) as exc:
         result = RunResult(spec.run_id, None, _echo(spec), error=str(exc),
                            wall_time=time.perf_counter() - started)
@@ -528,7 +528,6 @@ class _Sweep:
     order: list[int]
     parents: list[int | None]
     warm_keys: frozenset
-    backend: str = "highs"
 
     @cached_property
     def rank(self) -> dict[int, int]:
@@ -639,7 +638,6 @@ def _plan(
     blocks: dict[str, tuple[str, ...]] | None = None,
     fixed_capacities=None,
     warm: bool = True,
-    backend: str = "highs",
 ) -> _Sweep:
     """Build each country set once and expand each row once against it.
     Country sets follow their first row; with ``warm``, a set of
@@ -677,7 +675,7 @@ def _plan(
         order.extend(members[j] for j in tree_order)
         for j, p in enumerate(tree_parents):
             parents[members[j]] = None if p is None else members[p]
-    return _Sweep(specs, builds, deltas, order, parents, frozenset(warm_keys), backend)
+    return _Sweep(specs, builds, deltas, order, parents, frozenset(warm_keys))
 
 
 # A row's start when it runs in the process that ran its tree parent just
@@ -690,15 +688,15 @@ class _Tasks:
     """Runs sweep tasks in one process: the calling one in ``rebuild`` and
     ``single_instance`` mode, each worker in ``parallel``.
 
-    ``("base", key)`` solves warm country set ``key``'s base, the set's one
-    base solve, and returns ``("base", key, statuses)`` (None without a
-    handle, or if the solve raised: the set's rows then run cold).
-    ``("row", idx, start, base)`` runs row ``idx`` and finishes it: from
-    the base basis (``start`` None), from shipped statuses, or from the
-    basis the last row run here left (``_LEFT``). ``base`` is the set's
-    base statuses, on which a process opens its handle without a solve
-    (None: the row runs cold). It returns ``("row", idx, result, done,
-    statuses)``: the result without its program, what ``finish`` made of
+    ``("base", key)`` solves warm country set ``key``'s build cold, the
+    set's one base solve, on no instance, and returns ``("base", key,
+    statuses)``: its :func:`~voltaic.solver.base_statuses` (None if there
+    are none or the solve raised: the set's rows then run cold). ``("row",
+    idx, start, base)`` runs row ``idx`` and finishes it: from the base
+    basis (``start`` None), from shipped statuses, or from the basis the
+    last row run here left (``_LEFT``). ``base`` is the set's base
+    statuses, from which a process opens its handle (None: the row runs
+    cold). It returns ``("row", idx, result, done, statuses)``: the result without its program, what ``finish`` made of
     it and, only for a row with two or more tree children, the statuses of
     the basis it left; or ``("fail", idx, error)`` if solving or finishing
     the row raised, naming the exception. Rows compile one instance per
@@ -708,24 +706,21 @@ class _Tasks:
     def __init__(self, sweep: _Sweep, finish=None):
         self.sweep, self.finish = sweep, finish
         self.instances: dict[tuple[str, ...] | None, ModelInstance] = {}
-        self.warm: dict = {}  # warm country set -> whether this process holds its handle
         self.left = None  # the basis the last row run here left
 
     def _instance(self, key) -> ModelInstance:
         if key not in self.instances:
-            self.instances[key] = ModelInstance(self.sweep.builds[key], self.sweep.backend)
+            self.instances[key] = ModelInstance(self.sweep.builds[key])
         return self.instances[key]
 
     def __call__(self, task: tuple) -> tuple:
         sweep = self.sweep
         if task[0] == "base":
-            key = task[1]
             try:
-                statuses = self._instance(key).open()
+                statuses = base_statuses(sweep.builds[task[1]])
             except Exception:  # noqa: BLE001 - the set's rows run cold
                 statuses = None
-            self.warm[key] = statuses is not None
-            return "base", key, statuses
+            return "base", task[1], statuses
         _, idx, start, base = task
         spec, deltas = sweep.specs[idx], sweep.deltas[idx]
         key = spec.country_set
@@ -733,16 +728,14 @@ class _Tasks:
             if isinstance(deltas, str):
                 result, self.left = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
             else:
-                if key in sweep.warm_keys and key not in self.warm:
-                    self.warm[key] = base is not None and self._instance(key).open(base) is not None
+                inst = self._instance(key)
+                warm = base is not None and inst.open(base) is not None
                 start = self.left if start == _LEFT else start
-                result, self.left = _run_on_instance(self._instance(key), spec, deltas, self.warm.get(key, False),
-                                                     start)
+                result, self.left = _run_on_instance(inst, spec, deltas, warm, start)
             done = None if self.finish is None else self.finish(result)
         except Exception as exc:  # noqa: BLE001 - fails this row alone
             self.left = None
             self.instances.pop(key, None)
-            self.warm.pop(key, None)
             return "fail", idx, f"{type(exc).__name__}: {exc}"
         result.lp = None
         branches = self.left is not None and len(sweep.children[idx]) > 1
@@ -843,7 +836,7 @@ class _Ready:
         the task it was running (see :meth:`_lost`), and a fresh one is
         forked in its place. So is a worker that has solved a base, once it
         has replied: no process that held a base's solve runs a row, and
-        each row's process opens its handle from the base's statuses."""
+        none keeps that solve's interior-point heap."""
         # Forked workers inherit the plan and ``run`` without pickling and
         # import nothing; the parent has loaded no solver to copy.
         methods = multiprocessing.get_all_start_methods()
@@ -913,7 +906,7 @@ class _Ready:
 def _program(sweep: _Sweep, idx: int) -> LinearProgram:
     """Row ``idx``'s program: its country set's build with its deltas
     applied, as the instance that solved the row held it."""
-    inst = ModelInstance(sweep.builds[sweep.specs[idx].country_set], sweep.backend)
+    inst = ModelInstance(sweep.builds[sweep.specs[idx].country_set])
     inst.apply(sweep.deltas[idx])
     return inst.lp
 
@@ -926,7 +919,6 @@ def run_scenarios(
     mode: str = "single_instance",
     threads: int = 0,
     constraint_blocks: dict[str, tuple[str, ...]] | None = None,
-    backend: str = "highs",
     fixed_capacities=None,
 ) -> list[RunResult]:
     """Execute all scenario rows and return results in spec order.
@@ -950,20 +942,23 @@ def run_scenarios(
     all rhs finite), and from the base basis otherwise. In every mode
     this process hands out the rows from one ready queue (:class:`_Ready`),
     to itself or, in ``parallel``, to forked workers: each warm set's base
-    is solved once, and no row is solved twice. With two or more workers
-    the worker that solved a base is replaced by a fresh one, so no row
-    runs in a process that held a base's solve. A row's start therefore
-    depends on the table alone, and ``parallel`` returns bitwise what
-    ``single_instance`` does, whatever ``threads`` is. All three modes
-    produce the same objectives (to the 1e-6 certification). A row whose
-    solve or finish raises, or whose worker dies, fails alone as an
-    ``error`` run, and that row's tree children start from the base basis;
-    a base solve that raises leaves its set's rows to be solved cold.
+    is solved once, cold, and no row is solved twice. Every process that
+    runs a warm set's rows opens its handle from the base's statuses (see
+    :meth:`ModelInstance.open`), so no handle that solved a base runs a
+    row. With two or more workers the worker that solved a base is also
+    replaced by a fresh one, so no row runs in a process that held a base's
+    solve. A row's start therefore depends on the table alone, and
+    ``parallel`` returns bitwise what ``single_instance`` does, whatever
+    ``threads`` is. All three modes produce the same objectives (to the
+    1e-6 certification). A row whose solve or finish raises, or whose
+    worker dies, fails alone as an ``error`` run, and that row's tree
+    children start from the base basis; a base solve that raises leaves its
+    set's rows to be solved cold.
     """
     return [
         result
         for result, _ in _run_and_finish(
-            data, config, features, specs, mode, threads, constraint_blocks, backend, fixed_capacities
+            data, config, features, specs, mode, threads, constraint_blocks, fixed_capacities
         )
     ]
 
@@ -976,7 +971,6 @@ def _run_and_finish(
     mode: str,
     threads: int,
     constraint_blocks: dict[str, tuple[str, ...]] | None = None,
-    backend: str = "highs",
     fixed_capacities=None,
     finish=None,
 ) -> list[tuple[RunResult, object]]:
@@ -992,7 +986,7 @@ def _run_and_finish(
         raise ValidationError(f"run_scenarios: unknown mode {mode!r} (use one of {MODES})")
     if threads < 0:
         raise ValidationError(f"run_scenarios: threads must be 0 (all cores) or more, got {threads}")
-    sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild", backend)
+    sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild")
     workers = min(threads or os.cpu_count() or 1, len(specs)) if mode == "parallel" else 1
     ready, run = _Ready(sweep, finish), _Tasks(sweep, finish)
     if workers > 1:

@@ -23,7 +23,8 @@ A :class:`ModelInstance` holds one built program, which it never writes,
 plus an overlay of bound/cost/rhs/coefficient updates that copies only the
 vectors they write, so a scenario sweep reuses a single build; its
 :meth:`~ModelInstance.resolve` re-solves warm from the base program's
-optimal basis, or from the basis of an earlier warm solve.
+optimal basis, opened from its statuses (:func:`base_statuses`), or from
+the basis of an earlier warm solve.
 
 Duals follow the sensitivity convention throughout: the marginal of a row
 is the derivative of the optimal objective with respect to that row's
@@ -36,12 +37,11 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -204,7 +204,8 @@ def classify_rows(lp: LpLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]
     return eq, le, ge, impossible
 
 
-class _Cells(NamedTuple):
+@dataclass(eq=False)
+class _Cells:
     """Where each matrix cell's entry is: the one map from cells to entries,
     made once per build (see :func:`_cell_index`). A program stores each
     (row, column) cell as one entry, so the cells are the entries.
@@ -213,22 +214,28 @@ class _Cells(NamedTuple):
     ``=``: the HiGHS model's row order), then row, and ``rank`` is each
     program row's place in class order. The senses and the matrix pattern
     are fixed at build, so the rhs plays no part: dropping vacuous rows
-    never reorders the rest. Both arrays are int32."""
+    never reorders the rest. Both arrays are int32. ``keys``, each entry's
+    cell key in ``order`` (int64, ascending), is made by the first
+    :meth:`find`."""
 
     order: np.ndarray
     rank: np.ndarray
+    keys: np.ndarray | None = None
 
     def find(self, lp: LpLike, rows, cols) -> np.ndarray:
         """The entries at program ``rows`` and ``cols``, -1 where the matrix
-        has no entry or there is no such row or column. Each call computes
-        every cell's key, so callers look up their targets in one batch."""
+        has no entry or there is no such row or column."""
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        ok = (0 <= rows) & (rows < lp.n_rows) & (0 <= cols) & (cols < lp.n_cols)
-        want = np.full(len(rows), -1)
-        want[ok] = cols[ok] * lp.n_rows + self.rank[rows[ok]]
-        keys = lp.a_cols[self.order].astype(np.int64) * lp.n_rows + self.rank[lp.a_rows[self.order]]  # ascending
-        at = np.searchsorted(keys, want)
-        return np.where(ok & (np.append(keys, -1)[at] == want), np.append(self.order, -1)[at], -1)
+        ok = np.flatnonzero((0 <= rows) & (rows < lp.n_rows) & (0 <= cols) & (cols < lp.n_cols))
+        want = cols[ok] * lp.n_rows + self.rank[rows[ok]]
+        if self.keys is None:
+            self.keys = lp.a_cols[self.order].astype(np.int64) * lp.n_rows + self.rank[lp.a_rows[self.order]]
+        at = np.searchsorted(self.keys, want)
+        hit = at < len(self.keys)
+        hit[hit] = self.keys[at[hit]] == want[hit]
+        entries = np.full(len(rows), -1)
+        entries[ok[hit]] = self.order[at[hit]]
+        return entries
 
 
 def _cell_index(lp: LpLike) -> _Cells:
@@ -399,7 +406,8 @@ def _solve_highs(lp: LpLike) -> Solution:
 
 def _cold_highs(lp: LpLike) -> tuple[Solution, object]:
     """:func:`_solve_highs`, and the handle's optimal basis: None if the
-    solve is not optimal, left no valid basis or ran on ``linprog``."""
+    solve is not optimal, left no valid basis or a row out of the model (a
+    warm handle holds every row), or ran on ``linprog``."""
     model = _highs_model(lp)
     if model is None:
         return Solution(INFEASIBLE), None
@@ -409,7 +417,7 @@ def _cold_highs(lp: LpLike) -> tuple[Solution, object]:
         if highs is None:
             return Solution(INFEASIBLE), None
         sol, basis = _run(core, highs, lp, model), highs.getBasis()
-        return sol, basis if sol.is_optimal and basis.valid else None
+        return sol, basis if sol.is_optimal and basis.valid and len(model.rows) == lp.n_rows else None
     except (ImportError, *_BINDING_ERRORS):
         return _solve_linprog(lp, _highs_model(lp)), None
 
@@ -432,6 +440,21 @@ def solve(lp: LpLike, backend: str = "highs") -> Solution:
     except KeyError:
         raise ValueError(f"unknown solver backend {backend!r}") from None
     return runner(lp)
+
+
+def base_statuses(lp: LpLike) -> tuple[np.ndarray, np.ndarray] | None:
+    """The statuses (see :func:`basis_statuses`) of the optimal basis of
+    :func:`solve`'s cold solve of ``lp``, from which a warm handle opens;
+    None for a trivial program, an infinite rhs, no HiGHS object, or a
+    solve that leaves no basis (see :func:`_cold_highs`)."""
+    if lp.n_cols == 0 or lp.n_rows == 0 or not np.isfinite(lp.rhs).all():
+        return None
+    try:
+        _highs_core()
+    except ImportError:
+        return None  # the linprog fallback leaves no basis
+    basis = _cold_highs(lp)[1]
+    return None if basis is None else basis_statuses(basis)
 
 
 _UNOPENED = object()
@@ -457,32 +480,25 @@ class _WarmStart:
     result depends only on its program and its start, whatever ran before.
     """
 
-    def __init__(self, core, highs, base, model: _HighsModel, basis):
-        self.core, self.highs, self.base, self.model, self.basis = core, highs, base, model, basis
+    def __init__(self, core, highs, base, model: _HighsModel, statuses):
+        self.core, self.highs, self.base, self.model = core, highs, base, model
+        self.statuses, self.basis = statuses, _basis(core, statuses)
         self.solved = None  # the basis of the last optimal warm solve
 
     @classmethod
-    def open(cls, inst: "ModelInstance", statuses=None) -> "_WarmStart | None":
-        """Solve the as-compiled program cold and keep the handle and its
-        optimal basis, or, given that basis's ``statuses`` (see
-        :func:`basis_statuses`), take it without a solve: the handle runs
-        once from it, making no iterations. None if unusable."""
+    def open(cls, inst: "ModelInstance", statuses) -> "_WarmStart | None":
+        """A handle on the as-compiled program that takes the ``statuses``
+        of its optimal basis (see :func:`base_statuses`) without a solve:
+        it runs once from them, making no iterations. None if unusable."""
         core = _highs_core()
         base = inst._base
-        if base.n_cols == 0 or base.n_rows == 0 or not np.isfinite(base.rhs).all():
-            return None
-        model = _highs_model(base)  # every row is in it: all rhs are finite
+        model = _highs_model(base)
+        if model is None or len(model.rows) != base.n_rows:
+            return None  # a warm handle holds every row
         highs = _open_handle(core, base, model)
         if highs is None:
             return None
-        if statuses is None:
-            if not _run(core, highs, base, model).is_optimal:
-                return None
-            basis = highs.getBasis()
-            if not basis.valid:
-                return None
-        else:
-            basis = _basis(core, statuses)
+        warm = cls(core, highs, base, model, statuses)
         highs.setOptionValue("solver", "simplex")
         # Primal simplex: a cost-only change leaves the base basis primal
         # feasible; over a 32-row, 24 h cost sweep it needed 2.9 s against
@@ -495,27 +511,14 @@ class _WarmStart:
         # example1's Li-ion cost at 48 h needs 1.6 times it from the base
         # (6.0 s against 1.4 s cold). Past the limit the row is solved cold.
         highs.setOptionValue("simplex_iteration_limit", base.n_rows)
-        if statuses is not None:
-            # One run from the given basis, which makes no iterations, as a
-            # handle that solved the base has run: HiGHS keeps some of what
-            # it derives from the model at a handle's first run, so without
-            # it a row with coefficient deltas solved first would change the
-            # later rows (on example1 at 24 h, swapping DE's solar
-            # availability for its wind took 4,602 warm iterations on such a
-            # handle against 4,290 on the one that solved the base).
-            highs.setBasis(basis)
-            if not _run(core, highs, base, model).is_optimal:
-                return None
-        warm = cls(core, highs, base, model, basis)
-        if statuses is not None:
-            warm.statuses = statuses
-        return warm
-
-    @cached_property
-    def statuses(self) -> tuple[np.ndarray, np.ndarray]:
-        """The statuses of the base basis (see :func:`basis_statuses`): the
-        ones the handle was opened with, else read from the basis once."""
-        return basis_statuses(self.basis)
+        # One run from the given basis, which makes no iterations: HiGHS
+        # keeps some of what it derives from the model at a handle's first
+        # run, so without it a row with coefficient deltas solved first
+        # would change the later rows (on example1 at 24 h, swapping DE's
+        # solar availability for its wind took 4,602 warm iterations on such
+        # a handle against 4,290 on one that first ran the base).
+        highs.setBasis(warm.basis)
+        return warm if _run(core, highs, base, model).is_optimal else None
 
     def _load(self, diff, lp, coefficients) -> None:
         """Push ``lp``'s values at the ``diff`` positions, and the model
@@ -526,8 +529,8 @@ class _WarmStart:
             highs.changeColsCost(cols.size, cols, lp.obj[cols])
         if bounded.size:
             highs.changeColsBounds(bounded.size, bounded, lp.lo[bounded], lp.hi[bounded])
-        # Every base row is in the model (all rhs are finite), so a row's
-        # model row is its place in class order.
+        # Every base row is in the model, so a row's model row is its place
+        # in class order.
         k = _cell_index(self.base).rank[rows]
         lower, upper = self.model.bounds(k, lp.rhs[rows])
         for r, lw, up in zip(k.tolist(), lower.tolist(), upper.tolist()):
@@ -580,10 +583,9 @@ class ModelInstance:
     copied vectors, so an instance holds no array the rows leave unchanged.
     """
 
-    def __init__(self, lp, backend: str = "highs"):
+    def __init__(self, lp):
         self._base = lp
         self.lp = lp.replace()
-        self.backend = backend
         self._warm: _WarmStart | None | object = _UNOPENED
         self.basis = None  # the optimal basis of the last resolve, if it was warm
 
@@ -658,25 +660,25 @@ class ModelInstance:
         return self.lp.replace(**{name: vector.copy() for name, vector in self._written().items()})
 
     def open(self, statuses=None):
-        """Open the warm handle of :meth:`resolve` now, unless it is open:
-        solve the as-compiled program cold, as :func:`solve` does, or, given
-        the ``statuses`` of its optimal basis (see :func:`basis_statuses`),
-        take that basis without a solve. Returns the statuses of the
-        handle's base basis (the given ones, if it was opened with them),
-        None if there is no handle (no bundled HiGHS object, the ``dense``
-        backend, a row with infinite rhs, a base that is not solved to
-        optimality)."""
+        """Open the warm handle of :meth:`resolve` now, unless it is open,
+        from the ``statuses`` of the as-compiled program's optimal basis:
+        the given ones, shipped from another instance of the program, else
+        those of :func:`base_statuses`, which solves the program cold as
+        :func:`solve` does. Returns the handle's base statuses, None if
+        there is no handle (no bundled HiGHS object, a row with infinite
+        rhs, a base that is not solved to optimality)."""
         warm = self._open(statuses)
         return None if warm is None else warm.statuses
 
     def _open(self, statuses=None) -> _WarmStart | None:
         if self._warm is _UNOPENED:
-            if self.backend == "highs":
-                # A repeated cell raises here: the handler below would take
-                # its ValueError for a binding's and drop the handle.
-                _cell_index(self._base)
+            # A repeated cell raises here: the handler below would take its
+            # ValueError for a binding's and drop the handle.
+            _cell_index(self._base)
             try:
-                self._warm = _WarmStart.open(self, statuses) if self.backend == "highs" else None
+                if statuses is None:
+                    statuses = base_statuses(self._base)
+                self._warm = None if statuses is None else _WarmStart.open(self, statuses)
             except (ImportError, *_BINDING_ERRORS):
                 # scipy < 1.15 bundles no HiGHS object, and the private
                 # bindings' members vary between releases; a handle that
@@ -689,24 +691,24 @@ class ModelInstance:
         """Solve the current program warm from the base basis, else cold.
 
         The first call opens the warm handle (:meth:`open`) unless it is
-        open. Each call pushes the overlay into the handle, runs primal
-        simplex from the base basis, or from ``start`` (the :attr:`basis`
-        left by an earlier call on this program, or its statuses), and
-        restores the base program. :attr:`basis` then holds the optimal
-        basis of the returned solution if it was solved warm, and None if
-        not. The warm solution is returned only if it is optimal and
-        certifies at 1e-6; otherwise (no handle, a handle whose members
-        differ from those used here, a row with infinite rhs, a warm solve
-        that fails, hits its iteration limit or does not certify) the
+        open, which solves the base cold, so a single call on a fresh
+        instance costs a base solve on top of its own: callers that solve
+        once should use :func:`solve`. Each call pushes the overlay into the
+        handle, runs primal simplex from the base basis, or from ``start``
+        (the :attr:`basis` left by an earlier call on this program, or its
+        statuses), and restores the base program. :attr:`basis` then holds
+        the optimal basis of the returned solution if it was solved warm,
+        and None if not. The warm solution is returned only if it is
+        optimal and certifies at 1e-6; otherwise (no handle, a handle whose
+        members differ from those used here, a row with infinite rhs, a warm
+        solve that fails, hits its iteration limit or does not certify) the
         program is solved cold, bit for bit as :func:`solve` solves it; a
         cold optimum that does not certify at 1e-6 either comes back
         ``numerical``, so every optimal result of this method is certified.
-        A cold fallback on a program whose rhs are all finite, with the
-        handle open, runs on a fresh handle whose optimal basis it keeps in
-        :attr:`basis`: it has the handle's row layout, so a later call can
-        start from it. A single call on a fresh instance therefore costs a
-        base solve on top of its own; callers that solve once should use
-        :func:`solve`.
+        With the handle open, that cold solve runs on a fresh handle and
+        keeps in :attr:`basis` the optimal basis :func:`_cold_highs` hands
+        on, which has the warm handle's row layout, so a later call can
+        start from it.
         """
         self.basis = None
         warm = self._open()
@@ -717,8 +719,8 @@ class ModelInstance:
         if sol is not None and certify(self.lp, sol).ok(1e-6):
             self.basis = warm.solved
             return sol
-        if self._warm is None or not np.isfinite(self.lp.rhs).all():
-            return certified(self.lp, solve(self.lp, self.backend))
+        if self._warm is None:
+            return certified(self.lp, solve(self.lp))
         sol, basis = _cold_highs(self.lp)
         sol = certified(self.lp, sol)
         self.basis = basis if sol.is_optimal else None
@@ -736,7 +738,7 @@ def certified(lp, sol: Solution) -> Solution:
     return sol
 
 
-# ``compile(lp, backend)`` makes a program's repeatedly solvable instance, and
+# ``compile(lp)`` makes a program's repeatedly solvable instance, and
 # ``update_and_resolve(instance, deltas)`` applies and re-solves: thin aliases.
 compile = ModelInstance  # noqa: A001 - domain verb
 update_and_resolve = ModelInstance.update_and_resolve

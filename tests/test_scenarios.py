@@ -393,8 +393,8 @@ class TestRunModes:
         reported as optimal."""
         from voltaic import scenarios
 
-        def corrupted(lp, backend="highs"):
-            sol = solve(lp, backend)
+        def corrupted(lp):
+            sol = solve(lp)
             sol.primal = sol.primal + 1.0
             return sol
 

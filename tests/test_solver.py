@@ -278,14 +278,19 @@ class TestProgramSharing:
 
     def test_one_cell_index_per_build_never_pickled(self, lp):
         index = solver._cell_index(lp)
-        assert index._fields == ("order", "rank") and index.order.dtype == index.rank.dtype == np.int32
+        assert index.order.dtype == index.rank.dtype == np.int32
+        assert solve(lp).is_optimal and index.keys is None  # made by the first lookup only
         inst = compile_instance(lp)
         row, col = lp.row_index("BAL", ("DE", "h1")), lp.col_index("F", ("DE-FR", "h1"))
         inst.apply([Delta("coef", row=row, col=col, value=-0.5)])
+        keys = index.keys
+        assert keys.dtype == np.int64 and len(keys) == len(lp.a_vals)
         fixed = apply_dispatch_only(lp, {(fam, key): 1.0 for fam in CAPACITY_FAMILIES
                                          if fam in lp.var_families for key in lp.var_families[fam].keys()})
         for program in (inst.lp, inst.snapshot(), fixed):
             assert solver._cell_index(program) is index
+        inst.apply([Delta("coef", row=row, col=col, value=-0.25)])
+        assert index.keys is keys
         assert pickle.loads(pickle.dumps(inst.snapshot()))._derived == {}
         assert solver._cell_index(lp.copy()) is not index
 
@@ -640,6 +645,20 @@ class TestHighsMatrix:
         assert index.find(lp, [lp.n_rows, -1], [0, 0]).tolist() == [-1, -1]
 
     @pytest.mark.parametrize("name", _PROGRAMS)
+    def test_find_matches_a_scan_of_the_entries(self, programs, name):
+        # Random targets on the pattern, off it and out of range, over
+        # several calls: the keys the first lookup makes serve the rest.
+        lp = programs[name]
+        index, rng = solver._cell_index(lp), np.random.default_rng(13)
+        for _ in range(3):
+            picked = rng.integers(0, len(lp.a_vals), 20)
+            rows = np.concatenate([lp.a_rows[picked], rng.integers(-2, lp.n_rows + 2, 40)])
+            cols = np.concatenate([lp.a_cols[picked], rng.integers(-2, lp.n_cols + 2, 40)])
+            expected = [next(iter(np.flatnonzero((lp.a_rows == r) & (lp.a_cols == c)).tolist()), -1)
+                        for r, c in zip(rows.tolist(), cols.tolist())]
+            assert index.find(lp, rows, cols).tolist() == expected
+
+    @pytest.mark.parametrize("name", _PROGRAMS)
     def test_the_tree_reads_cell_values_as_the_scipy_matrix(self, programs, name):
         lp = programs[name]
         reference = matrix(lp).tocoo()
@@ -733,7 +752,7 @@ class TestBasisStatuses:
         pytest.importorskip(_CORE)
         inst = compile_instance(programs[name])
         statuses = inst.open()
-        basis = inst._warm.basis
+        basis = solver._cold_highs(programs[name])[1]  # the base's cold solve
         for got, listed in zip(statuses, (basis.col_status, basis.row_status)):
             assert got.dtype == np.int8 and np.array_equal(got, np.array(listed, dtype=np.int8))
         assert {int(s) for s in np.concatenate(statuses)} >= {0, 1}  # at bound and basic

@@ -132,14 +132,14 @@ class TestDeterminism:
     def test_parallel_equals_single_instance_bitwise(self, sweep):
         data, config, specs = sweep
         single = run_scenarios(data, config, None, specs, mode="single_instance")
-        # Up to five workers over nine rows: a worker that did not solve the
-        # base runs its rows warm from the base basis it was sent.
+        # Up to five workers over nine rows: each runs its rows warm on a
+        # handle opened from the base statuses it was sent.
         for threads in (1, 2, 3, 5):
             par = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
             assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par)), threads
 
 
-    def test_a_seeded_handle_solves_as_the_handle_that_solved_the_base(self, sweep):
+    def test_statuses_shipped_to_another_handle_solve_as_the_basis(self, sweep):
         pytest.importorskip(_CORE)
         data, config, specs = sweep
         lp = build_model(data, config)
@@ -158,10 +158,10 @@ class TestDeterminism:
             previous = solved.basis
 
 
-    def test_a_seeded_handle_that_first_solves_a_coefficient_row_solves_as_the_base_handle(self, tmp_path):
-        # A seeded handle runs the base once from its basis before any row:
+    def test_a_handle_that_first_solves_a_coefficient_row_solves_as_one_that_first_ran_the_base(self, tmp_path):
+        # A handle runs the base once from its statuses before any row:
         # solving a row with coefficient deltas first would otherwise leave
-        # it other than the handle that solved the base.
+        # it other than a handle that ran the base first.
         pytest.importorskip(_CORE)
         from voltaic.project import load_project
         from voltaic.templates import create_project
@@ -174,9 +174,9 @@ class TestDeterminism:
         [spec] = parse_iteration_table("run,\"phi('solar','DE')\"\nP0,cf_wind_DE\n")
         deltas = expand_overrides(spec, lp, project.data, project.config)
         assert deltas and {d.kind for d in deltas} == {"coef"}
-        solved = compile_instance(lp)
-        seeded = compile_instance(lp)
+        solved, seeded = compile_instance(lp), compile_instance(lp)
         seeded.open(solved.open())
+        assert solved.resolve().stats.iterations == 0  # the base, from its own basis
         for inst in (solved, seeded):
             inst.apply(deltas)
         assert _bitwise(solved.resolve(), seeded.resolve())
@@ -195,9 +195,10 @@ class TestFallback:
             warmless = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
             assert [r.objective for r in warmless] == [r.objective for r in cold]
             assert all(_same(a.solution, b.solution) for a, b in zip(warmless, cold))
-        # In each mode the base task opened no handle, and every row, in
-        # whichever process, was solved cold (as in rebuild, logged first).
-        assert [(seeded, base) for _, seeded, base in solves.read("open")] == [(False, None)] * 2
+        # In each mode the base task left no statuses, no handle was opened,
+        # and every row, in whichever process, was solved cold (as in
+        # rebuild, logged first).
+        assert [base for _, base in solves.read("base")] == [None] * 2 and solves.read("open") == []
         rows = solves.read("row")
         assert len(rows) == 3 * len(specs) and not any(warm for _, _, warm, _, _ in rows)
 
@@ -262,7 +263,7 @@ class TestFallback:
     def test_handle_that_cannot_be_built_falls_back_to_cold(self, sweep, monkeypatch):
         data, config, specs = sweep
 
-        def unbuildable(cls, inst, base=None):
+        def unbuildable(cls, inst, statuses):
             raise AttributeError("module 'scipy.optimize._highspy._core' has no attribute 'HighsLp'")
 
         monkeypatch.setattr(solver._WarmStart, "open", classmethod(unbuildable))
@@ -284,14 +285,12 @@ class TestFallback:
         warmless = run_scenarios(data, config, None, specs, mode="single_instance")
         assert all(_same(a.solution, b.solution) for a, b in zip(warmless, cold))
 
-    def test_dense_backend_and_infinite_rhs_solve_cold(self, one_node):
-        inst = compile_instance(build_model(*one_node), backend="dense")
-        assert _same(inst.resolve(), solve(inst.lp, "dense"))
-        assert inst._warm is None
+    def test_infinite_rhs_solves_cold(self, one_node):
         inst = compile_instance(build_model(*one_node))
         row = inst.lp.row_index("RES_SHARE", ("N1",))
         inst.apply([Delta("rhs", row=row, value=-np.inf)])
         assert _same(inst.resolve(), solve(inst.lp))
+        assert inst.basis is None  # the model leaves the row out: no warm handle can start from it
 
 
 @pytest.fixture
@@ -305,14 +304,9 @@ class TestWhereWarmRuns:
 
     @pytest.fixture
     def opened(self, monkeypatch):
+        """The programs solved as warm bases."""
         calls = []
-        original = solver._WarmStart.open.__func__
-
-        def counting(cls, inst, base=None):
-            calls.append(inst)
-            return original(cls, inst, base)
-
-        monkeypatch.setattr(solver._WarmStart, "open", classmethod(counting))
+        _patch_base(monkeypatch, lambda base_statuses: lambda lp: calls.append(lp) or base_statuses(lp))
         return calls
 
     @pytest.mark.parametrize(
@@ -432,29 +426,44 @@ class _Log:
         return [[pid, *fields] for pid, k, *fields in map(json.loads, lines) if k == kind]
 
 
+def _patch_base(monkeypatch, wrap):
+    """Route every base's cold solve through ``wrap(base_statuses)``: the
+    sweep's base task and :meth:`ModelInstance.open` without statuses."""
+    patched = wrap(solver.base_statuses)
+    monkeypatch.setattr(solver, "base_statuses", patched)
+    monkeypatch.setattr(scenarios, "base_statuses", patched)
+
+
 @pytest.fixture
 def solves(monkeypatch, tmp_path):
-    """Logs, in every process, each warm handle opened (``open``: whether it
-    was seeded with a base basis, and the fingerprint of the base basis it
-    holds, None without a handle) and each row solved (``row``: run id,
-    whether it ran warm, the fingerprint of its start, None for the base
-    basis, and of the basis it left)."""
+    """Logs, in every process, each base solved cold (``base``: the
+    fingerprint of the statuses it left, None for none), each warm handle
+    opened (``open``: the fingerprint of the statuses it opened from) and
+    each row solved (``row``: run id, whether it ran warm, the fingerprint
+    of its start, None for the base basis, and of the basis it left)."""
     log = _Log(tmp_path / "solves.jsonl")
     open_, run = solver._WarmStart.open.__func__, scenarios._run_on_instance
 
-    def opening(cls, inst, base=None):
-        warm = None
-        try:
-            warm = open_(cls, inst, base)
-        finally:
-            log("open", base is not None, None if warm is None else _fingerprint(warm.basis))
-        return warm
+    def solving(base_statuses):
+        def logged(lp):
+            statuses = None
+            try:
+                statuses = base_statuses(lp)
+            finally:
+                log("base", _fingerprint(statuses))
+            return statuses
+        return logged
+
+    def opening(cls, inst, statuses):
+        log("open", _fingerprint(statuses))
+        return open_(cls, inst, statuses)
 
     def running(inst, spec, deltas, warm=False, start=None):
         result, basis = run(inst, spec, deltas, warm, start)
         log("row", spec.run_id, warm, _fingerprint(start), _fingerprint(basis))
         return result, basis
 
+    _patch_base(monkeypatch, solving)
     monkeypatch.setattr(solver._WarmStart, "open", classmethod(opening))
     monkeypatch.setattr(scenarios, "_run_on_instance", running)
     return log
@@ -473,16 +482,15 @@ def _assert_tree_starts(log, parents) -> dict:
     """Across all processes: each row was solved once, from the basis its
     planned parent left, or from the base basis if that is the base or left
     none; the one warm country set's base was solved once, never in this
-    process unless it ran the rows itself, and every handle of it holds the
-    same base basis. Returns the solved rows (see :func:`_solved`)."""
+    process unless it ran the rows itself, and every handle opened from its
+    statuses. Returns the solved rows (see :func:`_solved`)."""
     rows = _solved(log)
     for run_id, (_, _, start, _) in rows.items():
         parent = parents[run_id]
         assert start == (rows[parent][3] if parent in rows else None), run_id
-    opens = log.read("open")
-    assert [seeded for _, seeded, _ in opens].count(False) == 1
-    assert len({base for _, _, base in opens}) == 1
-    workers = {pid for pid, *_ in opens} | {pid for pid, *_ in rows.values()}
+    [(solver_pid, base)] = log.read("base")
+    assert all(statuses == base for _, statuses in log.read("open"))
+    workers = {solver_pid} | {pid for pid, *_ in rows.values()}
     assert os.getpid() not in workers or workers == {os.getpid()}
     return rows
 
@@ -569,8 +577,9 @@ class TestTreeStarts:
         # Two task runners take turns on one ready queue, as two workers do.
         # A row's first tree child comes straight back to the runner that
         # ran it; a sibling waits in the queue with the basis the row left,
-        # as statuses, and may run in the other runner. The runner that did
-        # not solve the base holds the base basis it was sent.
+        # as statuses, and may run in the other runner. Each runner holds
+        # its own handle, opened from the base statuses it was sent.
+        pytest.importorskip(_CORE)
         data, config, specs = sweep
         plan = scenarios._plan(specs, data, config)
         single = run_scenarios(data, config, None, specs, mode="single_instance")
@@ -631,6 +640,7 @@ class TestTreeStarts:
             assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par)), threads
 
     def test_tree_needs_fewer_iterations_than_the_base_start(self, far):
+        pytest.importorskip(_CORE)
         data, config, specs = far
         tree = run_scenarios(data, config, None, specs, mode="single_instance")
         inst = compile_instance(build_model(data, config))
@@ -672,20 +682,23 @@ class TestTreeStarts:
         _, planned = _plan_of(data, config, specs)
         assert planned["G1"] == "F0" and planned["G0"] == "G1"
         open_, cold_highs, cold = solver._WarmStart.open.__func__, solver._cold_highs, _Log(tmp_path / "cold.jsonl")
+        bases = []  # the programs this process solved as bases
 
-        def guarded(cls, inst, base=None):
-            warm = open_(cls, inst, base)
+        def guarded(cls, inst, statuses):
+            warm = open_(cls, inst, statuses)
             if warm is not None:
                 warm.highs.setOptionValue("simplex_iteration_limit", 40)
             return warm
 
         def logged(lp):
             sol, basis = cold_highs(lp)
-            cold("cold", sol.objective, _fingerprint(basis))
+            if not any(lp is base for base in bases):  # a row's fallback
+                cold("cold", sol.objective, _fingerprint(basis))
             return sol, basis
 
         monkeypatch.setattr(solver._WarmStart, "open", classmethod(guarded))
         monkeypatch.setattr(solver, "_cold_highs", logged)
+        _patch_base(monkeypatch, lambda base_statuses: lambda lp: bases.append(lp) or base_statuses(lp))
         single = None
         for mode, threads in (("single_instance", 0), ("parallel", 1), ("parallel", 2), ("parallel", 3)):
             results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
@@ -737,25 +750,23 @@ class TestRetiredBase:
         specs = [*specs, *(replace(spec, run_id=f"DE_{spec.run_id}", country_set=("DE",)) for spec in specs)]
         results = run_scenarios(data, config, None, specs, mode="parallel", threads=threads)
         assert all(r.status == "optimal" for r in results)
-        opens = solves.read("open")
-        bases = {pid for pid, seeded, _ in opens if not seeded}
+        bases = {pid for pid, _ in solves.read("base")}
         rows = {pid for pid, *_ in _solved(solves).values()}
-        assert len(bases) == 2 and os.getpid() not in bases | rows
+        assert len(solves.read("base")) == len(bases) == 2 and os.getpid() not in bases | rows
         assert not bases & rows
-        assert rows <= {pid for pid, seeded, _ in opens if seeded}  # each opened a handle from statuses
+        assert rows <= {pid for pid, _ in solves.read("open")}  # each opened a handle from statuses
         single = run_scenarios(data, config, None, specs, mode="single_instance")
         assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, results))
 
     def test_a_rows_wall_time_leaves_out_the_base_solve(self, far, monkeypatch):
         data, config, specs = far
-        original = solver._WarmStart.open.__func__
-
-        def slow(cls, inst, base=None):
-            if base is None:
+        def slow(base_statuses):
+            def solving(lp):
                 time.sleep(0.5)
-            return original(cls, inst, base)
+                return base_statuses(lp)
+            return solving
 
-        monkeypatch.setattr(solver._WarmStart, "open", classmethod(slow))
+        _patch_base(monkeypatch, slow)
         for mode, threads in (("single_instance", 0), ("parallel", 2)):
             results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
             assert all(r.status == "optimal" for r in results)
@@ -791,12 +802,12 @@ class TestPlannedOnce:
         assert {pid for pid, _ in made} == {os.getpid()}
         rows = _solved(solves)
         assert sorted(rows) == sorted(spec.run_id for spec in specs)
-        # With two or more workers the base's process is retired, and the
-        # one chain of far rows runs in one fresh process, seeded once from
-        # the base's statuses if the base left any.
-        opens = solves.read("open")
-        reseeded = mode == "parallel" and threads > 1 and any(base is not None for _, _, base in opens)
-        assert [seeded for _, seeded, _ in opens] == ([] if mode == "rebuild" else [False] + [True] * reseeded)
+        # One base solve for the warm set; the one chain of far rows runs in
+        # one process, which opens its handle once from the base's statuses
+        # if the base left any.
+        bases = [base for _, base in solves.read("base")]
+        assert len(bases) == (mode != "rebuild")
+        assert len(solves.read("open")) == (mode != "rebuild" and bases[0] is not None)
 
     def test_a_set_that_does_not_build_is_built_once_and_not_expanded(self, far, calls):
         data, config, specs = far
@@ -835,7 +846,7 @@ class TestRowsFinishWhereSolved:
 
         monkeypatch.setattr(pipeline, "write_store", recording_write)
         stores = tmp_path / "stores"
-        finish = partial(pipeline._finish_row, reporting=[("G", "level")], threads=1, config_echo=None,
+        finish = partial(pipeline._finish_row, reporting=[("G", "level")], config_echo=None,
                          results_dir=stores, formats=("csv",))
         rows = scenarios._run_and_finish(data, config, None, specs, "parallel", threads, finish=finish)
 
@@ -966,7 +977,7 @@ class TestCrashedWorker:
 
         data, config, specs = far  # the chain F7 -> F6 -> ... -> F0
         stores = tmp_path / "stores"
-        finish = partial(pipeline._finish_row, reporting=[("G", "level")], threads=1, config_echo=None,
+        finish = partial(pipeline._finish_row, reporting=[("G", "level")], config_echo=None,
                          results_dir=stores, formats=("csv",))
         scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)  # an earlier sweep
         assert read_store(stores / "F5").meta.get("error") is None
@@ -999,6 +1010,7 @@ class TestCrashedWorker:
                 assert results[reference.run_id].objective == pytest.approx(reference.objective, rel=1e-6)
 
     def test_a_lost_row_changes_only_the_starts_below_it(self, sweep, solves):
+        pytest.importorskip(_CORE)
         data, config, specs = sweep
         plan = scenarios._plan(specs, data, config)
         names = [spec.run_id for spec in specs]
@@ -1029,14 +1041,16 @@ class TestCrashedWorker:
 
     def test_a_death_in_the_base_solve_leaves_its_rows_cold(self, far, monkeypatch, solves):
         data, config, specs = far
-        original, parent = solver._WarmStart.open.__func__, os.getpid()
+        parent = os.getpid()
 
-        def dying(cls, inst, base=None):
-            if base is None and os.getpid() != parent:
-                os._exit(3)
-            return original(cls, inst, base)
+        def dying(base_statuses):
+            def solving(lp):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return base_statuses(lp)
+            return solving
 
-        monkeypatch.setattr(solver._WarmStart, "open", classmethod(dying))
+        _patch_base(monkeypatch, dying)
         results = run_scenarios(data, config, None, specs, mode="parallel", threads=2)
         assert all(r.status == "optimal" for r in results)
         assert not any(warm for _, _, warm, _, _ in solves.read("row"))
@@ -1079,14 +1093,10 @@ class TestRowExceptions:
     @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2)])
     def test_an_exception_in_the_base_solve_leaves_its_rows_cold(self, far, monkeypatch, solves, mode, threads):
         data, config, specs = far
-        original = solver._WarmStart.open.__func__
+        def raising(lp):
+            raise MemoryError("base solve")
 
-        def raising(cls, inst, base=None):
-            if base is None:
-                raise MemoryError("base solve")
-            return original(cls, inst, base)
-
-        monkeypatch.setattr(solver._WarmStart, "open", classmethod(raising))
+        _patch_base(monkeypatch, lambda base_statuses: raising)
         results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
         assert all(r.status == "optimal" for r in results)
         assert not any(warm for _, _, warm, _, _ in solves.read("row"))
@@ -1192,8 +1202,8 @@ class TestStatusesMade:
         rows = _solved(solves)
         forks = [specs[idx].run_id for idx, children in enumerate(plan.children) if len(children) > 1]
         assert len(forks) == branching and all(rows[run_id][3] is not None for run_id in forks)
-        handles = [base for _, seeded, base in solves.read("open") if base is not None and not seeded]
-        expected = Counter(handles) + Counter(rows[run_id][3] for run_id in forks)
+        bases = [base for _, base in solves.read("base") if base is not None]
+        expected = Counter(bases) + Counter(rows[run_id][3] for run_id in forks)
         assert Counter(fingerprint for _, fingerprint in made.read("statuses")) == expected
 
     @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2), ("parallel", 3)])
