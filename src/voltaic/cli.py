@@ -120,9 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

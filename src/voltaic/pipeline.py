@@ -46,7 +46,8 @@ def run_project(
     ``<root>/results/<run_id>/``. Each row's store is extracted and written,
     and the row's share of the report made from it, by the process that
     solved the row (a worker in ``parallel`` mode), which hands back that
-    share with the result and drops the store; a row whose worker died is
+    share with the result and drops the store; a row that cannot run (see
+    :func:`~voltaic.scenarios.run_scenarios`), or whose worker died, is
     finished here, as an error. This process only merges the shares: the
     report covers the runs of this call only, in run-id order, and equals
     what :func:`report_project` makes from their stores on disk.

@@ -90,6 +90,9 @@ CONSTRAINT_BLOCKS: dict[str, tuple[str, ...]] = {
 _SET_ALIASES = {"res": "tech", "disp": "tech"}
 
 _HEADER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\.(fx|lo|up))?(?:\((.*)\))?$")
+# A comma outside quotes: an even number of quotes follows it, since a
+# heading's quotes are balanced.
+_DOMAIN_COMMA = re.compile(r",(?=(?:[^']*'[^']*')*[^']*$)")
 
 
 @dataclass(frozen=True)
@@ -120,30 +123,6 @@ class ScenarioSpec:
     constraint_choices: dict[str, str] = field(default_factory=dict)
 
 
-def _split_domain(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    quoted = False
-    current = ""
-    for ch in text:
-        if ch == "'":
-            quoted = not quoted
-            current += ch
-        elif ch == "," and not quoted and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            if ch == "(" and not quoted:
-                depth += 1
-            elif ch == ")" and not quoted:
-                depth -= 1
-            current += ch
-    if quoted or depth != 0:
-        raise ValidationError(f"iteration_table: unbalanced quotes/parentheses in {text!r}")
-    parts.append(current)
-    return parts
-
-
 def parse_symbol_ref(text: str) -> SymbolRef:
     """Parse one column heading; round-trips through :meth:`SymbolRef.render`."""
     raw = text.strip()
@@ -159,7 +138,10 @@ def parse_symbol_ref(text: str) -> SymbolRef:
     if inner is not None:
         if inner.strip() == "":
             raise ValidationError(f"iteration_table: empty domain in {raw!r}")
-        for part in _split_domain(inner):
+        # A set name holds no parenthesis, and an element only inside quotes.
+        if re.search(r"[()]", re.sub(r"'[^']*'", "", inner)):
+            raise ValidationError(f"iteration_table: parenthesis outside quotes in the domain of {raw!r}")
+        for part in _DOMAIN_COMMA.split(inner):
             entry = part.strip()
             if not entry:
                 raise ValidationError(f"iteration_table: empty domain entry in {raw!r}")
@@ -500,17 +482,13 @@ def _run_on_instance(
 ) -> tuple[RunResult, object]:
     """Run one row's planned ``deltas`` on ``inst``: its result, and the
     optimal basis it was solved warm from ``start`` to (None if it was not
-    solved warm)."""
+    solved warm). The plan has applied the deltas once already, so they
+    apply; anything this raises fails the row."""
     started = time.perf_counter()
-    try:
-        inst.reset()
-        inst.apply(deltas)
-        # resolve certifies whatever it returns; a cold solve is checked here.
-        solution = inst.resolve(start) if warm else certified(inst.lp, solve(inst.lp))
-    except (ValidationError, KeyError, ValueError) as exc:
-        result = RunResult(spec.run_id, None, _echo(spec), error=str(exc),
-                           wall_time=time.perf_counter() - started)
-        return result, None
+    inst.reset()
+    inst.apply(deltas)
+    # resolve certifies whatever it returns; a cold solve is checked here.
+    solution = inst.resolve(start) if warm else certified(inst.lp, solve(inst.lp))
     result = RunResult(spec.run_id, solution, _echo(spec), lp=inst.snapshot(),
                        wall_time=time.perf_counter() - started)
     return result, inst.basis if warm else None
@@ -519,8 +497,9 @@ def _run_on_instance(
 @dataclass(frozen=True)
 class _Sweep:
     """A planned sweep: each country set's one build, each row's deltas
-    against it (or the message its build or expansion failed with), the
-    order to run the rows in and each row's parent (None for the base)."""
+    against it (or the message its build, expansion or deltas failed
+    with), the rows that can run in the order to run them, and each row's
+    parent (None for the base)."""
 
     specs: list[ScenarioSpec]
     builds: dict[tuple[str, ...] | None, LinearProgram]
@@ -639,11 +618,14 @@ def _plan(
     fixed_capacities=None,
     warm: bool = True,
 ) -> _Sweep:
-    """Build each country set once and expand each row once against it.
-    Country sets follow their first row; with ``warm``, a set of
-    ``_WARM_MIN_ROWS`` or more rows runs as its :func:`_tree`, any other in
-    table order. A row whose set does not build, or whose overrides do not
-    expand, keeps the message and plans as the base."""
+    """Build each country set once, expand each row once against it and
+    apply each row's deltas once to a scratch copy of it. Country sets
+    follow their first row; with ``warm``, a set of ``_WARM_MIN_ROWS`` or
+    more rows runs as its :func:`_tree`, any other in table order. A row
+    whose set does not build, whose overrides do not expand or whose deltas
+    do not apply keeps the message and is left out of the order; it is
+    planned as the base if it does not expand, and its tree children start
+    from the base."""
     groups: dict[tuple[str, ...] | None, list[int]] = {}
     for idx, spec in enumerate(specs):
         groups.setdefault(spec.country_set, []).append(idx)
@@ -659,7 +641,6 @@ def _plan(
         except (ValidationError, KeyError, ValueError) as exc:
             for idx in members:
                 deltas[idx] = str(exc)
-            order.extend(members)
             continue
         for idx in members:
             try:
@@ -675,6 +656,16 @@ def _plan(
         order.extend(members[j] for j in tree_order)
         for j, p in enumerate(tree_parents):
             parents[members[j]] = None if p is None else members[p]
+    scratch = {key: ModelInstance(lp) for key, lp in builds.items()}
+    for idx, row in enumerate(deltas):
+        if isinstance(row, list):
+            try:
+                scratch[specs[idx].country_set].reset()
+                scratch[specs[idx].country_set].apply(row)
+            except (KeyError, ValueError) as exc:
+                deltas[idx] = str(exc)
+    order = [idx for idx in order if isinstance(deltas[idx], list)]
+    parents = [None if p is None or isinstance(deltas[p], str) else p for p in parents]
     return _Sweep(specs, builds, deltas, order, parents, frozenset(warm_keys))
 
 
@@ -692,16 +683,17 @@ class _Tasks:
     set's one base solve, on no instance, and returns ``("base", key,
     statuses)``: its :func:`~voltaic.solver.base_statuses` (None if there
     are none or the solve raised: the set's rows then run cold). ``("row",
-    idx, start, base)`` runs row ``idx`` and finishes it: from the base
-    basis (``start`` None), from shipped statuses, or from the basis the
-    last row run here left (``_LEFT``). ``base`` is the set's base
-    statuses, from which a process opens its handle (None: the row runs
-    cold). It returns ``("row", idx, result, done, statuses)``: the result without its program, what ``finish`` made of
-    it and, only for a row with two or more tree children, the statuses of
-    the basis it left; or ``("fail", idx, error)`` if solving or finishing
-    the row raised, naming the exception. Rows compile one instance per
-    country set, which each row resets; a row that raised drops its set's
-    instance, so the next row here opens a fresh one."""
+    idx, start, base)`` solves row ``idx``, one the plan found can run, and
+    finishes it: from the base basis (``start`` None), from shipped
+    statuses, or from the basis the last row run here left (``_LEFT``).
+    ``base`` is the set's base statuses, from which a process opens its
+    handle (None: the row runs cold). It returns ``("row", idx, result,
+    done, statuses)``: the result without its program, what ``finish``
+    made of it and, only for a row with two or more tree children, the
+    statuses of the basis it left; or ``("fail", idx, error)`` if solving
+    or finishing the row raised, naming the exception. Rows compile one
+    instance per country set, which each row resets; a row that raised
+    drops its set's instance, so the next row here opens a fresh one."""
 
     def __init__(self, sweep: _Sweep, finish=None):
         self.sweep, self.finish = sweep, finish
@@ -722,16 +714,13 @@ class _Tasks:
                 statuses = None
             return "base", task[1], statuses
         _, idx, start, base = task
-        spec, deltas = sweep.specs[idx], sweep.deltas[idx]
+        spec = sweep.specs[idx]
         key = spec.country_set
         try:
-            if isinstance(deltas, str):
-                result, self.left = RunResult(spec.run_id, None, _echo(spec), error=deltas), None
-            else:
-                inst = self._instance(key)
-                warm = base is not None and inst.open(base) is not None
-                start = self.left if start == _LEFT else start
-                result, self.left = _run_on_instance(inst, spec, deltas, warm, start)
+            inst = self._instance(key)
+            warm = base is not None and inst.open(base) is not None
+            start = self.left if start == _LEFT else start
+            result, self.left = _run_on_instance(inst, spec, sweep.deltas[idx], warm, start)
             done = None if self.finish is None else self.finish(result)
         except Exception as exc:  # noqa: BLE001 - fails this row alone
             self.left = None
@@ -756,15 +745,16 @@ class _Ready:
     """A sweep's ready queue, kept by the calling process in every mode,
     and each row's ``(result, done)`` as it comes back.
 
-    Warm country sets' bases go out first, then rows, the longest chain
-    below first (tree order among equals). A solved base makes its set's
-    tree roots ready, to start from the base basis. A finished row's first
-    tree child goes straight back to the process that ran the row, to start
-    from the basis the row left there (``_LEFT``); its other children wait
-    here with that basis's statuses. So every row starts from its tree
-    parent's basis, whichever process runs it. A row that failed, or whose
-    process died, is finished here as an error, and its children start
-    from the base basis."""
+    Rows the plan found cannot run are finished first, here, as errors.
+    Then warm country sets' bases go out, for sets with a row that can run,
+    then rows, the longest chain below first (tree order among equals). A
+    solved base makes its set's tree roots ready, to start from the base
+    basis. A finished row's first tree child goes straight back to the
+    process that ran the row, to start from the basis the row left there
+    (``_LEFT``); its other children wait here with that basis's statuses.
+    So every row starts from its tree parent's basis, whichever process
+    runs it. A row that raised, or whose process died, is finished here as
+    an error, and its children start from the base basis."""
 
     def __init__(self, sweep: _Sweep, finish=None):
         self.sweep, self.finish = sweep, finish
@@ -772,6 +762,9 @@ class _Ready:
         self.bases: dict = {}  # warm country set -> its base basis's statuses, None without a handle
         self.roots: dict = {}  # warm country set -> its tree roots, ready once its base is solved
         self.done: dict[int, tuple[RunResult, object]] = {}
+        for idx, deltas in enumerate(sweep.deltas):
+            if isinstance(deltas, str):
+                self._fail(idx, deltas)
         for idx in sweep.order:
             if sweep.parents[idx] is None:
                 if (key := sweep.specs[idx].country_set) in sweep.warm_keys:
@@ -810,7 +803,8 @@ class _Ready:
         return None if first is None else self._task(first, _LEFT)
 
     def _fail(self, idx: int, error: str) -> None:
-        """Row ``idx`` fails with ``error``, finished in this process."""
+        """Row ``idx`` fails with ``error``, finished in this process: the
+        one place a sweep makes an error result."""
         spec = self.sweep.specs[idx]
         result = RunResult(spec.run_id, None, _echo(spec), error=error)
         self.done[idx] = result, None if self.finish is None else self.finish(result)
@@ -931,7 +925,8 @@ def run_scenarios(
     same in worker processes, which only compile, apply and solve. No result
     holds its program once its row is finished: every row that ran derives
     ``lp`` from the plan when it is first read, in every mode.
-    ``threads`` = 0 uses every available core.
+    ``threads`` = 0 uses every available core; ``parallel`` forks no more
+    workers than there are rows that can run.
 
     In the two instance modes a country set with eight or more rows in
     ``specs`` is re-solved warm (see :meth:`ModelInstance.resolve`); smaller
@@ -950,10 +945,12 @@ def run_scenarios(
     solve. A row's start therefore depends on the table alone, and
     ``parallel`` returns bitwise what ``single_instance`` does, whatever
     ``threads`` is. All three modes produce the same objectives (to the
-    1e-6 certification). A row whose solve or finish raises, or whose
-    worker dies, fails alone as an ``error`` run, and that row's tree
-    children start from the base basis; a base solve that raises leaves its
-    set's rows to be solved cold.
+    1e-6 certification). A row fails alone as an ``error`` run if its
+    country set does not build, its overrides do not expand or its deltas
+    do not apply (the plan finds these, and no worker sees the row), or if
+    its solve or finish raises or its worker dies; that row's tree children
+    start from the base basis. A base solve that raises leaves its set's
+    rows to be solved cold.
     """
     return [
         result
@@ -978,8 +975,10 @@ def _run_and_finish(
     ``finish(result)`` returned. ``finish`` runs once per row, in the
     process that solved the row and right after it: in a worker in
     ``parallel`` mode (so what it returns must pickle), in this process
-    otherwise. A row that raised, or whose worker died, is finished here,
-    as an error."""
+    otherwise. A row that cannot run (its set does not build, its overrides
+    do not expand or its deltas do not apply) is finished here, as an
+    error, before any solve, and so is a row that raised or whose worker
+    died."""
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:
@@ -987,7 +986,7 @@ def _run_and_finish(
     if threads < 0:
         raise ValidationError(f"run_scenarios: threads must be 0 (all cores) or more, got {threads}")
     sweep = _plan(specs, data, config, features, constraint_blocks, fixed_capacities, mode != "rebuild")
-    workers = min(threads or os.cpu_count() or 1, len(specs)) if mode == "parallel" else 1
+    workers = min(threads or os.cpu_count() or 1, len(sweep.order)) if mode == "parallel" else 1
     ready, run = _Ready(sweep, finish), _Tasks(sweep, finish)
     if workers > 1:
         ready.serve_forked(run, workers)

@@ -184,6 +184,27 @@ class TestRun:
         assert "ZZ" in capsys.readouterr().err
         assert sorted(p.name for p in report.iterdir()) == []
 
+    @pytest.mark.parametrize("mode", ["rebuild", "single_instance", "parallel"])
+    def test_rows_that_cannot_run_fail_before_any_solve(self, tmp_path, capsys, mode):
+        root = create_project("demo", "minimal", tmp_path)
+        rewrite = root / "settings" / "project_variables.csv"
+        rewrite.write_text(rewrite.read_text().replace("scenarios_iteration,no", "scenarios_iteration,yes"))
+        (root / "iterationfiles" / "iteration_table.csv").write_text(
+            "run,\"N.lo('gas','DE')\",\"N.up('gas','DE')\",\"d('DE')\",country_set\n"
+            "ok,,,,\nE,60,50,,\nX,,,nope,\nZ,,,,ZZ\n"
+        )
+        assert run_cli("run", str(root), "--mode", mode, "--threads", "2") == 2
+        out, err = capsys.readouterr()
+        lines = dict(line.split("  ", 1) for line in out.splitlines())
+        assert lines["ok"].startswith("status=optimal")
+        for run_id in "EXZ":
+            assert lines[run_id] == "status=error  objective=-  wall=0.000s"
+        assert "error: E: delta produces lo > hi on N(gas,DE): [60.0, 50.0]" in err
+        assert "error: X: override \"d('DE')\": unknown series 'nope'" in err
+        assert "error: Z: " in err and "ZZ" in err
+        for run_id in "EXZ":
+            assert read_store(root / "results" / run_id).meta["error"] in err
+
     def test_a_crashed_worker_fails_only_its_row(self, tmp_path, monkeypatch, capsys):
         from voltaic import pipeline
 

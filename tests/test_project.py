@@ -388,3 +388,81 @@ class TestStaticTables:
         for table in STATIC_TABLES:
             named |= {table.file, *(c.name for c in table.columns)}
         assert named <= listed, sorted(named - listed)
+
+
+def _edit(rel_path, old, new):
+    """Replaces the first ``old`` in a project file with ``new``."""
+    def edit(root):
+        path = root / rel_path
+        assert old in path.read_text(), f"{old!r} not in {rel_path}"
+        path.write_text(path.read_text().replace(old, new, 1))
+    return edit
+
+
+def _write(rel_path, text):
+    return lambda root: (root / rel_path).write_text(text)
+
+
+def _delete(rel_path):
+    return lambda root: (root / rel_path).unlink()
+
+
+_VARIABLES = "settings/project_variables.csv"
+_FEATURES = "settings/features_node_selection.csv"
+
+# One edit of the minimal template per input error, and the issue it must
+# raise ({root} is the project root).
+INPUT_ERRORS = [
+    pytest.param([_edit(_VARIABLES, "GUSS,yes", "GUSS,maybe")],
+                 "project_variables:GUSS: expected yes/no, got 'maybe'", id="bool"),
+    pytest.param([_edit(_VARIABLES, "end_hour,h24", "end_hour,hx")],
+                 "project_variables:end_hour: expected h<hours>, got 'hx'", id="end_hour"),
+    pytest.param([_edit(_VARIABLES, "GUSS_parallel_threads,0", "GUSS_parallel_threads,many")],
+                 "project_variables:GUSS_parallel_threads: expected an integer >= 0 (0 = all cores), got 'many'",
+                 id="threads"),
+    pytest.param([_edit(_VARIABLES, "base_year,2030", "base_year,soon")],
+                 "project_variables:base_year: expected integer, got 'soon'", id="base_year"),
+    pytest.param([_edit("data_input/static_input/technologies.csv", ",70.0,", ",cheap,")],
+                 "technologies.csv:2: column 'c_var': not a number: 'cheap'", id="number"),
+    pytest.param([_edit("data_input/static_input/availability.csv", "solar,DE,cf_solar_DE", "solar,DE,")],
+                 "availability.csv:2: needs tech, node and series", id="availability_row"),
+    pytest.param([_delete("data_input/static_input/nodes.csv")],
+                 "{root}/data_input/static_input/nodes.csv: missing file", id="nodes_file"),
+    pytest.param([_edit("data_input/timeseries_input/series.csv", "\nh2,", "\nh9,")],
+                 "series.csv:3: hour column must be sequential, expected h2", id="hour_column"),
+    pytest.param([_edit("data_input/timeseries_input/series.csv", "\nh1,0.0,", "\nh1,x,")],
+                 "series.csv:2: bad value 'x'", id="series_value"),
+    pytest.param([_write("data_input/timeseries_input/extra.csv", "hour,load_DE\nh1,1.0\n")],
+                 "series.csv: series 'load_DE' defined twice", id="series_twice"),
+    pytest.param([_delete(_FEATURES)], "{root}/settings/features_node_selection.csv: missing file",
+                 id="features_file"),
+    pytest.param([_edit(_FEATURES, "heat,0", "heat,0\nteleport,0")],
+                 "features_node_selection.csv:8: unknown module 'teleport'", id="features_module"),
+    pytest.param([_edit(_FEATURES, "dsm,0", "dsm,x")],
+                 "features_node_selection.csv:2: entry for DE must be 0/1, got 'x'", id="features_entry"),
+    pytest.param([_delete("settings/reporting_symbols.csv")],
+                 "{root}/settings/reporting_symbols.csv: missing file", id="reporting_file"),
+    pytest.param([_edit("settings/reporting_symbols.csv", "N,level", "N,mean")],
+                 "reporting_symbols.csv:2: kind must be level or marginal, got 'mean'", id="reporting_kind"),
+    pytest.param([_delete("settings/constraints_list.csv")],
+                 "{root}/settings/constraints_list.csv: missing file", id="constraints_file"),
+    pytest.param([_edit("settings/constraints_list.csv", "renewable_share,on,off", "renewable_share,on,maybe")],
+                 "constraints_list.csv:2: unsupported choices ['maybe'] for 'renewable_share'",
+                 id="constraints_choice"),
+    pytest.param([_write("iterationfiles/iteration_data/alt.csv", "hour,load_DE\nh1,1.0\n")],
+                 "iteration_data: series 'load_DE' already defined in base data", id="iteration_data_shadow"),
+    pytest.param([_edit(_VARIABLES, "scenarios_iteration,no", "scenarios_iteration,yes"),
+                  _delete("iterationfiles/iteration_table.csv")],
+                 "{root}/iterationfiles/iteration_table.csv: missing file", id="iteration_table_file"),
+]
+
+
+@pytest.mark.parametrize("edits, issue", INPUT_ERRORS)
+def test_input_error_is_reported(tmp_path, edits, issue):
+    root = create_project("proj", "minimal", tmp_path)
+    load_project(root)  # the template loads
+    for edit in edits:
+        edit(root)
+    with pytest.raises(ValidationError) as exc:
+        load_project(root)
+    assert issue.format(root=root) in exc.value.issues

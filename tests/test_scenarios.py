@@ -142,6 +142,35 @@ class TestParsing:
         assert specs[0].constraint_choices == {"renewable_share": "off"}
 
     @pytest.mark.parametrize(
+        "table, issue",
+        [
+            ("run,c_var()\nS0,1\n", "iteration_table: empty domain in 'c_var()'"),
+            ("run,\"c_var(n,)\"\nS0,1\n", "iteration_table: empty domain entry in 'c_var(n,)'"),
+            ("run,\"c_var(n'x',tech)\"\nS0,1\n", "iteration_table: stray quote in domain entry \"n'x'\""),
+            ("run,\"c_var(n(x),tech)\"\nS0,1\n",
+             "iteration_table: parenthesis outside quotes in the domain of 'c_var(n(x),tech)'"),
+            ("run,\"c_var(''x(')')\"\nS0,1\n",
+             "iteration_table: parenthesis outside quotes in the domain of \"c_var(''x(')')\""),
+            ("run,c_var(n)\n,1\n", "iteration_table: empty run id"),
+        ],
+        ids=["empty_domain", "empty_entry", "stray_quote", "set_parenthesis", "quoted_parenthesis", "empty_run_id"],
+    )
+    def test_heading_and_run_id_errors(self, table, issue):
+        with pytest.raises(ValidationError) as exc:
+            parse_iteration_table(table)
+        assert exc.value.issues == [issue]
+
+    def test_empty_table_has_no_rows(self):
+        assert parse_iteration_table(" \n,\n") == []
+
+    @pytest.mark.parametrize(
+        "text, domain",
+        [("c_var('a,b', 'c')", (("lit", "a,b"), ("lit", "c"))), ("N.fx( n ,'x' )", (("set", "n"), ("lit", "x")))],
+    )
+    def test_domain_splits_on_commas_outside_quotes(self, text, domain):
+        assert parse_symbol_ref(text).domain == domain
+
+    @pytest.mark.parametrize(
         "text",
         [
             "c_i_sto_e(n,'Li-ion')",
@@ -300,6 +329,37 @@ class TestExpansion:
         deltas = expand_overrides(spec, lp, data, config)
         assert len(deltas) == 1
         assert deltas[0].kind == "rhs" and deltas[0].value == 0.0
+
+    @pytest.mark.parametrize(
+        "table, issue",
+        [
+            ("run,d('DE')\nS0,short\n", "override series 'short': 3 hours < end_hour 4"),
+            ("run,\"phi('solar','DE')\"\nS0,hot\n", "override series 'hot': availability outside [0, 1]"),
+            ("run,\"Q.fx('gas','DE')\"\nS0,1\n", "override \"Q.fx('gas','DE')\": unknown variable 'Q'"),
+            ("run,quantum\nS0,off\n", "constraint block 'quantum' is not registered"),
+            ("run,c_var(n)\nS0,1\n", "override 'c_var(n)': domain arity 1 does not match dimensions ('n', 'tech')"),
+            ("run,min_renewable_share('FR')\nS0,0.5\n", "override min_renewable_share('FR'): the base model "
+             "has no share row for this node (base share is zero)"),
+        ],
+        ids=["short_series", "phi_range", "unknown_variable", "unregistered_block", "arity", "no_share_row"],
+    )
+    def test_override_error_names_the_override(self, battery_system, table, issue):
+        data, config = battery_system
+        extra = {"short": TimeSeries("short", (1.0, 2.0, 3.0)), "hot": TimeSeries("hot", (0.5, 1.5, 0.2, 0.1))}
+        data = replace(data, series={**data.series, **extra})
+        lp = build_model(data, config)
+        [spec] = parse_iteration_table(table)
+        with pytest.raises(ValidationError) as exc:
+            expand_overrides(spec, lp, data, config)
+        assert exc.value.issues == [issue]
+
+    # ``on`` keeps the base rows; ``co2_cap`` ``off`` has no row to relax
+    # when no node has a base cap.
+    @pytest.mark.parametrize("block, choice", [("renewable_share", "on"), ("co2_cap", "on"), ("co2_cap", "off")])
+    def test_choices_that_change_no_row_give_no_deltas(self, battery_system, block, choice):
+        data, config = battery_system
+        lp = build_model(data, config)
+        assert expand_overrides(ScenarioSpec("S0", constraint_choices={block: choice}), lp, data, config) == []
 
     def test_constraint_choice_unknown_rejected(self, battery_system):
         data, config = battery_system

@@ -331,19 +331,28 @@ class TestWhereWarmRuns:
 
 def test_rebuild_compiles_one_instance_per_country_set(monkeypatch):
     """Every mode resets one instance per country set between rows; a reset
-    instance is bitwise its build, so ``rebuild`` needs no fresh one."""
+    instance is bitwise its build, so ``rebuild`` needs no fresh one. The
+    plan tries each row's deltas on one scratch overlay per set of its own."""
     data, config = two_node_sweep_system(hours=24)
     config = replace(config, end_hour=24)
     specs = parse_iteration_table(random_sweep_table(3, seed=2))
-    compiled = []
+    compiled, planned, plan = [], [], scenarios._plan
 
     class Counted(solver.ModelInstance):
         def __init__(self, *args, **kwargs):
             compiled.append(self)
             super().__init__(*args, **kwargs)
 
+    def planning(*args, **kwargs):
+        sweep = plan(*args, **kwargs)
+        planned.extend(compiled)
+        compiled.clear()
+        return sweep
+
     monkeypatch.setattr(scenarios, "ModelInstance", Counted)
+    monkeypatch.setattr(scenarios, "_plan", planning)
     rows = scenarios._run_and_finish(data, config, None, specs, "rebuild", 0)
+    assert len(planned) == 1 and planned[0]._warm is solver._UNOPENED
     assert len(compiled) == 1 and all(result.status == "optimal" for result, _ in rows)
     assert compiled[0].basis is None and compiled[0]._warm is solver._UNOPENED  # every row cold
 
@@ -660,12 +669,17 @@ class TestTreeStarts:
         table = ["run,\"c_i_sto_e(n,'Li-ion')\",\"c_i_sto_p(n,'Li-ion')\",\"N.lo('gas','DE')\",\"N.up('gas','DE')\""]
         table += [f"F{i},{4000 + 150 * i},{3000 + 100 * (i % 3)},," for i in range(8)]
         specs = parse_iteration_table("\n".join([*table, "E,,,60,50", "C,4000,,60,"]) + "\n")
-        _, planned = _plan_of(data, config, specs)
-        assert planned["C"] == "E"
+        lp = build_model(data, config)
+        _, tree = scenarios._tree(lp, [expand_overrides(spec, lp, data, config) for spec in specs])
+        assert tree[-1] == len(specs) - 2  # E is C's tree parent
+        # The plan finds that E cannot run, so C is planned from the base.
+        order, planned = _plan_of(data, config, specs)
+        assert planned["C"] is None and "E" not in order
         results = {r.run_id: r for r in run_scenarios(data, config, None, specs, mode="parallel", threads=3)}
         assert results["E"].status == "error" and results["C"].status == "optimal"
+        assert results["E"].error == "delta produces lo > hi on N(gas,DE): [60.0, 50.0]"
         rows = _assert_tree_starts(solves, planned)
-        assert rows["E"][3] is None and rows["C"][2] is None
+        assert "E" not in rows and rows["C"][2] is None
         inst = compile_instance(build_model(data, config))
         fresh = inst.update_and_resolve(expand_overrides(specs[-1], inst.lp, data, config))
         assert _bitwise(results["C"].solution, fresh)
@@ -817,6 +831,21 @@ class TestPlannedOnce:
         assert results[-1].error == results[-2].error and "XX" in results[-1].error
         assert Counter(name for _, name in calls.read("call")) == {"build_model": 2, "expand_overrides": len(specs) - 2}
 
+    @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2)])
+    def test_a_warm_set_with_no_row_that_can_run_solves_no_base(self, far, solves, monkeypatch, mode, threads):
+        data, config, _ = far
+        table = ["run,\"N.lo('gas','DE')\",\"N.up('gas','DE')\""] + [f"E{i},{60 + i},50" for i in range(8)]
+        specs = parse_iteration_table("\n".join(table) + "\n")
+        sweep = scenarios._plan(specs, data, config)
+        assert sweep.warm_keys == {None} and sweep.order == []
+        assert scenarios._Ready(sweep).heap == []
+        forked = []
+        monkeypatch.setattr(scenarios._Ready, "serve_forked", lambda self, run, workers: forked.append(workers))
+        results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+        assert [r.error for r in results] == [f"delta produces lo > hi on N(gas,DE): [{60 + i}.0, 50.0]"
+                                              for i in range(8)]
+        assert solves.read("base") == solves.read("row") == [] and forked == []  # no worker for no row
+
 
 def _table_with_failures():
     """The far rows plus E, which fails when applied (lo > hi), and X,
@@ -853,9 +882,12 @@ class TestRowsFinishWhereSolved:
         written = writes.read("write")
         assert sorted(run_id for _, run_id in written) == sorted(spec.run_id for spec in specs)
         solved = _solved(solves)
-        assert sorted(solved) == sorted(spec.run_id for spec in specs if spec.run_id != "X")  # X does not expand
+        # E's deltas do not apply and X does not expand: the plan finds
+        # both, and this process finishes them without a solve.
+        assert sorted(solved) == sorted(spec.run_id for spec in specs if spec.run_id not in ("E", "X"))
         assert all(solved[run_id][0] == pid for pid, run_id in written if run_id in solved)
-        assert (os.getpid() in {pid for pid, _ in written}) == (threads == 1)
+        here = {run_id for pid, run_id in written if pid == os.getpid()}
+        assert here == ({spec.run_id for spec in specs} if threads == 1 else {"E", "X"})
         assert [part.run_id for _, part in rows] == [spec.run_id for spec in specs]
         errors = {result.run_id: result.error for result, _ in rows if result.error is not None}
         assert sorted(errors) == ["E", "X"] and "lo > hi" in errors["E"]
@@ -884,16 +916,20 @@ class TestRowsFinishWhereSolved:
     def test_workers_ship_no_programs(self, far, monkeypatch):
         data, config, _ = far
         specs = _table_with_failures()
-        shipped, receive = [], scenarios._Ready.receive
+        shipped, replied, receive = [], [], scenarios._Ready.receive
 
         def recording(self, message):
             if message[0] == "row":
                 shipped.append(message[2].lp)
+            if message[0] != "base":
+                replied.append(self.sweep.specs[message[1]].run_id)
             return receive(self, message)
 
         monkeypatch.setattr(scenarios._Ready, "receive", recording)
         rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 3)
-        assert shipped == [None] * len(specs)
+        # E and X never reach a worker: the plan finds they cannot run.
+        assert sorted(replied) == sorted(spec.run_id for spec in specs if spec.run_id not in ("E", "X"))
+        assert shipped == [None] * len(replied)
         assert all((result.lp is None) == (result.error is not None) for result, _ in rows)
 
     def test_reattached_programs_equal_single_instance_bitwise(self, far):
