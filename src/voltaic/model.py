@@ -382,6 +382,8 @@ def build_model(
     issues: list[str] = []
     known = {n.id for n in data.nodes}
     if country_set is not None:
+        if not country_set:
+            issues.append("country_set: names no node")
         for node_id in country_set:
             if node_id not in known:
                 issues.append(f"country_set: unknown node {node_id!r}")

@@ -24,15 +24,16 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .symbols import DimensionMismatch, Symbol, SymbolsHandler, _absent, aggregate
+from .symbols import Symbol, SymbolsHandler, _absent, aggregate, join_runs
 from .system import hour_index
 
 log = logging.getLogger(__name__)
 
 _TABLES = ("capacity.csv", "generation.csv", "storage.csv", "rldc.csv", "summary.csv")
 _MANIFEST = "manifest.json"
-# The symbols the report reads, and the RLDC's storage flow columns.
+# The symbols the report reads, the RLDC's key cells and its storage flow columns.
 _SYMBOLS = ("N", "G", "CU", "N_STO_E", "N_STO_P", "STO_IN", "STO_OUT", "d", "SLACK")
+_KEYS = ("n", "run", "rank", "h", "residual")
 _FLOWS = (("sto_in", "STO_IN"), ("sto_out", "STO_OUT"))
 
 
@@ -132,7 +133,7 @@ def rldc(
     companions = companions or {}
     columns = [series(sym)[0] for sym in companions.values()]
     rows = _curve(node, run, axis, series(demand), series(vre_gen), columns)
-    return ["n", "run", "rank", "h", "residual", *companions], list(map(list, rows))
+    return [*_KEYS, *companions], list(map(list, rows))
 
 
 def _format(rows) -> Iterator[str]:
@@ -162,12 +163,13 @@ class PartialReport:
 
     Rows are kept as formatted CSV lines. The capacity, generation and
     storage rows carry the two labels they are sorted by across runs; the
-    RLDC rows of all the run's nodes are kept as newline-joined columns
-    (the cells up to the dispatch columns, each storage flow the run holds,
-    net imports), because a run without a flow another run holds gets a
-    zero column for it. ``symbols`` maps each report symbol the store
-    holds to its dims and record count, which is all :func:`merge_report`
-    needs to tell which tables and columns the runs make together.
+    RLDC rows of all the run's nodes are kept as newline-joined cells, the
+    key cells in ``rldc`` and every other column (``gen_<tech>``, each
+    storage flow the run holds, ``net_import``) by name in ``columns``,
+    which a run with nodes always has. ``symbols`` maps each report symbol
+    the store holds to its dims and record count, which is all
+    :func:`merge_report` needs to tell which tables and columns the runs
+    make together.
     """
 
     run_id: str
@@ -176,11 +178,8 @@ class PartialReport:
     capacity: list[tuple[str, str, str]] = field(default_factory=list)
     generation: list[tuple[str, str, str]] = field(default_factory=list)
     storage: list[tuple[str, str, str]] = field(default_factory=list)
-    dispatch: list[str] = field(default_factory=list)  # the RLDC's gen_ columns
-    has_nodes: bool = False
     rldc: str = ""
-    flows: dict[str, str] = field(default_factory=dict)
-    net_import: str = ""
+    columns: dict[str, str] = field(default_factory=dict)
     rldc_error: str | None = None  # raised by the merge if it writes the RLDC
 
 
@@ -197,7 +196,7 @@ def partial_report(store) -> PartialReport:
 
     def grab(name: str) -> Symbol | None:
         symbol = store.symbols.get(name)
-        return None if symbol is None or _absent(symbol) else symbol
+        return None if symbol is None or _absent(symbol.dims, len(symbol)) else symbol
 
     def annual(name: str) -> Mapping:
         symbol = grab(name)
@@ -239,12 +238,15 @@ def partial_report(store) -> PartialReport:
 def _partial_rldc(part: PartialReport, sets: dict, grab) -> None:
     """Fill in the run's RLDC rows: one curve per node of the run, in the
     run's node order, over the hours its demand has records at."""
-    res = set(sets.get("res", []))
-    part.dispatch = [t for t in sets.get("tech", []) if t not in res]
     nodes = sets.get("n", [])
-    part.has_nodes = bool(nodes)
+    if not nodes:
+        return
+    res = set(sets.get("res", []))
+    dispatch = [t for t in sets.get("tech", []) if t not in res]
+    names = [f"gen_{t}" for t in dispatch]
+    part.columns = dict.fromkeys([*names, "net_import"], "")  # a run without demand rows still names them
     demand = grab("d")
-    if demand is None or not nodes:
+    if demand is None:
         return
     axis = _axis(demand)
     blank = (np.zeros(len(axis[0])), np.zeros(len(axis[0]), dtype=bool))
@@ -271,7 +273,7 @@ def _partial_rldc(part: PartialReport, sets: dict, grab) -> None:
         key = (node,)
         d_n = d.get(key, blank)
         flows = {column: groups.get(key, blank)[0] for column, groups in storage.items()}
-        columns = [g_tech.get((node, tech), blank)[0] for tech in part.dispatch]
+        columns = [g_tech.get((node, tech), blank)[0] for tech in dispatch]
         columns.extend(flows.values())
         # Net imports from the balance identity: d - sum G - out + in - slack.
         columns.append(
@@ -284,17 +286,12 @@ def _partial_rldc(part: PartialReport, sets: dict, grab) -> None:
         except KeyError as exc:
             part.rldc_error = exc.args[0]
             return
-    width = 5 + len(part.dispatch)
-    part.rldc = "\n".join(_format(row[:width] for row in rows))
-    part.flows = {
-        column: "\n".join(["%.6g" % row[width + i] for row in rows]) for i, column in enumerate(storage)
+    keys = len(_KEYS)
+    part.rldc = "\n".join(_format(row[:keys] for row in rows))
+    part.columns = {
+        name: "\n".join(["%.6g" % row[keys + i] for row in rows])
+        for i, name in enumerate([*names, *storage, "net_import"])
     }
-    part.net_import = "\n".join(["%.6g" % row[-1] for row in rows])
-
-
-def _marker(entry: tuple[tuple[str, ...], int]) -> bool:
-    """Whether a partial's symbol entry is the "not in the model" marker."""
-    return entry == ((), 0)
 
 
 def merge_report(parts: Iterable[PartialReport], out_dir: Path | str) -> dict:
@@ -302,10 +299,14 @@ def merge_report(parts: Iterable[PartialReport], out_dir: Path | str) -> dict:
     order; returns the manifest.
 
     Capacity, generation and storage rows are sorted by their labels and
-    run; the summary and the RLDC list the runs in the order given. A
-    symbol counts as :meth:`SymbolsHandler.lookup` would find it across the
-    runs: missing from every store, in the model of none of them (noted in
-    the manifest), or joined from those that hold it. Sections whose input
+    run; the summary and the RLDC list the runs in the order given. The
+    RLDC joins the runs' columns by name: its header has every run's
+    dispatch columns, first seen first, then the storage flows and net
+    imports, and a run reads 0 in a column it does not have. A symbol is
+    joined across the runs by :func:`join_runs`, as
+    :meth:`SymbolsHandler.lookup` joins it: missing from every store, in the
+    model of none of them (noted in the manifest), or joined from those
+    that hold it. Sections whose input
     symbols are missing are skipped with a notice in the manifest rather
     than failing the report, and a table of a skipped section left in
     ``out_dir`` by an earlier report is removed.
@@ -323,24 +324,15 @@ def merge_report(parts: Iterable[PartialReport], out_dir: Path | str) -> dict:
     def grab(name: str) -> int | None:
         """The runs' records of ``name`` together, None if it is missing or
         in no run's model."""
-        first, total = None, 0
-        for part in parts:
-            entry = part.symbols.get(name)
-            if entry is None or (first is not None and _marker(entry)):
-                continue
-            if first is None or _marker(first):
-                first = entry
-            elif entry[0] != first[0]:
-                raise DimensionMismatch(
-                    f"symbol {name!r} has dims {entry[0]} in run {part.run_id}, expected {first[0]}"
-                )
-            total += entry[1]
+        first, joined = join_runs(name, (
+            (part.run_id, *entry, None) for part in parts if (entry := part.symbols.get(name)) is not None
+        ))
         if first is None:
             return None
-        if _marker(first):
+        if _absent(*first[1:3]):
             notice(f"symbol {name} not extracted: not in the model")
             return None
-        return total
+        return sum(size for _, _, size, _ in joined)
 
     def table(name: str, headers: list[str], lines: Iterable[str], dims: list[str], unit: str) -> None:
         _write_lines(out_dir / name, headers, lines)
@@ -382,12 +374,11 @@ def merge_report(parts: Iterable[PartialReport], out_dir: Path | str) -> dict:
         for part in parts:
             if part.rldc_error is not None:
                 raise KeyError(part.rldc_error)
-        first = next((part for part in parts if part.has_nodes), None)
-        if first is not None:
-            headers = ["n", "run", "rank", "h", "residual", *(f"gen_{t}" for t in first.dispatch), *flows,
-                       "net_import"]
-            lines = chain.from_iterable(_rldc_lines(part, flows) for part in parts if part.rldc)
-            table("rldc.csv", headers, lines, ["n", "run", "rank"], "MWh/h")
+        if any(part.columns for part in parts):
+            dispatch = dict.fromkeys(name for part in parts for name in part.columns if name.startswith("gen_"))
+            names = [*dispatch, *flows, "net_import"]
+            lines = chain.from_iterable(_rldc_lines(part, names) for part in parts if part.rldc)
+            table("rldc.csv", [*_KEYS, *names], lines, ["n", "run", "rank"], "MWh/h")
 
     table("summary.csv", ["run", "status", "objective", "investment_cost", "variable_cost"],
           [part.summary for part in parts], ["run"], "EUR")
@@ -400,11 +391,11 @@ def merge_report(parts: Iterable[PartialReport], out_dir: Path | str) -> dict:
     return manifest
 
 
-def _rldc_lines(part: PartialReport, flows: list[str]) -> Iterator[str]:
-    """The run's RLDC lines with the storage flow columns ``flows``; a flow
-    the run does not hold reads 0, as a zero series formats."""
-    columns = [part.flows[column].split("\n") if column in part.flows else repeat("0") for column in flows]
-    return map(",".join, zip(part.rldc.split("\n"), *columns, part.net_import.split("\n")))
+def _rldc_lines(part: PartialReport, names: list[str]) -> Iterator[str]:
+    """The run's RLDC lines with the columns ``names`` after the key cells;
+    a column the run does not have reads 0, as a zero series formats."""
+    columns = [part.columns[name].split("\n") if name in part.columns else repeat("0") for name in names]
+    return map(",".join, zip(part.rldc.split("\n"), *columns))
 
 
 def clear_report(out_dir: Path | str) -> None:

@@ -32,7 +32,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -203,6 +203,8 @@ def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
                 continue
             if ref.target_kind == COUNTRY_SET:
                 country = tuple(t for t in re.split(r"[,;\s]+", cell) if t)
+                if not country:
+                    raise ValidationError(f"iteration_table: run {run_id}: country_set {cell!r} names no node")
             elif ref.target_kind == CONSTRAINT_CHOICE:
                 choices[ref.name] = cell
             elif ref.target_kind == TIMESERIES:
@@ -266,12 +268,7 @@ def _match_domain(
             out[pos] = list(sets[value]) if kind == "set" else [value]
         return out
 
-    direct = resolve(tuple(range(len(dims))))
-    if direct is not None:
-        return direct
-    from itertools import permutations
-
-    for order in permutations(range(len(dims))):
+    for order in permutations(range(len(dims))):  # the identity first
         attempt = resolve(order)
         if attempt is not None:
             return attempt
@@ -290,8 +287,7 @@ def expand_overrides(
 ) -> list[Delta]:
     """Turn one scenario row into solver deltas against the built program."""
     blocks = CONSTRAINT_BLOCKS if constraint_blocks is None else constraint_blocks
-    sets = dict(lp.sets)
-    sets["h"] = lp.sets["h"]
+    sets = lp.sets
     deltas: list[Delta] = []
 
     # First pass: collect scalar parameter overrides and series swaps so that
@@ -360,9 +356,7 @@ def expand_overrides(
             share_rhs_dirty.add(n)
         elif name == "phi":
             res, n = key
-            row_fam = lp.row_families.get("CAP_RES")
-            if row_fam is None:
-                raise ValidationError("override phi: no renewable capacity rows in model")
+            row_fam = lp.row_families["CAP_RES"]
             col = lp.col_index("N", (res, n))
             for i, h in enumerate(sets["h"]):
                 if not 0.0 <= values[i] <= 1.0:
@@ -636,7 +630,7 @@ def _plan(
     warm_keys = set()
     for key, members in groups.items():
         try:
-            lp = build_model(data, config, features, list(key) if key else None)
+            lp = build_model(data, config, features, None if key is None else list(key))
             builds[key] = lp = apply_dispatch_only(lp, fixed_capacities) if fixed_capacities else lp
         except (ValidationError, KeyError, ValueError) as exc:
             for idx in members:

@@ -450,50 +450,60 @@ class SymbolsHandler:
         (listed for extraction but not in that run's model) contributes no
         keys; if every run does, the result is empty with dims ``("run",)``.
         """
-        first: Symbol | None = None
-        parts: list[tuple[str, Symbol]] = []
-        for run_id, store in self.stores.items():
-            sym = store.symbols.get(name)
-            if sym is None or (first is not None and _absent(sym)):
-                continue
-            if first is None or _absent(first):
-                first = sym
-            elif sym.dims != first.dims:
-                raise DimensionMismatch(
-                    f"symbol {name!r} has dims {sym.dims} in run {run_id}, expected {first.dims}"
-                )
-            if len(sym):
-                parts.append((run_id, sym))
+        first, parts = join_runs(name, (
+            (run_id, sym.dims, len(sym), sym)
+            for run_id, store in self.stores.items()
+            if (sym := store.symbols.get(name)) is not None
+        ))
         if first is None:
             raise KeyError(f"symbol {name!r} not present in any store")
-        layout = _stack(parts, len(first.dims))
-        return Symbol._make(name, first.value_kind, ("run", *first.dims), layout, _values(parts), first.unit)
+        *_, sym = first
+        return Symbol._make(name, sym.value_kind, ("run", *sym.dims), *_stack(parts, len(sym.dims)), sym.unit)
 
 
-def _stack(parts: list[tuple[str, Symbol]], arity: int) -> Layout:
-    """The layout of the runs' records one after another, keyed by run first."""
-    runs = {run_id: i for i, run_id in enumerate(sorted(run_id for run_id, _ in parts))}
+def join_runs(name: str, entries: Iterable[tuple]) -> tuple[tuple | None, list[tuple]]:
+    """Join symbol ``name`` across runs, from one ``(run_id, dims, size,
+    item)`` entry per run that holds it, in run order: the first entry that
+    is not the "not in the model" marker (else the first marker, or None),
+    and the entries with records. Raises :class:`DimensionMismatch` for
+    dims that differ from the first entry's; a marker joins anything."""
+    first, parts = None, []
+    for entry in entries:
+        run_id, dims, size, _ = entry
+        if first is not None and _absent(dims, size):
+            continue
+        if first is None or _absent(*first[1:3]):
+            first = entry
+        elif dims != first[1]:
+            raise DimensionMismatch(f"symbol {name!r} has dims {dims} in run {run_id}, expected {first[1]}")
+        if size:
+            parts.append(entry)
+    return first, parts
+
+
+def _stack(parts: list[tuple], arity: int) -> tuple[Layout, np.ndarray]:
+    """The layout and values of the records of the runs' symbols (``parts``
+    as :func:`join_runs` gives them) one after another, keyed by run first."""
+    runs = {run_id: i for i, run_id in enumerate(sorted(part[0] for part in parts))}
     labels = [np.array(list(runs), dtype=str)]
-    codes = np.empty((sum(len(sym) for _, sym in parts), arity + 1), dtype=np.int64)
+    codes = np.empty((sum(part[2] for part in parts), arity + 1), dtype=np.int64)
     tables = [
-        np.array(sorted(set().union(*(sym.layout.labels[d].tolist() for _, sym in parts))), dtype=str)
+        np.array(sorted(set().union(*(part[3].layout.labels[d].tolist() for part in parts))), dtype=str)
         for d in range(arity)
     ]
     labels.extend(tables)
     at = 0
-    for run_id, sym in parts:
-        rows = slice(at, at + len(sym))
+    for run_id, _, size, sym in parts:
+        rows = slice(at, at + size)
         codes[rows, 0] = runs[run_id]
         for d, table in enumerate(tables):
             codes[rows, d + 1] = np.searchsorted(table, sym.layout.labels[d])[sym.layout.codes[:, d]]
-        at += len(sym)
-    return Layout(labels, codes)
+        at += size
+    values = np.concatenate([part[3].values for part in parts]) if parts else np.zeros(0)
+    return Layout(labels, codes), values
 
 
-def _values(parts: list[tuple[str, Symbol]]) -> np.ndarray:
-    return np.concatenate([sym.values for _, sym in parts]) if parts else np.zeros(0)
-
-
-def _absent(sym: Symbol) -> bool:
-    """Whether ``sym`` is the empty, dimensionless "not in the model" marker."""
-    return not sym.dims and not len(sym)
+def _absent(dims: tuple[str, ...], size: int) -> bool:
+    """Whether a symbol of ``dims`` and ``size`` records is the empty,
+    dimensionless "not in the model" marker."""
+    return not dims and not size

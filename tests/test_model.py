@@ -196,6 +196,12 @@ def test_unknown_country_rejected(merit_toy):
         build_model(data, config, country_set=["N1", "XX"])
 
 
+def test_empty_country_set_rejected(merit_toy):
+    data, config = merit_toy
+    with pytest.raises(ValidationError, match="country_set: names no node"):
+        build_model(data, config, country_set=[])
+
+
 def test_active_feature_rejected(merit_toy):
     data, config = merit_toy
     features = FeatureMatrix({("dsm", "N1"): 1})

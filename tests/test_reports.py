@@ -13,7 +13,7 @@ from conftest import two_node_sweep_system
 from voltaic.reports import _axis, _curve, _hourly, _write_table, rldc, standard_report
 from voltaic.scenarios import RunResult, ScenarioSpec, parse_iteration_table, run_scenarios
 from voltaic.store import SymbolStore, extract_symbols, read_all_stores, read_store, write_store
-from voltaic.symbols import Symbol, SymbolsHandler, aggregate
+from voltaic.symbols import DimensionMismatch, Symbol, SymbolsHandler, aggregate
 from voltaic.system import hour_index
 
 FULL_REPORTING = [
@@ -232,8 +232,8 @@ def oracle_rldc_csv(handler):
 
     demand = grab("d")
     generation = grab("G")
-    headers = None
-    all_rows = []
+    gen, tail = [], []  # the dispatch columns of every run, first seen first; flows and net imports
+    all_rows = []  # each row as a dict from its header to its value
     for run_id in handler.runs():
         meta = handler.meta(run_id)
         sets = meta.get("sets", {})
@@ -256,12 +256,15 @@ def oracle_rldc_csv(handler):
             file_headers = file_headers + ["net_import"]
             for row in rows:
                 row.append(net_import.get(row[3], 0.0))
-            if headers is None:
-                headers = file_headers
-            all_rows.extend(rows)
+            gen.extend(h for h in file_headers if h.startswith("gen_") and h not in gen)
+            tail = [h for h in file_headers[5:] if not h.startswith("gen_")]
+            all_rows.extend(dict(zip(file_headers, row)) for row in rows)
+    # Runs join by column name; a run without a column reads 0 there.
+    headers = ["n", "run", "rank", "h", "residual", *gen, *tail]
     lines = [",".join(headers)]
     for row in all_rows:
-        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
+        cells = [row.get(h, 0.0) for h in headers]
+        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -282,8 +285,8 @@ def mixed_stores(sweep_toy):
     The one-node system has renewables {solar}, the two-node one {solar,
     wind}; both run with slack, priced below gas in R01 and R03 so that
     every net-import term is non-zero somewhere. The
-    runs interleave, so the first run's columns head a file whose rows vary
-    in width, as the report has always written it.
+    runs interleave, and the systems dispatch different technologies (ccgt
+    and ocgt, gas), so the RLDC joins the runs' columns by name.
     """
     one_data, one_config = sweep_toy
     two_data, two_config = two_node_sweep_system(hours=48)
@@ -518,10 +521,60 @@ def test_run_report_from_memory_equals_report_from_disk(tmp_path, monkeypatch):
     assert from_memory == from_disk
 
 
+def _rldc_table(path):
+    """``rldc.csv``'s header and its rows, each as a dict from header to cell."""
+    header, *lines = path.read_text().splitlines()
+    header = header.split(",")
+    rows = [line.split(",") for line in lines]
+    assert {len(row) for row in rows} == {len(header)}, "rows of another width than the header"
+    return header, [dict(zip(header, row)) for row in rows]
+
+
+class TestJoiningRuns:
+    """The report joins symbols across runs by the rule lookups use, and
+    the RLDC's columns by name: the header lists every run's dispatch
+    columns, and a run reads 0 in a column it does not have."""
+
+    def test_report_over_a_run_with_another_dispatchable(self, tmp_path):
+        from voltaic.cli import main
+        from voltaic.templates import create_project
+
+        root = create_project("demo", "minimal", tmp_path)
+        assert main(["run", str(root)]) == 0
+        with open(root / "data_input" / "static_input" / "technologies.csv", "a") as f:
+            f.write("oil,dispatchable,0.0,0.0,60.0,0.3,0.0,10.0\n")
+        settings = root / "settings" / "project_variables.csv"
+        settings.write_text(settings.read_text().replace("scenarios_iteration,no", "scenarios_iteration,yes"))
+        (root / "iterationfiles" / "iteration_table.csv").write_text("run\nwith_oil\n")
+        assert main(["run", str(root)]) == 0
+        assert main(["report", str(root)]) == 0
+        header, rows = _rldc_table(root / "report" / "rldc.csv")
+        assert header == ["n", "run", "rank", "h", "residual", "gen_gas", "gen_oil", "sto_in", "sto_out", "net_import"]
+        assert {row["run"] for row in rows} == {"base", "with_oil"}
+        assert {row["gen_oil"] for row in rows if row["run"] == "base"} == {"0"}
+        assert "10" in {row["gen_oil"] for row in rows if row["run"] == "with_oil"}
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["full_first", "folded_first"])
+    def test_dims_mismatch_raises_as_lookup_does(self, sweep_toy, step, tmp_path):
+        data, config = sweep_toy
+        specs = [ScenarioSpec("S0"), ScenarioSpec("S1")]
+        stores = extract_symbols(run_scenarios(data, config, None, specs, mode="single_instance"), FULL_REPORTING)
+        power = stores[1].symbols["N_STO_P"]
+        stores[1].symbols["N_STO_P"] = aggregate(power, "n").rename("N_STO_P")
+        stores = stores[::step]
+        with pytest.raises(DimensionMismatch) as lookup:
+            SymbolsHandler(stores).lookup("N_STO_P")
+        with pytest.raises(DimensionMismatch) as report:
+            standard_report(SymbolsHandler(stores), tmp_path)
+        assert str(report.value) == str(lookup.value)
+        expected, other = (("sto", "n"), ("sto",))[::step]
+        assert str(lookup.value) == f"symbol 'N_STO_P' has dims {other} in run {stores[1].run_id}, expected {expected}"
+
+
 # -- reference: the report made from symbols joined across runs --------------
 # ``standard_report`` as it was before the report was split into per-run
-# partials and a merge (apart from names and logging), so the merged report
-# can be held to its exact bytes.
+# partials and a merge (apart from names, logging and the RLDC, whose columns
+# now join by name), so the merged report can be held to its exact bytes.
 
 _STACKED_TABLES = ("capacity.csv", "generation.csv", "storage.csv", "rldc.csv", "summary.csv")
 
@@ -671,7 +724,7 @@ def _stacked_rldc(handler, out_dir, manifest, notice, grab):
     slack = grab("SLACK")
     sl = _hourly(slack, axis[0]) if slack is not None else {}
 
-    headers: list[str] | None = None
+    gen: list[str] = []  # the dispatch columns of every run with nodes, first seen first
     curves = []
     for run_id, run_sets in sets.items():
         disp = [t for t in run_sets.get("tech", []) if t not in res[run_id]]
@@ -687,11 +740,19 @@ def _stacked_rldc(handler, out_dir, manifest, notice, grab):
                 - sl.get(key, blank)[0]
             )
             # A run without renewables has zero renewable generation.
-            curves.append(_curve(node, run_id, axis, d_n, vre.get(key, blank) if res[run_id] else None, columns))
-            if headers is None:
-                headers = ["n", "run", "rank", "h", "residual", *(f"gen_{t}" for t in disp), *storage, "net_import"]
-    if headers is not None:
-        _write_table(out_dir / "rldc.csv", headers, chain.from_iterable(curves))
+            names = [*(f"gen_{t}" for t in disp), *storage, "net_import"]
+            curves.append((names, _curve(node, run_id, axis, d_n, vre.get(key, blank) if res[run_id] else None, columns)))
+            gen.extend(name for name in names if name.startswith("gen_") and name not in gen)
+    if curves:
+        # Runs join by column name; a run without a column reads 0 there.
+        headers = ["n", "run", "rank", "h", "residual", *gen, *storage, "net_import"]
+
+        def joined(names, curve):
+            for row in curve:
+                cells = dict(zip(names, row[5:]))
+                yield [*row[:5], *(cells.get(h, 0.0) for h in headers[5:])]
+
+        _write_table(out_dir / "rldc.csv", headers, chain.from_iterable(joined(*curve) for curve in curves))
         manifest["tables"].append(
             {"name": "rldc.csv", "dims": ["n", "run", "rank"], "unit": "MWh/h"}
         )
@@ -752,8 +813,21 @@ class TestMergedEqualsStacked:
         stores = stores[::step]
         standard_report(SymbolsHandler(stores), tmp_path / "report")
         _assert_stacked(stores, tmp_path / "report", tmp_path)
-        header = (tmp_path / "report" / "rldc.csv").read_text().splitlines()[0]
-        assert "sto_in" in header.split(",")
+        # The runs dispatch different technologies (ccgt and ocgt, base and
+        # peak): each run reads as in a report of its own, and 0 in the
+        # columns only the other run has.
+        header, rows = _rldc_table(tmp_path / "report" / "rldc.csv")
+        dispatch = [["gen_ccgt", "gen_ocgt"], ["gen_base", "gen_peak"]][::step]
+        assert header == ["n", "run", "rank", "h", "residual", *dispatch[0], *dispatch[1], "sto_in", "sto_out",
+                          "net_import"]
+        for store in stores:
+            standard_report(SymbolsHandler([store]), tmp_path / store.run_id)
+            _, alone = _rldc_table(tmp_path / store.run_id / "rldc.csv")
+            assert [{h: row.get(h, "0") for h in header} for row in alone] == [r for r in rows if r["run"] == store.run_id]
+        b = [row for row in rows if row["run"] == "B"]
+        assert {(row["gen_ccgt"], row["gen_ocgt"]) for row in b} == {("0", "0")}
+        # Demand 10, 20, 30 met by base (15 MW) first, then peak.
+        assert [(row["gen_base"], row["gen_peak"]) for row in b] == [("15", "15"), ("15", "5"), ("10", "0")]
 
     def test_rows_with_different_country_sets(self, tmp_path):
         from voltaic.pipeline import run_project

@@ -137,6 +137,11 @@ class TestParsing:
         assert specs[0].country_set == ("DE", "FR")
         assert specs[1].country_set is None
 
+    @pytest.mark.parametrize("cell", [";", '","', '" , ;"'])
+    def test_country_set_cell_naming_no_node_rejected(self, cell):
+        with pytest.raises(ValidationError, match=r"run S1: country_set .* names no node"):
+            parse_iteration_table(f'run,country_set\nS0,DE\nS1,{cell}\n')
+
     def test_constraint_choice_cell(self):
         specs = parse_iteration_table("run,renewable_share\nS0,off\n")
         assert specs[0].constraint_choices == {"renewable_share": "off"}
@@ -446,6 +451,14 @@ class TestRunModes:
         assert all(r.status == "optimal" for r in results)
         assert results[0].lp.row_families["BAL"].size == 8
         assert results[1].lp.row_families["BAL"].size == 4
+
+    @pytest.mark.parametrize("mode", ["rebuild", "single_instance", "parallel"])
+    def test_empty_country_set_is_an_error_run(self, battery_system, mode):
+        data, config = battery_system
+        specs = [ScenarioSpec("none", country_set=()), ScenarioSpec("all")]
+        results = run_scenarios(data, config, None, specs, mode=mode, threads=2)
+        assert [r.status for r in results] == ["error", "optimal"]
+        assert "country_set: names no node" in results[0].error
 
     @pytest.mark.parametrize("mode", ["rebuild", "single_instance"])
     def test_uncertified_cold_solution_is_numerical(self, battery_system, monkeypatch, mode):

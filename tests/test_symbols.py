@@ -211,9 +211,9 @@ class OracleHandler(SymbolsHandler):
         records: dict[tuple[str, ...], float] = {}
         for run_id, store in self.stores.items():
             sym = store.symbols.get(name)
-            if sym is None or (first is not None and _absent(sym)):
+            if sym is None or (first is not None and _absent(sym.dims, len(sym))):
                 continue
-            if first is None or _absent(first):
+            if first is None or _absent(first.dims, len(first)):
                 first = sym
             elif sym.dims != first.dims:
                 raise DimensionMismatch(
