@@ -44,6 +44,7 @@ from .system import (
     Technology,
     ValidationError,
     hour_label,
+    validate_series,
 )
 
 SENSE_LE = "L"
@@ -376,8 +377,9 @@ def build_model(
 
     ``country_set`` restricts the model to a subset of nodes (``None`` keeps
     all of them); lines are included only when both endpoints are selected.
-    Raises :class:`ValidationError` for an unknown country, a time series
-    shorter than the horizon, or any active optional-feature flag.
+    Raises :class:`ValidationError` for an unknown country, a selected
+    node's series that breaks a rule of :func:`validate_series`, or any
+    active optional-feature flag.
     """
     issues: list[str] = []
     known = {n.id for n in data.nodes}
@@ -390,20 +392,7 @@ def build_model(
     selected = set(country_set) if country_set is not None else known
 
     H = config.end_hour
-    for node in data.nodes:
-        if node.id not in selected:
-            continue
-        ts = data.series.get(node.demand)
-        if ts is not None and len(ts) < H:
-            issues.append(f"series {node.demand!r}: {len(ts)} hours < end_hour {H}")
-    for tech in data.technologies:
-        if tech.is_renewable and tech.availability:
-            for node_id, series_name in tech.availability.items():
-                if node_id not in selected:
-                    continue
-                ts = data.series.get(series_name)
-                if ts is not None and len(ts) < H:
-                    issues.append(f"series {series_name!r}: {len(ts)} hours < end_hour {H}")
+    issues.extend(validate_series(data, selected, H))
     if features is not None:
         for module, node_id in features.active():
             issues.append(f"feature {module!r} active for node {node_id!r}: not supported")
@@ -544,13 +533,6 @@ def emit_capacity_limits(b: _Build) -> None:
     if cap_res is not None:
         cu = lp.var_families["CU"].grid()
         for r_i, tech in enumerate(b.res):
-            if not tech.availability:
-                raise ValidationError(f"technology {tech.id}: missing availability series")
-            missing = [n for n in node_ids if n not in tech.availability]
-            if missing:
-                raise ValidationError(
-                    f"technology {tech.id}: missing availability series for node {missing[0]!r}"
-                )
             phi = b.series_matrix([tech.availability[n] for n in node_ids])
             t_i = tech_pos[tech.id]
             rows = cap_res.grid()[r_i]

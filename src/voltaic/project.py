@@ -526,7 +526,6 @@ def load_project(root: Path | str) -> Project:
     if not specs:
         specs = [ScenarioSpec("base")]
 
-    issues.extend(f"features: {msg}" for msg in features.validate())
     if config.dispatch_only and not fixed:
         issues.append(
             f"{FIXED_CAPACITIES}: required when dispatch_only is yes (one row per capacity column)"

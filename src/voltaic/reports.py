@@ -24,15 +24,20 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .symbols import Symbol, SymbolsHandler, _absent, aggregate, join_runs
+from .symbols import DimensionMismatch, Symbol, SymbolsHandler, _absent, aggregate, join_runs
 from .system import hour_index
 
 log = logging.getLogger(__name__)
 
 _TABLES = ("capacity.csv", "generation.csv", "storage.csv", "rldc.csv", "summary.csv")
 _MANIFEST = "manifest.json"
-# The symbols the report reads, the RLDC's key cells and its storage flow columns.
-_SYMBOLS = ("N", "G", "CU", "N_STO_E", "N_STO_P", "STO_IN", "STO_OUT", "d", "SLACK")
+# The symbols the report reads with the dims it reads them by, the RLDC's
+# key cells and its storage flow columns.
+_SYMBOLS = {
+    "N": ("tech", "n"), "G": ("tech", "n", "h"), "CU": ("res", "n", "h"), "N_STO_E": ("sto", "n"),
+    "N_STO_P": ("sto", "n"), "STO_IN": ("sto", "n", "h"), "STO_OUT": ("sto", "n", "h"), "d": ("n", "h"),
+    "SLACK": ("n", "h"),
+}
 _KEYS = ("n", "run", "rank", "h", "residual")
 _FLOWS = (("sto_in", "STO_IN"), ("sto_out", "STO_OUT"))
 
@@ -190,13 +195,15 @@ def partial_report(store) -> PartialReport:
     Every number is the same bits as in a report made from the symbols
     joined across runs (:meth:`SymbolsHandler.lookup`): ``aggregate`` is
     exact, and each hourly sum adds the run's records in sorted-key order,
-    which is also their order within the joined symbol.
+    which is also their order within the joined symbol. A symbol of other
+    dims than the report reads it by gives no rows: the merge raises
+    :class:`DimensionMismatch` for it.
     """
     run, meta = store.run_id, store.meta
 
     def grab(name: str) -> Symbol | None:
         symbol = store.symbols.get(name)
-        return None if symbol is None or _absent(symbol.dims, len(symbol)) else symbol
+        return None if symbol is None or symbol.dims != _SYMBOLS[name] else symbol
 
     def annual(name: str) -> Mapping:
         symbol = grab(name)
@@ -332,6 +339,8 @@ def merge_report(parts: Iterable[PartialReport], out_dir: Path | str) -> dict:
         if _absent(*first[1:3]):
             notice(f"symbol {name} not extracted: not in the model")
             return None
+        if first[1] != _SYMBOLS[name]:
+            raise DimensionMismatch(f"symbol {name!r} has dims {first[1]} in run {first[0]}, expected {_SYMBOLS[name]}")
         return sum(size for _, _, size, _ in joined)
 
     def table(name: str, headers: list[str], lines: Iterable[str], dims: list[str], unit: str) -> None:

@@ -224,104 +224,107 @@ class SystemData:
         return replace(self, series=new)
 
 
-def _check_nonnegative(issues: list[str], owner: str, record, fields: tuple[str, ...]) -> None:
-    for name in fields:
-        value = getattr(record, name)
-        if not 0.0 <= value < math.inf:
-            issues.append(f"{owner}: {name} must be finite and >= 0, got {value}")
+# A numeric field's domain: a test that ``nan`` fails, and its text.
+_COST = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_SHARE = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_EFFICIENCY = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_LOSS = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_CO2_CAP = (lambda v: v is None or v >= 0, ">= 0")
+
+#: Per ``SystemData`` record attribute: the record's name in messages, the
+#: domain of each of its numeric fields, and its (minimum, maximum) field
+#: pairs, which need ``0 <= minimum <= maximum``.
+RECORD_DOMAINS = {
+    "nodes": ("node", {"min_renewable_share": _SHARE, "co2_cap": _CO2_CAP}, ()),
+    "technologies": ("technology", dict.fromkeys(("c_inv_power", "c_fix", "c_var", "co2_intensity"), _COST),
+                     (("cap_min", "cap_max"),)),
+    "storages": ("storage", {"eta_in": _EFFICIENCY, "eta_out": _EFFICIENCY,
+                             **dict.fromkeys(("c_i_sto_e", "c_i_sto_p", "c_fix", "c_var_sto"), _COST)},
+                 (("e_min", "e_max"), ("p_min", "p_max"))),
+    "lines": ("line", {"loss_factor": _LOSS, "c_inv_ntc": _COST}, (("ntc_existing", "ntc_max"),)),
+}
+
+
+def validate_series(data: SystemData, node_ids: set[str], end_hour: int) -> list[str]:
+    """Check the series of the nodes ``node_ids``; returns issues, empty if clean.
+
+    Each of those nodes' demand series must exist and cover ``end_hour``
+    hours. Each variable renewable needs an availability series at each of
+    them, naming a known series that covers ``end_hour`` hours with values
+    in [0, 1]. An id in ``node_ids`` that is no node of ``data`` has no
+    demand, but its availability series are checked.
+    """
+    issues: list[str] = []
+
+    def covering(owner: str, role: str, name: str, where: str = "") -> TimeSeries | None:
+        """Series ``name`` if it exists and covers ``end_hour`` hours, else None with the issue noted."""
+        series = data.series.get(name)
+        if series is None:
+            issues.append(f"{owner}: {role} references unknown series {name!r}{where}")
+        elif len(series) < end_hour:
+            issues.append(f"{owner}: {role} series {name!r} has {len(series)} hours, end_hour needs {end_hour}")
+        else:
+            return series
+        return None
+
+    nodes = [n for n in data.nodes if n.id in node_ids]
+    for node in nodes:
+        covering(f"node {node.id}", "demand", node.demand)
+    for tech in data.technologies:
+        if not tech.is_renewable:
+            continue
+        owner = f"technology {tech.id}"
+        if not tech.availability:
+            issues.append(f"{owner}: availability required for variable_renewable")
+            continue
+        for node_id in dict.fromkeys(n.id for n in nodes):
+            if node_id not in tech.availability:
+                issues.append(f"{owner}: availability missing for node {node_id}")
+        for node_id, name in tech.availability.items():
+            if node_id not in node_ids:
+                continue
+            series = covering(owner, "availability", name, f" for node {node_id}")
+            if series is not None and any(not 0.0 <= v <= 1.0 for v in series.values[:end_hour]):
+                issues.append(f"{owner}: availability series {name!r} has values outside [0, 1]")
+    return issues
 
 
 def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
-    """Check every declared field invariant; returns issues, empty if clean.
+    """Check every declared invariant; returns issues, empty if clean.
 
     Each message names the object and field so a failing load can be traced
-    back to its input cell. Every check is written so that ``nan`` fails it.
+    back to its input cell. The numeric fields are checked against
+    :data:`RECORD_DOMAINS` and the series by :func:`validate_series`, at
+    every node and at every node an availability series is given for.
     """
     issues: list[str] = []
-    h = config.end_hour
 
     if not 1 <= config.end_hour <= HOURS_PER_YEAR:
         issues.append(f"config: end_hour must be in [1, {HOURS_PER_YEAR}], got {config.end_hour}")
 
-    seen_nodes: set[str] = set()
-    for node in data.nodes:
-        if node.id in seen_nodes:
-            issues.append(f"node {node.id}: id duplicated")
-        seen_nodes.add(node.id)
-        if not 0.0 <= node.min_renewable_share <= 1.0:
-            issues.append(
-                f"node {node.id}: min_renewable_share must be in [0, 1], got {node.min_renewable_share}"
-            )
-        if node.co2_cap is not None and not node.co2_cap >= 0:
-            issues.append(f"node {node.id}: co2_cap must be >= 0, got {node.co2_cap}")
-        series = data.series.get(node.demand)
-        if series is None:
-            issues.append(f"node {node.id}: demand references unknown series {node.demand!r}")
-        elif len(series) < h:
-            issues.append(
-                f"node {node.id}: demand series {node.demand!r} has {len(series)} hours, "
-                f"end_hour needs {h}"
-            )
+    for attr, (kind, domains, ranges) in RECORD_DOMAINS.items():
+        seen: set[str] = set()
+        for record in getattr(data, attr):
+            owner = f"{kind} {record.id}"
+            if kind != "line" and record.id in seen:  # a line's key is its node pair, checked below
+                issues.append(f"{owner}: id duplicated")
+            seen.add(record.id)
+            for name, (holds, text) in domains.items():
+                value = getattr(record, name)
+                if not holds(value):
+                    issues.append(f"{owner}: {name} must be {text}, got {value}")
+            for low, high in ranges:
+                a, b = getattr(record, low), getattr(record, high)
+                if not 0 <= a <= b:
+                    issues.append(f"{owner}: need 0 <= {low} <= {high}, got [{a}, {b}]")
 
-    seen_techs: set[str] = set()
     for tech in data.technologies:
-        if tech.id in seen_techs:
-            issues.append(f"technology {tech.id}: id duplicated")
-        seen_techs.add(tech.id)
         if tech.kind not in TECH_KINDS:
             issues.append(f"technology {tech.id}: kind must be one of {TECH_KINDS}, got {tech.kind!r}")
-        _check_nonnegative(
-            issues, f"technology {tech.id}", tech, ("c_inv_power", "c_fix", "c_var", "co2_intensity")
-        )
-        if not 0 <= tech.cap_min <= tech.cap_max:
-            issues.append(
-                f"technology {tech.id}: need 0 <= cap_min <= cap_max, got [{tech.cap_min}, {tech.cap_max}]"
-            )
-        if tech.kind == VARIABLE_RENEWABLE:
-            if not tech.availability:
-                issues.append(f"technology {tech.id}: availability required for variable_renewable")
-            else:
-                for node_id in seen_nodes:
-                    if node_id not in tech.availability:
-                        issues.append(
-                            f"technology {tech.id}: availability missing for node {node_id}"
-                        )
-                for node_id, series_name in tech.availability.items():
-                    series = data.series.get(series_name)
-                    if series is None:
-                        issues.append(
-                            f"technology {tech.id}: availability references unknown series "
-                            f"{series_name!r} for node {node_id}"
-                        )
-                        continue
-                    if len(series) < h:
-                        issues.append(
-                            f"technology {tech.id}: availability series {series_name!r} has "
-                            f"{len(series)} hours, end_hour needs {h}"
-                        )
-                    elif any(not 0.0 <= v <= 1.0 for v in series.values[:h]):
-                        issues.append(
-                            f"technology {tech.id}: availability series {series_name!r} has "
-                            f"values outside [0, 1]"
-                        )
-        elif tech.availability:
+        if tech.availability and not tech.is_renewable:
             issues.append(f"technology {tech.id}: availability only allowed for variable_renewable")
 
-    seen_stos: set[str] = set()
-    for sto in data.storages:
-        if sto.id in seen_stos:
-            issues.append(f"storage {sto.id}: id duplicated")
-        seen_stos.add(sto.id)
-        if not 0.0 < sto.eta_in <= 1.0:
-            issues.append(f"storage {sto.id}: eta_in must be in (0, 1], got {sto.eta_in}")
-        if not 0.0 < sto.eta_out <= 1.0:
-            issues.append(f"storage {sto.id}: eta_out must be in (0, 1], got {sto.eta_out}")
-        if not 0 <= sto.e_min <= sto.e_max:
-            issues.append(f"storage {sto.id}: need 0 <= e_min <= e_max, got [{sto.e_min}, {sto.e_max}]")
-        if not 0 <= sto.p_min <= sto.p_max:
-            issues.append(f"storage {sto.id}: need 0 <= p_min <= p_max, got [{sto.p_min}, {sto.p_max}]")
-        _check_nonnegative(issues, f"storage {sto.id}", sto, ("c_i_sto_e", "c_i_sto_p", "c_fix", "c_var_sto"))
-
+    node_ids = set(data.node_ids())
     seen_pairs: set[frozenset[str]] = set()
     for line in data.lines:
         if line.from_node == line.to_node:
@@ -331,17 +334,12 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
             issues.append(f"line {line.id}: duplicate line for node pair")
         seen_pairs.add(pair)
         for end in (line.from_node, line.to_node):
-            if end not in seen_nodes:
+            if end not in node_ids:
                 issues.append(f"line {line.id}: references unknown node {end!r}")
-        if not 0 <= line.ntc_existing <= line.ntc_max:
-            issues.append(
-                f"line {line.id}: need 0 <= ntc_existing <= ntc_max, "
-                f"got [{line.ntc_existing}, {line.ntc_max}]"
-            )
-        if not 0.0 <= line.loss_factor < 1.0:
-            issues.append(f"line {line.id}: loss_factor must be in [0, 1), got {line.loss_factor}")
-        _check_nonnegative(issues, f"line {line.id}", line, ("c_inv_ntc",))
 
+    issues.extend(validate_series(
+        data, node_ids.union(*(t.availability or () for t in data.technologies)), config.end_hour
+    ))
     for name, ts in data.series.items():
         if name != ts.name:
             issues.append(f"series {name}: registered under mismatching name {ts.name!r}")

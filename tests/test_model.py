@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from voltaic.model import (
@@ -213,6 +215,43 @@ def test_short_series_rejected(merit_toy):
     data, config = merit_toy
     with pytest.raises(ValidationError, match="load"):
         build_model(data, ModelConfig(end_hour=5, network_transfer=False))
+
+
+def test_series_of_left_out_nodes_are_not_checked(two_node_toy):
+    data, config = two_node_toy
+    data = data.with_series(TimeSeries("load_fr", (20.0,)))
+    lp = build_model(data, config, country_set=["DE"])
+    assert lp.sets["n"] == ("DE",)
+    with pytest.raises(ValidationError) as exc:
+        build_model(data, config)
+    assert exc.value.issues == ["node FR: demand series 'load_fr' has 1 hours, end_hour needs 2"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: replace(d, nodes=(d.nodes[0], replace(d.nodes[1], demand="nope"))),
+         "node FR: demand references unknown series 'nope'"),
+        (lambda d: replace(d, technologies=(*d.technologies, Technology(
+            "wind", "variable_renewable", c_inv_power=1.0, availability={"DE": "cf", "FR": "hot"}))),
+         "technology wind: availability series 'hot' has values outside [0, 1]"),
+        (lambda d: replace(d, technologies=(*d.technologies, Technology(
+            "wind", "variable_renewable", c_inv_power=1.0, availability={"DE": "cf"}))),
+         "technology wind: availability missing for node FR"),
+    ],
+    ids=["missing_demand", "availability_range", "availability_missing"],
+)
+def test_selected_node_series_rules(two_node_toy, edit, message):
+    """build_model applies validate_system's series rules to the nodes it
+    builds, and only to them."""
+    data, config = two_node_toy
+    data = edit(replace(data, series={
+        **data.series, "cf": TimeSeries("cf", (0.5, 0.5)), "hot": TimeSeries("hot", (0.5, 1.5)),
+    }))
+    with pytest.raises(ValidationError) as exc:
+        build_model(data, config, country_set=["FR"])
+    assert exc.value.issues == [message]
+    assert build_model(data, config, country_set=["DE"]).sets["n"] == ("DE",)
 
 
 def test_country_subset_drops_lines(two_node_toy):

@@ -311,6 +311,119 @@ class TestNumericFieldChecks:
         assert any(i.startswith("line N1-N2:") and field in i for i in self.issues("lines", field, math.nan))
 
 
+def _checked_system() -> SystemData:
+    """A system that passes every check of ``validate_system`` at 2 hours;
+    the series ``short`` and ``hot`` are there for the cases to name."""
+    return SystemData(
+        nodes=(Node("N1", "load"), Node("N2", "load")),
+        technologies=(
+            Technology("gas", "dispatchable", c_inv_power=1.0, c_var=5.0),
+            Technology("wind", "variable_renewable", c_inv_power=1.0, availability={"N1": "cf", "N2": "cf"}),
+        ),
+        storages=(StorageTech("Li-ion", c_i_sto_e=1.0, c_i_sto_p=1.0),),
+        lines=(Line("N1", "N2", ntc_max=10.0),),
+        series={
+            name: TimeSeries(name, values)
+            for name, values in (("load", (1.0, 2.0)), ("cf", (0.5, 0.25)), ("short", (1.0,)), ("hot", (0.5, 1.5)))
+        },
+    )
+
+
+def _edit(attr, i=0, **changes):
+    def edit(data):
+        records = list(getattr(data, attr))
+        records[i] = replace(records[i], **changes)
+        return replace(data, **{attr: tuple(records)})
+    return edit
+
+
+def _add(attr, record):
+    return lambda data: replace(data, **{attr: (*getattr(data, attr), record)})
+
+
+def _add_series(name, ts):
+    return lambda data: replace(data, series={**data.series, name: ts})
+
+
+_WIND = 1  # the renewable's place in the technologies of _checked_system
+
+#: One invalid input per check of ``validate_system``: an edit of the valid
+#: system, the config's changed fields, and the one message expected.
+INVALID_INPUTS = [
+    ("end_hour", None, {"end_hour": 0}, "config: end_hour must be in [1, 8760], got 0"),
+    ("slack_penalty", None, {"infeasibility": True, "slack_penalty": 5.0},
+     "config: slack_penalty (5.0) must exceed every c_var (max 5.0) when infeasibility is on"),
+    ("node_id", _add("nodes", Node("N1", "load")), {}, "node N1: id duplicated"),
+    ("min_renewable_share", _edit("nodes", min_renewable_share=1.5), {},
+     "node N1: min_renewable_share must be in [0, 1], got 1.5"),
+    ("co2_cap", _edit("nodes", co2_cap=-1.0), {}, "node N1: co2_cap must be >= 0, got -1.0"),
+    ("demand_unknown", _edit("nodes", demand="nope"), {}, "node N1: demand references unknown series 'nope'"),
+    ("demand_short", _edit("nodes", demand="short"), {},
+     "node N1: demand series 'short' has 1 hours, end_hour needs 2"),
+    ("technology_id", _add("technologies", Technology("gas", "dispatchable", c_inv_power=1.0)), {},
+     "technology gas: id duplicated"),
+    ("kind", _edit("technologies", kind="coal"), {},
+     "technology gas: kind must be one of ('dispatchable', 'variable_renewable'), got 'coal'"),
+    *(
+        (field, _edit("technologies", **{field: -1.0}), {}, f"technology gas: {field} must be finite and >= 0, got -1.0")
+        for field in ("c_inv_power", "c_fix", "c_var", "co2_intensity")
+    ),
+    ("cap_range", _edit("technologies", cap_min=5.0, cap_max=1.0), {},
+     "technology gas: need 0 <= cap_min <= cap_max, got [5.0, 1.0]"),
+    ("availability_on_dispatchable", _edit("technologies", availability={"N1": "cf"}), {},
+     "technology gas: availability only allowed for variable_renewable"),
+    ("availability_required", _edit("technologies", _WIND, availability=None), {},
+     "technology wind: availability required for variable_renewable"),
+    ("availability_missing", _edit("technologies", _WIND, availability={"N1": "cf"}), {},
+     "technology wind: availability missing for node N2"),
+    ("availability_unknown", _edit("technologies", _WIND, availability={"N1": "cf", "N2": "nope"}), {},
+     "technology wind: availability references unknown series 'nope' for node N2"),
+    ("availability_unknown_node", _edit("technologies", _WIND, availability={"N1": "cf", "N2": "cf", "ZZ": "nope"}),
+     {}, "technology wind: availability references unknown series 'nope' for node ZZ"),
+    ("availability_short", _edit("technologies", _WIND, availability={"N1": "cf", "N2": "short"}), {},
+     "technology wind: availability series 'short' has 1 hours, end_hour needs 2"),
+    ("availability_range", _edit("technologies", _WIND, availability={"N1": "hot", "N2": "cf"}), {},
+     "technology wind: availability series 'hot' has values outside [0, 1]"),
+    ("storage_id", _add("storages", StorageTech("Li-ion", c_i_sto_e=1.0, c_i_sto_p=1.0)), {},
+     "storage Li-ion: id duplicated"),
+    ("eta_in", _edit("storages", eta_in=0.0), {}, "storage Li-ion: eta_in must be in (0, 1], got 0.0"),
+    ("eta_out", _edit("storages", eta_out=1.5), {}, "storage Li-ion: eta_out must be in (0, 1], got 1.5"),
+    *(
+        (field, _edit("storages", **{field: -1.0}), {}, f"storage Li-ion: {field} must be finite and >= 0, got -1.0")
+        for field in ("c_i_sto_e", "c_i_sto_p", "c_fix", "c_var_sto")
+    ),
+    ("e_range", _edit("storages", e_min=2.0, e_max=1.0), {},
+     "storage Li-ion: need 0 <= e_min <= e_max, got [2.0, 1.0]"),
+    ("p_range", _edit("storages", p_min=-1.0), {}, "storage Li-ion: need 0 <= p_min <= p_max, got [-1.0, inf]"),
+    ("line_ends", _edit("lines", to_node="N1"), {}, "line N1-N1: from_node and to_node must differ"),
+    ("line_pair", _add("lines", Line("N2", "N1")), {}, "line N2-N1: duplicate line for node pair"),
+    ("line_node", _edit("lines", to_node="ZZ"), {}, "line N1-ZZ: references unknown node 'ZZ'"),
+    ("ntc_range", _edit("lines", ntc_existing=20.0), {},
+     "line N1-N2: need 0 <= ntc_existing <= ntc_max, got [20.0, 10.0]"),
+    ("loss_factor", _edit("lines", loss_factor=1.0), {}, "line N1-N2: loss_factor must be in [0, 1), got 1.0"),
+    ("c_inv_ntc", _edit("lines", c_inv_ntc=-1.0), {}, "line N1-N2: c_inv_ntc must be finite and >= 0, got -1.0"),
+    ("series_name", _add_series("alias", TimeSeries("load", (1.0, 2.0))), {},
+     "series alias: registered under mismatching name 'load'"),
+    ("series_finite", _add_series("gap", TimeSeries("gap", (1.0, math.nan))), {}, "series gap: values must be finite"),
+]
+
+
+class TestValidationMessages:
+    """Each check of ``validate_system`` names its object and field in one
+    exact message."""
+
+    def test_checked_system_is_clean(self):
+        assert validate_system(_checked_system(), ModelConfig(end_hour=2)) == []
+
+    @pytest.mark.parametrize("edit, config, message", [case[1:] for case in INVALID_INPUTS],
+                             ids=[case[0] for case in INVALID_INPUTS])
+    def test_message(self, edit, config, message):
+        data = _checked_system()
+        if edit is not None:
+            data = edit(data)
+        assert validate_system(data, ModelConfig(**{"end_hour": 2, **config})) == [message]
+
+
 def _round_trip(template, root):
     project = load_project(write_project(template, root))
     data = template.data

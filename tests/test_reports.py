@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -554,21 +555,32 @@ class TestJoiningRuns:
         assert {row["gen_oil"] for row in rows if row["run"] == "base"} == {"0"}
         assert "10" in {row["gen_oil"] for row in rows if row["run"] == "with_oil"}
 
+    @pytest.mark.parametrize("name", ["N_STO_P", "N", "N_STO_E", "G"])
     @pytest.mark.parametrize("step", [1, -1], ids=["full_first", "folded_first"])
-    def test_dims_mismatch_raises_as_lookup_does(self, sweep_toy, step, tmp_path):
+    def test_dims_mismatch_raises_as_lookup_does(self, sweep_toy, step, name, tmp_path):
+        """A symbol folded over ``n`` in one run: the report raises what a
+        lookup raises, in either run order; folded in every run, it raises
+        for the dims it reads the symbol by."""
         data, config = sweep_toy
         specs = [ScenarioSpec("S0"), ScenarioSpec("S1")]
         stores = extract_symbols(run_scenarios(data, config, None, specs, mode="single_instance"), FULL_REPORTING)
-        power = stores[1].symbols["N_STO_P"]
-        stores[1].symbols["N_STO_P"] = aggregate(power, "n").rename("N_STO_P")
+        full = stores[0].symbols[name].dims
+        folded = tuple(d for d in full if d != "n")
+        stores[1].symbols[name] = aggregate(stores[1].symbols[name], "n").rename(name)
         stores = stores[::step]
         with pytest.raises(DimensionMismatch) as lookup:
-            SymbolsHandler(stores).lookup("N_STO_P")
+            SymbolsHandler(stores).lookup(name)
         with pytest.raises(DimensionMismatch) as report:
             standard_report(SymbolsHandler(stores), tmp_path)
         assert str(report.value) == str(lookup.value)
-        expected, other = (("sto", "n"), ("sto",))[::step]
-        assert str(lookup.value) == f"symbol 'N_STO_P' has dims {other} in run {stores[1].run_id}, expected {expected}"
+        expected, other = (full, folded)[::step]
+        assert str(lookup.value) == f"symbol {name!r} has dims {other} in run {stores[1].run_id}, expected {expected}"
+        full_store = next(store for store in stores if store.symbols[name].dims == full)
+        full_store.symbols[name] = aggregate(full_store.symbols[name], "n").rename(name)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+            f"symbol {name!r} has dims {folded} in run {stores[0].run_id}, expected {full}"
+        )):
+            standard_report(SymbolsHandler(stores), tmp_path)
 
 
 # -- reference: the report made from symbols joined across runs --------------
