@@ -2,8 +2,8 @@
 
 Verbs: ``create_project`` scaffolds a new project from a template, ``run``
 executes the configured scenario set, ``report`` rebuilds the report tables
-from existing stores, and ``validate`` runs all load-time checks without
-solving.
+from existing stores, and ``validate`` runs all load-time checks and plans
+every scenario row, without solving.
 
 Exit codes: 0 success, 1 validation failure, 2 solve failure, 3 I/O
 failure. Diagnostics go to stderr, summaries to stdout. ``VOLTAIC_THREADS``
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="write report tables from existing stores")
     report.add_argument("root", nargs="?", default=".", help="project root (default: current)")
 
-    validate = sub.add_parser("validate", help="run load-time checks without solving")
+    validate = sub.add_parser("validate", help="run load-time checks and plan every row, without solving")
     validate.add_argument("root", nargs="?", default=".", help="project root (default: current)")
     return parser
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .project import Project, load_project
 from .reports import PartialReport, clear_report, merge_report, partial_report
-from .scenarios import RunResult, _run_and_finish
+from .scenarios import RunResult, _plan, _run_and_finish
 from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_run, write_store
 from .system import ValidationError
 
@@ -108,5 +108,22 @@ def report_project(root: Path | str) -> dict:
 
 
 def validate_project(root: Path | str) -> Project:
-    """Load-time checks only; raises :class:`ValidationError` on any issue."""
-    return load_project(root)
+    """Load-time checks, then the sweep's plan with no solve (see
+    :func:`~voltaic.scenarios.run_scenarios`): each country set is built
+    once, and each row expanded and applied against it. Raises
+    :class:`ValidationError` naming every load issue, each row whose cells
+    the table's reading rejects among them, and, if the project loads, each
+    row the plan finds cannot run, each with its message."""
+    failed: list[str] = []
+    try:
+        project = load_project(root, failed)
+    except ValidationError as exc:
+        raise ValidationError(exc.issues + failed) from None
+    config = project.config
+    sweep = _plan(project.specs, project.data, config, project.features, project.constraint_blocks or None,
+                  project.fixed_capacities if config.dispatch_only else None, warm=False)
+    failed += [f"iteration_table: run {spec.run_id}: {deltas}"
+               for spec, deltas in zip(sweep.specs, sweep.deltas) if isinstance(deltas, str)]
+    if failed:
+        raise ValidationError(failed)
+    return project

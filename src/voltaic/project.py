@@ -479,11 +479,14 @@ def _load_fixed_capacities(path: Path, issues: list[str]) -> dict[tuple[str, tup
     return fixed
 
 
-def load_project(root: Path | str) -> Project:
+def load_project(root: Path | str, failed: list[str] | None = None) -> Project:
     """Load and validate a whole project directory.
 
     Raises :class:`ValidationError` carrying every discovered issue, each
-    prefixed with the offending file and row.
+    prefixed with the offending file and row. With ``failed`` given, a
+    scenario row with a cell that does not read or a value its column
+    cannot take is noted there and left out of ``specs`` instead (see
+    :func:`~voltaic.scenarios.parse_iteration_table`).
     """
     root = Path(root)
     issues: list[str] = []
@@ -518,7 +521,7 @@ def load_project(root: Path | str) -> Project:
     if config.scenarios_iteration:
         if layout.iteration_table.exists():
             try:
-                specs = parse_iteration_table(layout.iteration_table.read_text())
+                specs = parse_iteration_table(layout.iteration_table.read_text(), issues if failed is None else failed)
             except ValidationError as exc:
                 issues.extend(exc.issues)
         else:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .model import COST_TERMS, LinearProgram, apply_dispatch_only, build_model, cost_coefficient, share_rhs
 from .solver import Delta, ModelInstance, Solution, _cell_index, base_statuses, basis_statuses, certified, solve
-from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
+from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError, field_issue, series_issue
 
 MODES = ("rebuild", "single_instance", "parallel")
 # Rows a country set needs before its instance re-solves warm. The sweep
@@ -64,16 +64,19 @@ _COST_FAMILY: dict[str, str] = {
     name: family for family, term in COST_TERMS.items() for name, _ in term.params
 }
 
-#: Parameter catalog: canonical domain per overridable parameter. Cost
-#: parameters come from the cost table; the other two set row bounds.
-PARAMETER_DOMAINS: dict[str, tuple[str, ...]] = {
-    **{
-        name: ("l",) if COST_TERMS[family].owner == "l" else ("n", COST_TERMS[family].owner)
-        for name, family in _COST_FAMILY.items()
-    },
-    "co2_cap": ("n",),
-    "min_renewable_share": ("n",),
+#: Parameter -> the static field it overrides, as its ``system.RECORD_DOMAINS``
+#: record and attribute. Cost parameters come from the cost table; the
+#: other two set row bounds.
+_PARAM_FIELDS: dict[str, tuple[str, str]] = {
+    **{name: ({"tech": "technologies", "sto": "storages", "l": "lines"}[term.owner], attr)
+       for term in COST_TERMS.values() for name, attr in term.params},
+    **{name: ("nodes", name) for name in ("co2_cap", "min_renewable_share")},
 }
+
+#: Parameter catalog: canonical domain per overridable parameter, the
+#: dimensions of its field's records.
+_RECORD_DIMS = {"nodes": ("n",), "technologies": ("n", "tech"), "storages": ("n", "sto"), "lines": ("l",)}
+PARAMETER_DOMAINS: dict[str, tuple[str, ...]] = {name: _RECORD_DIMS[rec] for name, (rec, _) in _PARAM_FIELDS.items()}
 
 TIMESERIES_DOMAINS: dict[str, tuple[str, ...]] = {
     "d": ("n",),
@@ -166,11 +169,14 @@ def parse_symbol_ref(text: str) -> SymbolRef:
     return SymbolRef(name, tuple(domain), kind)
 
 
-def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
+def parse_iteration_table(csv_text: str, failed: list[str] | None = None) -> list[ScenarioSpec]:
     """Parse the scenario table into one spec per row.
 
     The first column holds run ids; an absent ``country_set`` column means
-    every node of the dataset participates in every run.
+    every node of the dataset participates in every run. A row with a cell
+    that does not read, or a value its column cannot take (see
+    :func:`_check_cell`), raises, naming the run; with ``failed`` given,
+    that issue is noted there instead and the row is left out.
     """
     rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(cell.strip() for cell in r)]
     if not rows:
@@ -190,49 +196,64 @@ def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
         if run_id in seen:
             raise ValidationError(f"iteration_table: duplicate run id {run_id!r}")
         seen.add(run_id)
-        beyond = next((k for k in range(len(header), len(row)) if row[k].strip()), None)
-        if beyond is not None:
-            raise ValidationError(f"iteration_table: run {run_id}: value {row[beyond].strip()!r} in column "
-                                  f"{beyond + 1}, beyond the {len(header)} columns of the header")
-        overrides: list[tuple[SymbolRef, object]] = []
-        country: tuple[str, ...] | None = None
-        choices: dict[str, str] = {}
-        for ref, cell in zip(refs, row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            if ref.target_kind == COUNTRY_SET:
-                country = tuple(t for t in re.split(r"[,;\s]+", cell) if t)
-                if not country:
-                    raise ValidationError(f"iteration_table: run {run_id}: country_set {cell!r} names no node")
-            elif ref.target_kind == CONSTRAINT_CHOICE:
-                choices[ref.name] = cell
-            elif ref.target_kind == TIMESERIES:
-                overrides.append((ref, cell))
-            else:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"iteration_table: run {run_id}: non-numeric value {cell!r} "
-                        f"for column {ref.render()!r}"
-                    ) from None
-                _check_finite(run_id, ref, value)
-                overrides.append((ref, value))
-        specs.append(ScenarioSpec(run_id, tuple(overrides), country, choices))
+        try:
+            specs.append(_parse_row(run_id, refs, row, len(header)))
+        except ValidationError as exc:
+            issue = f"iteration_table: run {run_id}: {exc}"
+            if failed is None:
+                raise ValidationError(issue) from None
+            failed.append(issue)
     return specs
 
 
-def _check_finite(run_id: str, ref: SymbolRef, value: float) -> None:
-    """Reject a ``nan`` override, and an infinite one except ``+inf`` for a
-    ``.up`` bound or ``co2_cap`` (no bound, no cap)."""
-    unbounded = ref.target_kind == VARIABLE_UP or (ref.target_kind == PARAMETER and ref.name == "co2_cap")
-    if math.isfinite(value) or (value == math.inf and unbounded):
-        return
-    raise ValidationError(
-        f"iteration_table: run {run_id}: value {value!r} for column {ref.render()!r} "
-        f"must be finite (only a .up bound or co2_cap may be inf)"
-    )
+def _parse_row(run_id: str, refs: list[SymbolRef], row: list[str], width: int) -> ScenarioSpec:
+    """One table row, under the headings ``refs`` of a ``width``-column header."""
+    beyond = next((k for k in range(width, len(row)) if row[k].strip()), None)
+    if beyond is not None:
+        raise ValidationError(f"value {row[beyond].strip()!r} in column {beyond + 1}, "
+                              f"beyond the {width} columns of the header")
+    overrides: list[tuple[SymbolRef, object]] = []
+    country: tuple[str, ...] | None = None
+    choices: dict[str, str] = {}
+    for ref, cell in zip(refs, row[1:]):
+        cell = cell.strip()
+        if cell == "":
+            continue
+        if ref.target_kind == COUNTRY_SET:
+            country = tuple(t for t in re.split(r"[,;\s]+", cell) if t)
+            if not country:
+                raise ValidationError(f"country_set {cell!r} names no node")
+        elif ref.target_kind == CONSTRAINT_CHOICE:
+            choices[ref.name] = cell
+        elif ref.target_kind == TIMESERIES:
+            overrides.append((ref, cell))
+        else:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(f"non-numeric value {cell!r} for column {ref.render()!r}") from None
+            _check_cell(ref, value)
+            overrides.append((ref, value))
+    return ScenarioSpec(run_id, tuple(overrides), country, choices)
+
+
+def _check_cell(ref: SymbolRef, value, data: SystemData | None = None, end_hour: int = 0) -> None:
+    """Reject a value its cell cannot take, by the static inputs' rules: a
+    parameter's by the domain of the field it overrides, a series (with
+    ``data``) by :func:`~voltaic.system.series_issue`. A variable bound has
+    no field: it must be finite, or ``+inf`` in a ``.up`` column (no bound).
+    An unknown parameter is left to expansion to report."""
+    cell = f"column {ref.render()!r}"
+    if ref.target_kind == TIMESERIES:
+        issue = series_issue(data, cell, "demand" if ref.name == "d" else "availability", str(value), end_hour)
+    elif ref.target_kind == PARAMETER:
+        issue = ref.name in _PARAM_FIELDS and field_issue(cell, *_PARAM_FIELDS[ref.name], float(value), ref.name)
+    else:
+        up, value = ref.target_kind == VARIABLE_UP, float(value)
+        holds = math.isfinite(value) or (up and value == math.inf)
+        issue = not holds and f"{cell}: bound must be finite{' or inf' * up}, got {value}"
+    if issue:
+        raise ValidationError(issue)
 
 
 def _match_domain(
@@ -295,21 +316,14 @@ def expand_overrides(
     scalar: dict[tuple[str, tuple[str, ...]], float] = {}
     series_swap: dict[tuple[str, tuple[str, ...]], str] = {}
     for ref, value in spec.overrides:
-        if ref.target_kind != TIMESERIES:
-            _check_finite(spec.run_id, ref, float(value))
+        _check_cell(ref, value, data, config.end_hour)
         if ref.target_kind == PARAMETER:
             if ref.name not in PARAMETER_DOMAINS:
                 raise ValidationError(f"override {ref.render()!r}: unknown parameter {ref.name!r}")
-            dims = PARAMETER_DOMAINS[ref.name]
-            for combo in product(*_match_domain(ref, dims, sets)):
+            for combo in product(*_match_domain(ref, PARAMETER_DOMAINS[ref.name], sets)):
                 scalar[(ref.name, combo)] = float(value)
         elif ref.target_kind == TIMESERIES:
-            dims = TIMESERIES_DOMAINS[ref.name]
-            if str(value) not in data.series:
-                raise ValidationError(
-                    f"override {ref.render()!r}: unknown series {value!r}"
-                )
-            for combo in product(*_match_domain(ref, dims, sets)):
+            for combo in product(*_match_domain(ref, TIMESERIES_DOMAINS[ref.name], sets)):
                 series_swap[(ref.name, combo)] = str(value)
 
     H = config.end_hour
@@ -344,35 +358,30 @@ def expand_overrides(
 
     for (name, key), series_name in sorted(series_swap.items()):
         values = data.series[series_name].values
-        if len(values) < H:
-            raise ValidationError(
-                f"override series {series_name!r}: {len(values)} hours < end_hour {H}"
-            )
         if name == "d":
             (n,) = key
             fam = lp.row_families["BAL"]
-            for i, h in enumerate(sets["h"]):
-                deltas.append(Delta("rhs", row=fam.index((n, h)), value=values[i]))
+            deltas.extend(Delta("rhs", row=fam.index((n, h)), value=v) for h, v in zip(sets["h"], values))
             share_rhs_dirty.add(n)
         elif name == "phi":
             res, n = key
             row_fam = lp.row_families["CAP_RES"]
             col = lp.col_index("N", (res, n))
-            for i, h in enumerate(sets["h"]):
-                if not 0.0 <= values[i] <= 1.0:
-                    raise ValidationError(
-                        f"override series {series_name!r}: availability outside [0, 1]"
-                    )
-                deltas.append(Delta("coef", row=row_fam.index((res, n, h)), col=col, value=-values[i]))
+            deltas.extend(Delta("coef", row=row_fam.index((res, n, h)), col=col, value=-v)
+                          for h, v in zip(sets["h"], values))
 
+    # A demand swap refreshes the share rhs only where the node has a share
+    # row; an explicit share override needs one.
+    fam = lp.row_families.get("RES_SHARE")
     for n in sorted(share_rhs_dirty):
-        share = scalar.get(("min_renewable_share", (n,)), data.node(n).min_renewable_share)
-        fam = lp.row_families.get("RES_SHARE")
         if fam is None or n not in fam.elements[0]:
+            if ("min_renewable_share", (n,)) not in scalar:
+                continue
             raise ValidationError(
                 f"override min_renewable_share({n!r}): the base model has no share row for "
                 f"this node (base share is zero)"
             )
+        share = scalar.get(("min_renewable_share", (n,)), data.node(n).min_renewable_share)
         demand = data.series[series_swap.get(("d", (n,)), data.node(n).demand)].values[:H]
         deltas.append(Delta("rhs", row=fam.index((n,)), value=share_rhs(share, demand)))
 

@@ -245,31 +245,42 @@ RECORD_DOMAINS = {
 }
 
 
+def field_issue(owner: str, attr: str, name: str, value, label: str | None = None) -> str | None:
+    """The issue of ``value`` in field ``name`` of an ``attr`` record by its
+    :data:`RECORD_DOMAINS` entry, worded ``owner: label must be ..., got
+    value`` (``label`` defaults to ``name``); None if the value holds."""
+    holds, text = RECORD_DOMAINS[attr][1][name]
+    return None if holds(value) else f"{owner}: {label or name} must be {text}, got {value}"
+
+
+def series_issue(data: SystemData, owner: str, role: str, name: str, end_hour: int, where: str = "") -> str | None:
+    """The rule for one series: ``name`` is a series of ``data`` covering
+    ``end_hour`` hours, with values in [0, 1] if ``role`` is availability.
+    Returns the issue, None if the series holds."""
+    series = data.series.get(name)
+    if series is None:
+        return f"{owner}: {role} references unknown series {name!r}{where}"
+    if len(series) < end_hour:
+        return f"{owner}: {role} series {name!r} has {len(series)} hours, end_hour needs {end_hour}"
+    if role == "availability" and any(not 0.0 <= v <= 1.0 for v in series.values[:end_hour]):
+        return f"{owner}: availability series {name!r} has values outside [0, 1]"
+    return None
+
+
 def validate_series(data: SystemData, node_ids: set[str], end_hour: int) -> list[str]:
     """Check the series of the nodes ``node_ids``; returns issues, empty if clean.
 
     Each of those nodes' demand series must exist and cover ``end_hour``
     hours. Each variable renewable needs an availability series at each of
     them, naming a known series that covers ``end_hour`` hours with values
-    in [0, 1]. An id in ``node_ids`` that is no node of ``data`` has no
-    demand, but its availability series are checked.
+    in [0, 1], each by :func:`series_issue`. An id in ``node_ids`` that is
+    no node of ``data`` has no demand, but its availability series are
+    checked.
     """
-    issues: list[str] = []
-
-    def covering(owner: str, role: str, name: str, where: str = "") -> TimeSeries | None:
-        """Series ``name`` if it exists and covers ``end_hour`` hours, else None with the issue noted."""
-        series = data.series.get(name)
-        if series is None:
-            issues.append(f"{owner}: {role} references unknown series {name!r}{where}")
-        elif len(series) < end_hour:
-            issues.append(f"{owner}: {role} series {name!r} has {len(series)} hours, end_hour needs {end_hour}")
-        else:
-            return series
-        return None
-
+    issues: list[str | None] = []
     nodes = [n for n in data.nodes if n.id in node_ids]
     for node in nodes:
-        covering(f"node {node.id}", "demand", node.demand)
+        issues.append(series_issue(data, f"node {node.id}", "demand", node.demand, end_hour))
     for tech in data.technologies:
         if not tech.is_renewable:
             continue
@@ -281,12 +292,9 @@ def validate_series(data: SystemData, node_ids: set[str], end_hour: int) -> list
             if node_id not in tech.availability:
                 issues.append(f"{owner}: availability missing for node {node_id}")
         for node_id, name in tech.availability.items():
-            if node_id not in node_ids:
-                continue
-            series = covering(owner, "availability", name, f" for node {node_id}")
-            if series is not None and any(not 0.0 <= v <= 1.0 for v in series.values[:end_hour]):
-                issues.append(f"{owner}: availability series {name!r} has values outside [0, 1]")
-    return issues
+            if node_id in node_ids:
+                issues.append(series_issue(data, owner, "availability", name, end_hour, f" for node {node_id}"))
+    return [issue for issue in issues if issue is not None]
 
 
 def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
@@ -309,10 +317,7 @@ def validate_system(data: SystemData, config: ModelConfig) -> list[str]:
             if kind != "line" and record.id in seen:  # a line's key is its node pair, checked below
                 issues.append(f"{owner}: id duplicated")
             seen.add(record.id)
-            for name, (holds, text) in domains.items():
-                value = getattr(record, name)
-                if not holds(value):
-                    issues.append(f"{owner}: {name} must be {text}, got {value}")
+            issues.extend(filter(None, (field_issue(owner, attr, name, getattr(record, name)) for name in domains)))
             for low, high in ranges:
                 a, b = getattr(record, low), getattr(record, high)
                 if not 0 <= a <= b:

@@ -200,7 +200,7 @@ class TestRun:
         for run_id in "EXZ":
             assert lines[run_id] == "status=error  objective=-  wall=0.000s"
         assert "error: E: delta produces lo > hi on N(gas,DE): [60.0, 50.0]" in err
-        assert "error: X: override \"d('DE')\": unknown series 'nope'" in err
+        assert "error: X: column \"d('DE')\": demand references unknown series 'nope'" in err
         assert "error: Z: " in err and "ZZ" in err
         for run_id in "EXZ":
             assert read_store(root / "results" / run_id).meta["error"] in err
@@ -275,6 +275,13 @@ class TestReport:
         assert "capacity.csv" in capsys.readouterr().out
 
 
+def _example1_at_24h(tmp_path):
+    root = create_project("demo", "example1", tmp_path)
+    settings = root / "settings" / "project_variables.csv"
+    settings.write_text(settings.read_text().replace("end_hour,h48", "end_hour,h24"))
+    return root
+
+
 class TestValidate:
     def test_ok_project(self, tmp_path, capsys):
         root = create_project("demo", "example2", tmp_path)
@@ -301,7 +308,62 @@ class TestValidate:
         table = root / "iterationfiles" / "iteration_table.csv"
         table.write_text(table.read_text().replace("S1,10014,", "S1,nan,"))
         assert run_cli("validate", str(root)) == 1
-        assert "run S1: value nan for column \"c_i_sto_e(n,'Li-ion')\"" in capsys.readouterr().err
+        assert ("error: iteration_table: run S1: column \"c_i_sto_e(n,'Li-ion')\": c_i_sto_e must be finite "
+                "and >= 0, got nan") in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize(
+        "header, cell, rule",
+        [
+            ("c_var(n,'ocgt')", "-40", "c_var must be finite and >= 0, got -40.0"),
+            ("c_i_sto_e(n,'Li-ion')", "-100", "c_i_sto_e must be finite and >= 0, got -100.0"),
+            ("min_renewable_share('DE')", "1.5", "min_renewable_share must be in [0, 1], got 1.5"),
+            ("co2_cap('DE')", "-5", "co2_cap must be >= 0, got -5.0"),
+        ],
+        ids=["c_var", "c_i_sto_e", "min_renewable_share", "co2_cap"],
+    )
+    def test_override_outside_its_field_domain(self, tmp_path, capsys, header, cell, rule):
+        root = _example1_at_24h(tmp_path)
+        (root / "iterationfiles" / "iteration_table.csv").write_text(f'run,"{header}"\nS1,{cell}\n')
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: iteration_table: run S1: column {header!r}: {rule}"]
+
+    def test_every_row_that_cannot_run_is_named(self, tmp_path, capsys):
+        root = _example1_at_24h(tmp_path)
+        (root / "iterationfiles" / "iteration_table.csv").write_text(
+            "run,\"c_var(n,'ocgt')\",d('DE'),\"N.up('ocgt','DE')\",country_set\n"
+            "S0,,,inf,\nS1,-40,,,\nS2,,nope,,\nS3,,,,DE;XX\nS4,,load_DE,,\n"
+        )
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: iteration_table: run S1: column \"c_var(n,'ocgt')\": c_var must be finite and >= 0, got -40.0",
+            "error: iteration_table: run S2: column \"d('DE')\": demand references unknown series 'nope'",
+            "error: iteration_table: run S3: country_set: unknown node 'XX'",
+        ]
+
+    def test_load_issues_and_rejected_rows_together(self, tmp_path, capsys):
+        root = _example1_at_24h(tmp_path)
+        techs = root / "data_input" / "static_input" / "technologies.csv"
+        techs.write_text(re.sub(r"^(ocgt,dispatchable,[^,]*,[^,]*),[^,]*,", r"\1,-1,", techs.read_text(), flags=re.M))
+        (root / "iterationfiles" / "iteration_table.csv").write_text("run,\"c_var(n,'ocgt')\"\nS0,-40\nS1,40\n")
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: technology ocgt: c_var must be finite and >= 0, got -1.0",
+            "error: iteration_table: run S0: column \"c_var(n,'ocgt')\": c_var must be finite and >= 0, got -40.0",
+        ]
+
+    def test_demand_swap_at_a_node_without_share_target(self, tmp_path, capsys):
+        root = _example1_at_24h(tmp_path)
+        nodes = root / "data_input" / "static_input" / "nodes.csv"
+        nodes.write_text(re.sub(r"^FR,([^,]*),0\.3,", r"FR,\1,0.0,", nodes.read_text(), flags=re.M))
+        (root / "iterationfiles" / "iteration_table.csv").write_text("run,d('FR')\nS0,load_DE\n")
+        assert run_cli("validate", str(root)) == 0
+        capsys.readouterr()
+        (root / "iterationfiles" / "iteration_table.csv").write_text("run,min_renewable_share('FR')\nS0,0.5\n")
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: iteration_table: run S0: override min_renewable_share('FR'): the base model has no share row "
+            "for this node (base share is zero)"
+        ]
 
     def test_not_a_project(self, tmp_path, capsys):
         assert run_cli("validate", str(tmp_path)) == 1

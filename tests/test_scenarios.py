@@ -1,3 +1,4 @@
+import math
 import re
 import time
 from dataclasses import replace
@@ -92,23 +93,58 @@ class TestParsing:
         with pytest.raises(ValidationError, match="non-numeric"):
             parse_iteration_table("run,co2_cap('DE')\nS0,often\n")
 
-    @pytest.mark.parametrize(
-        "header, cell",
-        [
-            ("c_i_sto_e(n,'Li-ion')", "nan"),
-            ("c_i_sto_e(n,'Li-ion')", "inf"),
-            ("c_var('DE','gas')", "-inf"),
-            ("min_renewable_share('DE')", "inf"),
-            ("co2_cap('DE')", "nan"),
-            ("co2_cap('DE')", "-inf"),
-            ("N.up('gas','DE')", "NaN"),
-            ("N.lo('gas','DE')", "inf"),
-            ("N.fx('gas','DE')", "inf"),
-        ],
-    )
-    def test_non_finite_cell_rejected(self, header, cell):
-        with pytest.raises(ValidationError, match=rf"run S0: value .* for column {re.escape(repr(header))}"):
+    _NON_FINITE = [
+        ("c_i_sto_e(n,'Li-ion')", "nan", "c_i_sto_e must be finite and >= 0, got nan"),
+        ("c_i_sto_e(n,'Li-ion')", "inf", "c_i_sto_e must be finite and >= 0, got inf"),
+        ("c_var('DE','gas')", "-inf", "c_var must be finite and >= 0, got -inf"),
+        ("min_renewable_share('DE')", "inf", "min_renewable_share must be in [0, 1], got inf"),
+        ("co2_cap('DE')", "nan", "co2_cap must be >= 0, got nan"),
+        ("co2_cap('DE')", "-inf", "co2_cap must be >= 0, got -inf"),
+        ("N.up('gas','DE')", "NaN", "bound must be finite or inf, got nan"),
+        ("N.lo('gas','DE')", "inf", "bound must be finite, got inf"),
+        ("N.fx('gas','DE')", "inf", "bound must be finite, got inf"),
+    ]
+
+    @pytest.mark.parametrize("header, cell, rule", _NON_FINITE, ids=[f"{h}-{c}" for h, c, _ in _NON_FINITE])
+    def test_non_finite_cell_rejected(self, header, cell, rule):
+        with pytest.raises(ValidationError) as exc:
             parse_iteration_table(f'run,"{header}"\nS0,{cell}\n')
+        assert exc.value.issues == [f"iteration_table: run S0: column {header!r}: {rule}"]
+
+    # One value out of its static field's domain per field owner, worded as
+    # ``validate_system`` words it, after the run and the column.
+    @pytest.mark.parametrize(
+        "header, cell, rule",
+        [
+            ("c_var(n,'gas')", "-40", "c_var must be finite and >= 0, got -40.0"),
+            ("c_fix_sto(n,'Li-ion')", "-1", "c_fix_sto must be finite and >= 0, got -1.0"),
+            ("c_i_sto_e(n,'Li-ion')", "-100", "c_i_sto_e must be finite and >= 0, got -100.0"),
+            ("c_inv_ntc('DE-FR')", "-5", "c_inv_ntc must be finite and >= 0, got -5.0"),
+            ("min_renewable_share('DE')", "1.5", "min_renewable_share must be in [0, 1], got 1.5"),
+            ("min_renewable_share(n)", "-0.1", "min_renewable_share must be in [0, 1], got -0.1"),
+            ("co2_cap('DE')", "-5", "co2_cap must be >= 0, got -5.0"),
+        ],
+        ids=["tech", "sto_summed", "sto", "line", "share_above", "share_below", "co2_cap"],
+    )
+    def test_value_outside_its_field_domain_rejected(self, header, cell, rule):
+        with pytest.raises(ValidationError) as exc:
+            parse_iteration_table(f'run,"{header}"\nS0,1\nS7,{cell}\n')
+        assert exc.value.issues == [f"iteration_table: run S7: column {header!r}: {rule}"]
+
+    @pytest.mark.parametrize("header", [*(f"{name}(n)" for name in PARAMETER_DOMAINS),
+                                        *(f"N.{bound}('gas','DE')" for bound in ("fx", "lo", "up"))])
+    def test_nan_rejected_in_every_column(self, header):
+        with pytest.raises(ValidationError, match=r"got nan$"):
+            parse_iteration_table(f'run,"{header}"\nS0,nan\n')
+
+    def test_failed_rows_are_noted_and_left_out(self):
+        failed = []
+        specs = parse_iteration_table("run,\"c_var(n,'gas')\"\nS0,-1\nS1,2\nS2,x\n", failed)
+        assert [spec.run_id for spec in specs] == ["S1"]
+        assert failed == [
+            "iteration_table: run S0: column \"c_var(n,'gas')\": c_var must be finite and >= 0, got -1.0",
+            "iteration_table: run S2: non-numeric value 'x' for column \"c_var(n,'gas')\"",
+        ]
 
     @pytest.mark.parametrize("header", ["N.up('gas','DE')", "co2_cap('DE')"])
     def test_infinite_upper_bound_and_co2_cap_accepted(self, header):
@@ -300,8 +336,35 @@ class TestExpansion:
         data, config = battery_system
         lp = build_model(data, config)
         spec = ScenarioSpec("S9", ((parse_symbol_ref("c_i_sto_e(n,'Li-ion')"), float("nan")),))
-        with pytest.raises(ValidationError, match=r"run S9: value nan for column \"c_i_sto_e\(n,'Li-ion'\)\""):
+        with pytest.raises(ValidationError) as exc:
             expand_overrides(spec, lp, data, config)
+        assert exc.value.issues == ["column \"c_i_sto_e(n,'Li-ion')\": c_i_sto_e must be finite and >= 0, got nan"]
+
+    @pytest.mark.parametrize(
+        "header, value, rule",
+        [
+            ("c_var(n,'gas')", -40, "c_var must be finite and >= 0, got -40.0"),
+            ("min_renewable_share('DE')", 1.5, "min_renewable_share must be in [0, 1], got 1.5"),
+            ("N.lo('gas','DE')", float("-inf"), "bound must be finite, got -inf"),
+        ],
+        ids=["cost", "share", "bound"],
+    )
+    def test_value_rejected_at_expansion(self, battery_system, header, value, rule):
+        """A spec made without the parser meets the same rules when expanded."""
+        data, config = battery_system
+        lp = build_model(data, config)
+        spec = ScenarioSpec("S9", ((parse_symbol_ref(header), value),))
+        with pytest.raises(ValidationError) as exc:
+            expand_overrides(spec, lp, data, config)
+        assert exc.value.issues == [f"column {header!r}: {rule}"]
+
+    def test_infinite_co2_cap_and_upper_bound_expand(self, battery_system):
+        data, config = battery_system
+        data = replace(data, nodes=tuple(replace(n, co2_cap=100.0) for n in data.nodes))
+        lp = build_model(data, config)
+        [spec] = parse_iteration_table("run,co2_cap('DE'),\"N.up('gas','DE')\"\nS0,inf,inf\n")
+        deltas = expand_overrides(spec, lp, data, config)
+        assert [(d.kind, d.value) for d in deltas] == [("rhs", math.inf), ("up", math.inf)]
 
     def test_unknown_series_reported(self, battery_system):
         data, config = battery_system
@@ -327,6 +390,18 @@ class TestExpansion:
         with pytest.raises(ValidationError, match=r"co2_cap\('FR'\)"):
             expand_overrides(spec, lp, data, config)
 
+    def test_demand_swap_at_a_node_without_share_row(self, battery_system):
+        """Only the balance rows of a node with no share row move; the share
+        row rule is kept for an explicit share override."""
+        data, config = battery_system
+        lp = build_model(data, config)
+        assert "FR" not in lp.row_families["RES_SHARE"].elements[0]
+        [spec] = parse_iteration_table("run,d('FR')\nS0,load_DE_alt\n")
+        deltas = expand_overrides(spec, lp, data, config)
+        assert [(d.kind, d.row, d.value) for d in deltas] == [
+            ("rhs", lp.row_index("BAL", ("FR", h)), v) for h, v in zip(lp.sets["h"], data.series["load_DE_alt"].values)
+        ]
+
     def test_constraint_choice_off_relaxes_share(self, battery_system):
         data, config = battery_system
         lp = build_model(data, config)
@@ -338,8 +413,9 @@ class TestExpansion:
     @pytest.mark.parametrize(
         "table, issue",
         [
-            ("run,d('DE')\nS0,short\n", "override series 'short': 3 hours < end_hour 4"),
-            ("run,\"phi('solar','DE')\"\nS0,hot\n", "override series 'hot': availability outside [0, 1]"),
+            ("run,d('DE')\nS0,short\n", "column \"d('DE')\": demand series 'short' has 3 hours, end_hour needs 4"),
+            ("run,\"phi('solar','DE')\"\nS0,hot\n",
+             "column \"phi('solar','DE')\": availability series 'hot' has values outside [0, 1]"),
             ("run,\"Q.fx('gas','DE')\"\nS0,1\n", "override \"Q.fx('gas','DE')\": unknown variable 'Q'"),
             ("run,quantum\nS0,off\n", "constraint block 'quantum' is not registered"),
             ("run,c_var(n)\nS0,1\n", "override 'c_var(n)': domain arity 1 does not match dimensions ('n', 'tech')"),
