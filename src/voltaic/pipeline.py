@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .project import Project, load_project
 from .reports import PartialReport, clear_report, merge_report, partial_report
-from .scenarios import RunResult, _plan, _run_and_finish
+from .scenarios import RunResult, _plan, _row_issue, _run_and_finish
 from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_run, write_store
 from .system import ValidationError
 
@@ -65,15 +65,11 @@ def run_project(
         report=config.report_data,
     )
     rows = _run_and_finish(
-        project.data,
-        config,
-        project.features,
-        project.specs,
+        specs=project.specs,
         mode=pick_mode(project, mode),
         threads=config.guss_parallel_threads if threads is None else threads,
-        constraint_blocks=project.constraint_blocks or None,
-        fixed_capacities=project.fixed_capacities if config.dispatch_only else None,
         finish=finish,
+        **_sweep_inputs(project),
     )
     results = [result for result, _ in rows]
     summary = RunSummary(results, [project.layout.results / r.run_id for r in results])
@@ -82,6 +78,16 @@ def run_project(
     elif config.report_data:
         clear_report(project.layout.report)
     return summary
+
+
+def _sweep_inputs(project: Project) -> dict:
+    """What a sweep over ``project``'s rows is planned from: the system,
+    its constraint blocks (None: the defaults) and, in dispatch-only runs,
+    the fixed capacities."""
+    config = project.config
+    return dict(data=project.data, config=config, features=project.features,
+                constraint_blocks=project.constraint_blocks or None,
+                fixed_capacities=project.fixed_capacities if config.dispatch_only else None)
 
 
 def _finish_row(
@@ -108,22 +114,15 @@ def report_project(root: Path | str) -> dict:
 
 
 def validate_project(root: Path | str) -> Project:
-    """Load-time checks, then the sweep's plan with no solve (see
+    """Load the project, then plan its sweep with no solve (see
     :func:`~voltaic.scenarios.run_scenarios`): each country set is built
     once, and each row expanded and applied against it. Raises
-    :class:`ValidationError` naming every load issue, each row whose cells
-    the table's reading rejects among them, and, if the project loads, each
-    row the plan finds cannot run, each with its message."""
-    failed: list[str] = []
-    try:
-        project = load_project(root, failed)
-    except ValidationError as exc:
-        raise ValidationError(exc.issues + failed) from None
-    config = project.config
-    sweep = _plan(project.specs, project.data, config, project.features, project.constraint_blocks or None,
-                  project.fixed_capacities if config.dispatch_only else None, warm=False)
-    failed += [f"iteration_table: run {spec.run_id}: {deltas}"
-               for spec, deltas in zip(sweep.specs, sweep.deltas) if isinstance(deltas, str)]
-    if failed:
-        raise ValidationError(failed)
+    :class:`ValidationError` naming every load issue, followed by every
+    row's issue (see :func:`~voltaic.project.load_project`), or, if the
+    project loads, every row that cannot run, in table order."""
+    project = load_project(root)
+    sweep = _plan(project.specs, warm=False, **_sweep_inputs(project))
+    issues = [_row_issue(spec.run_id, d) for spec, d in zip(sweep.specs, sweep.deltas) if isinstance(d, str)]
+    if issues:
+        raise ValidationError(issues)
     return project

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .model import CAPACITY_FAMILIES, COST_TERMS
-from .scenarios import CONSTRAINT_BLOCKS, ScenarioSpec, parse_iteration_table
+from .scenarios import CONSTRAINT_BLOCKS, ScenarioSpec, _row_issue, parse_iteration_table
 from .symbols import LEVEL, MARGINAL
 from .system import (
     FEATURE_MODULES,
@@ -479,14 +479,14 @@ def _load_fixed_capacities(path: Path, issues: list[str]) -> dict[tuple[str, tup
     return fixed
 
 
-def load_project(root: Path | str, failed: list[str] | None = None) -> Project:
+def load_project(root: Path | str) -> Project:
     """Load and validate a whole project directory.
 
-    Raises :class:`ValidationError` carrying every discovered issue, each
-    prefixed with the offending file and row. With ``failed`` given, a
-    scenario row with a cell that does not read or a value its column
-    cannot take is noted there and left out of ``specs`` instead (see
-    :func:`~voltaic.scenarios.parse_iteration_table`).
+    Raises :class:`ValidationError` carrying every load issue, each
+    prefixed with the offending file and row, and after them every
+    scenario row's ``issue`` (see
+    :func:`~voltaic.scenarios.parse_iteration_table`). A project that loads
+    keeps its rows with an issue in ``specs``: they cannot run.
     """
     root = Path(root)
     issues: list[str] = []
@@ -521,7 +521,7 @@ def load_project(root: Path | str, failed: list[str] | None = None) -> Project:
     if config.scenarios_iteration:
         if layout.iteration_table.exists():
             try:
-                specs = parse_iteration_table(layout.iteration_table.read_text(), issues if failed is None else failed)
+                specs = parse_iteration_table(layout.iteration_table.read_text())
             except ValidationError as exc:
                 issues.extend(exc.issues)
         else:
@@ -535,7 +535,7 @@ def load_project(root: Path | str, failed: list[str] | None = None) -> Project:
         )
     issues.extend(validate_system(data, config))
     if issues:
-        raise ValidationError(issues)
+        raise ValidationError(issues + [_row_issue(spec.run_id, spec.issue) for spec in specs if spec.issue])
 
     return Project(
         root=root,

@@ -78,6 +78,13 @@ _PARAM_FIELDS: dict[str, tuple[str, str]] = {
 _RECORD_DIMS = {"nodes": ("n",), "technologies": ("n", "tech"), "storages": ("n", "sto"), "lines": ("l",)}
 PARAMETER_DOMAINS: dict[str, tuple[str, ...]] = {name: _RECORD_DIMS[rec] for name, (rec, _) in _PARAM_FIELDS.items()}
 
+#: The node parameters that move an existing row's rhs: the row family, its
+#: name in messages, and why a node may have no such row.
+_NODE_ROWS = {
+    "co2_cap": ("CO2_CAP", "emission cap", "base cap is unset"),
+    "min_renewable_share": ("RES_SHARE", "share", "base share is zero"),
+}
+
 TIMESERIES_DOMAINS: dict[str, tuple[str, ...]] = {
     "d": ("n",),
     "phi": ("res", "n"),
@@ -124,6 +131,7 @@ class ScenarioSpec:
     overrides: tuple[tuple[SymbolRef, object], ...] = ()
     country_set: tuple[str, ...] | None = None
     constraint_choices: dict[str, str] = field(default_factory=dict)
+    issue: str | None = None  # why the row's cells do not read; the row then cannot run
 
 
 def parse_symbol_ref(text: str) -> SymbolRef:
@@ -169,14 +177,15 @@ def parse_symbol_ref(text: str) -> SymbolRef:
     return SymbolRef(name, tuple(domain), kind)
 
 
-def parse_iteration_table(csv_text: str, failed: list[str] | None = None) -> list[ScenarioSpec]:
+def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
     """Parse the scenario table into one spec per row.
 
     The first column holds run ids; an absent ``country_set`` column means
-    every node of the dataset participates in every run. A row with a cell
-    that does not read, or a value its column cannot take (see
-    :func:`_check_cell`), raises, naming the run; with ``failed`` given,
-    that issue is noted there instead and the row is left out.
+    every node of the dataset participates in every run. A malformed or
+    repeated heading, or an empty or repeated run id, raises. A row with a
+    value beyond the header, or a cell that does not read or holds a value
+    its column cannot take (see :func:`_check_cell`), keeps that message as
+    its ``issue``: it cannot run.
     """
     rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(cell.strip() for cell in r)]
     if not rows:
@@ -199,11 +208,18 @@ def parse_iteration_table(csv_text: str, failed: list[str] | None = None) -> lis
         try:
             specs.append(_parse_row(run_id, refs, row, len(header)))
         except ValidationError as exc:
-            issue = f"iteration_table: run {run_id}: {exc}"
-            if failed is None:
-                raise ValidationError(issue) from None
-            failed.append(issue)
+            specs.append(ScenarioSpec(run_id, issue=str(exc)))
     return specs
+
+
+def _row_issue(run_id: str, message: str) -> str:
+    """How a message names a row of the table."""
+    return f"iteration_table: run {run_id}: {message}"
+
+
+def _column(heading: str) -> str:
+    """How a message names a column of the table; a cell's messages start with it."""
+    return f'column "{heading}"'
 
 
 def _parse_row(run_id: str, refs: list[SymbolRef], row: list[str], width: int) -> ScenarioSpec:
@@ -221,43 +237,41 @@ def _parse_row(run_id: str, refs: list[SymbolRef], row: list[str], width: int) -
             continue
         if ref.target_kind == COUNTRY_SET:
             country = tuple(t for t in re.split(r"[,;\s]+", cell) if t)
-            if not country:
-                raise ValidationError(f"country_set {cell!r} names no node")
         elif ref.target_kind == CONSTRAINT_CHOICE:
             choices[ref.name] = cell
         elif ref.target_kind == TIMESERIES:
             overrides.append((ref, cell))
         else:
+            column = _column(ref.render())
             try:
                 value = float(cell)
             except ValueError:
-                raise ValidationError(f"non-numeric value {cell!r} for column {ref.render()!r}") from None
-            _check_cell(ref, value)
+                raise ValidationError(f"{column}: non-numeric value {cell!r}") from None
+            _check_cell(column, ref, value)
             overrides.append((ref, value))
     return ScenarioSpec(run_id, tuple(overrides), country, choices)
 
 
-def _check_cell(ref: SymbolRef, value, data: SystemData | None = None, end_hour: int = 0) -> None:
-    """Reject a value its cell cannot take, by the static inputs' rules: a
-    parameter's by the domain of the field it overrides, a series (with
-    ``data``) by :func:`~voltaic.system.series_issue`. A variable bound has
-    no field: it must be finite, or ``+inf`` in a ``.up`` column (no bound).
-    An unknown parameter is left to expansion to report."""
-    cell = f"column {ref.render()!r}"
+def _check_cell(column: str, ref: SymbolRef, value, data: SystemData | None = None, end_hour: int = 0) -> None:
+    """Reject a value ``column``'s cell cannot take, by the static inputs'
+    rules: a parameter's by the domain of the field it overrides, a series
+    (with ``data``) by :func:`~voltaic.system.series_issue`. A variable
+    bound must be finite, or ``+inf`` in a ``.up`` column (no bound). An
+    unknown parameter is left to expansion to report."""
     if ref.target_kind == TIMESERIES:
-        issue = series_issue(data, cell, "demand" if ref.name == "d" else "availability", str(value), end_hour)
+        issue = series_issue(data, column, "demand" if ref.name == "d" else "availability", str(value), end_hour)
     elif ref.target_kind == PARAMETER:
-        issue = ref.name in _PARAM_FIELDS and field_issue(cell, *_PARAM_FIELDS[ref.name], float(value), ref.name)
+        issue = ref.name in _PARAM_FIELDS and field_issue(column, *_PARAM_FIELDS[ref.name], float(value), ref.name)
     else:
         up, value = ref.target_kind == VARIABLE_UP, float(value)
         holds = math.isfinite(value) or (up and value == math.inf)
-        issue = not holds and f"{cell}: bound must be finite{' or inf' * up}, got {value}"
+        issue = not holds and f"{column}: bound must be finite{' or inf' * up}, got {value}"
     if issue:
         raise ValidationError(issue)
 
 
 def _match_domain(
-    ref: SymbolRef, dims: tuple[str, ...], sets: dict[str, tuple[str, ...]]
+    column: str, ref: SymbolRef, dims: tuple[str, ...], sets: dict[str, tuple[str, ...]]
 ) -> list[list[str]]:
     """Resolve the domain entries against the target dimensions.
 
@@ -265,13 +279,11 @@ def _match_domain(
     against the dimension's elements; set-name entries fan out over the
     whole dimension. Entries are matched positionally first and by a
     permutation search otherwise, so ``N.fx('DE','gas')`` and
-    ``N.fx('gas','DE')`` both resolve.
+    ``N.fx('gas','DE')`` both resolve. A domain that does not resolve
+    raises, in a message owned by ``column``.
     """
     if len(ref.domain) != len(dims):
-        raise ValidationError(
-            f"override {ref.render()!r}: domain arity {len(ref.domain)} does not match "
-            f"dimensions {dims}"
-        )
+        raise ValidationError(f"{column}: domain arity {len(ref.domain)} does not match dimensions {dims}")
 
     def fits(entry: tuple[str, str], dim: str) -> bool:
         kind, value = entry
@@ -294,9 +306,7 @@ def _match_domain(
         if attempt is not None:
             return attempt
     bad = ", ".join(v for _, v in ref.domain)
-    raise ValidationError(
-        f"override {ref.render()!r}: domain ({bad}) does not resolve against dimensions {dims}"
-    )
+    raise ValidationError(f"{column}: domain ({bad}) does not resolve against dimensions {dims}")
 
 
 def expand_overrides(
@@ -306,25 +316,44 @@ def expand_overrides(
     config: ModelConfig,
     constraint_blocks: dict[str, tuple[str, ...]] | None = None,
 ) -> list[Delta]:
-    """Turn one scenario row into solver deltas against the built program."""
+    """Turn one scenario row into solver deltas against the built program.
+    Raises the row's ``issue``, or the first column that does not expand."""
+    if spec.issue:
+        raise ValidationError(spec.issue)
     blocks = CONSTRAINT_BLOCKS if constraint_blocks is None else constraint_blocks
     sets = lp.sets
     deltas: list[Delta] = []
 
-    # First pass: collect scalar parameter overrides and series swaps so that
-    # derived quantities (share rhs, summed cost terms) see this row's values.
+    # One pass per column: check it, and collect scalar parameter overrides
+    # and series swaps, so that derived quantities (share rhs, summed cost
+    # terms) see this row's values, and bound deltas.
     scalar: dict[tuple[str, tuple[str, ...]], float] = {}
     series_swap: dict[tuple[str, tuple[str, ...]], str] = {}
+    bounds: list[Delta] = []
     for ref, value in spec.overrides:
-        _check_cell(ref, value, data, config.end_hour)
+        column = _column(ref.render())
+        _check_cell(column, ref, value, data, config.end_hour)
         if ref.target_kind == PARAMETER:
             if ref.name not in PARAMETER_DOMAINS:
-                raise ValidationError(f"override {ref.render()!r}: unknown parameter {ref.name!r}")
-            for combo in product(*_match_domain(ref, PARAMETER_DOMAINS[ref.name], sets)):
-                scalar[(ref.name, combo)] = float(value)
+                raise ValidationError(f"{column}: unknown parameter {ref.name!r}")
+            combos = list(product(*_match_domain(column, ref, PARAMETER_DOMAINS[ref.name], sets)))
+            if ref.name in _NODE_ROWS:
+                family, row, why = _NODE_ROWS[ref.name]
+                fam = lp.row_families.get(family)
+                for (n,) in combos:
+                    if fam is None or n not in fam.elements[0]:
+                        raise ValidationError(f"{column}: the base model has no {row} row for node {n!r} ({why})")
+            scalar.update(((ref.name, combo), float(value)) for combo in combos)
         elif ref.target_kind == TIMESERIES:
-            for combo in product(*_match_domain(ref, TIMESERIES_DOMAINS[ref.name], sets)):
-                series_swap[(ref.name, combo)] = str(value)
+            combos = product(*_match_domain(column, ref, TIMESERIES_DOMAINS[ref.name], sets))
+            series_swap.update(((ref.name, combo), str(value)) for combo in combos)
+        else:
+            fam = lp.var_families.get(ref.name)
+            if fam is None:
+                raise ValidationError(f"{column}: unknown variable {ref.name!r}")
+            sides = {VARIABLE_FIX: ("lo", "up"), VARIABLE_LO: ("lo",), VARIABLE_UP: ("up",)}[ref.target_kind]
+            bounds.extend(Delta(side, col=fam.index(combo), value=float(value))
+                          for combo in product(*_match_domain(column, ref, fam.dims, sets)) for side in sides)
 
     H = config.end_hour
     share_rhs_dirty: set[str] = set()
@@ -345,14 +374,7 @@ def expand_overrides(
             else:
                 deltas.append(Delta("obj", col=fam.index(head), value=value))
         elif param == "co2_cap":
-            (n,) = key
-            fam = lp.row_families.get("CO2_CAP")
-            if fam is None or n not in fam.elements[0]:
-                raise ValidationError(
-                    f"override co2_cap({n!r}): the base model has no emission cap row for "
-                    f"this node (base cap is unset)"
-                )
-            deltas.append(Delta("rhs", row=fam.index((n,)), value=scalar[(param, key)]))
+            deltas.append(Delta("rhs", row=lp.row_families["CO2_CAP"].index(key), value=scalar[(param, key)]))
         else:  # min_renewable_share
             share_rhs_dirty.add(key[0])
 
@@ -371,41 +393,20 @@ def expand_overrides(
                           for h, v in zip(sets["h"], values))
 
     # A demand swap refreshes the share rhs only where the node has a share
-    # row; an explicit share override needs one.
+    # row; the column pass found one for every explicit share override.
     fam = lp.row_families.get("RES_SHARE")
-    for n in sorted(share_rhs_dirty):
-        if fam is None or n not in fam.elements[0]:
-            if ("min_renewable_share", (n,)) not in scalar:
-                continue
-            raise ValidationError(
-                f"override min_renewable_share({n!r}): the base model has no share row for "
-                f"this node (base share is zero)"
-            )
+    for n in sorted(share_rhs_dirty.intersection(fam.elements[0] if fam else ())):
         share = scalar.get(("min_renewable_share", (n,)), data.node(n).min_renewable_share)
         demand = data.series[series_swap.get(("d", (n,)), data.node(n).demand)].values[:H]
         deltas.append(Delta("rhs", row=fam.index((n,)), value=share_rhs(share, demand)))
-
-    for ref, value in spec.overrides:
-        if ref.target_kind not in (VARIABLE_FIX, VARIABLE_LO, VARIABLE_UP):
-            continue
-        fam = lp.var_families.get(ref.name)
-        if fam is None:
-            raise ValidationError(f"override {ref.render()!r}: unknown variable {ref.name!r}")
-        for combo in product(*_match_domain(ref, fam.dims, sets)):
-            col = fam.index(combo)
-            if ref.target_kind in (VARIABLE_FIX, VARIABLE_LO):
-                deltas.append(Delta("lo", col=col, value=float(value)))
-            if ref.target_kind in (VARIABLE_FIX, VARIABLE_UP):
-                deltas.append(Delta("up", col=col, value=float(value)))
+    deltas.extend(bounds)
 
     for block, choice in sorted(spec.constraint_choices.items()):
         allowed = blocks.get(block)
         if allowed is None:
-            raise ValidationError(f"constraint block {block!r} is not registered")
+            raise ValidationError(f"{_column(block)}: no constraint block of this name is registered")
         if choice not in allowed:
-            raise ValidationError(
-                f"constraint block {block!r}: unknown choice {choice!r} (allowed: {allowed})"
-            )
+            raise ValidationError(f"{_column(block)}: unknown choice {choice!r} (allowed: {allowed})")
         if choice == "on":
             continue  # the base rows already enforce the block
         fam = lp.row_families.get({"renewable_share": "RES_SHARE", "co2_cap": "CO2_CAP"}[block])
@@ -500,9 +501,9 @@ def _run_on_instance(
 @dataclass(frozen=True)
 class _Sweep:
     """A planned sweep: each country set's one build, each row's deltas
-    against it (or the message its build, expansion or deltas failed
-    with), the rows that can run in the order to run them, and each row's
-    parent (None for the base)."""
+    against it (or its issue, or the message its build, expansion or
+    deltas failed with), the rows that can run in the order to run them,
+    and each row's parent (None for the base)."""
 
     specs: list[ScenarioSpec]
     builds: dict[tuple[str, ...] | None, LinearProgram]
@@ -617,7 +618,7 @@ def _plan(
     data: SystemData,
     config: ModelConfig,
     features: FeatureMatrix | None = None,
-    blocks: dict[str, tuple[str, ...]] | None = None,
+    constraint_blocks: dict[str, tuple[str, ...]] | None = None,
     fixed_capacities=None,
     warm: bool = True,
 ) -> _Sweep:
@@ -625,15 +626,16 @@ def _plan(
     apply each row's deltas once to a scratch copy of it. Country sets
     follow their first row; with ``warm``, a set of ``_WARM_MIN_ROWS`` or
     more rows runs as its :func:`_tree`, any other in table order. A row
-    whose set does not build, whose overrides do not expand or whose deltas
-    do not apply keeps the message and is left out of the order; it is
-    planned as the base if it does not expand, and its tree children start
-    from the base."""
+    with an ``issue`` (it joins no set), or whose set does not build, whose
+    overrides do not expand or whose deltas do not apply, keeps the message
+    and is left out of the order; it is planned as the base if it does not
+    expand, and its tree children start from the base."""
     groups: dict[tuple[str, ...] | None, list[int]] = {}
     for idx, spec in enumerate(specs):
-        groups.setdefault(spec.country_set, []).append(idx)
+        if not spec.issue:
+            groups.setdefault(spec.country_set, []).append(idx)
     builds: dict[tuple[str, ...] | None, LinearProgram] = {}
-    deltas: list[list[Delta] | str] = [[] for _ in specs]
+    deltas: list[list[Delta] | str] = [spec.issue or [] for spec in specs]
     order: list[int] = []
     parents: list[int | None] = [None] * len(specs)
     warm_keys = set()
@@ -647,7 +649,7 @@ def _plan(
             continue
         for idx in members:
             try:
-                deltas[idx] = expand_overrides(specs[idx], lp, data, config, blocks)
+                deltas[idx] = expand_overrides(specs[idx], lp, data, config, constraint_blocks)
             except (ValidationError, KeyError, ValueError) as exc:
                 deltas[idx] = str(exc)
         if not warm or len(members) < _WARM_MIN_ROWS:
@@ -948,12 +950,12 @@ def run_scenarios(
     solve. A row's start therefore depends on the table alone, and
     ``parallel`` returns bitwise what ``single_instance`` does, whatever
     ``threads`` is. All three modes produce the same objectives (to the
-    1e-6 certification). A row fails alone as an ``error`` run if its
-    country set does not build, its overrides do not expand or its deltas
-    do not apply (the plan finds these, and no worker sees the row), or if
-    its solve or finish raises or its worker dies; that row's tree children
-    start from the base basis. A base solve that raises leaves its set's
-    rows to be solved cold.
+    1e-6 certification). A row fails alone as an ``error`` run if it has an
+    ``issue`` (see :func:`parse_iteration_table`), its country set does not
+    build, its overrides do not expand or its deltas do not apply (the plan
+    finds these, and no worker sees the row), or if its solve or finish
+    raises or its worker dies; that row's tree children start from the base
+    basis. A base solve that raises leaves its set's rows to be solved cold.
     """
     return [
         result
@@ -978,10 +980,9 @@ def _run_and_finish(
     ``finish(result)`` returned. ``finish`` runs once per row, in the
     process that solved the row and right after it: in a worker in
     ``parallel`` mode (so what it returns must pickle), in this process
-    otherwise. A row that cannot run (its set does not build, its overrides
-    do not expand or its deltas do not apply) is finished here, as an
-    error, before any solve, and so is a row that raised or whose worker
-    died."""
+    otherwise. A row that cannot run (see :func:`_plan`) is finished here,
+    as an error, before any solve, and so is a row that raised or whose
+    worker died."""
     if not specs:
         raise ValidationError("run_scenarios: no scenario specs given")
     if mode not in MODES:

@@ -278,9 +278,9 @@ def validate_series(data: SystemData, node_ids: set[str], end_hour: int) -> list
     checked.
     """
     issues: list[str | None] = []
-    nodes = [n for n in data.nodes if n.id in node_ids]
-    for node in nodes:
-        issues.append(series_issue(data, f"node {node.id}", "demand", node.demand, end_hour))
+    nodes = dict.fromkeys(n.id for n in data.nodes if n.id in node_ids)  # a repeated id once
+    for node_id in nodes:
+        issues.append(series_issue(data, f"node {node_id}", "demand", data.node(node_id).demand, end_hour))
     for tech in data.technologies:
         if not tech.is_renewable:
             continue
@@ -288,7 +288,7 @@ def validate_series(data: SystemData, node_ids: set[str], end_hour: int) -> list
         if not tech.availability:
             issues.append(f"{owner}: availability required for variable_renewable")
             continue
-        for node_id in dict.fromkeys(n.id for n in nodes):
+        for node_id in nodes:
             if node_id not in tech.availability:
                 issues.append(f"{owner}: availability missing for node {node_id}")
         for node_id, name in tech.availability.items():

@@ -137,16 +137,21 @@ class TestRun:
         assert len({path.split("/")[0] for path in trees[0]["results"]}) == 9 and len(trees[0]["report"]) == 6
         assert trees[0] == trees[1] == trees[2]
 
-    def test_rerun_leaves_no_stale_store_or_table(self, tmp_path):
+    @pytest.mark.parametrize("mode, threads", [("single_instance", "0"), ("parallel", "2")])
+    def test_rerun_leaves_no_stale_store_or_table(self, tmp_path, mode, threads):
+        """A re-run without ``G`` and without the binary store removes each
+        run's ``G.csv`` and ``store.npz`` and the report tables built from
+        ``G``; ``report`` then rewrites ``run``'s report byte for byte."""
         root = create_project("demo", "example2", tmp_path)
         variables = root / "settings" / "project_variables.csv"
         variables.write_text(variables.read_text().replace("end_hour,h168", "end_hour,h12"))
-        assert run_cli("run", str(root)) == 0
+        assert run_cli("run", str(root), "--mode", mode, "--threads", threads) == 0
+        assert (root / "results" / "share50" / "store.npz").exists()
         assert (root / "results" / "share50" / "G.csv").exists() and (root / "report" / "rldc.csv").exists()
         reporting = root / "settings" / "reporting_symbols.csv"
         reporting.write_text("".join(line + "\n" for line in reporting.read_text().splitlines() if line != "G,level"))
         variables.write_text(variables.read_text().replace("gdx_convert_to_pickle,yes", "gdx_convert_to_pickle,no"))
-        assert run_cli("run", str(root)) == 0
+        assert run_cli("run", str(root), "--mode", mode, "--threads", threads) == 0
         symbols = sorted(f"{line.split(',')[0]}.csv" for line in reporting.read_text().splitlines()[1:])
         for run_dir in (root / "results").iterdir():
             assert sorted(p.name for p in run_dir.iterdir()) == sorted([*symbols, "run.meta"])
@@ -178,10 +183,12 @@ class TestRun:
         assert (report / "summary.csv").exists() and (report / "manifest.json").exists()
         rewrite = root / "settings" / "project_variables.csv"
         rewrite.write_text(rewrite.read_text().replace("scenarios_iteration,no", "scenarios_iteration,yes"))
-        (root / "iterationfiles" / "iteration_table.csv").write_text("run,country_set\nbase,ZZ\n")
+        (root / "iterationfiles" / "iteration_table.csv").write_text("run,country_set\nS0,\nSX,ZZ\n")
         capsys.readouterr()
         assert run_cli("run", str(root)) == 2
-        assert "ZZ" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert [line.split()[:2] for line in out.splitlines()] == [["S0", "status=optimal"], ["SX", "status=error"]]
+        assert "error: SX: country_set: unknown node 'ZZ'" in err.splitlines()
         assert sorted(p.name for p in report.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["rebuild", "single_instance", "parallel"])
@@ -204,6 +211,24 @@ class TestRun:
         assert "error: Z: " in err and "ZZ" in err
         for run_id in "EXZ":
             assert read_store(root / "results" / run_id).meta["error"] in err
+
+    def test_rows_that_cannot_run_fail_alone_whatever_the_cause(self, tmp_path, capsys):
+        """A value out of its field's domain, a cell that does not read, an
+        unknown series and a value beyond the header each fail their own
+        row, and the other rows solve."""
+        root = _example1_at_24h(tmp_path)
+        (root / "iterationfiles" / "iteration_table.csv").write_text(_ROWS_THAT_CANNOT_RUN)
+        assert run_cli("run", str(root)) == 2
+        out, err = capsys.readouterr()
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["S0", "status=optimal"], *([f"S{k}", "status=error"] for k in range(1, 5))
+        ]
+        meta = {run_id: read_store(root / "results" / run_id).meta for run_id in ("S0", "S1", "S2", "S3", "S4")}
+        assert meta["S0"]["status"] == "optimal" and meta["S0"].get("error") is None
+        errors = [meta[run_id]["error"] for run_id in ("S1", "S2", "S3", "S4")]
+        assert errors == [message.split(": ", 2)[2] for message in _ROWS_THAT_CANNOT_RUN_MESSAGES]
+        for run_id, error in zip(("S1", "S2", "S3", "S4"), errors):
+            assert f"error: {run_id}: {error}" in err.splitlines()
 
     def test_a_crashed_worker_fails_only_its_row(self, tmp_path, monkeypatch, capsys):
         from voltaic import pipeline
@@ -275,11 +300,23 @@ class TestReport:
         assert "capacity.csv" in capsys.readouterr().out
 
 
-def _example1_at_24h(tmp_path):
-    root = create_project("demo", "example1", tmp_path)
+def _example1_at_24h(tmp_path, name="demo"):
+    root = create_project(name, "example1", tmp_path)
     settings = root / "settings" / "project_variables.csv"
     settings.write_text(settings.read_text().replace("end_hour,h48", "end_hour,h24"))
     return root
+
+
+# example1 rows at 24 h: a valid one, then one that cannot run for each
+# cause: a value out of its field's domain, a cell that does not read, an
+# unknown series and a value beyond the header.
+_ROWS_THAT_CANNOT_RUN = "run,\"c_var(n,'ocgt')\",d('DE')\nS0,40,\nS1,-40,\nS2,often,\nS3,,nope\nS4,40,,99\n"
+_ROWS_THAT_CANNOT_RUN_MESSAGES = [
+    "iteration_table: run S1: column \"c_var(n,'ocgt')\": c_var must be finite and >= 0, got -40.0",
+    "iteration_table: run S2: column \"c_var(n,'ocgt')\": non-numeric value 'often'",
+    "iteration_table: run S3: column \"d('DE')\": demand references unknown series 'nope'",
+    "iteration_table: run S4: value '99' in column 4, beyond the 3 columns of the header",
+]
 
 
 class TestValidate:
@@ -340,6 +377,42 @@ class TestValidate:
             "error: iteration_table: run S3: country_set: unknown node 'XX'",
         ]
 
+    def test_rows_that_cannot_run_are_named_in_table_order(self, tmp_path, capsys):
+        root = _example1_at_24h(tmp_path)
+        (root / "iterationfiles" / "iteration_table.csv").write_text(_ROWS_THAT_CANNOT_RUN)
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in _ROWS_THAT_CANNOT_RUN_MESSAGES]
+
+    def test_invalid_inputs_are_named(self, tmp_path, capsys):
+        """A minimal project with a zero charge efficiency, a repeated node
+        row and its series cut to 12 of the 24 hours it runs, then an
+        example1 project at 24 h with a negative cost in one row and an
+        unknown series in another: ``validate`` exits 1 and names each fault
+        once, in its own words."""
+        root = create_project("invalid", "minimal", tmp_path)
+        static = root / "data_input" / "static_input"
+        storage = static / "storage.csv"
+        storage.write_text(re.sub(r"^(Li-ion,[^,]*,[^,]*,[^,]*),[^,]*,", r"\1,0,", storage.read_text(), flags=re.M))
+        nodes = static / "nodes.csv"
+        nodes.write_text(nodes.read_text() + nodes.read_text().splitlines()[-1] + "\n")
+        series = root / "data_input" / "timeseries_input" / "series.csv"
+        series.write_text("".join(series.read_text().splitlines(keepends=True)[:13]))
+        rows = _example1_at_24h(tmp_path, "invalid_rows")
+        table = "run,\"c_var(n,'ocgt')\",d('DE')\nS1,-40,\nS2,,nope\n"
+        (rows / "iterationfiles" / "iteration_table.csv").write_text(table)
+        for project, messages in [
+            (root, ["error: storage Li-ion: eta_in must be in (0, 1], got 0.0",
+                    "error: node DE: id duplicated",
+                    "error: node DE: demand series 'load_DE' has 12 hours, end_hour needs 24",
+                    "error: technology solar: availability series 'cf_solar_DE' has 12 hours, end_hour needs 24"]),
+            (rows, ["error: iteration_table: run S1: column \"c_var(n,'ocgt')\": c_var must be finite and >= 0, "
+                    "got -40.0",
+                    "error: iteration_table: run S2: column \"d('DE')\": demand references unknown series 'nope'"]),
+        ]:
+            assert run_cli("validate", str(project)) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert [err.count(message) for message in messages] == [1] * len(messages), err
+
     def test_load_issues_and_rejected_rows_together(self, tmp_path, capsys):
         root = _example1_at_24h(tmp_path)
         techs = root / "data_input" / "static_input" / "technologies.csv"
@@ -361,8 +434,8 @@ class TestValidate:
         (root / "iterationfiles" / "iteration_table.csv").write_text("run,min_renewable_share('FR')\nS0,0.5\n")
         assert run_cli("validate", str(root)) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: iteration_table: run S0: override min_renewable_share('FR'): the base model has no share row "
-            "for this node (base share is zero)"
+            "error: iteration_table: run S0: column \"min_renewable_share('FR')\": the base model has no share row "
+            "for node 'FR' (base share is zero)"
         ]
 
     def test_not_a_project(self, tmp_path, capsys):
@@ -371,16 +444,25 @@ class TestValidate:
 
 
 # A whole CLI session in one fresh interpreter: validate, run an example1
-# project at 6 h in one process and on two workers, and report it.
+# project at 6 h in one process and on two workers, and report it. Each
+# forked worker writes the modules it holds as it exits.
 _SESSION = """
-import json, shutil, sys
+import json, os, shutil, sys
 from pathlib import Path
 
 import voltaic
 import voltaic.cli
+from voltaic import scenarios
 from voltaic.cli import main
 from voltaic.templates import create_project
 
+worker = scenarios._worker
+
+def reporting(run, conn):
+    worker(run, conn)
+    Path(sys.argv[1], f"modules_{os.getpid()}.json").write_text(json.dumps(sorted(sys.modules)))
+
+scenarios._worker = reporting
 root = create_project("demo", "example1", sys.argv[1])
 settings = root / "settings" / "project_variables.csv"
 text = settings.read_text()
@@ -393,13 +475,16 @@ codes = [
     main(["run", str(parallel), "--mode", "parallel", "--threads", "2"]),
     main(["report", str(root)]),
 ]
+workers = [json.loads(path.read_text()) for path in Path(sys.argv[1]).glob("modules_*.json")]
+modules = set(sys.modules).union(*workers)
 # The HiGHS binding is registered under its own name, inside scipy.optimize.
 core = "scipy.optimize._highspy._core"
-binding = sorted(n for n in sys.modules if n == core or n.startswith(core + "."))
-loaded = sorted(n for n in sys.modules if n.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])
+binding = {n for n in modules if n == core or n.startswith(core + ".")}
+loaded = sorted(n for n in modules if n.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])
                 and n not in binding)
-ma = sorted(n for n in sys.modules if n == "numpy.ma" or n.startswith("numpy.ma."))
-print(json.dumps({"codes": codes, "binding": core in binding, "loaded": loaded, "ma": ma}, separators=(",", ":")))
+ma = sorted(n for n in modules if n == "numpy.ma" or n.startswith("numpy.ma."))
+print(json.dumps({"codes": codes, "binding": core in sys.modules, "workers": len(workers), "loaded": loaded,
+                  "ma": ma}, separators=(",", ":")))
 """
 
 
@@ -411,7 +496,9 @@ class TestImportFootprint:
         return json.loads(run_python(_SESSION, str(tmp_path_factory.mktemp("session")))[-1])
 
     def test_cli_session_loads_neither_scipy_optimize_nor_sparse(self, session):
-        assert (session["codes"], session["binding"], session["loaded"]) == ([0, 0, 0, 0], True, [])
+        """Neither in the calling process nor in either worker."""
+        assert (session["codes"], session["binding"], session["workers"]) == ([0, 0, 0, 0], True, 2)
+        assert session["loaded"] == []
 
     def test_cli_session_loads_no_numpy_ma(self, session):
         # ``np.unique`` imports numpy.ma (15 ms, 1.3 MB under numpy 2.4).
