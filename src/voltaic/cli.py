@@ -5,10 +5,11 @@ executes the configured scenario set, ``report`` rebuilds the report tables
 from existing stores, and ``validate`` runs all load-time checks and plans
 every scenario row, without solving.
 
-Exit codes: 0 success, 1 validation failure, 2 solve failure, 3 I/O
-failure. Diagnostics go to stderr, summaries to stdout. ``VOLTAIC_THREADS``
-provides a default worker count when ``--threads`` is not given;
-command-line overrides always win over project settings.
+Exit codes: 0 success, 1 validation failure, 2 a run that is not optimal
+or a scenario row that cannot run, 3 I/O failure. Diagnostics go to
+stderr, summaries to stdout. ``VOLTAIC_THREADS`` provides a default worker
+count when ``--threads`` is not given; command-line overrides always win
+over project settings.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     create.add_argument("--path", default=".", help="parent directory (default: current)")
 
-    run = sub.add_parser("run", help="run the configured scenario set")
+    run = sub.add_parser("run", help="run the configured scenario set", epilog=(
+        "exit status: 0 if every run is optimal, 1 if the project does not validate, 2 if a run is not optimal "
+        "or a scenario row cannot run (a bad cell, an unknown series, a country set that does not build), 3 on "
+        "an I/O failure"))
     run.add_argument("root", nargs="?", default=".", help="project root (default: current)")
     run.add_argument(
         "--mode",

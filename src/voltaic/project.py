@@ -22,9 +22,14 @@ dataclass in :mod:`voltaic.system`, in field order (``demand`` is headed
 cell reads as the field's default, or 0.0 where the field has none. The
 loader reads and :func:`voltaic.templates.write_project` writes through it.
 
+The settings, ``project_variables.csv``, are one table,
+:data:`PROJECT_SETTINGS`: each key with the :class:`ModelConfig` field it
+sets, its reader and whether a project must set it.
+
 Every validation failure is reported with its file and location; loading
 aggregates all of them into one :class:`ValidationError` instead of dying
-on the first.
+on the first. An issue in the settings stops loading before any other file
+is read, since each later path and check reads a setting.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .model import CAPACITY_FAMILIES, COST_TERMS
 from .scenarios import CONSTRAINT_BLOCKS, ScenarioSpec, _row_issue, parse_iteration_table
@@ -50,6 +56,7 @@ from .system import (
     Technology,
     TimeSeries,
     ValidationError,
+    hour_label,
     validate_system,
 )
 
@@ -63,41 +70,12 @@ CONSTRAINTS_FILE = "constraints_list.csv"
 ITERATION_TABLE = "iteration_table.csv"
 FIXED_CAPACITIES = "fixed_capacities.csv"
 
-#: Recognized keys of project_variables.csv.
-CONFIG_KEYS = (
-    "scenarios_iteration",
-    "skip_input",
-    "skip_iteration_data_file",
-    "base_year",
-    "end_hour",
-    "dispatch_only",
-    "network_transfer",
-    "no_crossover",
-    "infeasibility",
-    "GUSS",
-    "GUSS_parallel",
-    "GUSS_parallel_threads",
-    "data_input_file",
-    "time_series_file",
-    "iteration_data_file",
-    "gdx_convert_parallel_threads",
-    "gdx_convert_to_csv",
-    "gdx_convert_to_pickle",
-    "gdx_convert_to_vaex",
-    "report_data",
-    "slack_penalty",
-)
-
-REQUIRED_KEYS = ("base_year", "end_hour", "dispatch_only", "network_transfer", "infeasibility")
-
 @dataclass(frozen=True)
 class ProjectLayout:
-    """Resolved paths of one project directory."""
+    """Resolved paths of one project directory, as ``config`` names them."""
 
     root: Path
-    static_dir: str = "static_input"
-    timeseries_dir: str = "timeseries_input"
-    iteration_data_dir: str = "iteration_data"
+    config: ModelConfig = ModelConfig()
 
     @property
     def settings(self) -> Path:
@@ -109,11 +87,11 @@ class ProjectLayout:
 
     @property
     def static_input(self) -> Path:
-        return self.data_input / self.static_dir
+        return self.data_input / self.config.data_input_file
 
     @property
     def timeseries_input(self) -> Path:
-        return self.data_input / self.timeseries_dir
+        return self.data_input / self.config.time_series_file
 
     @property
     def iterationfiles(self) -> Path:
@@ -125,7 +103,7 @@ class ProjectLayout:
 
     @property
     def iteration_data(self) -> Path:
-        return self.iterationfiles / self.iteration_data_dir
+        return self.iterationfiles / self.config.iteration_data_file
 
     @property
     def results(self) -> Path:
@@ -152,99 +130,132 @@ class Project:
     layout: ProjectLayout | None = None
 
 
-def _strip_ext(name: str) -> str:
-    for ext in (".xlsx", ".csv"):
-        if name.endswith(ext):
-            return name[: -len(ext)]
-    return name
+class Reader(NamedTuple):
+    """How a setting's text reads, and how a value is written. ``read``
+    returns the value or raises ValueError naming what it expected."""
+
+    read: Callable[[str], object]
+    write: Callable[[object], str] = str
 
 
-def _parse_bool(value: str, where: str, issues: list[str]) -> bool:
-    v = value.strip().lower()
-    if v in ("yes", "true", "1"):
-        return True
-    if v in ("no", "false", "0"):
-        return False
-    issues.append(f"{where}: expected yes/no, got {value!r}")
-    return False
+def _reader(expected: str, parse: Callable[[str], object], holds=None, domain: str = "", write=str) -> Reader:
+    """A reader of the values ``parse`` reads (it raises KeyError or
+    ValueError on other text) and ``holds`` accepts. Text it cannot read is
+    not ``expected``; a value ``holds`` rejects is not ``domain`` or, if
+    that is empty, ``expected``."""
+
+    def read(text: str):
+        try:
+            value = parse(text)
+        except (KeyError, ValueError):
+            raise ValueError(expected) from None
+        if holds and not holds(value):
+            raise ValueError(domain or expected)
+        return value
+
+    return Reader(read, write)
+
+
+_YES_NO = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
+
+YES_NO = _reader("yes/no", lambda text: _YES_NO[text.lower()], write=lambda value: "yes" if value else "no")
+COUNT = _reader("an integer >= 0 (0 = all cores)", int, lambda value: value >= 0)
+HOURS = _reader("h<hours>", lambda text: int(text.removeprefix("h")), write=hour_label)
+INTEGER = _reader("integer", int)
+NUMBER = _reader("a number", float, math.isfinite, "a finite number")
+# A directory under its parent, named as a file: an .xlsx or .csv ending is dropped.
+FILE_NAME = _reader("a file name", lambda text: re.sub(r"\.(xlsx|csv)$", "", text),
+                    lambda name: name not in ("", ".", "..") and Path(name).name == name)
+
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)}
+
+
+class Setting(NamedTuple):
+    """One key of project_variables.csv."""
+
+    key: str
+    field: str | None  # the ModelConfig field it sets; None: it sets none of its own
+    reader: Reader
+    required: bool = False
+    written: bool = True  # in a new project's settings
+    unset: object = None  # the value where unset, for a key with no field
+
+    @property
+    def default(self):
+        """The value where unset: the field's default, if it has a field."""
+        return self.unset if self.field is None else _FIELD_DEFAULTS[self.field]
+
+
+#: The keys of project_variables.csv, in the order a new project writes
+#: them. ``gdx_convert_to_vaex`` is the one exception to "a key sets its
+#: field": it asks for the npz store as ``gdx_convert_to_pickle`` does, so
+#: ``write_npz`` is either key's yes (see :func:`parse_project_variables`).
+PROJECT_SETTINGS = (
+    Setting("scenarios_iteration", "scenarios_iteration", YES_NO),
+    Setting("skip_input", "skip_input", YES_NO),
+    Setting("skip_iteration_data_file", "skip_iteration_data_file", YES_NO),
+    Setting("base_year", "base_year", INTEGER, required=True),
+    Setting("end_hour", "end_hour", HOURS, required=True),
+    Setting("dispatch_only", "dispatch_only", YES_NO, required=True),
+    Setting("network_transfer", "network_transfer", YES_NO, required=True),
+    Setting("no_crossover", "no_crossover", YES_NO),
+    Setting("infeasibility", "infeasibility", YES_NO, required=True),
+    Setting("GUSS", "guss", YES_NO),
+    Setting("GUSS_parallel", "guss_parallel", YES_NO),
+    Setting("GUSS_parallel_threads", "guss_parallel_threads", COUNT),
+    Setting("data_input_file", "data_input_file", FILE_NAME),
+    Setting("time_series_file", "time_series_file", FILE_NAME),
+    Setting("iteration_data_file", "iteration_data_file", FILE_NAME),
+    Setting("gdx_convert_parallel_threads", "gdx_convert_parallel_threads", COUNT),
+    Setting("gdx_convert_to_csv", None, YES_NO, unset=True),  # CSV stores are always written
+    Setting("gdx_convert_to_pickle", "write_npz", YES_NO),
+    Setting("gdx_convert_to_vaex", None, YES_NO, unset=False),
+    Setting("report_data", "report_data", YES_NO),
+    Setting("slack_penalty", "slack_penalty", NUMBER, written=False),
+)
 
 
 def parse_project_variables(text: str, issues: list[str]) -> tuple[ModelConfig, dict[str, str]]:
-    """Parse the settings table into a :class:`ModelConfig` plus raw echo."""
+    """Parse the settings table into a :class:`ModelConfig` plus raw echo.
+
+    Reads every key of :data:`PROJECT_SETTINGS` in one pass and appends each key's
+    issue to ``issues``: a value its reader rejects, a required key that is
+    missing, or a key set more than once. An unknown key warns. A key with
+    an issue, or unset, takes its default in the returned config.
+    """
     raw: dict[str, str] = {}
+    repeated: set[str] = set()
+    known = {s.key for s in PROJECT_SETTINGS}
     for i, row in enumerate(csv.reader(text.splitlines())):
         if not row or not row[0].strip():
             continue
         key = row[0].strip()
         if i == 0 and key.lower() == "variable":
             continue
-        value = row[1].strip() if len(row) > 1 else ""
-        if key not in CONFIG_KEYS:
+        if key not in known:
             log.warning("project_variables: unknown key %r ignored", key)
             continue
-        raw[key] = value
+        if key in raw:
+            repeated.add(key)
+        raw[key] = row[1].strip() if len(row) > 1 else ""
 
-    for key in REQUIRED_KEYS:
-        if key not in raw:
-            issues.append(f"project_variables: missing required key {key!r}")
-    if issues:
-        return ModelConfig(), raw
+    values = {}
+    for setting in PROJECT_SETTINGS:
+        key, value = setting.key, setting.default
+        if key in repeated:
+            issues.append(f"project_variables:{key}: set more than once")
+        elif key not in raw:
+            if setting.required:
+                issues.append(f"project_variables: missing required key {key!r}")
+        else:
+            try:
+                value = setting.reader.read(raw[key])
+            except ValueError as exc:
+                issues.append(f"project_variables:{key}: expected {exc}, got {raw[key]!r}")
+        values[key] = value
 
-    def flag(key: str, default: bool) -> bool:
-        if key not in raw:
-            return default
-        return _parse_bool(raw[key], f"project_variables:{key}", issues)
-
-    def count(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            if int(raw[key]) >= 0:
-                return int(raw[key])
-        except ValueError:
-            pass
-        issues.append(f"project_variables:{key}: expected an integer >= 0 (0 = all cores), got {raw[key]!r}")
-        return default
-
-    end_hour_text = raw["end_hour"].strip()
-    try:
-        end_hour = int(end_hour_text[1:]) if end_hour_text.startswith("h") else int(end_hour_text)
-    except ValueError:
-        issues.append(f"project_variables:end_hour: expected h<hours>, got {end_hour_text!r}")
-        end_hour = 8760
-    try:
-        base_year = int(raw["base_year"])
-    except ValueError:
-        issues.append(f"project_variables:base_year: expected integer, got {raw['base_year']!r}")
-        base_year = 2030
-    try:
-        slack_penalty = float(raw.get("slack_penalty", 10_000.0))
-    except ValueError:
-        issues.append(f"project_variables:slack_penalty: expected a number, got {raw['slack_penalty']!r}")
-        slack_penalty = 10_000.0
-
-    config = ModelConfig(
-        base_year=base_year,
-        end_hour=end_hour,
-        dispatch_only=flag("dispatch_only", False),
-        network_transfer=flag("network_transfer", True),
-        infeasibility=flag("infeasibility", False),
-        slack_penalty=slack_penalty,
-        scenarios_iteration=flag("scenarios_iteration", True),
-        skip_input=flag("skip_input", False),
-        skip_iteration_data_file=flag("skip_iteration_data_file", False),
-        no_crossover=flag("no_crossover", True),
-        guss=flag("GUSS", True),
-        guss_parallel=flag("GUSS_parallel", False),
-        guss_parallel_threads=count("GUSS_parallel_threads", 0),
-        data_input_file=_strip_ext(raw.get("data_input_file", "static_input")),
-        time_series_file=_strip_ext(raw.get("time_series_file", "timeseries_input")),
-        iteration_data_file=_strip_ext(raw.get("iteration_data_file", "iteration_data")),
-        gdx_convert_parallel_threads=count("gdx_convert_parallel_threads", 0),
-        write_npz=flag("gdx_convert_to_pickle", True) or flag("gdx_convert_to_vaex", False),
-        report_data=flag("report_data", True),
-    )
-    return config, raw
+    config = ModelConfig(**{s.field: values[s.key] for s in PROJECT_SETTINGS if s.field})
+    return replace(config, write_npz=values["gdx_convert_to_pickle"] or values["gdx_convert_to_vaex"]), raw
 
 
 def _read_rows(path: Path) -> list[dict[str, str]]:
@@ -471,18 +482,24 @@ def _load_fixed_capacities(path: Path, issues: list[str]) -> dict[tuple[str, tup
     fixed: dict[tuple[str, tuple[str, ...]], float] = {}
     for i, row in enumerate(_read_rows(path) if path.exists() else [], start=2):
         variable, element, node = ((row.get(name) or "").strip() for name in ("variable", "element", "node"))
-        value = _num(row, "value", f"{FIXED_CAPACITIES}:{i}", issues)
+        where = f"{FIXED_CAPACITIES}:{i}"
+        value = _num(row, "value", where, issues, default=None)
+        if not (row.get("value") or "").strip():
+            issues.append(f"{where}: column 'value': empty")
+        elif value is not None and not 0.0 <= value < math.inf:
+            issues.append(f"{where}: value must be finite and >= 0, got {value}")
         if variable in CAPACITY_FAMILIES:  # keyed as its columns: a line alone, else at a node
             fixed[(variable, (element,) if COST_TERMS[variable].owner == "l" else (element, node))] = value
         else:
-            issues.append(f"{FIXED_CAPACITIES}:{i}: unknown capacity variable {variable!r}")
+            issues.append(f"{where}: unknown capacity variable {variable!r}")
     return fixed
 
 
 def load_project(root: Path | str) -> Project:
     """Load and validate a whole project directory.
 
-    Raises :class:`ValidationError` carrying every load issue, each
+    Raises :class:`ValidationError` carrying every settings issue before
+    another file is read, if there is any; else every load issue, each
     prefixed with the offending file and row, and after them every
     scenario row's ``issue`` (see
     :func:`~voltaic.scenarios.parse_iteration_table`). A project that loads
@@ -490,17 +507,13 @@ def load_project(root: Path | str) -> Project:
     """
     root = Path(root)
     issues: list[str] = []
-    base_layout = ProjectLayout(root)
-    pv_path = base_layout.settings / PROJECT_VARIABLES
+    pv_path = ProjectLayout(root).settings / PROJECT_VARIABLES
     if not pv_path.exists():
         raise ValidationError([f"{pv_path}: missing file (is {root} a project?)"])
     config, raw = parse_project_variables(pv_path.read_text(), issues)
-    layout = ProjectLayout(
-        root,
-        static_dir=config.data_input_file,
-        timeseries_dir=config.time_series_file,
-        iteration_data_dir=config.iteration_data_file,
-    )
+    if issues:  # every later file's path and check reads a setting
+        raise ValidationError(issues)
+    layout = ProjectLayout(root, config)
 
     data = _load_static(layout, issues)
     series = _load_series_dir(layout.timeseries_input, issues)

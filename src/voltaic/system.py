@@ -128,7 +128,9 @@ class Line:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Run settings, mirroring the keys of ``project_variables.csv``."""
+    """Run settings, mirroring the keys of ``project_variables.csv``
+    (:data:`voltaic.project.PROJECT_SETTINGS`); a field's default is its
+    key's default."""
 
     base_year: int = 2030
     end_hour: int = HOURS_PER_YEAR

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .project import STATIC_TABLES
+from .project import PROJECT_SETTINGS, STATIC_TABLES, ProjectLayout
 from .scenarios import CONSTRAINT_BLOCKS
 from .system import (
     FEATURE_MODULES,
@@ -90,29 +90,12 @@ def wind_profile(name: str, hours: int, mean: float = 0.4, swing: float = 0.3, s
 
 
 def _config_rows(**overrides: str) -> list[tuple[str, str]]:
-    rows = [
-        ("scenarios_iteration", "yes"),
-        ("skip_input", "no"),
-        ("skip_iteration_data_file", "no"),
-        ("base_year", "2030"),
-        ("end_hour", "h48"),
-        ("dispatch_only", "no"),
-        ("network_transfer", "yes"),
-        ("no_crossover", "yes"),
-        ("infeasibility", "no"),
-        ("GUSS", "yes"),
-        ("GUSS_parallel", "no"),
-        ("GUSS_parallel_threads", "0"),
-        ("data_input_file", "static_input"),
-        ("time_series_file", "timeseries_input"),
-        ("iteration_data_file", "iteration_data"),
-        ("gdx_convert_parallel_threads", "0"),
-        ("gdx_convert_to_csv", "yes"),
-        ("gdx_convert_to_pickle", "yes"),
-        ("gdx_convert_to_vaex", "no"),
-        ("report_data", "yes"),
+    """A new project's settings: each written key of :data:`PROJECT_SETTINGS` with
+    the text of its default, or of its entry in ``overrides``."""
+    return [
+        (s.key, overrides[s.key] if s.key in overrides else s.reader.write(s.default))
+        for s in PROJECT_SETTINGS if s.written
     ]
-    return [(key, overrides.get(key, value)) for key, value in rows]
 
 
 def minimal() -> Template:
@@ -295,10 +278,8 @@ end_hour/8760.
 def write_project(template: Template, root: Path) -> Path:
     """Materialize a template as a project directory tree."""
     root = Path(root)
-    settings = root / "settings"
-    static = root / "data_input" / "static_input"
-    ts_dir = root / "data_input" / "timeseries_input"
-    iteration = root / "iterationfiles"
+    layout = ProjectLayout(root)
+    settings, static = layout.settings, layout.static_input
 
     _write_csv(settings / "project_variables.csv", [["Variable", "Value"], *map(list, template.config_rows)])
     node_ids = [n.id for n in template.data.nodes]
@@ -326,14 +307,11 @@ def write_project(template: Template, root: Path) -> Path:
             availability_rows.append([t.id, node_id, series_name])
     _write_csv(static / "availability.csv", availability_rows)
 
-    _write_csv(ts_dir / "series.csv", _series_table(template.data.series))
-    _write_csv(iteration / "iteration_table.csv", [template.iteration_header, *template.iteration_rows])
-    (iteration / "iteration_data").mkdir(parents=True, exist_ok=True)
+    _write_csv(layout.timeseries_input / "series.csv", _series_table(template.data.series))
+    _write_csv(layout.iteration_table, [template.iteration_header, *template.iteration_rows])
+    layout.iteration_data.mkdir(parents=True, exist_ok=True)
     if template.iteration_data_series:
-        _write_csv(
-            iteration / "iteration_data" / "alternatives.csv",
-            _series_table(template.iteration_data_series),
-        )
+        _write_csv(layout.iteration_data / "alternatives.csv", _series_table(template.iteration_data_series))
 
     model_dir = root / "model"
     model_dir.mkdir(parents=True, exist_ok=True)

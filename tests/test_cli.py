@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +191,11 @@ class TestRun:
         assert [line.split()[:2] for line in out.splitlines()] == [["S0", "status=optimal"], ["SX", "status=error"]]
         assert "error: SX: country_set: unknown node 'ZZ'" in err.splitlines()
         assert sorted(p.name for p in report.iterdir()) == []
+
+    def test_help_gives_exit_two_for_a_row_that_cannot_run(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("run", "--help")
+        assert "2 if a run is not optimal or a scenario row cannot run" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("mode", ["rebuild", "single_instance", "parallel"])
     def test_rows_that_cannot_run_fail_before_any_solve(self, tmp_path, capsys, mode):
@@ -441,6 +447,71 @@ class TestValidate:
     def test_not_a_project(self, tmp_path, capsys):
         assert run_cli("validate", str(tmp_path)) == 1
         assert "missing file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edits, issues",
+        [
+            ([(r"^base_year,.*\n", ""), ("^GUSS,yes", "GUSS,maybe"),
+              ("^GUSS_parallel_threads,0", "GUSS_parallel_threads,-2")],
+             ["project_variables: missing required key 'base_year'",
+              "project_variables:GUSS: expected yes/no, got 'maybe'",
+              "project_variables:GUSS_parallel_threads: expected an integer >= 0 (0 = all cores), got '-2'"]),
+            ([("^end_hour,h24", "end_hour,hx")], ["project_variables:end_hour: expected h<hours>, got 'hx'"]),
+            ([(r"\Z", "end_hour,h12\n")], ["project_variables:end_hour: set more than once"]),
+            ([("^infeasibility,no", "infeasibility,yes"), (r"\Z", "slack_penalty,inf\n")],
+             ["project_variables:slack_penalty: expected a finite number, got 'inf'"]),
+        ],
+        ids=["three_faults", "end_hour", "repeated_key", "infinite_slack_penalty"],
+    )
+    def test_settings_issues_stop_the_load(self, tmp_path, capsys, edits, issues):
+        """Every issue of a minimal project's settings is named, and nothing
+        else: no later file or check runs against a setting that did not read."""
+        root = create_project("demo", "minimal", tmp_path)
+        settings = root / "settings" / "project_variables.csv"
+        text = settings.read_text()
+        for pattern, replacement in edits:
+            text, found = re.subn(pattern, replacement, text, count=1, flags=re.M)
+            assert found, pattern
+        settings.write_text(text)
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {issue}" for issue in issues]
+
+    @pytest.mark.parametrize(
+        "value, issue",
+        [
+            ("nan", "fixed_capacities.csv:2: value must be finite and >= 0, got nan"),
+            ("-50", "fixed_capacities.csv:2: value must be finite and >= 0, got -50.0"),
+            ("", "fixed_capacities.csv:2: column 'value': empty"),
+        ],
+        ids=["nan", "negative", "empty"],
+    )
+    def test_fixed_capacity_outside_its_domain(self, tmp_path, capsys, value, issue):
+        root = create_project("demo", "minimal", tmp_path)
+        settings = root / "settings" / "project_variables.csv"
+        settings.write_text(settings.read_text().replace("dispatch_only,no", "dispatch_only,yes"))
+        fixed = root / "data_input" / "static_input" / "fixed_capacities.csv"
+        fixed.write_text("variable,element,node,value\nN,gas,DE,60\nN,solar,DE,100\n"
+                         "N_STO_E,Li-ion,DE,10\nN_STO_P,Li-ion,DE,10\n")
+        assert run_cli("validate", str(root)) == 0
+        capsys.readouterr()
+        fixed.write_text(fixed.read_text().replace("N,gas,DE,60", f"N,gas,DE,{value}"))
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {issue}"]
+
+    def test_generated_inputs_are_deterministic(self, tmp_path, capsys):
+        """``perfbench/gen.py`` writes through the static-table schema: the
+        same workload and seed, written by two interpreters, give the same
+        files, and they validate."""
+        gen = str(Path(__file__).parents[1] / "perfbench" / "gen.py")
+        trees = []
+        for name in ("gen_a", "gen_b"):
+            run_python("import runpy, sys; sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')",
+                       gen, "sweep_wide", "1", str(tmp_path / name))
+            root = tmp_path / name
+            trees.append({str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()})
+        assert len(trees[0]) > 10 and trees[0] == trees[1]
+        assert run_cli("validate", str(tmp_path / "gen_a")) == 0
+        assert "32 runs" in capsys.readouterr().out
 
 
 # A whole CLI session in one fresh interpreter: validate, run an example1

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from voltaic.model import build_model
-from voltaic.project import STATIC_TABLES, load_project, parse_project_variables
+from voltaic.project import PROJECT_SETTINGS, STATIC_TABLES, load_project, parse_project_variables
 from voltaic.system import (
     FEATURE_MODULES,
     Line,
@@ -120,6 +120,23 @@ class TestProjectVariables:
         )
         assert issues == ["project_variables:slack_penalty: expected a number, got 'abc'"]
         assert config.slack_penalty == 10_000.0
+
+
+    def test_new_project_writes_each_default(self, tmp_path):
+        """A new project writes every key but ``slack_penalty``, in the
+        table's order, as its default's text where the template keeps it."""
+        text = (create_project("proj", "minimal", tmp_path) / "settings" / "project_variables.csv").read_text()
+        assert text == (
+            "Variable,Value\nscenarios_iteration,no\nskip_input,no\nskip_iteration_data_file,no\nbase_year,2030\n"
+            "end_hour,h24\ndispatch_only,no\nnetwork_transfer,no\nno_crossover,yes\ninfeasibility,no\nGUSS,yes\n"
+            "GUSS_parallel,no\nGUSS_parallel_threads,0\ndata_input_file,static_input\n"
+            "time_series_file,timeseries_input\niteration_data_file,iteration_data\ngdx_convert_parallel_threads,0\n"
+            "gdx_convert_to_csv,yes\ngdx_convert_to_pickle,yes\ngdx_convert_to_vaex,no\nreport_data,yes\n"
+        )
+        issues = []
+        config, _ = parse_project_variables(text, issues)
+        assert not issues
+        assert config == replace(ModelConfig(), scenarios_iteration=False, end_hour=24, network_transfer=False)
 
 
 class TestLoadProject:
@@ -520,21 +537,55 @@ def _delete(rel_path):
     return lambda root: (root / rel_path).unlink()
 
 
+def _set(key, value):
+    """Sets ``key`` of project_variables.csv to ``value`` in a last row,
+    in place of any row the key had."""
+    def edit(root):
+        path = root / _VARIABLES
+        rows = [line for line in path.read_text().splitlines() if line.split(",")[0] != key]
+        path.write_text("".join(f"{line}\n" for line in [*rows, f"{key},{value}"]))
+    return edit
+
+
 _VARIABLES = "settings/project_variables.csv"
 _FEATURES = "settings/features_node_selection.csv"
+
+# One value per key of project_variables.csv that its reader rejects, in the
+# table's order, and the end of the message naming it.
+BAD_SETTINGS = [
+    ("scenarios_iteration", "maybe", "expected yes/no, got 'maybe'"),
+    ("skip_input", "y", "expected yes/no, got 'y'"),
+    ("skip_iteration_data_file", "2", "expected yes/no, got '2'"),
+    ("base_year", "soon", "expected integer, got 'soon'"),
+    ("end_hour", "hx", "expected h<hours>, got 'hx'"),
+    ("dispatch_only", "on", "expected yes/no, got 'on'"),
+    ("network_transfer", "", "expected yes/no, got ''"),
+    ("no_crossover", "off", "expected yes/no, got 'off'"),
+    ("infeasibility", "maybe", "expected yes/no, got 'maybe'"),
+    ("GUSS", "maybe", "expected yes/no, got 'maybe'"),
+    ("GUSS_parallel", "nope", "expected yes/no, got 'nope'"),
+    ("GUSS_parallel_threads", "many", "expected an integer >= 0 (0 = all cores), got 'many'"),
+    ("data_input_file", "", "expected a file name, got ''"),
+    ("time_series_file", "../timeseries_input", "expected a file name, got '../timeseries_input'"),
+    ("iteration_data_file", "..", "expected a file name, got '..'"),
+    ("gdx_convert_parallel_threads", "-1", "expected an integer >= 0 (0 = all cores), got '-1'"),
+    ("gdx_convert_to_csv", "maybe", "expected yes/no, got 'maybe'"),
+    ("gdx_convert_to_pickle", "maybe", "expected yes/no, got 'maybe'"),
+    ("gdx_convert_to_vaex", "maybe", "expected yes/no, got 'maybe'"),
+    ("report_data", "maybe", "expected yes/no, got 'maybe'"),
+    ("slack_penalty", "abc", "expected a number, got 'abc'"),
+]
+
+
+def test_every_setting_has_a_bad_value_case():
+    assert [key for key, _, _ in BAD_SETTINGS] == [s.key for s in PROJECT_SETTINGS]
+
 
 # One edit of the minimal template per input error, and the issue it must
 # raise ({root} is the project root).
 INPUT_ERRORS = [
-    pytest.param([_edit(_VARIABLES, "GUSS,yes", "GUSS,maybe")],
-                 "project_variables:GUSS: expected yes/no, got 'maybe'", id="bool"),
-    pytest.param([_edit(_VARIABLES, "end_hour,h24", "end_hour,hx")],
-                 "project_variables:end_hour: expected h<hours>, got 'hx'", id="end_hour"),
-    pytest.param([_edit(_VARIABLES, "GUSS_parallel_threads,0", "GUSS_parallel_threads,many")],
-                 "project_variables:GUSS_parallel_threads: expected an integer >= 0 (0 = all cores), got 'many'",
-                 id="threads"),
-    pytest.param([_edit(_VARIABLES, "base_year,2030", "base_year,soon")],
-                 "project_variables:base_year: expected integer, got 'soon'", id="base_year"),
+    *(pytest.param([_set(key, value)], f"project_variables:{key}: {message}", id=key)
+      for key, value, message in BAD_SETTINGS),
     pytest.param([_edit("data_input/static_input/technologies.csv", ",70.0,", ",cheap,")],
                  "technologies.csv:2: column 'c_var': not a number: 'cheap'", id="number"),
     pytest.param([_edit("data_input/static_input/availability.csv", "solar,DE,cf_solar_DE", "solar,DE,")],
