@@ -11,6 +11,7 @@ import argparse
 from pathlib import Path
 
 from voltaic.pipeline import run_project
+from voltaic.scenarios import MODES
 from voltaic.store import read_all_stores
 from voltaic.symbols import SymbolsHandler, aggregate
 from voltaic.templates import create_project
@@ -19,8 +20,7 @@ from voltaic.templates import create_project
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="experiments", help="parent directory for the project")
-    parser.add_argument("--mode", default="single_instance",
-                        choices=("rebuild", "single_instance", "parallel"))
+    parser.add_argument("--mode", default="single_instance", choices=MODES)
     args = parser.parse_args()
 
     root = Path(args.workdir) / "battery_cost_sweep"

@@ -9,14 +9,14 @@ import argparse
 from pathlib import Path
 
 from voltaic.pipeline import run_project
+from voltaic.scenarios import MODES
 from voltaic.templates import create_project
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="experiments")
-    parser.add_argument("--mode", default="single_instance",
-                        choices=("rebuild", "single_instance", "parallel"))
+    parser.add_argument("--mode", default="single_instance", choices=MODES)
     args = parser.parse_args()
 
     root = Path(args.workdir) / "share_sweep"

@@ -42,7 +42,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .model import CAPACITY_FAMILIES, COST_TERMS
+from .model import _OWNER_RECORDS, CAPACITY_FAMILIES, COST_TERMS
 from .scenarios import CONSTRAINT_BLOCKS, ScenarioSpec, _row_issue, parse_iteration_table
 from .symbols import LEVEL, MARGINAL
 from .system import (
@@ -478,7 +478,12 @@ def _load_constraints(path: Path, issues: list[str]) -> dict[str, tuple[str, ...
     return blocks
 
 
-def _load_fixed_capacities(path: Path, issues: list[str]) -> dict[tuple[str, tuple[str, ...]], float]:
+def _load_fixed_capacities(
+    path: Path, data: SystemData, issues: list[str]
+) -> dict[tuple[str, tuple[str, ...]], float]:
+    """Each row's value, keyed as its capacity column. A row whose element
+    is not a record of its variable's owner in ``data`` (technology,
+    storage or line), or whose node is not a node, is an issue."""
     fixed: dict[tuple[str, tuple[str, ...]], float] = {}
     for i, row in enumerate(_read_rows(path) if path.exists() else [], start=2):
         variable, element, node = ((row.get(name) or "").strip() for name in ("variable", "element", "node"))
@@ -488,10 +493,19 @@ def _load_fixed_capacities(path: Path, issues: list[str]) -> dict[tuple[str, tup
             issues.append(f"{where}: column 'value': empty")
         elif value is not None and not 0.0 <= value < math.inf:
             issues.append(f"{where}: value must be finite and >= 0, got {value}")
-        if variable in CAPACITY_FAMILIES:  # keyed as its columns: a line alone, else at a node
-            fixed[(variable, (element,) if COST_TERMS[variable].owner == "l" else (element, node))] = value
-        else:
+        if variable not in CAPACITY_FAMILIES:
             issues.append(f"{where}: unknown capacity variable {variable!r}")
+            continue
+        owner = COST_TERMS[variable].owner
+        try:
+            _OWNER_RECORDS[owner](data, element)
+            if owner != "l":
+                data.node(node)
+        except KeyError as exc:
+            issues.append(f"{where}: {exc.args[0]}")
+            continue
+        # keyed as its columns: a line alone, else at a node
+        fixed[(variable, (element,) if owner == "l" else (element, node))] = value
     return fixed
 
 
@@ -528,7 +542,7 @@ def load_project(root: Path | str) -> Project:
 
     reporting = _load_reporting(layout.settings / REPORTING_FILE, issues)
     blocks = _load_constraints(layout.settings / CONSTRAINTS_FILE, issues)
-    fixed = _load_fixed_capacities(layout.static_input / FIXED_CAPACITIES, issues)
+    fixed = _load_fixed_capacities(layout.static_input / FIXED_CAPACITIES, data, issues)
 
     specs: list[ScenarioSpec] = []
     if config.scenarios_iteration:

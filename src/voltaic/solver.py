@@ -6,19 +6,18 @@ columns, interior point with crossover above) and ``dense`` (the
 self-contained tableau simplex in :mod:`voltaic.simplex`, used as an
 independent cross-check on small instances).
 
-Every HiGHS solve, cold or warm, passes one model in ``linprog``'s row
-layout, its matrix built column-wise in numpy, to a handle of scipy's HiGHS
-object, and one reader maps the result back to program rows. A program
-stores each matrix cell as one entry. Where each cell's entry is, and where
-it sits in that column-wise layout, is held in one place: the build's cell
-index (:func:`_cell_index`), which rejects a cell stored twice and which
-the model matrix, coefficient deltas, warm updates and the sweep planner
-all read. The binding is
-loaded from its extension file (:func:`_highs_core`), so neither
-``scipy.optimize`` nor ``scipy.sparse`` is imported on this path;
-``scipy.optimize.linprog`` on the same layout, which it matches bit for
-bit, is only the fallback (see :func:`_solve_highs`), and :func:`matrix`,
-which returns a scipy sparse matrix, is a helper for callers outside it.
+Every HiGHS solve, cold or warm, passes one model (:class:`_HighsModel`),
+its matrix built column-wise in numpy, to a handle of scipy's HiGHS object,
+and one reader maps the result back to program rows. A program stores each
+matrix cell as one entry. Where each cell's entry is, and where it sits in
+that column-wise layout, is held in one place: the build's cell index
+(:func:`_cell_index`), which rejects a cell stored twice and which the
+model matrix, coefficient deltas, warm updates and the sweep planner all
+read. The binding is loaded from its extension file (:func:`_highs_core`),
+so neither ``scipy.optimize`` nor ``scipy.sparse`` is imported to solve;
+without it (scipy before 1.15) every solve raises ImportError.
+:func:`matrix`, which returns a scipy sparse matrix, is a helper for
+callers outside the solve.
 A :class:`ModelInstance` holds one built program, which it never writes,
 plus an overlay of bound/cost/rhs/coefficient updates that copies only the
 vectors they write, so a scenario sweep reuses a single build; its
@@ -37,7 +36,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -86,7 +84,7 @@ class Delta:
 class SolveStats:
     """Work of one solve. ``iterations`` counts simplex iterations if any
     were made, else interior-point ones; the per-method counts are read
-    from HiGHS on a handle and stay 0 on the ``linprog`` fallback."""
+    from HiGHS (the ``dense`` backend leaves them 0)."""
 
     iterations: int = 0
     wall_time: float = 0.0
@@ -155,32 +153,35 @@ _BINDING_ERRORS = (AttributeError, TypeError, ValueError, RuntimeError)
 # numpy on a 2-vCPU Xeon VM, against 8 ms to load the file alone.
 _CORE = "scipy.optimize._highspy._core"
 
+_NO_HIGHS = f"voltaic needs scipy >= 1.15, whose HiGHS binding {_CORE} is missing or did not load"
+
 
 def _highs_core():
     """scipy's HiGHS binding, loaded from its extension file without
-    importing ``scipy.optimize``.
-
-    An entry already in ``sys.modules`` is used as it is (a None entry
-    raises ImportError). Where the file is missing (scipy < 1.15) or fails
-    to load, any entry it left is removed and the module is imported by
-    name, parents first, which raises ImportError where no binding exists."""
+    importing ``scipy.optimize``; an entry already in ``sys.modules`` is
+    used as it is. Raises ImportError(:data:`_NO_HIGHS`) where the file is
+    missing (scipy < 1.15) or fails to load, which leaves no entry, and for
+    a None entry."""
     if _CORE not in sys.modules:
         package = find_spec("scipy")
         folders = package.submodule_search_locations if package is not None else None
         files = [Path(folder, "optimize", "_highspy", "_core" + suffix)
                  for folder in folders or () for suffix in EXTENSION_SUFFIXES]
         path = next((f for f in files if f.is_file()), None)
-        if path is not None:
-            try:
-                spec = spec_from_file_location(_CORE, path)
-                module = module_from_spec(spec)
-                sys.modules[_CORE] = module
-                spec.loader.exec_module(module)
-                return module
-            except (ImportError, OSError, *_BINDING_ERRORS):
-                for name in [n for n in sys.modules if n == _CORE or n.startswith(_CORE + ".")]:
-                    del sys.modules[name]
-    return import_module(_CORE)
+        if path is None:
+            raise ImportError(_NO_HIGHS)
+        try:
+            spec = spec_from_file_location(_CORE, path)
+            module = module_from_spec(spec)
+            sys.modules[_CORE] = module
+            spec.loader.exec_module(module)
+        except (ImportError, OSError, *_BINDING_ERRORS) as exc:
+            for name in [n for n in sys.modules if n == _CORE or n.startswith(_CORE + ".")]:
+                del sys.modules[name]
+            raise ImportError(_NO_HIGHS) from exc
+    if sys.modules[_CORE] is None:
+        raise ImportError(_NO_HIGHS)
+    return sys.modules[_CORE]
 
 
 def classify_rows(lp: LpLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -260,15 +261,17 @@ def _cell_index(lp: LpLike) -> _Cells:
 
 @dataclass
 class _HighsModel:
-    """A program in the row layout ``linprog`` hands to HiGHS, and the HiGHS
-    solver a cold solve of it uses. Model row ``k`` is program row
+    """A program as the HiGHS model every solve passes to a handle, and the
+    HiGHS solver a cold solve of it uses. Model row ``k`` is program row
     ``rows[k]`` times ``sign[k]``: the ``<=`` rows, then the ``>=`` rows
     negated (these first ``n_ub`` rows are bounded above only), then the
-    ``=`` rows. Vacuous rows are left out. The matrix is held column-wise,
-    in :func:`_cell_index` order: column ``j``'s entries are
-    ``start[j]:start[j + 1]`` of ``index`` (model rows, ascending) and
-    ``value``, the program's entries, one per cell, zeros kept. A handle
-    drops the matrix once HiGHS has copied it (see :func:`_open_handle`)."""
+    ``=`` rows. Vacuous rows are left out. (This order is the faster one:
+    9.1–9.3 s against 10.4 s in program order on the 168 h benchmark
+    investment LP.) The matrix is held column-wise, in :func:`_cell_index`
+    order: column ``j``'s entries are ``start[j]:start[j + 1]`` of
+    ``index`` (model rows, ascending) and ``value``, the program's entries,
+    one per cell, zeros kept. A handle drops the matrix once HiGHS has
+    copied it (see :func:`_open_handle`)."""
 
     rows: np.ndarray
     sign: np.ndarray
@@ -285,7 +288,7 @@ class _HighsModel:
 
 
 def _highs_model(lp: LpLike) -> _HighsModel | None:
-    """``lp`` in ``linprog``'s row layout; None if a row is unsatisfiable."""
+    """``lp`` as a :class:`_HighsModel`; None if a row is unsatisfiable."""
     eq, le, ge, impossible = classify_rows(lp)
     if impossible:
         return None
@@ -305,7 +308,7 @@ def _highs_model(lp: LpLike) -> _HighsModel | None:
     return _HighsModel(rows, sign, n_ub, start, index, value, method)
 
 
-# HiGHS model statuses as linprog reads them; any other is numerical.
+# HiGHS model statuses that are not optimal; any other is numerical.
 _HIGHS_STATUS = {"kInfeasible": INFEASIBLE, "kModelError": INFEASIBLE, "kUnbounded": UNBOUNDED}
 
 
@@ -332,9 +335,9 @@ def _optimal(lp: LpLike, model: _HighsModel, objective, primal, row_dual, lower,
 
 
 def _open_handle(core, lp: LpLike, model: _HighsModel):
-    """A new HiGHS handle holding ``model`` with ``linprog``'s options; None
-    if HiGHS rejects the model. ``model`` then drops its matrix: HiGHS holds
-    its own copy."""
+    """A new HiGHS handle holding ``model``, silent, with presolve and
+    ``model.method`` (dual simplex if simplex); None if HiGHS rejects the
+    model. ``model`` then drops its matrix: HiGHS holds its own copy."""
     highs = core._Highs()
     for option, value in (("output_flag", False), ("presolve", "on"), ("solver", model.method),
                           ("simplex_strategy", 1)):  # 1: dual simplex
@@ -372,54 +375,19 @@ def _run(core, highs, lp: LpLike, model: _HighsModel) -> Solution:
     return _optimal(lp, model, info.objective_function_value, result.col_value, result.row_dual, lower, upper, stats)
 
 
-def _solve_linprog(lp: LpLike, model: _HighsModel) -> Solution:
-    """``scipy.optimize.linprog`` on the same layout: the fallback."""
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
-    n_rows = len(model.rows)
-    _, upper = model.bounds(np.arange(n_rows), lp.rhs[model.rows])
-    a = sp.csc_matrix((model.value, model.index, model.start), shape=(n_rows, lp.n_cols))
-    ub, eq, blocks = slice(None, model.n_ub), slice(model.n_ub, None), {}
-    if model.n_ub:
-        blocks.update(A_ub=a[ub], b_ub=upper[ub])
-    if n_rows > model.n_ub:
-        blocks.update(A_eq=a[eq], b_eq=upper[eq])
-    method = {"ipm": "highs-ipm", "simplex": "highs-ds"}[model.method]
-    start = time.perf_counter()
-    res = linprog(lp.obj, bounds=np.column_stack([lp.lo, lp.hi]), method=method, **blocks)
-    stats = SolveStats(int(getattr(res, "nit", 0) or 0), time.perf_counter() - start)
-    if res.status != 0:
-        return Solution({2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, NUMERICAL), stats=stats)
-    row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
-    return _optimal(lp, model, res.fun, res.x, row_dual, res.lower.marginals, res.upper.marginals, stats)
-
-
-def _solve_highs(lp: LpLike) -> Solution:
-    """A cold solve on a fresh HiGHS handle, bit for bit what ``linprog``
-    returns; ``linprog`` runs instead for scipy before 1.15, which bundles
-    no HiGHS object, or when the private bindings raise. (``linprog``'s row
-    order is the faster one: 9.1–9.3 s against 10.4 s in natural order on
-    the 168 h benchmark investment LP.)"""
-    return _cold_highs(lp)[0]
-
-
 def _cold_highs(lp: LpLike) -> tuple[Solution, object]:
-    """:func:`_solve_highs`, and the handle's optimal basis: None if the
-    solve is not optimal, left no valid basis or a row out of the model (a
-    warm handle holds every row), or ran on ``linprog``."""
+    """A cold solve on a fresh HiGHS handle, and the handle's optimal basis:
+    None if the solve is not optimal, left no valid basis or a row out of
+    the model (a warm handle holds every row)."""
     model = _highs_model(lp)
     if model is None:
         return Solution(INFEASIBLE), None
-    try:
-        core = _highs_core()
-        highs = _open_handle(core, lp, model)
-        if highs is None:
-            return Solution(INFEASIBLE), None
-        sol, basis = _run(core, highs, lp, model), highs.getBasis()
-        return sol, basis if sol.is_optimal and basis.valid and len(model.rows) == lp.n_rows else None
-    except (ImportError, *_BINDING_ERRORS):
-        return _solve_linprog(lp, _highs_model(lp)), None
+    core = _highs_core()
+    highs = _open_handle(core, lp, model)
+    if highs is None:
+        return Solution(INFEASIBLE), None
+    sol, basis = _run(core, highs, lp, model), highs.getBasis()
+    return sol, basis if sol.is_optimal and basis.valid and len(model.rows) == lp.n_rows else None
 
 
 def _solve_dense(lp: LpLike) -> Solution:
@@ -427,7 +395,7 @@ def _solve_dense(lp: LpLike) -> Solution:
 
     return simplex.solve_dense(lp)
 
-BACKENDS = {"highs": _solve_highs, "dense": _solve_dense}
+BACKENDS = {"highs": lambda lp: _cold_highs(lp)[0], "dense": _solve_dense}
 
 
 def solve(lp: LpLike, backend: str = "highs") -> Solution:
@@ -445,14 +413,10 @@ def solve(lp: LpLike, backend: str = "highs") -> Solution:
 def base_statuses(lp: LpLike) -> tuple[np.ndarray, np.ndarray] | None:
     """The statuses (see :func:`basis_statuses`) of the optimal basis of
     :func:`solve`'s cold solve of ``lp``, from which a warm handle opens;
-    None for a trivial program, an infinite rhs, no HiGHS object, or a
-    solve that leaves no basis (see :func:`_cold_highs`)."""
+    None for a trivial program, an infinite rhs, or a solve that leaves no
+    basis (see :func:`_cold_highs`)."""
     if lp.n_cols == 0 or lp.n_rows == 0 or not np.isfinite(lp.rhs).all():
         return None
-    try:
-        _highs_core()
-    except ImportError:
-        return None  # the linprog fallback leaves no basis
     basis = _cold_highs(lp)[1]
     return None if basis is None else basis_statuses(basis)
 
@@ -665,8 +629,9 @@ class ModelInstance:
         the given ones, shipped from another instance of the program, else
         those of :func:`base_statuses`, which solves the program cold as
         :func:`solve` does. Returns the handle's base statuses, None if
-        there is no handle (no bundled HiGHS object, a row with infinite
-        rhs, a base that is not solved to optimality)."""
+        there is no handle (a row with infinite rhs, a base that is not
+        solved to optimality, bindings whose members differ from those used
+        here)."""
         warm = self._open(statuses)
         return None if warm is None else warm.statuses
 
@@ -679,11 +644,10 @@ class ModelInstance:
                 if statuses is None:
                     statuses = base_statuses(self._base)
                 self._warm = None if statuses is None else _WarmStart.open(self, statuses)
-            except (ImportError, *_BINDING_ERRORS):
-                # scipy < 1.15 bundles no HiGHS object, and the private
-                # bindings' members vary between releases; a handle that
-                # cannot be built or driven, or whose state is unknown after
-                # a failure, is dropped for good.
+            except _BINDING_ERRORS:
+                # The private bindings' members vary between releases; a
+                # handle that cannot be built or driven, or whose state is
+                # unknown after a failure, is dropped for good.
                 self._warm = None
         return self._warm
 
@@ -714,7 +678,7 @@ class ModelInstance:
         warm = self._open()
         try:
             sol = warm.solve(self.lp, start) if warm is not None else None
-        except (ImportError, *_BINDING_ERRORS):
+        except _BINDING_ERRORS:
             self._warm, sol = None, None  # dropped for good, as in :meth:`_open`
         if sol is not None and certify(self.lp, sol).ok(1e-6):
             self.basis = warm.solved

@@ -21,12 +21,16 @@ from voltaic.system import (
 )
 
 
+def voltaic_env():
+    """The environment of a fresh interpreter that imports this voltaic."""
+    src = str(Path(voltaic.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_python(code, *args):
     """Run ``code`` in a fresh interpreter that imports this voltaic; its
     stdout split into words."""
-    src = str(Path(voltaic.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=voltaic_env(),
                           timeout=600)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()

@@ -498,6 +498,28 @@ class TestValidate:
         assert run_cli("validate", str(root)) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {issue}"]
 
+    @pytest.mark.parametrize(
+        "row, issue",
+        [
+            ("N,nuclear,DE,50", "fixed_capacities.csv:6: unknown technology 'nuclear'"),
+            ("N,gas,FR,50", "fixed_capacities.csv:6: unknown node 'FR'"),
+            ("N_STO_E,gas,DE,5", "fixed_capacities.csv:6: unknown storage 'gas'"),
+            ("NTC,DE-FR,,10", "fixed_capacities.csv:6: unknown line 'DE-FR'"),
+        ],
+        ids=["technology", "node", "storage", "line"],
+    )
+    def test_fixed_capacity_of_no_column(self, tmp_path, capsys, row, issue):
+        """A row beside a full table whose element is not a record of its
+        variable's owner, or whose node is not a node, fixes no column."""
+        root = create_project("demo", "minimal", tmp_path)
+        settings = root / "settings" / "project_variables.csv"
+        settings.write_text(settings.read_text().replace("dispatch_only,no", "dispatch_only,yes"))
+        fixed = root / "data_input" / "static_input" / "fixed_capacities.csv"
+        fixed.write_text("variable,element,node,value\nN,gas,DE,60\nN,solar,DE,100\n"
+                         f"N_STO_E,Li-ion,DE,10\nN_STO_P,Li-ion,DE,10\n{row}\n")
+        assert run_cli("validate", str(root)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {issue}"]
+
     def test_generated_inputs_are_deterministic(self, tmp_path, capsys):
         """``perfbench/gen.py`` writes through the static-table schema: the
         same workload and seed, written by two interpreters, give the same
@@ -562,8 +584,6 @@ print(json.dumps({"codes": codes, "binding": core in sys.modules, "workers": len
 class TestImportFootprint:
     @pytest.fixture(scope="class")
     def session(self, tmp_path_factory):
-        # Without the bundled HiGHS object every solve imports linprog.
-        pytest.importorskip("scipy.optimize._highspy._core")
         return json.loads(run_python(_SESSION, str(tmp_path_factory.mktemp("session")))[-1])
 
     def test_cli_session_loads_neither_scipy_optimize_nor_sparse(self, session):

@@ -379,7 +379,6 @@ class TestOneEntryPerCell:
             inst.apply([Delta("coef", row=lp.n_rows, col=col, value=1.0)])
 
     def test_an_open_handle_holds_no_matrix(self, two_node_toy):
-        pytest.importorskip(_CORE)
         lp = build_model(*two_node_toy)
         inst = compile_instance(lp)
         statuses = inst.open()
@@ -490,21 +489,36 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _handle_and_fallback(lp, monkeypatch):
-    """Solve ``lp`` on the HiGHS handle, then through the ``linprog`` fallback."""
-    pytest.importorskip(_CORE)
-    optimize = pytest.importorskip("scipy.optimize")  # where the fallback imports linprog from
+def _linprog(lp):
+    """``scipy.optimize.linprog`` on the HiGHS model's row layout: the
+    reference every handle solve must match bit for bit."""
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
 
-    def no_linprog(*args, **kwargs):
-        raise AssertionError("the handle path called linprog")
+    model = _highs_model(lp)
+    if model is None:
+        return solver.Solution(solver.INFEASIBLE)
+    n_rows = len(model.rows)
+    _, upper = model.bounds(np.arange(n_rows), lp.rhs[model.rows])
+    a = sp.csc_matrix((model.value, model.index, model.start), shape=(n_rows, lp.n_cols))
+    ub, eq, blocks = slice(None, model.n_ub), slice(model.n_ub, None), {}
+    if model.n_ub:
+        blocks.update(A_ub=a[ub], b_ub=upper[ub])
+    if n_rows > model.n_ub:
+        blocks.update(A_eq=a[eq], b_eq=upper[eq])
+    method = {"ipm": "highs-ipm", "simplex": "highs-ds"}[model.method]
+    res = linprog(lp.obj, bounds=np.column_stack([lp.lo, lp.hi]), method=method, **blocks)
+    stats = solver.SolveStats(int(res.nit))
+    if res.status != 0:
+        return solver.Solution({2: solver.INFEASIBLE, 3: solver.UNBOUNDED}.get(res.status, solver.NUMERICAL),
+                               stats=stats)
+    row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+    return solver._optimal(lp, model, res.fun, res.x, row_dual, res.lower.marginals, res.upper.marginals, stats)
 
-    with monkeypatch.context() as m:
-        m.setattr(optimize, "linprog", no_linprog)
-        handle = solve(lp)
-    with monkeypatch.context() as m:
-        m.setitem(sys.modules, _CORE, None)
-        fallback = solve(lp)
-    return handle, fallback
+
+def _handle_and_linprog(lp):
+    """Solve ``lp`` on the HiGHS handle and through :func:`_linprog`."""
+    return solve(lp), _linprog(lp)
 
 
 def _assert_bitwise(a, b):
@@ -517,32 +531,32 @@ def _assert_bitwise(a, b):
 
 
 class TestHandleMatchesLinprogFallback:
-    """The HiGHS handle and the ``linprog`` fallback solve the same layout and
-    must agree bit for bit, whichever one a scipy release provides."""
+    """The HiGHS handle and scipy's ``linprog`` on the same layout must
+    agree bit for bit: the handle passes HiGHS the model ``linprog`` would."""
 
     @pytest.mark.parametrize("toy", ["merit_toy", "storage_toy", "two_node_toy", "sweep_toy"])
-    def test_toys(self, request, monkeypatch, toy):
+    def test_toys(self, request, toy):
         lp = build_model(*request.getfixturevalue(toy))
-        handle, fallback = _handle_and_fallback(lp, monkeypatch)
+        handle, reference = _handle_and_linprog(lp)
         assert handle.is_optimal
-        _assert_bitwise(handle, fallback)
+        _assert_bitwise(handle, reference)
 
-    def test_interior_point_size(self, monkeypatch):
+    def test_interior_point_size(self):
         lp = _two_node_week()
         assert lp.n_rows + lp.n_cols > _IPM_THRESHOLD
-        handle, fallback = _handle_and_fallback(lp, monkeypatch)
+        handle, reference = _handle_and_linprog(lp)
         assert handle.is_optimal and certify(lp, handle).ok(1e-6)
-        _assert_bitwise(handle, fallback)
+        _assert_bitwise(handle, reference)
 
     @pytest.mark.parametrize("name", sorted(_RAW_PROGRAMS))
-    def test_raw_programs(self, monkeypatch, name):
+    def test_raw_programs(self, name):
         make, status = _RAW_PROGRAMS[name]
         lp = make()
-        handle, fallback = _handle_and_fallback(lp, monkeypatch)
+        handle, reference = _handle_and_linprog(lp)
         assert handle.status == status
         if handle.is_optimal:
             assert certify(lp, handle).ok(1e-9)
-        _assert_bitwise(handle, fallback)
+        _assert_bitwise(handle, reference)
 
 
 # -- the HiGHS matrix, built in numpy ------------------------------------------
@@ -675,7 +689,6 @@ class TestHighsMatrix:
     @pytest.mark.parametrize("name", ["minimal", "explicit_zeros", "shuffled_entries", "vacuous_rows",
                                       "raw_vacuous_row"])
     def test_warm_pushes_the_changed_scipy_cells(self, programs, name):
-        pytest.importorskip(_CORE)
         lp = programs[name]
         inst = compile_instance(lp)
         if not np.isfinite(lp.rhs).all():
@@ -749,7 +762,6 @@ class TestHighsMatrix:
 class TestBasisStatuses:
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_statuses_read_as_numpy_reads_them_and_rebuild_the_basis(self, programs, name):
-        pytest.importorskip(_CORE)
         inst = compile_instance(programs[name])
         statuses = inst.open()
         basis = solver._cold_highs(programs[name])[1]  # the base's cold solve
@@ -766,7 +778,6 @@ class TestBasisStatuses:
 
 class TestHighsCore:
     def test_loads_the_extension_without_scipy_optimize(self):
-        pytest.importorskip(_CORE)
         out = run_python(
             "import sys\n"
             "from voltaic import solver\n"
@@ -775,19 +786,20 @@ class TestHighsCore:
         )
         assert out == ["True", "True", "False"]
 
-    def test_a_missing_file_falls_back_to_the_import_statement(self):
-        pytest.importorskip(_CORE)
+    def test_a_missing_file_raises_what_voltaic_needs(self):
         out = run_python(
             "import sys\n"
             "from voltaic import solver\n"
-            "solver.EXTENSION_SUFFIXES = ['.missing']\n"
-            "core = solver._highs_core()\n"
-            "print(core is sys.modules[solver._CORE], hasattr(core, '_Highs'), 'scipy.optimize' in sys.modules)\n"
+            "solver.EXTENSION_SUFFIXES = ['.missing']  # as before scipy 1.15\n"
+            "try:\n"
+            "    solver._highs_core()\n"
+            "except ImportError as exc:\n"
+            "    print(exc.args == (solver._NO_HIGHS,), exc.__cause__ is None)\n"
+            "print(solver._CORE in sys.modules, 'scipy.optimize' in sys.modules)\n"
         )
-        assert out == ["True", "True", "True"]
+        assert out == ["True", "True", "False", "False"]
 
     def test_a_failed_load_leaves_no_entry(self):
-        pytest.importorskip(_CORE)
         out = run_python(
             "import sys\n"
             "from voltaic import solver\n"
@@ -803,38 +815,21 @@ class TestHighsCore:
             "    spec.loader = Broken()\n"
             "    return spec\n"
             "solver.spec_from_file_location = broken\n"
-            "sys.modules['scipy.optimize'] = None  # the import statement fails too, as before scipy 1.15\n"
             "try:\n"
             "    solver._highs_core()\n"
-            "except ImportError:\n"
-            "    print('ImportError')\n"
+            "except ImportError as exc:\n"
+            "    print(exc.args == (solver._NO_HIGHS,), repr(exc.__cause__))\n"
             "print(sorted(n for n in sys.modules if n.startswith(solver._CORE)))\n"
-            "del sys.modules['scipy.optimize']\n"
-            "core = solver._highs_core()  # the statement now imports the real module\n"
-            "print(hasattr(core, '_Highs'), core is sys.modules[solver._CORE])\n"
+            "solver.spec_from_file_location = real\n"
+            "core = solver._highs_core()  # the next call loads the file\n"
+            "print(hasattr(core, '_Highs'), core is sys.modules[solver._CORE], 'scipy.optimize' in sys.modules)\n"
         )
-        assert out == ["ImportError", "[]", "True", "True"]
+        assert out == ["True", "ImportError('broken", "extension')", "[]", "True", "True", "False"]
 
     def test_an_existing_entry_is_used(self, monkeypatch):
         sentinel = object()
         monkeypatch.setitem(sys.modules, _CORE, sentinel)
         assert solver._highs_core() is sentinel
-
-    def test_a_none_entry_gives_the_linprog_fallback(self, monkeypatch):
-        optimize = pytest.importorskip("scipy.optimize")
-        calls, real = [], optimize.linprog
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["method"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "linprog", counted)
-        monkeypatch.setitem(sys.modules, _CORE, None)
-        with pytest.raises(ImportError):
-            solver._highs_core()
-        sol = solve(_mixed_rows())
-        assert sol.is_optimal and sol.objective == pytest.approx(4.5)
-        assert calls == ["highs-ds"]
 
 
 class TestIterationCounts:
@@ -854,7 +849,6 @@ class TestIterationCounts:
 
     @staticmethod
     def _handle_stats(lp):
-        pytest.importorskip(_CORE)
         sol = solve(lp)
         assert sol.is_optimal
         return sol.stats

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from conftest import random_sweep_table, two_node_sweep_system
 from voltaic import scenarios, solver
+from voltaic.cli import main
 from voltaic.model import build_model
 from voltaic.scenarios import ScenarioSpec, expand_overrides, parse_iteration_table, run_scenarios
 from voltaic.solver import Delta, certify, compile as compile_instance, solve
 from voltaic.store import read_store
 from voltaic.system import ModelConfig, Node, SystemData, Technology, TimeSeries
+from voltaic.templates import create_project
 
 _CORE = "scipy.optimize._highspy._core"
+_NO_HIGHS = "voltaic needs scipy >= 1.15, whose HiGHS binding scipy.optimize._highspy._core is missing or did not load"
 
 
 def _one_node_system():
@@ -140,7 +143,6 @@ class TestDeterminism:
 
 
     def test_statuses_shipped_to_another_handle_solve_as_the_basis(self, sweep):
-        pytest.importorskip(_CORE)
         data, config, specs = sweep
         lp = build_model(data, config)
         solved, seeded = compile_instance(lp), compile_instance(lp)
@@ -162,9 +164,7 @@ class TestDeterminism:
         # A handle runs the base once from its statuses before any row:
         # solving a row with coefficient deltas first would otherwise leave
         # it other than a handle that ran the base first.
-        pytest.importorskip(_CORE)
         from voltaic.project import load_project
-        from voltaic.templates import create_project
 
         root = create_project("phi", "example1", tmp_path)
         settings = root / "settings" / "project_variables.csv"
@@ -184,26 +184,23 @@ class TestDeterminism:
 
 
 class TestFallback:
-    def test_missing_highs_object_falls_back_to_cold(self, sweep, monkeypatch, solves):
+    def test_missing_highs_object_fails_every_row(self, sweep, monkeypatch, tmp_path, capsys):
+        # Hidden, the binding is missing as it is before scipy 1.15: there
+        # is no other solve path, so each row fails alone, naming what
+        # voltaic needs, and none is reported optimal.
         data, config, specs = sweep
-        cold = run_scenarios(data, config, None, specs, mode="rebuild")
-        # Only the HiGHS object goes missing: the linprog fallback, imported
-        # before, stays importable whatever tests ran earlier.
-        import scipy.optimize  # noqa: F401
         monkeypatch.setitem(sys.modules, _CORE, None)
         for mode, threads in (("single_instance", 0), ("parallel", 2)):
-            warmless = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
-            assert [r.objective for r in warmless] == [r.objective for r in cold]
-            assert all(_same(a.solution, b.solution) for a, b in zip(warmless, cold))
-        # In each mode the base task left no statuses, no handle was opened,
-        # and every row, in whichever process, was solved cold (as in
-        # rebuild, logged first).
-        assert [base for _, base in solves.read("base")] == [None] * 2 and solves.read("open") == []
-        rows = solves.read("row")
-        assert len(rows) == 3 * len(specs) and not any(warm for _, _, warm, _, _ in rows)
+            results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
+            assert [(r.status, r.error) for r in results] == [("error", f"ImportError: {_NO_HIGHS}")] * len(specs)
+        root = create_project("m", "minimal", tmp_path)
+        assert main(["validate", str(root)]) == 0  # validate solves nothing
+        capsys.readouterr()
+        assert main(["run", str(root)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: runs without optimal solution: base", f"error: base: ImportError: {_NO_HIGHS}"]
 
     def test_uncertified_warm_result_falls_back_to_cold(self, sweep, monkeypatch):
-        pytest.importorskip(_CORE)  # the warm path needs the bundled HiGHS object
         data, config, specs = sweep
         original = solver._WarmStart.solve
         calls = []
@@ -221,7 +218,6 @@ class TestFallback:
         assert calls
 
     def test_non_optimal_warm_result_falls_back_to_cold(self, sweep):
-        pytest.importorskip(_CORE)
         data, config, specs = sweep
         inst = compile_instance(build_model(data, config))
         inst.resolve()  # opens the handle on the base program
@@ -231,7 +227,6 @@ class TestFallback:
         assert _same(inst.resolve(), solve(inst.lp))
 
     def test_uncertified_cold_fallback_is_numerical(self, sweep, monkeypatch):
-        pytest.importorskip(_CORE)
         data, config, specs = sweep
         inst = compile_instance(build_model(data, config))
         inst.resolve()  # opens the handle on the base program
@@ -360,7 +355,6 @@ def test_rebuild_compiles_one_instance_per_country_set(monkeypatch):
 def test_a_warm_row_with_phi_deltas_builds_no_highs_model(monkeypatch):
     """A warm row pushes only the cells its coefficient deltas change: it
     does not lay out the whole HiGHS matrix again."""
-    pytest.importorskip("scipy.optimize._highspy._core")
     data, config = two_node_sweep_system(hours=24)
     config = replace(config, end_hour=24)
     lp = build_model(data, config)
@@ -588,7 +582,6 @@ class TestTreeStarts:
         # ran it; a sibling waits in the queue with the basis the row left,
         # as statuses, and may run in the other runner. Each runner holds
         # its own handle, opened from the base statuses it was sent.
-        pytest.importorskip(_CORE)
         data, config, specs = sweep
         plan = scenarios._plan(specs, data, config)
         single = run_scenarios(data, config, None, specs, mode="single_instance")
@@ -649,7 +642,6 @@ class TestTreeStarts:
             assert all(_bitwise(a.solution, b.solution) for a, b in zip(single, par)), threads
 
     def test_tree_needs_fewer_iterations_than_the_base_start(self, far):
-        pytest.importorskip(_CORE)
         data, config, specs = far
         tree = run_scenarios(data, config, None, specs, mode="single_instance")
         inst = compile_instance(build_model(data, config))
@@ -685,7 +677,6 @@ class TestTreeStarts:
         assert _bitwise(results["C"].solution, fresh)
 
     def test_a_fallback_hands_its_basis_to_its_children(self, far, solves, monkeypatch, tmp_path):
-        pytest.importorskip(_CORE)
         data, config, _ = far
         # G1 takes 81 warm iterations from its parent F0, past a guard lowered
         # to 40 for this toy (F7, the next dearest row, takes 20), and falls
@@ -758,7 +749,6 @@ class TestRetiredBase:
 
     @pytest.mark.parametrize("threads", [2, 3, 5])
     def test_no_process_solves_a_base_and_runs_a_row(self, sweep, solves, threads):
-        pytest.importorskip(_CORE)
         data, config, specs = sweep
         # Two warm sets: all nodes, and the same rows on DE alone.
         specs = [*specs, *(replace(spec, run_id=f"DE_{spec.run_id}", country_set=("DE",)) for spec in specs)]
@@ -961,7 +951,6 @@ class TestRowsFinishWhereSolved:
         from voltaic.reports import PartialReport
         from voltaic.store import SymbolStore
         from voltaic.symbols import SymbolsHandler
-        from voltaic.templates import create_project
 
         root = create_project("demo", "example2", tmp_path)
         calls = Counter()
@@ -1046,7 +1035,6 @@ class TestCrashedWorker:
                 assert results[reference.run_id].objective == pytest.approx(reference.objective, rel=1e-6)
 
     def test_a_lost_row_changes_only_the_starts_below_it(self, sweep, solves):
-        pytest.importorskip(_CORE)
         data, config, specs = sweep
         plan = scenarios._plan(specs, data, config)
         names = [spec.run_id for spec in specs]
@@ -1102,7 +1090,6 @@ class TestRowExceptions:
 
     @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2), ("parallel", 3)])
     def test_an_exception_in_a_row_fails_that_row_alone(self, far, solves, tmp_path, mode, threads):
-        pytest.importorskip(_CORE)  # F5 must leave a basis
         data, config, specs = far  # the chain F7 -> F6 -> ... -> F0
 
         def failing(result):
@@ -1148,7 +1135,6 @@ class TestRowExceptions:
         from voltaic import pipeline
         from voltaic.cli import main
         from voltaic.project import load_project
-        from voltaic.templates import create_project
 
         # L100 is a leaf of the plan: the children of a failed row start
         # from the base basis, and on a degenerate program may stop at
@@ -1244,7 +1230,6 @@ class TestStatusesMade:
 
     @pytest.mark.parametrize("mode, threads", [("single_instance", 0), ("parallel", 2), ("parallel", 3)])
     def test_sweep(self, sweep, solves, made, mode, threads):
-        pytest.importorskip(_CORE)
         data, config, specs = sweep
         results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
         assert all(r.status == "optimal" for r in results)
@@ -1252,7 +1237,6 @@ class TestStatusesMade:
 
     @pytest.mark.parametrize("seed, branching", [(1, 6), (2, 5)])
     def test_sweep_wide(self, solves, made, tmp_path, seed, branching):
-        pytest.importorskip(_CORE)
         data, config, features, specs = _sweep_wide(seed, tmp_path)
         results = run_scenarios(data, config, features, specs, mode="parallel", threads=2)
         assert all(r.status == "optimal" for r in results)
