@@ -148,9 +148,9 @@ def warm_phi(tmp: Path) -> None:
 
 ONE_ROW_FALLS_BACK = """
 import sys
-from voltaic import pipeline, scenarios, solver
-bases, base_statuses = [], scenarios.base_statuses
-scenarios.base_statuses = lambda lp: bases.append(lp) or base_statuses(lp)
+from voltaic import pipeline, solver, sweep
+bases, base_statuses = [], sweep.base_statuses
+sweep.base_statuses = lambda lp: bases.append(lp) or base_statuses(lp)
 cold, cold_highs = [], solver._cold_highs
 
 def counted(lp):
@@ -190,7 +190,7 @@ def warm_fallback(tmp: Path) -> None:
 
 ADD_FAILING_ROWS = """
 import csv, io, pathlib, sys
-from voltaic import scenarios
+from voltaic import scenarios, sweep
 from voltaic.model import build_model
 from voltaic.project import load_project
 table = pathlib.Path(sys.argv[1], "iterationfiles", "iteration_table.csv")
@@ -206,7 +206,7 @@ project = load_project(sys.argv[1])
 data, config, specs = project.data, project.config, [s for s in project.specs if s.country_set is None]
 lp = build_model(data, config, project.features)
 deltas = [[] if s.run_id == "X" else scenarios.expand_overrides(s, lp, data, config) for s in specs]
-_, parents = scenarios._tree(lp, deltas)
+_, parents = sweep._tree(lp, deltas)
 names = [s.run_id for s in specs]
 assert names[parents[names.index("C")]] == "E", "C is not E's tree child"
 """

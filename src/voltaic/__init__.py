@@ -26,15 +26,8 @@ from .solver import (
     solve,
     update_and_resolve,
 )
-from .scenarios import (
-    RunResult,
-    ScenarioSpec,
-    SymbolRef,
-    expand_overrides,
-    parse_iteration_table,
-    parse_symbol_ref,
-    run_scenarios,
-)
+from .scenarios import ScenarioSpec, SymbolRef, expand_overrides, parse_iteration_table, parse_symbol_ref
+from .sweep import RunResult, run_scenarios
 from .store import SymbolStore, extract_symbols, read_store, write_store
 from .symbols import Symbol, SymbolsHandler, aggregate, binop
 

@@ -19,7 +19,7 @@ import os
 import sys
 
 from .pipeline import report_project, run_project, validate_project
-from .scenarios import MODES
+from .sweep import MODES
 from .system import ValidationError
 from .templates import TEMPLATES, create_project
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 from .project import Project, load_project
 from .reports import PartialReport, clear_report, merge_report, partial_report
-from .scenarios import RunResult, _plan, _row_issue, _run_and_finish
+from .scenarios import _row_issue
 from .store import CSV_FORMAT, NPZ_FORMAT, extract_symbols, read_run, write_store
+from .sweep import RunResult, _plan, _run_and_finish
 from .system import ValidationError
 
 
@@ -47,7 +48,7 @@ def run_project(
     and the row's share of the report made from it, by the process that
     solved the row (a worker in ``parallel`` mode), which hands back that
     share with the result and drops the store; a row that cannot run (see
-    :func:`~voltaic.scenarios.run_scenarios`), or whose worker died, is
+    :func:`~voltaic.sweep.run_scenarios`), or whose worker died, is
     finished here, as an error. This process only merges the shares: the
     report covers the runs of this call only, in run-id order, and equals
     what :func:`report_project` makes from their stores on disk.
@@ -115,7 +116,7 @@ def report_project(root: Path | str) -> dict:
 
 def validate_project(root: Path | str) -> Project:
     """Load the project, then plan its sweep with no solve (see
-    :func:`~voltaic.scenarios.run_scenarios`): each country set is built
+    :func:`~voltaic.sweep.run_scenarios`): each country set is built
     once, and each row expanded and applied against it. Raises
     :class:`ValidationError` naming every load issue, followed by every
     row's issue (see :func:`~voltaic.project.load_project`), or, if the

@@ -433,12 +433,6 @@ class SymbolsHandler:
     def runs(self) -> list[str]:
         return list(self.stores)
 
-    def symbol_names(self) -> list[str]:
-        names: set[str] = set()
-        for store in self.stores.values():
-            names.update(store.symbols)
-        return sorted(names)
-
     def meta(self, run_id: str) -> Mapping:
         return self.stores[run_id].meta
 

@@ -163,21 +163,8 @@ class FeatureMatrix:
 
     entries: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    @classmethod
-    def all_off(cls, nodes: list[str], modules: tuple[str, ...] = FEATURE_MODULES) -> "FeatureMatrix":
-        return cls({(m, n): 0 for m in modules for n in nodes})
-
     def active(self) -> list[tuple[str, str]]:
         return sorted(key for key, flag in self.entries.items() if flag)
-
-    def validate(self) -> list[str]:
-        issues = []
-        for (module, node), flag in self.entries.items():
-            if flag not in (0, 1):
-                issues.append(
-                    f"features_node_selection: entry ({module},{node}) must be 0 or 1, got {flag}"
-                )
-        return issues
 
 
 @dataclass(frozen=True)

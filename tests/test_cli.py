@@ -545,17 +545,17 @@ from pathlib import Path
 
 import voltaic
 import voltaic.cli
-from voltaic import scenarios
+from voltaic import engine
 from voltaic.cli import main
 from voltaic.templates import create_project
 
-worker = scenarios._worker
+worker = engine._worker
 
 def reporting(run, conn):
     worker(run, conn)
     Path(sys.argv[1], f"modules_{os.getpid()}.json").write_text(json.dumps(sorted(sys.modules)))
 
-scenarios._worker = reporting
+engine._worker = reporting
 root = create_project("demo", "example1", sys.argv[1])
 settings = root / "settings" / "project_variables.csv"
 text = settings.read_text()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voltaic import scenarios
+from voltaic import sweep
 from voltaic.model import build_model
 from voltaic.scenarios import (
     PARAMETER_DOMAINS,
@@ -176,7 +176,7 @@ class TestParsing:
         """The cell reads as no node, which the row's build rejects."""
         specs = parse_iteration_table(f'run,country_set\nS0,DE\nS1,{cell}\n')
         assert [spec.country_set for spec in specs] == [("DE",), ()]
-        assert scenarios._plan(specs, *battery_system).deltas[1] == "country_set: names no node"
+        assert sweep._plan(specs, *battery_system).deltas[1] == "country_set: names no node"
 
     def test_constraint_choice_cell(self):
         specs = parse_iteration_table("run,renewable_share\nS0,off\n")
@@ -495,13 +495,13 @@ class TestRunModes:
         data, config = battery_system
         specs = self.specs()
         delays = dict(zip((s.run_id for s in specs), [0.6, 0.2, 0.0]))
-        run = scenarios._run_on_instance
+        run = sweep._run_on_instance
 
         def delayed(inst, spec, *args, **kwargs):
             time.sleep(delays[spec.run_id])  # in the forked worker that runs the row
             return run(inst, spec, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "_run_on_instance", delayed)
+        monkeypatch.setattr(sweep, "_run_on_instance", delayed)
         results = run_scenarios(data, config, None, specs, mode="parallel", threads=3)
         assert [r.run_id for r in results] == [s.run_id for s in specs]
         assert all(r.status == "optimal" for r in results)
@@ -558,14 +558,14 @@ class TestRunModes:
     def test_uncertified_cold_solution_is_numerical(self, battery_system, monkeypatch, mode):
         """A cold solve that claims optimality with a wrong primal is not
         reported as optimal."""
-        from voltaic import scenarios
+        from voltaic import sweep
 
         def corrupted(lp):
             sol = solve(lp)
             sol.primal = sol.primal + 1.0
             return sol
 
-        monkeypatch.setattr(scenarios, "solve", corrupted)
+        monkeypatch.setattr(sweep, "solve", corrupted)
         data, config = battery_system
         results = run_scenarios(data, config, None, self.specs(), mode=mode)
         assert [r.status for r in results] == ["numerical"] * 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python, two_node_sweep_system
-from voltaic import scenarios, solver
+from voltaic import solver, sweep
 from voltaic.model import CAPACITY_FAMILIES, VECTORS, LinearProgram, apply_dispatch_only, build_model
 from voltaic.project import load_project
 from voltaic.solver import (
@@ -365,7 +365,7 @@ class TestOneEntryPerCell:
 
     def test_the_sweep_planner(self):
         with pytest.raises(ValueError, match=self.CELL):
-            scenarios._tree(_cells_stored_twice(), [[Delta("coef", row=2, col=1, value=1.0)]])
+            sweep._tree(_cells_stored_twice(), [[Delta("coef", row=2, col=1, value=1.0)]])
 
     def test_a_coef_delta_writes_its_one_entry(self, two_node_toy):
         lp = build_model(*two_node_toy)
@@ -683,7 +683,7 @@ class TestHighsMatrix:
         nudge = Delta("obj", col=0, value=float(np.nextafter(lp.obj[0], np.inf)))
         rows = [[nudge]] + [[Delta("coef", row=int(reference.row[k]), col=int(reference.col[k]),
                                    value=float(reference.data[k]))] for k in picked]
-        order, parents = scenarios._tree(lp, rows)
+        order, parents = sweep._tree(lp, rows)
         assert order == [*range(1, len(rows)), 0] and parents == [None] * len(rows)
 
     @pytest.mark.parametrize("name", ["minimal", "explicit_zeros", "shuffled_entries", "vacuous_rows",

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sweep_table, two_node_sweep_system
-from voltaic import scenarios, solver
+from voltaic import solver, sweep as sweeps
 from voltaic.cli import main
 from voltaic.model import build_model
 from voltaic.scenarios import ScenarioSpec, expand_overrides, parse_iteration_table, run_scenarios
@@ -331,7 +331,7 @@ def test_rebuild_compiles_one_instance_per_country_set(monkeypatch):
     data, config = two_node_sweep_system(hours=24)
     config = replace(config, end_hour=24)
     specs = parse_iteration_table(random_sweep_table(3, seed=2))
-    compiled, planned, plan = [], [], scenarios._plan
+    compiled, planned, plan = [], [], sweeps._plan
 
     class Counted(solver.ModelInstance):
         def __init__(self, *args, **kwargs):
@@ -344,9 +344,9 @@ def test_rebuild_compiles_one_instance_per_country_set(monkeypatch):
         compiled.clear()
         return sweep
 
-    monkeypatch.setattr(scenarios, "ModelInstance", Counted)
-    monkeypatch.setattr(scenarios, "_plan", planning)
-    rows = scenarios._run_and_finish(data, config, None, specs, "rebuild", 0)
+    monkeypatch.setattr(sweeps, "ModelInstance", Counted)
+    monkeypatch.setattr(sweeps, "_plan", planning)
+    rows = sweeps._run_and_finish(data, config, None, specs, "rebuild", 0)
     assert len(planned) == 1 and planned[0]._warm is solver._UNOPENED
     assert len(compiled) == 1 and all(result.status == "optimal" for result, _ in rows)
     assert compiled[0].basis is None and compiled[0]._warm is solver._UNOPENED  # every row cold
@@ -434,7 +434,7 @@ def _patch_base(monkeypatch, wrap):
     sweep's base task and :meth:`ModelInstance.open` without statuses."""
     patched = wrap(solver.base_statuses)
     monkeypatch.setattr(solver, "base_statuses", patched)
-    monkeypatch.setattr(scenarios, "base_statuses", patched)
+    monkeypatch.setattr(sweeps, "base_statuses", patched)
 
 
 @pytest.fixture
@@ -445,7 +445,7 @@ def solves(monkeypatch, tmp_path):
     each row solved (``row``: run id, whether it ran warm, the fingerprint
     of its start, None for the base basis, and of the basis it left)."""
     log = _Log(tmp_path / "solves.jsonl")
-    open_, run = solver._WarmStart.open.__func__, scenarios._run_on_instance
+    open_, run = solver._WarmStart.open.__func__, sweeps._run_on_instance
 
     def solving(base_statuses):
         def logged(lp):
@@ -468,7 +468,7 @@ def solves(monkeypatch, tmp_path):
 
     _patch_base(monkeypatch, solving)
     monkeypatch.setattr(solver._WarmStart, "open", classmethod(opening))
-    monkeypatch.setattr(scenarios, "_run_on_instance", running)
+    monkeypatch.setattr(sweeps, "_run_on_instance", running)
     return log
 
 
@@ -499,7 +499,7 @@ def _assert_tree_starts(log, parents) -> dict:
 
 
 def _plan_of(data, config, specs):
-    sweep = scenarios._plan(specs, data, config)
+    sweep = sweeps._plan(specs, data, config)
     names = [s.run_id for s in specs]
     return ([names[i] for i in sweep.order],
             {names[i]: None if p is None else names[p] for i, p in enumerate(sweep.parents)})
@@ -528,7 +528,7 @@ class TestTreePlan:
         moved["C"] = moved["A"] + moved["B"]  # as far from A as from B
         names = [first, "AB".replace(first, ""), "C", "C2", "C3"]
         rows = [moved[name[0]] for name in names]
-        order, parents = scenarios._tree(lp, rows)
+        order, parents = sweeps._tree(lp, rows)
         # Rows 0 and 1 tie for the base and for C's parent; C2 and C3 tie
         # with C at distance zero.
         assert parents == [None, None, 0, 2, 2]
@@ -543,7 +543,7 @@ class TestTreePlan:
 
         # Q joins the tree first, then P; C is as far from P as from Q.
         rows = [halved(0, 1, 2), halved(0), halved(0, 2, 3)]  # P, Q, C
-        order, parents = scenarios._tree(lp, rows)
+        order, parents = sweeps._tree(lp, rows)
         assert parents == [1, None, 0]
         assert order == [1, 0, 2]
 
@@ -583,9 +583,9 @@ class TestTreeStarts:
         # as statuses, and may run in the other runner. Each runner holds
         # its own handle, opened from the base statuses it was sent.
         data, config, specs = sweep
-        plan = scenarios._plan(specs, data, config)
+        plan = sweeps._plan(specs, data, config)
         single = run_scenarios(data, config, None, specs, mode="single_instance")
-        ready, runners = scenarios._Ready(plan), (scenarios._Tasks(plan), scenarios._Tasks(plan))
+        ready, runners = sweeps._Ready(plan), (sweeps._Tasks(plan), sweeps._Tasks(plan))
         held, ran = [None, None], []
         while ready.heap or any(held):
             for k, run in enumerate(runners):
@@ -597,7 +597,7 @@ class TestTreeStarts:
         last = {}  # runner -> the row it ran last
         for k, task in ran:
             if task[0] == "row":
-                if task[2] == scenarios._LEFT:
+                if task[2] == sweeps._LEFT:
                     assert last[k] == plan.parents[task[1]]  # straight back to the runner that ran its parent
                 last[k] = task[1]
         shipped = [task for _, task in ran if task[0] == "row" and isinstance(task[2], tuple)]
@@ -612,7 +612,7 @@ class TestTreeStarts:
         data, config, specs = sweep
         received = tmp_path / "received"
         received.mkdir()
-        receive = scenarios._Ready.receive
+        receive = sweeps._Ready.receive
 
         def recording(self, message):
             if message[0] == "row":
@@ -629,8 +629,8 @@ class TestTreeStarts:
             finished.append(result.run_id)
             return os.getpid()
 
-        monkeypatch.setattr(scenarios._Ready, "receive", recording)
-        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)
+        monkeypatch.setattr(sweeps._Ready, "receive", recording)
+        rows = sweeps._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)
         assert all(result.status == "optimal" for result, _ in rows)
         assert os.getpid() not in {pid for _, pid in rows}
 
@@ -662,7 +662,7 @@ class TestTreeStarts:
         table += [f"F{i},{4000 + 150 * i},{3000 + 100 * (i % 3)},," for i in range(8)]
         specs = parse_iteration_table("\n".join([*table, "E,,,60,50", "C,4000,,60,"]) + "\n")
         lp = build_model(data, config)
-        _, tree = scenarios._tree(lp, [expand_overrides(spec, lp, data, config) for spec in specs])
+        _, tree = sweeps._tree(lp, [expand_overrides(spec, lp, data, config) for spec in specs])
         assert tree[-1] == len(specs) - 2  # E is C's tree parent
         # The plan finds that E cannot run, so C is planned from the base.
         order, planned = _plan_of(data, config, specs)
@@ -785,11 +785,11 @@ class TestPlannedOnce:
     def calls(self, monkeypatch, tmp_path):
         log = _Log(tmp_path / "calls.jsonl")
         for name in ("build_model", "expand_overrides"):
-            def counting(*args, _name=name, _original=getattr(scenarios, name), **kwargs):
+            def counting(*args, _name=name, _original=getattr(sweeps, name), **kwargs):
                 log("call", _name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(scenarios, name, counting)
+            monkeypatch.setattr(sweeps, name, counting)
         return log
 
     @pytest.mark.parametrize("mode, threads", [("rebuild", 0), ("single_instance", 0), ("parallel", 1),
@@ -826,11 +826,11 @@ class TestPlannedOnce:
         data, config, _ = far
         table = ["run,\"N.lo('gas','DE')\",\"N.up('gas','DE')\""] + [f"E{i},{60 + i},50" for i in range(8)]
         specs = parse_iteration_table("\n".join(table) + "\n")
-        sweep = scenarios._plan(specs, data, config)
+        sweep = sweeps._plan(specs, data, config)
         assert sweep.warm_keys == {None} and sweep.order == []
-        assert scenarios._Ready(sweep).heap == []
+        assert sweeps._Ready(sweep).heap == []
         forked = []
-        monkeypatch.setattr(scenarios._Ready, "serve_forked", lambda self, run, workers: forked.append(workers))
+        monkeypatch.setattr(sweeps._Ready, "serve_forked", lambda self, run, workers: forked.append(workers))
         results = run_scenarios(data, config, None, specs, mode=mode, threads=threads)
         assert [r.error for r in results] == [f"delta produces lo > hi on N(gas,DE): [{60 + i}.0, 50.0]"
                                               for i in range(8)]
@@ -867,7 +867,7 @@ class TestRowsFinishWhereSolved:
         stores = tmp_path / "stores"
         finish = partial(pipeline._finish_row, reporting=[("G", "level")], config_echo=None,
                          results_dir=stores, formats=("csv",))
-        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", threads, finish=finish)
+        rows = sweeps._run_and_finish(data, config, None, specs, "parallel", threads, finish=finish)
 
         written = writes.read("write")
         assert sorted(run_id for _, run_id in written) == sorted(spec.run_id for spec in specs)
@@ -899,14 +899,14 @@ class TestRowsFinishWhereSolved:
             finished("finish", result.run_id)
             return result.run_id
 
-        rows = scenarios._run_and_finish(data, config, None, specs, mode, threads, finish=finish)
+        rows = sweeps._run_and_finish(data, config, None, specs, mode, threads, finish=finish)
         assert sorted(run_id for _, run_id in finished.read("finish")) == sorted(spec.run_id for spec in specs)
         assert [done for _, done in rows] == [spec.run_id for spec in specs]
 
     def test_workers_ship_no_programs(self, far, monkeypatch):
         data, config, _ = far
         specs = _table_with_failures()
-        shipped, replied, receive = [], [], scenarios._Ready.receive
+        shipped, replied, receive = [], [], sweeps._Ready.receive
 
         def recording(self, message):
             if message[0] == "row":
@@ -915,8 +915,8 @@ class TestRowsFinishWhereSolved:
                 replied.append(self.sweep.specs[message[1]].run_id)
             return receive(self, message)
 
-        monkeypatch.setattr(scenarios._Ready, "receive", recording)
-        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 3)
+        monkeypatch.setattr(sweeps._Ready, "receive", recording)
+        rows = sweeps._run_and_finish(data, config, None, specs, "parallel", 3)
         # E and X never reach a worker: the plan finds they cannot run.
         assert sorted(replied) == sorted(spec.run_id for spec in specs if spec.run_id not in ("E", "X"))
         assert shipped == [None] * len(replied)
@@ -928,8 +928,8 @@ class TestRowsFinishWhereSolved:
         # read, bitwise the program the single instance solved.
         data, config, _ = far
         specs = _table_with_failures()
-        held = scenarios._run_and_finish(data, config, None, specs, "single_instance", 0,
-                                         finish=lambda result: result.lp)
+        held = sweeps._run_and_finish(data, config, None, specs, "single_instance", 0,
+                                      finish=lambda result: result.lp)
         assert sum(lp is not None for _, lp in held) == len(specs) - 2
         for mode, threads in (("rebuild", 0), ("single_instance", 0), ("parallel", 1), ("parallel", 2),
                               ("parallel", 3)):
@@ -955,7 +955,7 @@ class TestRowsFinishWhereSolved:
         root = create_project("demo", "example2", tmp_path)
         calls = Counter()
         for owner, name in ((solver.ModelInstance, "snapshot"), (SymbolsHandler, "lookup"),
-                            (scenarios, "_program")):
+                            (sweeps, "_program")):
             def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -978,7 +978,7 @@ class TestRowsFinishWhereSolved:
         assert sorted(part.run_id for part in parts) == sorted(r.run_id for r in summary.results)
 
         project = load_project(root)
-        reference = scenarios._run_and_finish(
+        reference = sweeps._run_and_finish(
             project.data, project.config, project.features, project.specs, "single_instance", 0,
             finish=lambda result: result.lp,
         )
@@ -1004,7 +1004,7 @@ class TestCrashedWorker:
         stores = tmp_path / "stores"
         finish = partial(pipeline._finish_row, reporting=[("G", "level")], config_echo=None,
                          results_dir=stores, formats=("csv",))
-        scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)  # an earlier sweep
+        sweeps._run_and_finish(data, config, None, specs, "parallel", 2, finish=finish)  # an earlier sweep
         assert read_store(stores / "F5").meta.get("error") is None
         solves.path.unlink()
 
@@ -1013,7 +1013,7 @@ class TestCrashedWorker:
                 os._exit(1)
             return finish(result)
 
-        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=crashing)
+        rows = sweeps._run_and_finish(data, config, None, specs, "parallel", 2, finish=crashing)
         results = {result.run_id: result for result, _ in rows}
         assert results["F5"].status == "error"
         assert "worker process running this row died (exit code 1)" in results["F5"].error
@@ -1036,7 +1036,7 @@ class TestCrashedWorker:
 
     def test_a_lost_row_changes_only_the_starts_below_it(self, sweep, solves):
         data, config, specs = sweep
-        plan = scenarios._plan(specs, data, config)
+        plan = sweeps._plan(specs, data, config)
         names = [spec.run_id for spec in specs]
         # The first child of a row with two: its sibling waits in the queue
         # when it dies, and it has children of its own.
@@ -1049,7 +1049,7 @@ class TestCrashedWorker:
                 os._exit(1)
             return result.run_id
 
-        rows = scenarios._run_and_finish(data, config, None, specs, "parallel", 2, finish=crashing)
+        rows = sweeps._run_and_finish(data, config, None, specs, "parallel", 2, finish=crashing)
         assert [result.status == "error" for result, _ in rows] == [idx == lost for idx in range(len(specs))]
         assert [done for _, done in rows] == names  # the lost row finished in the parent
         solved = _solved(solves)
@@ -1097,9 +1097,10 @@ class TestRowExceptions:
                 raise OSError(28, "No space left on device")
             return result.run_id
 
-        rows = scenarios._run_and_finish(data, config, None, specs, mode, threads, finish=failing)
+        rows = sweeps._run_and_finish(data, config, None, specs, mode, threads, finish=failing)
         results = {result.run_id: result for result, _ in rows}
         assert results["F5"].error == "OSError: [Errno 28] No space left on device"
+        assert results["F5"].wall_time > 0  # it was solved before its finish raised
         assert all(r.status == "optimal" for run_id, r in results.items() if run_id != "F5")
         assert [done for _, done in rows] == [spec.run_id for spec in specs]  # F5's error finished once
         solved = _solved(solves)
@@ -1146,7 +1147,7 @@ class TestRowExceptions:
         rows += [f"L{k},{20029 * k // 100},{15021 * k // 100}" for k in (100, 95, 90, 85, 80, 75, 25, 24)]
         (root / "iterationfiles" / "iteration_table.csv").write_text("\n".join(rows) + "\n")
         project = load_project(root)
-        plan = scenarios._plan(project.specs, project.data, project.config, project.features)
+        plan = sweeps._plan(project.specs, project.data, project.config, project.features)
         assert project.specs[0].run_id == "L100" and plan.children[0] == [] and plan.warm_keys
         clean, faulty = (shutil.copytree(root, tmp_path / name) for name in ("clean", "faulty"))
         assert main(["run", str(clean), "--mode", mode, "--threads", threads]) == 0
@@ -1161,14 +1162,14 @@ class TestRowExceptions:
 
             monkeypatch.setattr(pipeline, "_finish_row", faulting)
         else:
-            run_on_instance = scenarios._run_on_instance
+            run_on_instance = sweeps._run_on_instance
 
             def faulting(inst, spec, *args, **kwargs):
                 if spec.run_id == "L100":
                     raise RuntimeError("injected")
                 return run_on_instance(inst, spec, *args, **kwargs)
 
-            monkeypatch.setattr(scenarios, "_run_on_instance", faulting)
+            monkeypatch.setattr(sweeps, "_run_on_instance", faulting)
         capsys.readouterr()
         assert main(["run", str(faulty), "--mode", mode, "--threads", threads]) == 2
         assert "error: L100: RuntimeError: injected" in capsys.readouterr().err
@@ -1216,11 +1217,11 @@ class TestStatusesMade:
             return statuses
 
         monkeypatch.setattr(solver, "basis_statuses", making)
-        monkeypatch.setattr(scenarios, "basis_statuses", making)
+        monkeypatch.setattr(sweeps, "basis_statuses", making)
         return log
 
     def _check(self, made, solves, data, config, features, specs, branching):
-        plan = scenarios._plan(specs, data, config, features)
+        plan = sweeps._plan(specs, data, config, features)
         rows = _solved(solves)
         forks = [specs[idx].run_id for idx, children in enumerate(plan.children) if len(children) > 1]
         assert len(forks) == branching and all(rows[run_id][3] is not None for run_id in forks)
@@ -1263,16 +1264,16 @@ class TestBuildsStayUnwritten:
         table[0] += ",\"phi('solar','DE')\",\"N.up('gas','DE')\""
         table[1:] = [row + (",cf_wind" if i % 2 else ",") + f",{1_500 + 50 * i}" for i, row in enumerate(table[1:])]
         specs = parse_iteration_table("\n".join(table) + "\n")
-        planned, plan = [], scenarios._plan
+        planned, plan = [], sweeps._plan
 
         def planning(*args, **kwargs):
             sweep = plan(*args, **kwargs)
             planned.append((sweep, _digests(sweep.builds)))
             return sweep
 
-        monkeypatch.setattr(scenarios, "_plan", planning)
-        rows = scenarios._run_and_finish(data, config, None, specs, mode, threads,
-                                         finish=lambda result: _digests(planned[0][0].builds))
+        monkeypatch.setattr(sweeps, "_plan", planning)
+        rows = sweeps._run_and_finish(data, config, None, specs, mode, threads,
+                                      finish=lambda result: _digests(planned[0][0].builds))
         [(sweep, before)] = planned
         kinds = {d.kind for deltas in sweep.deltas for d in deltas}
         assert kinds == {"obj", "rhs", "up", "coef"}
@@ -1318,7 +1319,7 @@ def test_tree_warm_cold_and_dense_agree(instances, case):
     """Every row of a planned table, each warm from its parent's basis."""
     name, rows = case
     inst = instances[name]
-    order, parents = scenarios._tree(inst._base, rows)
+    order, parents = sweeps._tree(inst._base, rows)
     bases = {}
     for j in order:
         inst.reset()
@@ -1340,12 +1341,12 @@ def test_tree_warm_cold_and_dense_agree(instances, case):
 
 
 def _scipy_tree(lp, rows):
-    """``scenarios._tree`` as it was written on ``scipy.sparse``: the reference."""
+    """``sweep._tree`` as it was written on ``scipy.sparse``: the reference."""
     import scipy.sparse as sp
 
     from voltaic.solver import matrix
 
-    fields, far = scenarios._FIELDS, scenarios._FAR
+    fields, far = sweeps._FIELDS, sweeps._FAR
     changes = [
         {(fields[d.kind], -1 if d.row is None else d.row, -1 if d.col is None else d.col): d.value
          for d in deltas}
@@ -1395,7 +1396,7 @@ def _scipy_tree(lp, rows):
 def _planning_delta(draw, lp):
     """A delta at any kind of position, often at the base value, at a value
     shared with other deltas, or at an infinity (a ``_FAR`` move)."""
-    kind = draw(st.sampled_from(sorted(scenarios._FIELDS)))
+    kind = draw(st.sampled_from(sorted(sweeps._FIELDS)))
     row = col = None
     if kind == "coef":
         entry = draw(st.integers(0, len(lp.a_vals) - 1))
@@ -1429,4 +1430,4 @@ def test_tree_equals_the_scipy_reference(instances, data):
     name = data.draw(st.sampled_from(sorted(instances)))
     lp = instances[name]._base
     rows = data.draw(planning_tables(lp))
-    assert scenarios._tree(lp, rows) == _scipy_tree(lp, rows)
+    assert sweeps._tree(lp, rows) == _scipy_tree(lp, rows)
