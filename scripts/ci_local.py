@@ -9,8 +9,9 @@ it puts the repository's ``src`` on ``PYTHONPATH`` for every process it
 starts. The checks are tier-1, the benchmark's own tests, and the warm
 sweep determinism projects: stores and reports that must not depend on
 the mode or the worker count, rebuild objectives that must match the warm
-ones, a row that falls back cold, and rows that cannot run. Each prints
-``ok`` or ``FAIL`` with its time, and the script exits 1 if any failed.
+ones for cost, rhs, coefficient and bound deltas, a row that falls back
+cold, and rows that cannot run. Each prints ``ok`` or ``FAIL`` with its
+time, and the script exits 1 if any failed.
 
 The workflow's ``tests-oldest-highs-object`` job (tier-1 on
 ``scipy==1.15.*``, the oldest bundled HiGHS object) needs a download to
@@ -146,6 +147,45 @@ def warm_phi(tmp: Path) -> None:
     python(REBUILD_MATCHES_WARM, root, tmp / "warm_phi_rebuild_a")
 
 
+EVERY_ROW_WARM = """
+import sys
+from voltaic import pipeline, solver, sweep
+bases, base_statuses = [], sweep.base_statuses
+sweep.base_statuses = lambda lp: bases.append(lp) or base_statuses(lp)
+cold, cold_highs = [], solver._cold_highs
+solver._cold_highs = lambda lp: cold.append(lp) or cold_highs(lp)
+summary = pipeline.run_project(sys.argv[1], mode="single_instance")
+assert summary.all_optimal and len(summary.results) == 9
+fell = [lp for lp in cold if all(lp is not base for base in bases)]
+assert len(bases) == 1 and not fell, f"{len(fell)} rows solved cold"
+iterations = [r.solution.stats.simplex_iterations for r in summary.results]
+print(f"every row solved warm, in {min(iterations)}-{max(iterations)} simplex iterations")
+"""
+
+
+def warm_bounds(tmp: Path) -> None:
+    """Bound deltas: example1 at 24 h with nine rows that raise FR's ccgt
+    capacity floor (``N.lo``), cap IT's (``N.up``) and fix ES's solar
+    capacity (``N.fx``), alone and together, so they re-solve warm. Every
+    row must solve warm in single_instance; parallel runs at 2 and 3
+    workers must write the same stores and report, and each rebuild
+    objective must match the warm one to 1e-6 relative."""
+    root = tmp / "warm_bounds"
+    voltaic("create_project", "-n", "warm_bounds", "-t", "example1", "--path", tmp)
+    edit(root / "settings" / "project_variables.csv", r"^end_hour,h48", "end_hour,h24")
+    table(root, "run,\"N.lo('ccgt','FR')\",\"N.up('ccgt','IT')\",\"N.fx('solar','ES')\"", "B0,,,",
+          "B1,40,,", "B2,45,,", "B3,,45,", "B4,,40,", "B5,,,120", "B6,,,160", "B7,40,45,130", "B8,45,30,")
+    for copy in ("parallel", "rebuild"):
+        shutil.copytree(root, tmp / f"warm_bounds_{copy}")
+    python(EVERY_ROW_WARM, root)
+    for threads in (2, 3):
+        voltaic("run", tmp / "warm_bounds_parallel", "--mode", "parallel", "--threads", threads)
+        diff(root / "results", tmp / "warm_bounds_parallel" / "results")
+        diff(root / "report", tmp / "warm_bounds_parallel" / "report")
+    voltaic("run", tmp / "warm_bounds_rebuild", "--mode", "rebuild")
+    python(REBUILD_MATCHES_WARM, root, tmp / "warm_bounds_rebuild")
+
+
 ONE_ROW_FALLS_BACK = """
 import sys
 from voltaic import pipeline, solver, sweep
@@ -240,8 +280,8 @@ def failing_rows(tmp: Path) -> None:
     python(ONLY_FAILING_ROWS_FAIL, single / "results")
 
 
-CHECKS = {check.__name__: check for check in (tier1, benchmark_tests, warm_sweep, warm_phi, warm_fallback,
-                                               failing_rows)}
+CHECKS = {check.__name__: check for check in (tier1, benchmark_tests, warm_sweep, warm_phi, warm_bounds,
+                                               warm_fallback, failing_rows)}
 
 
 def main(names: list[str]) -> int:

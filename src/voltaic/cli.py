@@ -30,13 +30,10 @@ EXIT_IO = 3
 
 
 def _default_threads() -> int | None:
-    raw = os.environ.get("VOLTAIC_THREADS")
-    if raw is None:
-        return None
+    """VOLTAIC_THREADS as an int; None if it is unset or not an integer (``run`` warns of that)."""
     try:
-        return int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer VOLTAIC_THREADS={raw!r}", file=sys.stderr)
+        return int(os.environ["VOLTAIC_THREADS"])
+    except (KeyError, ValueError):
         return None
 
 
@@ -91,6 +88,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.verb == "run":
+            if args.threads is None and "VOLTAIC_THREADS" in os.environ:
+                print(f"warning: ignoring non-integer VOLTAIC_THREADS={os.environ['VOLTAIC_THREADS']!r}",
+                      file=sys.stderr)
             summary = run_project(args.root, mode=args.mode, threads=args.threads)
             for result in summary.results:
                 objective = "-" if result.objective is None else f"{result.objective:.6f}"

@@ -68,16 +68,30 @@ class LpLike(Protocol):
 
 @dataclass(frozen=True)
 class Delta:
-    """One pending update against a compiled instance.
-
-    ``kind`` is one of ``obj`` / ``lo`` / ``up`` (column targets), ``rhs``
-    (row target) or ``coef`` (matrix cell target, needs row and col).
-    """
+    """One pending update: ``value`` for the entry that ``col``, ``row`` or
+    both name in the vector of its ``kind`` (see :data:`DELTA_KINDS`)."""
 
     kind: str
     col: int | None = None
     row: int | None = None
     value: float = 0.0
+
+
+# What each delta kind writes: its program vector and the target (column,
+# row or matrix cell) that names the entry. The sweep planner numbers its
+# coordinates in this order.
+DELTA_KINDS = {"obj": ("obj", "column"), "lo": ("lo", "column"), "up": ("hi", "column"), "rhs": ("rhs", "row"),
+               "coef": ("a_vals", "coefficient")}
+
+
+def _locate(lp: LpLike, target: str, rows, cols) -> np.ndarray:
+    """The entries a :data:`DELTA_KINDS` ``target`` at program ``rows`` and
+    ``cols`` names in its vector, -1 where there is no such one."""
+    if target == "coefficient":
+        return _cell_index(lp).find(lp, rows, cols)
+    at, size = (cols, lp.n_cols) if target == "column" else (rows, lp.n_rows)
+    at = np.asarray(at)
+    return np.where((0 <= at) & (at < size), at, -1)
 
 
 @dataclass
@@ -465,8 +479,9 @@ class _WarmStart:
         warm = cls(core, highs, base, model, statuses)
         highs.setOptionValue("solver", "simplex")
         # Primal simplex: a cost-only change leaves the base basis primal
-        # feasible; over a 32-row, 24 h cost sweep it needed 2.9 s against
-        # 7.0 s for dual simplex.
+        # feasible. The 24 h benchmark sweep's rows (seed 1, from their tree
+        # starts) take 0.60-0.74 s in all, dual simplex 1.8-2.1 s (2-vCPU
+        # Xeon VM, 4e6707a).
         highs.setOptionValue("simplex_strategy", 4)
         # A guard, not a tuning. Started from their tree parents' bases, the
         # rows of the 32-row, 24 h benchmark sweep (5,484 rows) need at most
@@ -573,46 +588,33 @@ class ModelInstance:
             setattr(self.lp, name, getattr(self._base, name))
 
     def apply(self, deltas: Iterable[Delta]) -> None:
-        """Apply updates to the overlay, validating every target first."""
-        deltas = list(deltas)
-        lp = self.lp
-        coefs = [(-1 if d.row is None else d.row, -1 if d.col is None else d.col) for d in deltas if d.kind == "coef"]
-        coef_entries = _cell_index(lp).find(lp, *np.reshape(coefs, (-1, 2)).T).tolist() if coefs else []
-        found = iter(coef_entries)
+        """Apply updates to the overlay. Every delta's kind and target are
+        checked first, in order, then the bounds they leave; a rejected call
+        changes nothing."""
+        deltas, lp = list(deltas), self.lp
+        entries = {}
+        for kind, (_, target) in DELTA_KINDS.items():
+            if targets := [(-1 if d.row is None else d.row, -1 if d.col is None else d.col)
+                           for d in deltas if d.kind == kind]:
+                entries[kind] = iter(_locate(lp, target, *np.transpose(targets)).tolist())
+        writes, bounds = [], {}
         for d in deltas:
-            if d.kind in ("obj", "lo", "up"):
-                if d.col is None or not 0 <= d.col < lp.n_cols:
-                    raise KeyError(f"delta targets unknown column {d.col}")
-            elif d.kind == "rhs":
-                if d.row is None or not 0 <= d.row < lp.n_rows:
-                    raise KeyError(f"delta targets unknown row {d.row}")
-            elif d.kind == "coef":
-                if next(found) < 0:
-                    raise KeyError(f"delta targets unknown coefficient ({d.row}, {d.col})")
-            else:
+            if d.kind not in DELTA_KINDS:
                 raise ValueError(f"unknown delta kind {d.kind!r}")
-
-        coef_entries = iter(coef_entries)
-        touched_cols: set[int] = set()
-        for d in deltas:
-            if d.kind == "obj":
-                self._vector("obj")[d.col] = d.value
-            elif d.kind == "lo":
-                self._vector("lo")[d.col] = d.value
-                touched_cols.add(d.col)
-            elif d.kind == "up":
-                self._vector("hi")[d.col] = d.value
-                touched_cols.add(d.col)
-            elif d.kind == "rhs":
-                self._vector("rhs")[d.row] = d.value
-            elif d.kind == "coef":
-                self._vector("a_vals")[next(coef_entries)] = d.value
-        for col in touched_cols:
-            if lp.lo[col] > lp.hi[col]:
-                raise ValueError(
-                    f"delta produces lo > hi on {lp.col_label(col)}: "
-                    f"[{lp.lo[col]}, {lp.hi[col]}]"
-                )
+            name, target = DELTA_KINDS[d.kind]
+            at = next(entries[d.kind])
+            if at < 0:
+                where = d.col if target == "column" else d.row if target == "row" else f"({d.row}, {d.col})"
+                raise KeyError(f"delta targets unknown {target} {where}")
+            if name in ("lo", "hi"):
+                bounds.setdefault(at, [lp.lo[at], lp.hi[at]])[name == "hi"] = np.float64(d.value)
+            writes.append((name, at, d.value))
+        for col in set(bounds):  # set order decides which crossing is reported
+            lo, hi = bounds[col]
+            if lo > hi:
+                raise ValueError(f"delta produces lo > hi on {lp.col_label(col)}: [{lo}, {hi}]")
+        for name, at, value in writes:
+            self._vector(name)[at] = value
 
     def snapshot(self):
         """The current program, safe from later updates: a copy of each

@@ -21,16 +21,17 @@ import numpy as np
 from .engine import Queue
 from .model import LinearProgram, apply_dispatch_only, build_model
 from .scenarios import ScenarioSpec, _echo, expand_overrides
-from .solver import Delta, ModelInstance, Solution, _cell_index, base_statuses, basis_statuses, certified, solve
+from .solver import (DELTA_KINDS, Delta, ModelInstance, Solution, _locate, base_statuses, basis_statuses, certified,
+                     solve)
 from .system import FeatureMatrix, ModelConfig, SystemData, ValidationError
 
 MODES = ("rebuild", "single_instance", "parallel")
 # Rows a country set needs before its instance re-solves warm. The sweep
 # pays one base solve per warm set, whatever the worker count, and one row
 # far from the base costs more warm than cold: example1's three rows at
-# 48 h take 6.8 s of uncapped warm solves against 4.1 s cold, while on the
-# 32-row, 24 h benchmark sweep a warm row saves 0.7-0.8 of its cold solve.
-# Smaller sets solve exactly as ``rebuild`` does.
+# 48 h take 6.8 s of uncapped warm solves against 4.1 s cold. A row of the
+# 24 h benchmark sweep takes 2.2-154 ms warm, 0.22-0.43 s cold (seed 1,
+# 2-vCPU Xeon VM, 4e6707a). Smaller sets solve exactly as ``rebuild`` does.
 _WARM_MIN_ROWS = 8
 
 
@@ -135,8 +136,6 @@ class _Sweep:
         return [sorted(rows, key=self.rank.__getitem__) for rows in children]
 
 
-# Planning coordinate of each delta kind.
-_FIELDS = {"obj": 0, "lo": 1, "up": 2, "rhs": 3, "coef": 4}
 # A value moved to or from infinity has no finite relative change. It counts
 # as this far along its coordinate, so such rows join each other and stay
 # away from every finite row.
@@ -155,21 +154,19 @@ def _tree(lp: LinearProgram, rows: list[list[Delta]]) -> tuple[list[int], list[i
     for parent. Returns the rows in depth-first order, each node's children
     by distance and then index, and each row's parent (None for the base).
     """
+    coordinate = {kind: k for k, kind in enumerate(DELTA_KINDS)}
     changes = [
-        {(_FIELDS[d.kind], -1 if d.row is None else d.row, -1 if d.col is None else d.col): d.value
+        {(coordinate[d.kind], -1 if d.row is None else d.row, -1 if d.col is None else d.col): d.value
          for d in deltas}
         for deltas in rows
     ]
     positions = sorted(set().union(*changes))
-    field_, row, col = np.array(positions, dtype=np.int64).reshape(-1, 3).T
+    kind, row, col = np.array(positions, dtype=np.int64).reshape(-1, 3).T
     base = np.zeros(len(positions))
-    for k, values in enumerate((lp.obj, lp.lo, lp.hi)):
-        base[field_ == k] = values[col[field_ == k]]
-    base[field_ == 3] = lp.rhs[row[field_ == 3]]
-    cells = np.flatnonzero(field_ == 4)
-    if cells.size:  # a cell's value is its one entry's; 0 off the pattern
-        at = _cell_index(lp).find(lp, row[cells], col[cells])
-        base[cells[at >= 0]] = lp.a_vals[at[at >= 0]]
+    for k, (name, target) in enumerate(DELTA_KINDS.values()):
+        if (on := np.flatnonzero(kind == k)).size:
+            at = _locate(lp, target, row[on], col[on])
+            base[on[at >= 0]] = getattr(lp, name)[at[at >= 0]]
 
     column = {p: k for k, p in enumerate(positions)}
     n = len(rows)

@@ -332,6 +332,15 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "2 nodes" in out and "4 runs" in out
 
+    def test_ignores_voltaic_threads(self, tmp_path, capsys, monkeypatch):
+        """Only ``run`` uses VOLTAIC_THREADS, so only it warns about a bad one."""
+        root = create_project("demo", "minimal", tmp_path)
+        monkeypatch.setenv("VOLTAIC_THREADS", "many")
+        assert run_cli("validate", str(root)) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli("run", str(root)) == 0
+        assert capsys.readouterr().err == "warning: ignoring non-integer VOLTAIC_THREADS='many'\n"
+
     def test_non_numeric_slack_penalty(self, tmp_path, capsys):
         root = create_project("demo", "minimal", tmp_path)
         settings = root / "settings" / "project_variables.csv"

@@ -207,6 +207,67 @@ def test_bound_crossing_rejected(merit_toy):
         inst.apply([Delta("lo", col=col, value=20.0)])
 
 
+class TestApplyRejects:
+    """What ``apply`` rejects, with its message word for word: an unknown
+    target, an unknown kind, or bounds that cross. The first bad target in
+    list order wins, targets are checked before bounds, and a rejected call
+    changes nothing."""
+
+    @pytest.fixture
+    def inst(self, merit_toy):
+        return compile_instance(build_model(*merit_toy))
+
+    @staticmethod
+    def rejects(inst, deltas, error, message):
+        with pytest.raises(error) as raised:
+            inst.apply(deltas)
+        assert raised.value.args == (message,)
+        assert inst._written() == {}
+
+    @pytest.mark.parametrize("kind", ["obj", "lo", "up"])
+    def test_an_unknown_column(self, inst, kind):
+        for col in (inst.lp.n_cols, -1, None):
+            self.rejects(inst, [Delta(kind, col=col, row=0)], KeyError, f"delta targets unknown column {col}")
+
+    def test_an_unknown_row(self, inst):
+        for row in (inst.lp.n_rows, -1, None):
+            self.rejects(inst, [Delta("rhs", row=row, col=0)], KeyError, f"delta targets unknown row {row}")
+
+    def test_an_unknown_coefficient(self, inst):
+        lp = inst.lp
+        on_pattern = {(int(r), int(c)) for r, c in zip(lp.a_rows, lp.a_cols)}
+        off = next((r, c) for r in range(lp.n_rows) for c in range(lp.n_cols) if (r, c) not in on_pattern)
+        for row, col in (off, (lp.n_rows, 0), (None, 0), (0, None)):
+            self.rejects(inst, [Delta("coef", row=row, col=col, value=1.0)], KeyError,
+                         f"delta targets unknown coefficient ({row}, {col})")
+
+    def test_an_unknown_kind(self, inst):
+        self.rejects(inst, [Delta("x", col=0)], ValueError, "unknown delta kind 'x'")
+
+    def test_the_first_bad_delta_wins(self, inst):
+        lp = inst.lp
+        col = lp.col_index("N", ("base", "N1"))
+        bad_row, bad_col = Delta("rhs", row=lp.n_rows), Delta("obj", col=lp.n_cols)
+        good = Delta("obj", col=col, value=5.0)
+        self.rejects(inst, [good, bad_row, Delta("x"), bad_col], KeyError, f"delta targets unknown row {lp.n_rows}")
+        self.rejects(inst, [good, Delta("x"), bad_row], ValueError, "unknown delta kind 'x'")
+        # A crossing is found only once every target is known.
+        self.rejects(inst, [Delta("lo", col=col, value=20.0), bad_col], KeyError,
+                     f"delta targets unknown column {lp.n_cols}")
+
+    def test_bounds_that_cross_write_nothing(self, tmp_path):
+        project = load_project(create_project("demo", "minimal", tmp_path))
+        lp = build_model(project.data, project.config, project.features)
+        inst = compile_instance(lp)
+        col = lp.col_index("N", ("gas", "DE"))
+        base = inst.resolve().objective
+        self.rejects(inst, [Delta("obj", col=col, value=123.0), Delta("lo", col=col, value=510.0),
+                            Delta("up", col=col, value=5.0)],
+                     ValueError, "delta produces lo > hi on N(gas,DE): [510.0, 5.0]")
+        again = inst.resolve()
+        assert again.is_optimal and again.objective == base
+
+
 def test_reset_restores_base(merit_toy):
     data, config = merit_toy
     lp = build_model(data, config)

@@ -19,7 +19,7 @@ from voltaic import solver, sweep as sweeps
 from voltaic.cli import main
 from voltaic.model import build_model
 from voltaic.scenarios import ScenarioSpec, expand_overrides, parse_iteration_table, run_scenarios
-from voltaic.solver import Delta, certify, compile as compile_instance, solve
+from voltaic.solver import DELTA_KINDS, Delta, certify, compile as compile_instance, solve
 from voltaic.store import read_store
 from voltaic.system import ModelConfig, Node, SystemData, Technology, TimeSeries
 from voltaic.templates import create_project
@@ -1346,7 +1346,7 @@ def _scipy_tree(lp, rows):
 
     from voltaic.solver import matrix
 
-    fields, far = sweeps._FIELDS, sweeps._FAR
+    fields, far = {"obj": 0, "lo": 1, "up": 2, "rhs": 3, "coef": 4}, sweeps._FAR
     changes = [
         {(fields[d.kind], -1 if d.row is None else d.row, -1 if d.col is None else d.col): d.value
          for d in deltas}
@@ -1396,7 +1396,7 @@ def _scipy_tree(lp, rows):
 def _planning_delta(draw, lp):
     """A delta at any kind of position, often at the base value, at a value
     shared with other deltas, or at an infinity (a ``_FAR`` move)."""
-    kind = draw(st.sampled_from(sorted(sweeps._FIELDS)))
+    kind = draw(st.sampled_from(sorted(DELTA_KINDS)))
     row = col = None
     if kind == "coef":
         entry = draw(st.integers(0, len(lp.a_vals) - 1))
