@@ -93,8 +93,10 @@ def warm_sweep(tmp: Path) -> None:
     from its tree parent's basis, in whichever worker the ready queue gives
     them to: the stores and report must not depend on the mode or on the
     worker count, and ``report`` must rewrite the report ``run`` made in
-    memory byte for byte. Seed 2 has 5 base roots against seed 1's 2, so
-    rows reach both workers at once and sibling starts cross processes."""
+    memory byte for byte, both from the stores as written (``report``
+    prefers each ``store.npz``) and from a copy of them whose stores are
+    CSV only. Seed 2 has 5 base roots against seed 1's 2, so rows reach
+    both workers at once and sibling starts cross processes."""
     for seed in (1, 2):
         single, parallel = tmp / f"warm_single_{seed}", tmp / f"warm_parallel_{seed}"
         gen(seed, single)
@@ -103,6 +105,12 @@ def warm_sweep(tmp: Path) -> None:
         shutil.copytree(single / "report", tmp / f"warm_run_report_{seed}")
         voltaic("report", single)
         diff(tmp / f"warm_run_report_{seed}", single / "report")
+        csv_only = tmp / f"warm_csv_{seed}"
+        shutil.copytree(single / "results", csv_only / "results", ignore=shutil.ignore_patterns("store.npz"))
+        if not any((single / "results").rglob("store.npz")):
+            raise Failed(f"{single / 'results'}: no store.npz, so the CSV copy reads the same files")
+        voltaic("report", csv_only)
+        diff(tmp / f"warm_run_report_{seed}", csv_only / "report")
         for threads in (1, 2, 3, 5):
             voltaic("run", parallel, "--mode", "parallel", "--threads", threads)
             diff(single / "results", parallel / "results")

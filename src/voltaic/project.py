@@ -367,7 +367,9 @@ def _load_static(layout: ProjectLayout, issues: list[str]) -> SystemData:
                 values = table.parse_row(row, f"{table.file}:{i}", issues)
                 if table.record is Technology:
                     values["availability"] = availability.get(values["id"])
-                records.append(table.record(**values))
+                records.append(record := table.record(**values))
+                if "," in record.id:  # the stores and the report write ids as CSV cells
+                    issues.append(f"{table.file}:{i}: id {record.id!r} holds a comma")
         elif table.required:
             issues.append(f"{path}: missing file")
         tables[table.attr] = tuple(records)

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .symbols import DimensionMismatch, Symbol, SymbolsHandler, _absent, aggregate, join_runs
+from .symbols import DimensionMismatch, Symbol, SymbolsHandler, _absent, _align, aggregate, join_runs
 from .system import hour_index
 
 log = logging.getLogger(__name__)
@@ -141,6 +141,15 @@ def rldc(
     return [*_KEYS, *companions], list(map(list, rows))
 
 
+def _at(keys: Symbol, symbol: Symbol | None) -> list[float]:
+    """``symbol``'s value at the labels of each record of ``keys``, dims
+    matched by position; 0.0 where it has none, or is None."""
+    if symbol is None:
+        return [0.0] * len(keys)
+    partner = _align(keys.layout, list(range(len(keys.dims))), symbol.layout)[-1]
+    return np.append(symbol.values, 0.0)[partner].tolist()
+
+
 def _format(rows) -> Iterator[str]:
     """One CSV line per row: floats to six significant digits (``%.6g``
     reads as ``format(value, ".6g")``), anything else as ``str``. Each row
@@ -156,10 +165,6 @@ def _format(rows) -> Iterator[str]:
 
 def _write_lines(path: Path, headers: list[str], lines: Iterable[str]) -> None:
     path.write_text("\n".join([",".join(headers), *lines]) + "\n")
-
-
-def _write_table(path: Path, headers: list[str], rows) -> None:
-    _write_lines(path, headers, _format(rows))
 
 
 @dataclass
@@ -205,11 +210,13 @@ def partial_report(store) -> PartialReport:
         symbol = store.symbols.get(name)
         return None if symbol is None or symbol.dims != _SYMBOLS[name] else symbol
 
-    def annual(name: str) -> Mapping:
+    def annual(name: str) -> Symbol | None:
         symbol = grab(name)
-        return aggregate(symbol, "h", "sum").records if symbol is not None else {}
+        return aggregate(symbol, "h", "sum") if symbol is not None else None
 
-    def keyed(rows: list[list]) -> list[tuple[str, str, str]]:
+    def keyed(keys: Symbol, *joined: Symbol | None) -> list[tuple[str, str, str]]:
+        """Per record of ``keys``: its labels, the run, its value, then each ``joined`` one's value there."""
+        rows = list(zip(*keys.layout.columns(), repeat(run), keys.values.tolist(), *(_at(keys, sym) for sym in joined)))
         return [(row[0], row[1], line) for row, line in zip(rows, _format(rows))]
 
     summary = [
@@ -223,21 +230,13 @@ def partial_report(store) -> PartialReport:
     )
     capacity = grab("N")
     if capacity is not None:
-        part.capacity = keyed([[key[0], key[1], run, value] for key, value in capacity.records.items()])
-    if grab("G") is not None:
-        curtailed = annual("CU")
-        part.generation = keyed(
-            [[key[0], key[1], run, value, curtailed.get(key, 0.0)] for key, value in annual("G").items()]
-        )
+        part.capacity = keyed(capacity)
+    generation = annual("G")
+    if generation is not None:
+        part.generation = keyed(generation, annual("CU"))
     energy = grab("N_STO_E")
     if energy is not None:
-        power = grab("N_STO_P")
-        power = power.records if power is not None else {}
-        charge, discharge = annual("STO_IN"), annual("STO_OUT")
-        part.storage = keyed([
-            [key[0], key[1], run, value, power.get(key, 0.0), charge.get(key, 0.0), discharge.get(key, 0.0)]
-            for key, value in energy.records.items()
-        ])
+        part.storage = keyed(energy, grab("N_STO_P"), annual("STO_IN"), annual("STO_OUT"))
     _partial_rldc(part, meta.get("sets", {}), grab)
     return part
 

@@ -163,10 +163,10 @@ def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
 
     The first column holds run ids; an absent ``country_set`` column means
     every node of the dataset participates in every run. A malformed or
-    repeated heading, or an empty or repeated run id, raises. A row with a
-    value beyond the header, or a cell that does not read or holds a value
-    its column cannot take (see :func:`_check_cell`), keeps that message as
-    its ``issue``: it cannot run.
+    repeated heading, or an empty, repeated or comma-holding run id,
+    raises. A row with a value beyond the header, or a cell that does not
+    read or holds a value its column cannot take (see :func:`_check_cell`),
+    keeps that message as its ``issue``: it cannot run.
     """
     rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(cell.strip() for cell in r)]
     if not rows:
@@ -185,6 +185,8 @@ def parse_iteration_table(csv_text: str) -> list[ScenarioSpec]:
             raise ValidationError("iteration_table: empty run id")
         if run_id in seen:
             raise ValidationError(f"iteration_table: duplicate run id {run_id!r}")
+        if "," in run_id:  # the report writes run ids as CSV cells
+            raise ValidationError(f"iteration_table: run id {run_id!r} holds a comma")
         seen.add(run_id)
         try:
             specs.append(_parse_row(run_id, refs, row, len(header)))

@@ -6,14 +6,16 @@ example ``G`` over ``(tech, n, h, run)``). It is held as columns: a
 array of shape (records, dims)) and a ``float64`` value array, in record
 order. ``Symbol.records`` is a read-only dict view of the same data, built
 on first access; extraction, the store writers and readers,
-:meth:`SymbolsHandler.lookup`, :func:`aggregate` and the report's hourly
-grouping work on the columns and never build it.
+:meth:`SymbolsHandler.lookup`, :func:`aggregate`, :func:`binop` and the
+report work on the columns and never build it.
 
 Binary operations broadcast the operand with fewer dimensions over the
-richer one and take care of key alignment:
+richer one (for equal dimensions, in any order, the left operand) and take
+care of key alignment, keeping the richer operand's record order:
 
 * ``+`` and ``-`` keep keys present in only one operand (union semantics,
-  signed for ``-``), so totals are preserved;
+  signed for ``-``), so totals are preserved; with equal dimensions the
+  other operand's own keys follow, in its record order;
 * ``*`` and ``/`` keep only keys present in both operands (intersection),
   so no values are invented; division by zero drops the key and counts a
   warning instead of propagating infinities.
@@ -36,12 +38,7 @@ LEVEL = "level"
 MARGINAL = "marginal"
 PARAMETER = "parameter"
 
-_OPS: dict[str, Callable[[float, float], float]] = {
-    "+": lambda x, y: x + y,
-    "-": lambda x, y: x - y,
-    "*": lambda x, y: x * y,
-    "/": lambda x, y: x / y,
-}
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 class DimensionMismatch(ValueError):
@@ -119,14 +116,7 @@ class Layout:
         labels = [self.labels[d] for d in dims]
         if not len(codes):
             return Layout(labels, codes), np.zeros(0, dtype=np.intp)
-        if math.prod(map(len, labels)) < 2**63:
-            # One integer per combination, ordered as the combinations are.
-            key = np.zeros(len(codes), dtype=np.int64)
-            for d, table in enumerate(labels):
-                key = key * len(table) + codes[:, d]
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        else:
-            _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(_keys(list(map(len, labels)), codes), return_index=True, return_inverse=True)
         rank = np.argsort(first)
         group = np.empty_like(rank)
         group[rank] = np.arange(len(rank))
@@ -250,13 +240,8 @@ class Symbol:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Symbol):
             return NotImplemented
-        return (self.name, self.value_kind, self.dims, self.unit, self.warning_count) == (
-            other.name,
-            other.value_kind,
-            other.dims,
-            other.unit,
-            other.warning_count,
-        ) and self.records == other.records
+        meta = [(s.name, s.value_kind, s.dims, s.unit, s.warning_count) for s in (self, other)]
+        return meta[0] == meta[1] and self.records == other.records
 
     __hash__ = None
 
@@ -319,71 +304,82 @@ def binop(a, b, op: str) -> Symbol:
     """
     if op not in _OPS:
         raise ValueError(f"unknown operator {op!r}")
-    a = _wrap(a)
-    b = _wrap(b)
+    a, b = _wrap(a), _wrap(b)
     set_a, set_b = set(a.dims), set(b.dims)
-    if set_a <= set_b:
-        large, small, small_is_a = b, a, True
-    elif set_b <= set_a:
-        large, small, small_is_a = a, b, False
-    else:
-        raise DimensionMismatch(
-            f"dimensions {a.dims} and {b.dims} are neither subset nor superset"
-        )
-    if set_a == set_b:
-        large, small, small_is_a = a, b, False  # left operand fixes the order
-
+    if not (set_a <= set_b or set_b <= set_a):
+        raise DimensionMismatch(f"dimensions {a.dims} and {b.dims} are neither subset nor superset")
+    small_is_a = set_a < set_b  # for equal dims the left operand fixes the order
+    large, small = (b, a) if small_is_a else (a, b)
     positions = [large.dims.index(d) for d in small.dims]
-
-    def project(key: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(key[p] for p in positions)
-
-    fn = _OPS[op]
-    records: dict[tuple[str, ...], float] = {}
+    tables, codes, lifted, partner = _align(large.layout, positions, small.layout)
+    lv, sv = large.values, np.append(small.values, 0.0)[partner]  # 0.0 where there is no partner
     warnings = 0
 
-    if op in ("+", "-"):
-        for key, lv in large.records.items():
-            sv = small.records.get(project(key))
-            if sv is None:
-                records[key] = fn(0.0, lv) if small_is_a else fn(lv, 0.0)
-            else:
-                records[key] = fn(sv, lv) if small_is_a else fn(lv, sv)
-        if set_a == set_b:
-            # True union: keys only the smaller operand has survive too.
-            seen = {project(k) for k in large.records}
-            for key, sv in small.records.items():
-                if key not in seen:
-                    lifted = _lift(key, positions, len(large.dims))
-                    records[lifted] = fn(sv, 0.0) if small_is_a else fn(0.0, sv)
-    else:
-        for key, lv in large.records.items():
-            sv = small.records.get(project(key))
-            if sv is None:
-                continue
-            x, y = (sv, lv) if small_is_a else (lv, sv)
-            if op == "/" and y == 0.0:
-                warnings += 1
-                continue
-            records[key] = fn(x, y)
-        if warnings:
-            log.warning("%s/%s: dropped %d records with zero divisor", a.name, b.name, warnings)
+    if op in ("+", "-") and set_a == set_b:
+        # True union: keys only the smaller operand has survive too.
+        only = np.ones(len(small) + 1, dtype=bool)
+        only[partner] = False  # -1, no partner, marks the spare last slot
+        only = np.flatnonzero(only[:-1])
+        codes = np.concatenate([codes, lifted[only]])
+        lv = np.concatenate([lv, np.zeros(len(only))])
+        sv = np.concatenate([sv, small.values[only]])
+    elif op in ("*", "/"):
+        kept = partner >= 0
+        if op == "/":
+            zero = kept & ((lv if small_is_a else sv) == 0.0)
+            warnings, kept = int(np.count_nonzero(zero)), kept & ~zero
+            if warnings:
+                log.warning("%s/%s: dropped %d records with zero divisor", a.name, b.name, warnings)
+        codes, lv, sv = codes[kept], lv[kept], sv[kept]
+    with np.errstate(all="ignore"):  # an overflow raises below, naming its key
+        values = _OPS[op](*((sv, lv) if small_is_a else (lv, sv)))
 
-    return Symbol(
-        name=f"({a.name}{op}{b.name})",
-        value_kind=a.value_kind if a.value_kind == b.value_kind else PARAMETER,
-        dims=large.dims,
-        records=records,
-        unit=a.unit if a.unit == b.unit else "",
-        warning_count=warnings,
-    )
+    name, kind = f"({a.name}{op}{b.name})", a.value_kind if a.value_kind == b.value_kind else PARAMETER
+    unit = a.unit if a.unit == b.unit else ""
+    return Symbol.from_columns(name, kind, large.dims, _compact(tables, codes), values, unit, warnings)
 
 
-def _lift(key: tuple[str, ...], positions: list[int], arity: int) -> tuple[str, ...]:
-    out = [""] * arity
-    for p, value in zip(positions, key):
-        out[p] = value
-    return tuple(out)
+def _keys(sizes: Sequence[int], codes: np.ndarray) -> np.ndarray:
+    """One integer per row of ``codes`` (positions in label tables of
+    ``sizes``), equal for equal rows and ordered as the rows are."""
+    if math.prod(sizes) >= 2**63:
+        return np.unique(codes, axis=0, return_inverse=True)[1].reshape(-1)
+    key = np.zeros(len(codes), dtype=np.int64)
+    for d, size in enumerate(sizes):
+        key = key * size + codes[:, d]
+    return key
+
+
+def _align(large: Layout, positions: Sequence[int], small: Layout):
+    """Match each record of ``large`` with the record of ``small`` (keys
+    distinct) that has its labels at ``positions``, one per dim of
+    ``small``. Returns ``large``'s label tables, those at ``positions``
+    merged with ``small``'s (a label may come twice; codes name its first
+    place), ``large``'s codes and ``small``'s (lifted to ``large``'s dims,
+    0 off ``positions``) on them, and each ``large`` record's partner in
+    ``small``, -1 where it has none."""
+    tables, codes = list(large.labels), large.codes.astype(np.int64)
+    lifted = np.zeros((len(small.codes), len(tables)), dtype=np.int64)
+    for s, p in enumerate(positions):
+        tables[p] = np.sort(np.concatenate([large.labels[p], small.labels[s]]))
+        codes[:, p] = np.searchsorted(tables[p], large.labels[p])[large.codes[:, p]]
+        lifted[:, p] = np.searchsorted(tables[p], small.labels[s])[small.codes[:, s]]
+    keys = _keys([len(tables[p]) for p in positions], np.concatenate([codes, lifted])[:, positions])
+    probe, key = keys[: len(codes)], np.append(keys[len(codes) :], -1)  # a spare key no probe matches
+    order = np.argsort(key)
+    at = order[np.minimum(np.searchsorted(key, probe, sorter=order), len(key) - 1)]
+    return tables, codes, lifted, np.where(key[at] == probe, at, -1)
+
+
+def _compact(tables: Sequence[np.ndarray], codes: np.ndarray) -> Layout:
+    """The layout of ``codes`` on ``tables``, each cut to the labels used, as :meth:`Layout.encode` makes it."""
+    labels, compact = [], np.empty(codes.shape, dtype=np.int64)
+    for d, table in enumerate(tables):
+        used = np.zeros(len(table), dtype=bool)
+        used[codes[:, d]] = True
+        compact[:, d] = (np.cumsum(used) - 1)[codes[:, d]]
+        labels.append(np.array(table[used].tolist(), dtype=str))
+    return Layout(labels, compact)
 
 
 def aggregate(symbol: Symbol, over: str, how: str = "sum") -> Symbol:

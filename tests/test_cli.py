@@ -364,6 +364,33 @@ class TestValidate:
                 "and >= 0, got nan") in capsys.readouterr().err.splitlines()
 
     @pytest.mark.parametrize(
+        "edits, issue",
+        [
+            ({"data_input/static_input/nodes.csv": ("DE,", '"D,E",'),
+              "data_input/static_input/availability.csv": (",DE,", ',"D,E",'),
+              "settings/features_node_selection.csv": (",DE", ',"D,E"')},
+             "nodes.csv:2: id 'D,E' holds a comma"),
+            ({"data_input/static_input/technologies.csv": ("gas,", '"g,as",')},
+             "technologies.csv:2: id 'g,as' holds a comma"),
+            ({"data_input/static_input/storage.csv": ("Li-ion,", '"Li,ion",')},
+             "storage.csv:2: id 'Li,ion' holds a comma"),
+            ({"settings/project_variables.csv": ("scenarios_iteration,no", "scenarios_iteration,yes"),
+              "iterationfiles/iteration_table.csv": (None, 'run\n"S,1"\n')},
+             "iteration_table: run id 'S,1' holds a comma"),
+        ],
+        ids=["node", "technology", "storage", "run"],
+    )
+    def test_id_with_a_comma(self, tmp_path, capsys, edits, issue):
+        """The stores and the report write ids as CSV cells, so an id that
+        holds a comma would write a store that does not read back."""
+        root = create_project("demo", "minimal", tmp_path)
+        for name, (old, new) in edits.items():
+            path = root / name
+            path.write_text(new if old is None else path.read_text().replace(old, new))
+        assert run_cli("validate", str(root)) == 1
+        assert f"error: {issue}" in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize(
         "header, cell, rule",
         [
             ("c_var(n,'ocgt')", "-40", "c_var must be finite and >= 0, got -40.0"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import two_node_sweep_system
-from voltaic.reports import _axis, _curve, _hourly, _write_table, rldc, standard_report
+from voltaic.reports import _axis, _curve, _format, _hourly, _write_lines, rldc, standard_report
 from voltaic.scenarios import RunResult, ScenarioSpec, parse_iteration_table, run_scenarios
 from voltaic.store import SymbolStore, extract_symbols, read_all_stores, read_store, write_store
 from voltaic.symbols import DimensionMismatch, Symbol, SymbolsHandler, aggregate
@@ -438,7 +438,7 @@ def test_write_table_equals_per_cell_formatting(tmp_path):
         ["x", 5, 1.5],
     ]
     headers = ["n", "run", "rank", "h", "a", "b", "c"]
-    _write_table(tmp_path / "new.csv", headers, rows)
+    _write_lines(tmp_path / "new.csv", headers, _format(rows))
     oracle_write_table(tmp_path / "old.csv", headers, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -618,7 +618,7 @@ def stacked_report(handler, out_dir):
             [key[1], key[2], key[0], value]
             for key, value in sorted(capacity.records.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0]))
         ]
-        _write_table(out_dir / "capacity.csv", ["tech", "n", "run", "value"], rows)
+        _write_lines(out_dir / "capacity.csv", ["tech", "n", "run", "value"], _format(rows))
         manifest["tables"].append(
             {"name": "capacity.csv", "dims": ["tech", "n", "run"], "unit": "MW"}
         )
@@ -635,10 +635,10 @@ def stacked_report(handler, out_dir):
             run, tech, node = key
             cu = curtailed.records.get(key, 0.0) if curtailed is not None else 0.0
             rows.append([tech, node, run, annual.records[key], cu])
-        _write_table(
+        _write_lines(
             out_dir / "generation.csv",
             ["tech", "n", "run", "generation", "curtailment"],
-            rows,
+            _format(rows),
         )
         manifest["tables"].append(
             {"name": "generation.csv", "dims": ["tech", "n", "run"], "unit": "MWh"}
@@ -667,10 +667,10 @@ def stacked_report(handler, out_dir):
                     discharge_total.records.get(key, 0.0) if discharge_total else 0.0,
                 ]
             )
-        _write_table(
+        _write_lines(
             out_dir / "storage.csv",
             ["sto", "n", "run", "energy_cap", "power_cap", "charge", "discharge"],
-            rows,
+            _format(rows),
         )
         manifest["tables"].append(
             {"name": "storage.csv", "dims": ["sto", "n", "run"], "unit": "MWh/MW"}
@@ -692,10 +692,10 @@ def stacked_report(handler, out_dir):
                 float(meta.get("objective_variable") or 0.0),
             ]
         )
-    _write_table(
+    _write_lines(
         out_dir / "summary.csv",
         ["run", "status", "objective", "investment_cost", "variable_cost"],
-        rows,
+        _format(rows),
     )
     manifest["tables"].append({"name": "summary.csv", "dims": ["run"], "unit": "EUR"})
 
@@ -764,7 +764,7 @@ def _stacked_rldc(handler, out_dir, manifest, notice, grab):
                 cells = dict(zip(names, row[5:]))
                 yield [*row[:5], *(cells.get(h, 0.0) for h in headers[5:])]
 
-        _write_table(out_dir / "rldc.csv", headers, chain.from_iterable(joined(*curve) for curve in curves))
+        _write_lines(out_dir / "rldc.csv", headers, _format(chain.from_iterable(joined(*curve) for curve in curves)))
         manifest["tables"].append(
             {"name": "rldc.csv", "dims": ["n", "run", "rank"], "unit": "MWh/h"}
         )

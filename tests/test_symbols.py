@@ -1,4 +1,6 @@
+import logging
 import math
+from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
@@ -9,31 +11,42 @@ from hypothesis import strategies as st
 from conftest import oracle_binop
 from voltaic.scenarios import ScenarioSpec, run_scenarios
 from voltaic.store import SymbolStore, extract_symbols
-from voltaic.symbols import DimensionMismatch, Symbol, SymbolsHandler, _absent, aggregate, binop
+from voltaic.symbols import PARAMETER, DimensionMismatch, Symbol, SymbolsHandler, _absent, _wrap, aggregate, binop
 
 DIM_POOL = ("i", "j", "k")
-LABELS = {"i": ("a", "b"), "j": ("x", "y", "z"), "k": ("p", "q")}
+LABELS = {"i": ("a", "b"), "j": ("x", "yy", "zzz"), "k": ("p", "q")}
+# Small integers collide and cancel; the rest are non-integer, signed zero,
+# subnormal and near-overflow values.
+VALUES = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.sampled_from([0.0, -0.0, 0.5, -2.25, 0.1, 1e-300, 5e-324, 1.5e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
-def sym(name, dims, records, kind="level"):
-    return Symbol(name, kind, tuple(dims), dict(records))
+def sym(name, dims, records, kind="level", unit=""):
+    return Symbol(name, kind, tuple(dims), dict(records), unit)
 
 
-def symbols_strategy():
+def symbols_strategy(kinds=("level",), units=("",), compatible=True):
+    """Pairs of symbols over up to three dims, one's dims a subset of the
+    other's (equal dims possibly in another order), with missing keys and
+    possibly no records; with ``compatible`` False the smaller one's dims
+    may also be outside the larger one's."""
+
     @st.composite
     def _symbols(draw):
-        n_large = draw(st.integers(1, 3))
-        large_dims = DIM_POOL[:n_large]
-        small_dims = tuple(d for d in large_dims if draw(st.booleans()))
-        values = st.integers(-4, 4).map(float)
+        large_dims = tuple(draw(st.permutations(DIM_POOL))[: draw(st.integers(1, 3))])
+        pool = large_dims if compatible or draw(st.booleans()) else DIM_POOL
+        small_dims = tuple(draw(st.permutations(pool))[: draw(st.integers(0, len(pool)))])
 
-        def records_for(dims):
+        def symbol(name, dims):
             keys = list(product(*(LABELS[d] for d in dims))) or [()]
             chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
-            return {k: draw(values) for k in chosen}
+            records = {k: draw(VALUES) for k in chosen}
+            return sym(name, dims, records, draw(st.sampled_from(kinds)), draw(st.sampled_from(units)))
 
-        a = sym("a", large_dims, records_for(large_dims))
-        b = sym("b", small_dims, records_for(small_dims))
+        a, b = symbol("a", large_dims), symbol("b", small_dims)
         if draw(st.booleans()):
             a, b = b, a
         return a, b
@@ -45,8 +58,159 @@ def symbols_strategy():
 @given(symbols_strategy(), st.sampled_from("+-*/"))
 def test_binop_matches_bruteforce_oracle(pair, op):
     a, b = pair
-    result = binop(a, b, op)
-    assert result.records == oracle_binop(a, b, op)
+    expected = oracle_binop(a, b, op)
+    if all(map(math.isfinite, expected.values())):
+        assert binop(a, b, op).records == expected
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            binop(a, b, op)
+
+
+# -- oracle: the record-dict binop the columnar one replaced, verbatim ------
+
+log = logging.getLogger("voltaic.symbols")
+
+_OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def oracle_record_binop(a, b, op: str) -> Symbol:
+    """Combine two symbols; the smaller-dimensioned operand broadcasts.
+
+    One operand's dimensions must be a subset of the other's; anything else
+    is a :class:`DimensionMismatch`. See the module docstring for the key
+    alignment rules.
+    """
+    if op not in _OPS:
+        raise ValueError(f"unknown operator {op!r}")
+    a = _wrap(a)
+    b = _wrap(b)
+    set_a, set_b = set(a.dims), set(b.dims)
+    if set_a <= set_b:
+        large, small, small_is_a = b, a, True
+    elif set_b <= set_a:
+        large, small, small_is_a = a, b, False
+    else:
+        raise DimensionMismatch(
+            f"dimensions {a.dims} and {b.dims} are neither subset nor superset"
+        )
+    if set_a == set_b:
+        large, small, small_is_a = a, b, False  # left operand fixes the order
+
+    positions = [large.dims.index(d) for d in small.dims]
+
+    def project(key: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(key[p] for p in positions)
+
+    fn = _OPS[op]
+    records: dict[tuple[str, ...], float] = {}
+    warnings = 0
+
+    if op in ("+", "-"):
+        for key, lv in large.records.items():
+            sv = small.records.get(project(key))
+            if sv is None:
+                records[key] = fn(0.0, lv) if small_is_a else fn(lv, 0.0)
+            else:
+                records[key] = fn(sv, lv) if small_is_a else fn(lv, sv)
+        if set_a == set_b:
+            # True union: keys only the smaller operand has survive too.
+            seen = {project(k) for k in large.records}
+            for key, sv in small.records.items():
+                if key not in seen:
+                    lifted = _lift(key, positions, len(large.dims))
+                    records[lifted] = fn(sv, 0.0) if small_is_a else fn(0.0, sv)
+    else:
+        for key, lv in large.records.items():
+            sv = small.records.get(project(key))
+            if sv is None:
+                continue
+            x, y = (sv, lv) if small_is_a else (lv, sv)
+            if op == "/" and y == 0.0:
+                warnings += 1
+                continue
+            records[key] = fn(x, y)
+        if warnings:
+            log.warning("%s/%s: dropped %d records with zero divisor", a.name, b.name, warnings)
+
+    return Symbol(
+        name=f"({a.name}{op}{b.name})",
+        value_kind=a.value_kind if a.value_kind == b.value_kind else PARAMETER,
+        dims=large.dims,
+        records=records,
+        unit=a.unit if a.unit == b.unit else "",
+        warning_count=warnings,
+    )
+
+
+def _lift(key: tuple[str, ...], positions: list[int], arity: int) -> tuple[str, ...]:
+    out = [""] * arity
+    for p, value in zip(positions, key):
+        out[p] = value
+    return tuple(out)
+
+
+@contextmanager
+def logged(name):
+    """The messages logged to ``name`` inside the block."""
+    lines = []
+    handler = logging.Handler()
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger(name)
+    logger.addHandler(handler)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+
+
+def outcome(fn, a, b, op):
+    """Everything ``fn(a, b, op)`` shows: the result's keys in order, its
+    value bits, metadata and label tables, or the exception; and its log."""
+    with logged("voltaic.symbols") as lines:
+        try:
+            r = fn(a, b, op)
+        except Exception as exc:  # the oracle's failures must be matched too
+            return type(exc), str(exc), lines
+    labels = [(t.dtype.str, t.tolist()) for t in r.layout.labels]
+    return (list(r.records), [v.hex() for v in r.values.tolist()], r.warning_count, r.name, r.unit,
+            r.value_kind, r.dims, labels, r.layout.codes.tolist(), lines)
+
+
+@st.composite
+def operands(draw):
+    """Symbol pairs of any kinds and units, sometimes with a plain number on
+    one side or dims neither subset nor superset."""
+    a, b = draw(symbols_strategy(("level", "marginal", PARAMETER), ("", "MW"), compatible=False))
+    side = draw(st.sampled_from(["a", "b", *[None] * 6]))
+    if side == "a":
+        a = draw(VALUES)
+    elif side == "b":
+        b = draw(VALUES)
+    return a, b
+
+
+@settings(max_examples=1000, deadline=None)
+@given(operands(), st.sampled_from(["+", "-", "*", "/", "+", "-", "*", "/", "%"]))
+def test_binop_matches_record_oracle_bit_for_bit(pair, op):
+    a, b = pair
+    assert outcome(binop, a, b, op) == outcome(oracle_record_binop, a, b, op)
+
+
+def test_record_oracle_sees_signed_zero_order_and_log():
+    """The comparison tells -0.0 from 0.0, sees key order and the log line."""
+    a = sym("a", ("i", "j"), {("b", "x"): -4.0, ("a", "x"): 2.0}, unit="MW")
+    b = sym("b", ("j", "i"), {("x", "a"): 0.0, ("yy", "b"): 1.0, ("x", "b"): 0.0}, unit="MW")
+    times = outcome(binop, a, b, "*")
+    assert times[:2] == ([("b", "x"), ("a", "x")], [(-0.0).hex(), (0.0).hex()])
+    assert outcome(binop, a, b, "+")[0] == [("b", "x"), ("a", "x"), ("b", "yy")]
+    quotient = outcome(binop, a, b, "/")
+    assert quotient[0] == [] and quotient[2] == 2 and quotient[-1] == ["a/b: dropped 2 records with zero divisor"]
+    assert quotient == outcome(oracle_record_binop, a, b, "/")
 
 
 def test_self_sum_doubles():

@@ -347,8 +347,14 @@ def test_rebuild_compiles_one_instance_per_country_set(monkeypatch):
     monkeypatch.setattr(sweeps, "ModelInstance", Counted)
     monkeypatch.setattr(sweeps, "_plan", planning)
     rows = sweeps._run_and_finish(data, config, None, specs, "rebuild", 0)
-    assert len(planned) == 1 and planned[0]._warm is solver._UNOPENED
-    assert len(compiled) == 1 and all(result.status == "optimal" for result, _ in rows)
+
+    def country_sets(instances):  # which program each counted instance was built on
+        return f"built on country sets {[inst._base.sets['n'] for inst in instances]}"
+
+    assert len(planned) == 1 and planned[0]._warm is solver._UNOPENED, f"planned: {country_sets(planned)}"
+    assert len(compiled) == 1 and all(result.status == "optimal" for result, _ in rows), (
+        f"compiled: {country_sets(compiled)}"
+    )
     assert compiled[0].basis is None and compiled[0]._warm is solver._UNOPENED  # every row cold
 
 
